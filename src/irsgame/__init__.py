@@ -3,7 +3,8 @@
 Pipeline: static Rayleigh channels per provider geometry (channel), SNR
 maximization by alternating beamforming and surface phase alignment (phy),
 population utilities and replicator dynamics over service groups (game),
-fixed-step ODE/DDE integration plus a Picard cross-check (dynamics), and
+the exact undelayed solution, fixed-step ODE/DDE integration and a Picard
+cross-check (dynamics), and
 reproducible experiment presets with CSV output (experiments, cli).
 """
 
@@ -29,7 +30,15 @@ from .config import (
     save_config,
     with_scalar_overrides,
 )
-from .dynamics import HistoryBuffer, IntegratorSpec, Trajectory, integrate_dde, integrate_ode, picard_solve
+from .dynamics import (
+    HistoryBuffer,
+    IntegratorSpec,
+    Trajectory,
+    integrate_dde,
+    integrate_ode,
+    picard_solve,
+    solve_replicator,
+)
 from .errors import (
     ConfigurationError,
     NonConvergenceError,
@@ -51,6 +60,7 @@ from .game import (
     replicator_field,
     stability_bound,
     utility,
+    utility_numerators,
 )
 from .phy import Beamformer, PhaseShiftVector, ServiceLink, build_all_links, compute_snr, optimize_link
 from .experiments import PRESETS, SimulationResult, emit_csv, run_experiment, simulate, trajectory_json

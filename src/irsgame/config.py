@@ -533,12 +533,7 @@ def with_scalar_overrides(cfg: ScenarioConfig, **kwargs) -> ScenarioConfig:
     for key in ("mu", "delta", "n_users", "seed"):
         if kwargs.get(key) is not None:
             cfg_kwargs[key] = kwargs[key]
-    integrator = cfg.integrator
-    if kwargs.get("dt") is not None or kwargs.get("horizon") is not None:
-        integrator = replace(
-            integrator,
-            dt=kwargs.get("dt") or integrator.dt,
-            horizon=kwargs.get("horizon") or integrator.horizon,
-        )
-        cfg_kwargs["integrator"] = integrator
+    integrator = {k: kwargs[k] for k in ("dt", "horizon") if kwargs.get(k) is not None}
+    if integrator:
+        cfg_kwargs["integrator"] = replace(cfg.integrator, **integrator)
     return replace(cfg, **cfg_kwargs) if cfg_kwargs else cfg

@@ -1,10 +1,12 @@
-"""Fixed-step integrators for the selection dynamics.
+"""Solvers for the selection dynamics.
 
-integrate_ode steps an ordinary field with forward Euler or classic rk4.
-integrate_dde steps the delayed field with forward Euler and a linearly
-interpolated history buffer (constant pre-history).  picard_solve iterates
-the integral-equation form on a fixed grid and serves as an independent
-cross-check of the steppers.
+solve_replicator evaluates the exact solution of the undelayed replicator
+dynamics of the built-in utility model on a fixed grid.  integrate_ode steps
+any ordinary field with forward Euler or classic rk4.  integrate_dde steps
+the delayed field with forward Euler and a linearly interpolated history
+buffer (constant pre-history).  picard_solve iterates the integral-equation
+form on a fixed grid and serves as an independent cross-check of the
+steppers.
 
 All steppers keep states on the probability simplex.  Two corrections are
 accounted separately: "drift" is the deviation of the component sum from 1
@@ -130,6 +132,73 @@ def integrate_ode(field: Callable, p0, spec: IntegratorSpec, utilities: Callable
     states = np.array(states)
     u, u_bar = _record_utilities(states, utilities)
     return Trajectory(times, states, u, u_bar, drift_sum, absorbed_sum)
+
+
+def solve_replicator(c, mu: float, p0, spec: IntegratorSpec, utilities: Callable | None = None) -> Trajectory:
+    """Exact replicator dynamics when p_g * u_g = c_g does not depend on the shares.
+
+    The field mu * p_g * (u_g - u_bar) is then linear: dp/dt = mu * (c - p * C),
+    with C the sum of c over the non-empty groups.  From the state q at time
+    t_k the solution is p(t) = q + (c - q * C) * g(t - t_k), with g(s) the
+    integral of mu * exp(-mu * C * r) over [0, s]; it rests at c / C.  A
+    shrinking group with c_g < 0 reaches zero at a closed-form time: there it
+    is set to exactly zero, the others are rescaled to unit sum, C is
+    recomputed and the next piece starts.  Empty groups stay exactly zero.
+
+    Samples lie on the grid t_i = i * dt, i = 0..spec.n_steps().  Only the
+    sample grid of spec is used; nothing is stepped, so drift and absorbed
+    mass are zero.  utilities, when given, is called once with the whole
+    (T, G) state array and must return one row of utilities per state.
+    """
+    p = _check_p0(p0)
+    c = np.asarray(c, dtype=float)
+    if c.shape != p.shape:
+        raise ConfigurationError("payoff vector and initial state differ in length")
+    n = spec.n_steps()
+    times = np.arange(n + 1) * spec.dt
+    states = np.empty((n + 1, p.size))
+    t_k, i = 0.0, 0
+    while True:
+        c_alive = np.where(p > 0.0, c, 0.0)
+        big_c = float(c_alive.sum())
+        slope = c_alive - p * big_c  # dp/dt over mu at t_k
+        doomed = (c_alive < 0.0) & (slope < 0.0)
+        t_end = np.inf
+        if np.any(doomed) and np.count_nonzero(p) > 1:  # the last group never empties
+            q, c_d = p[doomed], c_alive[doomed]
+            if big_c == 0.0:
+                s_zero = q / (mu * -c_d)
+            else:
+                s_zero = np.log1p(-q * big_c / c_d) / (mu * big_c)
+            k = int(np.argmin(s_zero))
+            t_end = t_k + float(s_zero[k])
+            dying = np.flatnonzero(doomed)[k]
+        elif big_c < 0.0:
+            # c / C repels when C < 0; with no group shrinking to zero the
+            # state sits on it up to rounding, which must not grow like
+            # exp(mu * |C| * t)
+            states[i:] = p
+            break
+        j = int(np.searchsorted(times, t_end))  # first sample of the next piece
+        # rounding can put a share a hair below zero just before it empties
+        states[i:j] = np.maximum(p + _growth(times[i:j] - t_k, mu, big_c)[:, None] * slope, 0.0)
+        if j > n:
+            break
+        p = np.maximum(p + _growth(t_end - t_k, mu, big_c) * slope, 0.0)
+        p[dying] = 0.0
+        p /= p.sum()
+        t_k, i = t_end, j
+    if utilities is None:
+        return Trajectory(times, states)
+    uv = utilities(states)
+    return Trajectory(times, states, uv.u, uv.u_bar)
+
+
+def _growth(s, mu: float, big_c: float):
+    """Integral of mu * exp(-mu * C * r) over r in [0, s]."""
+    if big_c == 0.0:
+        return mu * s
+    return -np.expm1(-mu * big_c * s) / big_c
 
 
 def _record_utilities(states: np.ndarray, utilities: Callable | None):

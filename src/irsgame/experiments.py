@@ -2,9 +2,7 @@
 
 Every preset is a pure function of (config, seed): channels, links and
 trajectories are deterministic, so rerunning a preset with the same inputs
-reproduces its output files byte for byte.  Sweep points are independent
-pure computations and safe to run concurrently; this implementation runs
-them in order for simplicity.
+reproduces its output files byte for byte.
 """
 
 from __future__ import annotations
@@ -18,15 +16,15 @@ import numpy as np
 
 from .channel import Position, generate_channels
 from .config import ScenarioConfig
-from .dynamics import Trajectory, integrate_dde, integrate_ode
-from .errors import ConfigurationError, NonConvergenceError
+from .dynamics import Trajectory, integrate_dde, solve_replicator
+from .errors import ConfigurationError, NonConvergenceError, NumericError
 from .game import (
     UtilityParams,
     delayed_replicator_field,
     detect_equilibrium,
     make_utilities,
-    replicator_field,
     stability_bound,
+    utility_numerators,
 )
 from .phy import build_all_links
 
@@ -45,12 +43,8 @@ EPS_MASS = 1e-2
 # trajectory CSVs keep every TRAJECTORY_STRIDE-th sample (plus the last)
 TRAJECTORY_STRIDE = 10
 
-# sweep presets only need the terminal equilibrium, not a finely sampled
-# transient, so they step coarser (and, where convergence is slow, longer)
-# than the base config
-CONVERGENCE_DT_FACTOR = 5.0
-IRS_SWEEP_DT_FACTOR = 10.0
-DISTANCE_SWEEP_DT_FACTOR = 20.0
+# the distance sweep reaches points whose equilibration is slow, so it runs
+# longer than the base config
 DISTANCE_SWEEP_HORIZON_FACTOR = 4.0
 
 
@@ -68,9 +62,10 @@ class SimulationResult:
 def simulate(cfg: ScenarioConfig) -> SimulationResult:
     """Run the full pipeline: channels, link optimization, selection dynamics.
 
-    A zero decision delay integrates the ordinary replicator field with the
-    configured method; a positive delay integrates the delayed field with
-    forward Euler and recorded history.
+    A zero decision delay evaluates the exact solution of the replicator
+    dynamics (solve_replicator) on the configured sample grid; a positive
+    delay integrates the delayed field with forward Euler and recorded
+    history.
     """
     channels = generate_channels(cfg)
     links = build_all_links(cfg, channels)
@@ -81,8 +76,8 @@ def simulate(cfg: ScenarioConfig) -> SimulationResult:
         field = lambda t, lookup: delayed_replicator_field(t, lookup, cfg.delta, cfg.mu)
         traj = integrate_dde(field, p0, cfg.delta, cfg.integrator, utilities)
     else:
-        field = lambda t, p: replicator_field(t, p, utilities, cfg.mu)
-        traj = integrate_ode(field, p0, cfg.integrator, utilities)
+        c = utility_numerators(links, params, cfg) / cfg.n_users
+        traj = solve_replicator(c, cfg.mu, p0, cfg.integrator, utilities)
     return SimulationResult(cfg=cfg, channels=channels, links=links, utilities=utilities, trajectory=traj)
 
 
@@ -96,10 +91,13 @@ def _fmt_cell(v) -> str:
 
 
 def _write_csv(path: Path, meta: list, columns: list, rows) -> Path:
+    return _write_lines(path, meta, columns, [",".join(_fmt_cell(v) for v in row) for row in rows])
+
+
+def _write_lines(path: Path, meta: list, columns: list, body: list) -> Path:
     lines = ["# %s = %s" % (k, v) for k, v in meta]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt_cell(v) for v in row))
+    lines.extend(body)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -125,16 +123,16 @@ def emit_csv(traj: Trajectory, meta: list, path, stride: int = 1) -> Path:
         + ["u_%d" % (g + 1) for g in range(n_groups)]
         + ["u_bar"]
     )
-    idx = list(range(0, len(traj), stride))
+    idx = np.arange(0, len(traj), stride)
     if idx[-1] != len(traj) - 1:
-        idx.append(len(traj) - 1)
-    has_u = traj.utilities is not None
-    rows = []
-    for i in idx:
-        u = traj.utilities[i] if has_u else [np.nan] * n_groups
-        ub = traj.u_bar[i] if has_u else np.nan
-        rows.append([traj.times[i], *traj.states[i], *u, ub])
-    return _write_csv(Path(path), meta, columns, rows)
+        idx = np.append(idx, len(traj) - 1)
+    if traj.utilities is None:
+        u, u_bar = np.full((len(idx), n_groups), np.nan), np.full(len(idx), np.nan)
+    else:
+        u, u_bar = traj.utilities[idx], traj.u_bar[idx]
+    table = np.column_stack([traj.times[idx], traj.states[idx], u, u_bar])
+    row = ",".join(["%.17g"] * len(columns))
+    return _write_lines(Path(path), meta, columns, [row % tuple(r) for r in table.tolist()])
 
 
 def trajectory_json(traj: Trajectory) -> dict:
@@ -196,11 +194,7 @@ def _run_convergence_speed(cfg: ScenarioConfig, out_dir: Path, json_dump: bool =
                 cfg,
                 mu=mu,
                 n_users=n,
-                integrator=replace(
-                    cfg.integrator,
-                    dt=cfg.integrator.dt * CONVERGENCE_DT_FACTOR,
-                    horizon=_scaled_horizon(cfg, mu, n),
-                ),
+                integrator=replace(cfg.integrator, horizon=_scaled_horizon(cfg, mu, n)),
             )
             res = simulate(point)
             eq = _require_equilibrium(res.trajectory, "grid point mu=%g n_users=%d" % (mu, n))
@@ -215,12 +209,13 @@ def _run_convergence_speed(cfg: ScenarioConfig, out_dir: Path, json_dump: bool =
 
 
 def _run_delay_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = False) -> list:
+    links = build_all_links(cfg, generate_channels(cfg))
     try:
-        channels = generate_channels(cfg)
-        links = build_all_links(cfg, channels)
         bound = "%.17g" % stability_bound(cfg, links)
     except ConfigurationError:
         bound = "not computable (needs one service per provider)"
+    except NumericError:
+        bound = "not computable (aggregate utility term is not positive)"
     paths = []
     for delta in cfg.grids.delta:
         point = replace(cfg, delta=delta)
@@ -246,11 +241,7 @@ def _run_irs_size_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = Fa
         raise ConfigurationError("irs-size-sweep needs a second provider to resize")
     # keep the surface price low enough that the rate gain of extra elements
     # is not eaten by the element price across the whole default grid
-    base = replace(
-        cfg,
-        sps=[replace(sp, price_irs=min(sp.price_irs, 0.05)) for sp in cfg.sps],
-        integrator=replace(cfg.integrator, dt=cfg.integrator.dt * IRS_SWEEP_DT_FACTOR),
-    )
+    base = replace(cfg, sps=[replace(sp, price_irs=min(sp.price_irs, 0.05)) for sp in cfg.sps])
     rows = []
     n_groups = base.n_groups
     for k2 in base.grids.irs_elements_sp2:
@@ -280,11 +271,7 @@ def _run_distance_price_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: boo
     axis = axis / norm
     sp1_groups = cfg.groups_of_sp(1)
     sp2_groups = cfg.groups_of_sp(2) if len(cfg.sps) > 1 else []
-    integrator = replace(
-        cfg.integrator,
-        dt=cfg.integrator.dt * DISTANCE_SWEEP_DT_FACTOR,
-        horizon=cfg.integrator.horizon * DISTANCE_SWEEP_HORIZON_FACTOR,
-    )
+    integrator = replace(cfg.integrator, horizon=cfg.integrator.horizon * DISTANCE_SWEEP_HORIZON_FACTOR)
     rows = []
     for price in cfg.grids.price_irs_sp1:
         for dist in cfg.grids.distance:

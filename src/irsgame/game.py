@@ -50,11 +50,12 @@ class UtilityVector:
     """Per-group utilities plus their population average.
 
     Entries for empty groups (share exactly zero) are NaN: the utility of a
-    service nobody uses is not applicable.
+    service nobody uses is not applicable.  For a stack of states, u has one
+    row and u_bar one entry per state.
     """
 
     u: np.ndarray
-    u_bar: float
+    u_bar: float | np.ndarray
 
 
 @dataclass
@@ -113,11 +114,11 @@ def average_utility(p: np.ndarray, u: np.ndarray) -> float:
     return float(np.sum(np.where(p > 0.0, p * u, 0.0)))
 
 
-def make_utilities(links: dict, params: UtilityParams, cfg) -> Callable[[np.ndarray], UtilityVector]:
-    """Build the state -> UtilityVector map for a fixed set of optimized links.
+def utility_numerators(links: dict, params: UtilityParams, cfg) -> np.ndarray:
+    """Valued rate minus prices of every group, before the division by its headcount.
 
-    Channels are static, so per-group SNRs and prices are folded into
-    constants; only the division by the group share happens per call.
+    The utility of group g is numer_g / (p_g * n_users), so p_g * u_g =
+    numer_g / n_users does not depend on the shares.
     """
     n_groups = cfg.n_groups
     snr = np.empty(n_groups)
@@ -133,17 +134,28 @@ def make_utilities(links: dict, params: UtilityParams, cfg) -> Callable[[np.ndar
             params.price_irs[svc.sp - 1] * len(link.phases.alphas)
             + params.price_power[svc.sp - 1] * link.beam.power_w
         )
+    return params.valuation * bw * np.log2(1.0 + snr) - cost
+
+
+def make_utilities(links: dict, params: UtilityParams, cfg) -> Callable[[np.ndarray], UtilityVector]:
+    """Build the state -> UtilityVector map for a fixed set of optimized links.
+
+    Channels are static, so per-group SNRs and prices are folded into
+    constants; only the division by the group share happens per call.  The
+    map takes one state (G,) or a stack of states (T, G); for a stack, u is
+    (T, G) and u_bar is (T,), each row equal to the single-state result.
+    """
+    numer = utility_numerators(links, params, cfg)
     n = float(cfg.n_users)
-    # valued rate minus prices, before the division by the group headcount
-    numer = params.valuation * bw * np.log2(1.0 + snr) - cost
-    n_nan = np.full(n_groups, np.nan)
+    n_nan = np.full(cfg.n_groups, np.nan)
 
     def utilities(p: np.ndarray) -> UtilityVector:
         p = np.asarray(p, dtype=float)
         alive = p > 0.0
-        u = np.divide(numer, p * n, out=n_nan.copy(), where=alive)
-        u_bar = float(np.sum(np.where(alive, p * u, 0.0)))
-        return UtilityVector(u=u, u_bar=u_bar)
+        empty = n_nan.copy() if p.ndim == 1 else np.full(p.shape, np.nan)
+        u = np.divide(numer, p * n, out=empty, where=alive)
+        u_bar = np.sum(np.where(alive, p * u, 0.0), axis=-1)
+        return UtilityVector(u=u, u_bar=float(u_bar) if p.ndim == 1 else u_bar)
 
     return utilities
 

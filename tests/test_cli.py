@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from irsgame import default_config, reduced_config, save_config
@@ -52,6 +53,14 @@ def test_run_accepts_config_and_json_flag(tmp_path, capsys, reduced_file):
     assert code == EXIT_OK
     assert (out / "utilities_vs_time.csv").exists()
     assert (out / "utilities_vs_time.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--dt", "--horizon"])
+def test_run_rejects_zero_step_or_horizon(tmp_path, capsys, flag):
+    code = main(["run", "utilities-vs-time", "--out", str(tmp_path), flag, "0"])
+    assert code == EXIT_CONFIG
+    assert "integrator.%s must be positive" % flag[2:] in capsys.readouterr().err
+    assert not (tmp_path / "utilities_vs_time.csv").exists()
 
 
 def test_run_rejects_unknown_preset():
@@ -109,3 +118,28 @@ def test_run_reports_non_convergence(tmp_path, capsys):
     )
     assert code == EXIT_NO_CONVERGENCE
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_delay_sweep_with_ruinous_prices(tmp_path):
+    # every group loses money: no delay bound, and the undelayed run still
+    # ends on the simplex with a single surviving group
+    cfg = reduced_config()
+    cfg = dataclasses.replace(
+        cfg,
+        sps=[dataclasses.replace(sp, price_irs=10.0) for sp in cfg.sps],
+        grids=dataclasses.replace(cfg.grids, delta=[0.0]),
+    )
+    path = tmp_path / "ruinous.cfg"
+    save_config(cfg, path)
+    out = tmp_path / "data"
+    assert main(["run", "delay-sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    (csv,) = out.glob("delay_sweep_delta*.csv")
+    lines = csv.read_text().splitlines()
+    assert "# stability_bound = not computable (aggregate utility term is not positive)" in lines
+    body = [line for line in lines if not line.startswith("#")]
+    header = body[0].split(",")
+    rows = np.array([[float(x) for x in line.split(",")] for line in body[1:]])
+    shares = rows[:, [i for i, col in enumerate(header) if col.startswith("p_")]]
+    assert np.min(shares) >= 0.0
+    assert np.max(np.abs(shares.sum(axis=1) - 1.0)) < 1e-12
+    assert sorted(shares[-1]) == [0.0, 1.0]

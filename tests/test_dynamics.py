@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from irsgame import (
     ConfigurationError,
@@ -19,6 +21,10 @@ from irsgame import (
     make_utilities,
     picard_solve,
     replicator_field,
+    simulate,
+    solve_replicator,
+    utility_numerators,
+    with_scalar_overrides,
 )
 from conftest import group_gains
 
@@ -229,3 +235,142 @@ def test_picard_grid_validation():
         picard_solve(lambda t, p: p, p0, np.array([0.0]))
     with pytest.raises(ConfigurationError):
         picard_solve(lambda t, p: p, p0, np.array([0.0, 0.0, 1.0]))
+
+
+# --- exact solution of the built-in model: p_g * u_g = c_g -------------------
+
+
+def payoff_utilities(c):
+    """u_g = c_g / p_g for non-empty groups, written independently of make_utilities."""
+
+    def utilities(p):
+        alive = p > 0.0
+        u = np.divide(c, p, out=np.full(len(p), np.nan), where=alive)
+        return UtilityVector(u, float(np.sum(c[alive])))
+
+    return utilities
+
+
+def on_simplex(states):
+    return np.min(states) >= 0.0 and np.max(np.abs(states.sum(axis=1) - 1.0)) < 1e-12
+
+
+# empty groups included; rk4 divides by the shares, so the others stay well above zero
+simplex_points = st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=2, max_size=6).filter(
+    lambda w: max(w) > 0.0
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    weights=simplex_points,
+    gains=st.lists(st.floats(0.01, 1.0), min_size=6, max_size=6),
+    mu=st.floats(0.05, 1.0),
+)
+def test_exact_solution_matches_rk4_when_every_group_is_profitable(weights, gains, mu):
+    p0 = np.array(weights) / sum(weights)
+    c = np.array(gains[: len(p0)])
+    spec = IntegratorSpec(dt=0.01, horizon=5.0)
+    exact = solve_replicator(c, mu, p0, spec)
+    rk4 = integrate_ode(lambda t, p: replicator_field(t, p, payoff_utilities(c), mu), p0, spec)
+    assert np.array_equal(exact.times, rk4.times)
+    assert np.max(np.abs(exact.states - rk4.states)) < 1e-9
+    assert np.all(exact.states[:, p0 == 0.0] == 0.0)
+    assert exact.total_drift == 0.0 and exact.total_absorbed == 0.0
+
+
+def test_exact_solution_with_unprofitable_groups(default_cfg):
+    sps = list(default_cfg.sps)
+    sps[0] = dataclasses.replace(sps[0], price_power=100.0)
+    cfg = with_scalar_overrides(dataclasses.replace(default_cfg, sps=sps), horizon=20.0)
+    res = simulate(cfg)
+    traj = res.trajectory
+    c = utility_numerators(res.links, UtilityParams.from_config(cfg), cfg) / cfg.n_users
+    assert np.count_nonzero(c < 0.0) == 2
+    assert on_simplex(traj.states)
+    assert traj.total_absorbed == 0.0
+    # extinction times from p(t) = p* + (q - p*) exp(-mu C (t - t_k)), one group at a time
+    q, t_k, alive = cfg.initial_population(), 0.0, np.ones(len(c), dtype=bool)
+    for _ in range(2):
+        big_c = c[alive].sum()
+        rest = np.where(alive, c, 0.0) / big_c
+        hit = np.full(len(c), np.inf)
+        dying = alive & (c < 0.0)
+        hit[dying] = t_k + np.log(1.0 - q[dying] / rest[dying]) / (cfg.mu * big_c)
+        g = int(np.argmin(hit))
+        assert np.all(traj.states[traj.times < hit[g] - 1e-9, g] > 0.0)
+        assert np.all(traj.states[traj.times > hit[g] + 1e-9, g] == 0.0)
+        q = rest + (q - rest) * np.exp(-cfg.mu * big_c * (hit[g] - t_k))
+        q[g] = 0.0
+        alive[g] = False
+        t_k = hit[g]
+    rk4 = integrate_ode(
+        lambda t, p: replicator_field(t, p, res.utilities, cfg.mu), cfg.initial_population(), cfg.integrator
+    )
+    assert rk4.total_absorbed > 0.0
+    assert np.max(np.abs(traj.states - rk4.states)) < 1e-4
+
+
+@settings(max_examples=40, deadline=None)
+@given(weights=simplex_points, losses=st.lists(st.floats(0.01, 1.0), min_size=6, max_size=6))
+def test_exact_solution_when_every_group_loses(weights, losses):
+    # C < 0: the rest point c / C repels, groups empty one by one, and the
+    # long horizon would overflow exp(mu * |C| * t) if the last state moved
+    p0 = np.array(weights) / sum(weights)
+    c = -np.array(losses[: len(p0)])
+    # p_g / c_g moves by one affine map common to all groups, so distinct
+    # ratios never tie and the state never comes to rest on some c / C
+    ratios = np.sort(p0[p0 > 0.0] / c[p0 > 0.0])
+    assume(np.all(np.diff(ratios) > 1e-3 * np.abs(ratios[1:])))
+    traj = solve_replicator(c, 1.0, p0, IntegratorSpec(dt=1.0, horizon=10000.0))
+    assert np.all(np.isfinite(traj.states))
+    assert on_simplex(traj.states)
+    end = traj.terminal_state
+    assert np.count_nonzero(end) == 1 and np.max(end) == 1.0
+
+
+def test_exact_solution_sample_one_ulp_before_extinction():
+    # group 1 empties at t = 1.0397308807795256; its rounded share one ulp
+    # earlier would be -7e-18 and must be written as 0
+    c = np.array([-0.27460628588430325, 0.5215775691669651, -0.9470309021920553])
+    p0 = np.array([0.04596755754020723, 0.21214003137166407, 0.7418924110881288])
+    dt = 1.0397308807795254
+    traj = solve_replicator(c, 0.17123965217126613, p0, IntegratorSpec(dt=dt, horizon=1.5 * dt))
+    assert on_simplex(traj.states)
+
+
+def test_exact_solution_keeps_the_last_group():
+    # a lone losing group never empties, even when its share is a hair below 1
+    p0 = np.array([1.0 - 5e-10, 0.0])
+    traj = solve_replicator(np.array([-1.0, 1.0]), 1.0, p0, IntegratorSpec(dt=1.0, horizon=100.0))
+    assert np.array_equal(traj.states, np.tile(p0, (len(traj), 1)))
+
+
+def test_exact_solution_with_zero_aggregate_payoff():
+    c = np.array([0.2, -0.2, 0.0])
+    p0 = np.array([0.3, 0.3, 0.4])
+    traj = solve_replicator(c, 0.5, p0, IntegratorSpec(dt=0.1, horizon=6.0))
+    # C = 0: shares move linearly, p = p0 + mu * c * t, until group 2 empties at t = 3
+    before = traj.times < 3.0 - 1e-9
+    assert np.allclose(traj.states[before], p0 + 0.5 * np.outer(traj.times[before], c), atol=1e-15)
+    assert np.all(traj.states[~before, 1] == 0.0)
+    assert np.allclose(traj.states[30], [0.6, 0.0, 0.4], atol=1e-15)
+    # then C = 0.2 > 0 and the payoff-free group 3 decays towards zero
+    after = traj.times[~before] - 3.0
+    assert np.allclose(traj.states[~before, 2], 0.4 * np.exp(-0.5 * 0.2 * after), atol=1e-15)
+
+
+def test_exact_solution_records_utilities_in_one_call(default_cfg, default_utilities):
+    calls = []
+
+    def counted(p):
+        calls.append(np.shape(p))
+        return default_utilities(p)
+
+    spec = IntegratorSpec(dt=0.1, horizon=3.0)
+    c = np.linspace(0.01, 0.06, default_cfg.n_groups)
+    traj = solve_replicator(c, default_cfg.mu, default_cfg.initial_population(), spec, counted)
+    assert calls == [(31, default_cfg.n_groups)]
+    assert traj.utilities.shape == (31, default_cfg.n_groups) and traj.u_bar.shape == (31,)
+    with pytest.raises(ConfigurationError):
+        solve_replicator(c[:-1], default_cfg.mu, default_cfg.initial_population(), spec)

@@ -122,6 +122,16 @@ def test_make_utilities_marks_empty_groups(default_cfg, default_utilities):
     assert uv.u_bar == pytest.approx(0.25 * uv.u[0] + 0.75 * uv.u[3], rel=1e-12)
 
 
+def test_make_utilities_stacked_states_match_single_calls(default_cfg, default_utilities):
+    rng = np.random.default_rng(23)
+    states = rng.dirichlet(np.ones(default_cfg.n_groups), size=200)
+    states[::3, 2] = 0.0
+    stacked = default_utilities(states)
+    rows = [default_utilities(p) for p in states]
+    assert np.array_equal(stacked.u, np.array([r.u for r in rows]), equal_nan=True)
+    assert np.array_equal(stacked.u_bar, np.array([r.u_bar for r in rows]))
+
+
 def test_replicator_field_hand_example():
     utilities = lambda p: UtilityVector(np.array([2.0, 1.0]), 1.5)
     f = replicator_field(0.0, np.array([0.5, 0.5]), utilities, mu=1.0)
