@@ -3,7 +3,8 @@
 Pipeline: static Rayleigh channels per provider geometry (channel), SNR
 maximization by alternating beamforming and surface phase alignment (phy),
 population utilities and replicator dynamics over service groups (game),
-the exact undelayed solution, fixed-step ODE/DDE integration and a Picard
+the exact undelayed solution, fixed-step ODE/DDE integration (the delayed
+replicator dynamics stepped one delay window at a time) and a Picard
 cross-check (dynamics), and
 reproducible experiment presets with CSV output (experiments, cli).
 """
@@ -37,6 +38,7 @@ from .dynamics import (
     integrate_dde,
     integrate_ode,
     picard_solve,
+    solve_delayed,
     solve_replicator,
 )
 from .errors import (
@@ -48,7 +50,6 @@ from .errors import (
 )
 from .game import (
     Equilibrium,
-    PopulationState,
     ServiceIndex,
     UtilityParams,
     UtilityVector,

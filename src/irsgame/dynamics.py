@@ -4,9 +4,11 @@ solve_replicator evaluates the exact solution of the undelayed replicator
 dynamics of the built-in utility model on a fixed grid.  integrate_ode steps
 any ordinary field with forward Euler or classic rk4.  integrate_dde steps
 the delayed field with forward Euler and a linearly interpolated history
-buffer (constant pre-history).  picard_solve iterates the integral-equation
-form on a fixed grid and serves as an independent cross-check of the
-steppers.
+buffer (constant pre-history); solve_delayed takes the same Euler steps for
+the delayed replicator field, evaluating the field of a whole delay window
+at once (method of steps), and integrate_dde stays as its reference.
+picard_solve iterates the integral-equation form on a fixed grid and serves
+as an independent cross-check of the steppers.
 
 All steppers keep states on the probability simplex.  Two corrections are
 accounted separately: "drift" is the deviation of the component sum from 1
@@ -23,6 +25,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigurationError, NonConvergenceError, NumericalDriftError
+from .game import selection_rates
 
 _METHODS = ("rk4", "forward-euler")
 
@@ -73,7 +76,7 @@ class Trajectory:
 
 
 def _check_p0(p0) -> np.ndarray:
-    p = np.asarray(getattr(p0, "p", p0), dtype=float).copy()
+    p = np.array(p0, dtype=float)
     if p.ndim != 1:
         raise ConfigurationError("initial state must be a vector")
     if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
@@ -83,21 +86,22 @@ def _check_p0(p0) -> np.ndarray:
 
 def _project_step(raw: np.ndarray, spec: IntegratorSpec) -> tuple[np.ndarray, float, float]:
     """Clamp negatives, rescale to unit sum; returns (state, drift, absorbed)."""
-    drift = abs(float(raw.sum()) - 1.0)
+    total = float(raw.sum())
+    drift = abs(total - 1.0)
     if not spec.renormalize:
         return raw, drift, 0.0
-    neg = raw < 0.0
-    if np.any(neg):
-        absorbed = float(-raw[neg].sum())
-        raw = np.where(neg, 0.0, raw)
-    else:
-        absorbed = 0.0
-    if drift > spec.drift_tol:
+    # written so that a NaN drift or total raises too
+    if not drift <= spec.drift_tol:
         raise NumericalDriftError(
             "simplex drift %.3e exceeds %.1e in one step; reduce dt" % (drift, spec.drift_tol)
         )
-    total = float(raw.sum())
-    if total <= 0.0:
+    absorbed = 0.0
+    if raw.min() < 0.0:
+        neg = raw < 0.0
+        absorbed = float(-raw[neg].sum())
+        raw = np.where(neg, 0.0, raw)
+        total = float(raw.sum())
+    if not total > 0.0:
         raise NumericalDriftError("entire population clamped away; reduce dt")
     return raw / total, drift, absorbed
 
@@ -288,6 +292,56 @@ def integrate_dde(field: Callable, p0, delta: float, spec: IntegratorSpec, utili
         drift_sum,
         absorbed_sum,
     )
+
+
+def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: IntegratorSpec) -> Trajectory:
+    """Forward-Euler steps of the delayed replicator field, one delay window at a time.
+
+    Takes the same steps as integrate_dde with delayed_replicator_field and
+    gives the same samples bit for bit, history rules included: grid snap,
+    linear interpolation between samples, constant initial state for
+    t' <= 0.  Step i reads history at i * dt - delta only, so every step
+    whose newest history sample is already known (up to floor(delta / dt)
+    steps) gets its field from one stacked utilities call (method of steps);
+    only the projection onto the simplex runs step by step.  A delay below
+    dt gives blocks of one step.  utilities must accept a (T, G) stack of
+    states, as make_utilities' map does; the utilities of the samples are
+    recorded with one more stacked call.
+    """
+    if delta < 0:
+        raise ConfigurationError("delay must be non-negative, got %r" % (delta,))
+    p = _check_p0(p0)
+    n = spec.n_steps()
+    dt = spec.dt
+    # HistoryBuffer.lookup(i * dt - delta) for every step: samples lo and hi
+    # (hi = lo + 1 when interpolating) with weight frac on hi
+    t_q = np.arange(n) * dt - delta
+    x = t_q / dt
+    near = np.round(x)
+    snap = np.abs(x - near) < 1e-9
+    lo = np.where(snap, near, np.floor(x))
+    pre = (lo < 0) | (t_q <= 0.0)
+    frac = np.where(snap | pre, 0.0, x - lo)
+    lo = np.where(pre, 0, lo).astype(np.intp)
+    hi = lo + (frac > 0.0)
+    states = np.empty((n + 1, p.size))
+    states[0] = p
+    drift_sum = 0.0
+    absorbed_sum = 0.0
+    i = 0
+    while i < n:
+        j = max(int(np.searchsorted(hi, i, "right")), i + 1)  # steps i..j-1 read states[:i + 1]
+        a, b, f = states[lo[i:j]], states[hi[i:j]], frac[i:j, None]
+        p_d = np.where(f > 0.0, (1.0 - f) * a + f * b, a)
+        step = dt * selection_rates(p_d, utilities(p_d), mu)
+        for k, dp in enumerate(step, i + 1):
+            p, drift, absorbed = _project_step(p + dp, spec)
+            drift_sum += drift
+            absorbed_sum += absorbed
+            states[k] = p
+        i = j
+    uv = utilities(states)
+    return Trajectory(np.arange(n + 1) * dt, states, uv.u, uv.u_bar, drift_sum, absorbed_sum)
 
 
 def picard_solve(

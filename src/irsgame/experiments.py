@@ -16,11 +16,10 @@ import numpy as np
 
 from .channel import Position, generate_channels
 from .config import ScenarioConfig
-from .dynamics import Trajectory, integrate_dde, solve_replicator
+from .dynamics import Trajectory, solve_delayed, solve_replicator
 from .errors import ConfigurationError, NonConvergenceError, NumericError
 from .game import (
     UtilityParams,
-    delayed_replicator_field,
     detect_equilibrium,
     make_utilities,
     stability_bound,
@@ -64,8 +63,8 @@ def simulate(cfg: ScenarioConfig) -> SimulationResult:
 
     A zero decision delay evaluates the exact solution of the replicator
     dynamics (solve_replicator) on the configured sample grid; a positive
-    delay integrates the delayed field with forward Euler and recorded
-    history.
+    delay steps the delayed field with forward Euler, one delay window at a
+    time (solve_delayed).
     """
     channels = generate_channels(cfg)
     links = build_all_links(cfg, channels)
@@ -73,8 +72,7 @@ def simulate(cfg: ScenarioConfig) -> SimulationResult:
     utilities = make_utilities(links, params, cfg)
     p0 = cfg.initial_population()
     if cfg.delta > 0:
-        field = lambda t, lookup: delayed_replicator_field(t, lookup, cfg.delta, cfg.mu)
-        traj = integrate_dde(field, p0, cfg.delta, cfg.integrator, utilities)
+        traj = solve_delayed(utilities, cfg.mu, p0, cfg.delta, cfg.integrator)
     else:
         c = utility_numerators(links, params, cfg) / cfg.n_users
         traj = solve_replicator(c, cfg.mu, p0, cfg.integrator, utilities)
@@ -222,7 +220,8 @@ def _run_delay_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = False
         res = simulate(point)
         eq = detect_equilibrium(res.trajectory, EPS_FIELD, EPS_MASS, min_quiet=delta)
         t_eq = "%.17g" % eq.time if eq is not None else "none (tail never rests for a full delay window)"
-        tag = ("%g" % delta).replace(".", "p").replace("-", "m")
+        # shortest round-trip form, so that distinct delays never share a file
+        tag = repr(float(delta)).removesuffix(".0").replace(".", "p").replace("-", "m")
         paths.append(
             emit_csv(
                 res.trajectory,

@@ -26,26 +26,6 @@ class ServiceIndex:
 
 
 @dataclass
-class PopulationState:
-    """Point on the unit simplex: share of users in each group."""
-
-    p: np.ndarray
-
-    def __post_init__(self):
-        self.p = np.asarray(self.p, dtype=float)
-        if self.p.ndim != 1:
-            raise ConfigurationError("population state must be a vector")
-        if np.any(self.p < 0):
-            raise ConfigurationError("population shares must be non-negative")
-        if abs(float(self.p.sum()) - 1.0) > 1e-9:
-            raise ConfigurationError("population shares must sum to 1 within 1e-9")
-
-    @classmethod
-    def uniform(cls, n_groups: int) -> "PopulationState":
-        return cls(np.full(n_groups, 1.0 / n_groups))
-
-
-@dataclass
 class UtilityVector:
     """Per-group utilities plus their population average.
 
@@ -167,8 +147,7 @@ def replicator_field(t: float, state: np.ndarray, utilities: Callable, mu: float
     evaluating the (undefined) utility.
     """
     p = np.asarray(state, dtype=float)
-    uv = utilities(p)
-    return mu * np.where(p > 0.0, p * (uv.u - uv.u_bar), 0.0)
+    return selection_rates(p, utilities(p), mu)
 
 
 def delayed_replicator_field(t: float, history: Callable, delta: float, mu: float) -> np.ndarray:
@@ -180,6 +159,15 @@ def delayed_replicator_field(t: float, history: Callable, delta: float, mu: floa
     p_d, uv_d = history(t - delta)
     p_d = np.asarray(p_d, dtype=float)
     return mu * np.where(p_d > 0.0, p_d * (uv_d.u - uv_d.u_bar), 0.0)
+
+
+def selection_rates(p: np.ndarray, uv: UtilityVector, mu: float) -> np.ndarray:
+    """mu * p_g * (u_g - u_bar) for a state (G,) or row by row for a stack (T, G).
+
+    Empty groups get exactly zero without reading their (NaN) utility.
+    """
+    u_bar = uv.u_bar if p.ndim == 1 else uv.u_bar[:, None]
+    return mu * np.where(p > 0.0, p * (uv.u - u_bar), 0.0)
 
 
 def stability_bound(cfg, links: dict) -> float:

@@ -15,13 +15,16 @@ from irsgame import (
     NumericalDriftError,
     UtilityParams,
     UtilityVector,
+    build_all_links,
     delayed_replicator_field,
+    generate_channels,
     integrate_dde,
     integrate_ode,
     make_utilities,
     picard_solve,
     replicator_field,
     simulate,
+    solve_delayed,
     solve_replicator,
     utility_numerators,
     with_scalar_overrides,
@@ -94,10 +97,9 @@ def test_zero_field_is_constant():
 
 def test_initial_state_validation():
     spec = IntegratorSpec(dt=0.1, horizon=1.0)
-    with pytest.raises(ConfigurationError):
-        integrate_ode(logistic_field, np.array([0.7, 0.7]), spec)
-    with pytest.raises(ConfigurationError):
-        integrate_ode(logistic_field, np.array([[0.5, 0.5]]), spec)
+    for p0 in ([0.7, 0.7], [0.6, 0.6], [-0.1, 1.1], [[0.5, 0.5]], np.eye(2)):
+        with pytest.raises(ConfigurationError):
+            integrate_ode(logistic_field, np.array(p0), spec)
 
 
 def test_drift_error_on_leaky_field():
@@ -105,6 +107,21 @@ def test_drift_error_on_leaky_field():
     spec = IntegratorSpec(method="forward-euler", dt=0.1, horizon=1.0, drift_tol=1e-6)
     with pytest.raises(NumericalDriftError):
         integrate_ode(lambda t, p: np.array([0.01, 0.0]), np.array([0.5, 0.5]), spec)
+
+
+def test_drift_error_on_nan_step():
+    # u = c / p overflows for a subnormal share; the NaN step must raise, not
+    # fill every later row with NaN
+    c = np.array([1.0, 1.0])
+
+    def utilities(p):
+        alive = p > 0.0
+        u = np.divide(c, p, out=np.full(len(p), np.nan), where=alive)
+        return UtilityVector(u, float(np.sum(np.where(alive, p * u, 0.0))))
+
+    spec = IntegratorSpec(method="forward-euler", dt=0.01, horizon=1.0)
+    with np.errstate(all="ignore"), pytest.raises(NumericalDriftError):
+        integrate_ode(lambda t, p: replicator_field(t, p, utilities, 1.0), np.array([1.0, 2.2e-309]), spec)
 
 
 def test_drift_recorded_without_projection():
@@ -272,9 +289,15 @@ def test_exact_solution_matches_rk4_when_every_group_is_profitable(weights, gain
     c = np.array(gains[: len(p0)])
     spec = IntegratorSpec(dt=0.01, horizon=5.0)
     exact = solve_replicator(c, mu, p0, spec)
-    rk4 = integrate_ode(lambda t, p: replicator_field(t, p, payoff_utilities(c), mu), p0, spec)
-    assert np.array_equal(exact.times, rk4.times)
-    assert np.max(np.abs(exact.states - rk4.states)) < 1e-9
+    # rk4 at dt / 8, sampled on the dt grid: at dt its own truncation error
+    # passes 1e-9 once mu * C nears 3; dividing the step by 8 cuts it ~4000-fold
+    # (a power-of-two step keeps the sample times bit-identical)
+    fine = integrate_ode(
+        lambda t, p: replicator_field(t, p, payoff_utilities(c), mu), p0, dataclasses.replace(spec, dt=spec.dt / 8)
+    )
+    rk4_times, rk4_states = fine.times[::8], fine.states[::8]
+    assert np.array_equal(exact.times, rk4_times)
+    assert np.max(np.abs(exact.states - rk4_states)) < 1e-9
     assert np.all(exact.states[:, p0 == 0.0] == 0.0)
     assert exact.total_drift == 0.0 and exact.total_absorbed == 0.0
 
@@ -374,3 +397,78 @@ def test_exact_solution_records_utilities_in_one_call(default_cfg, default_utili
     assert traj.utilities.shape == (31, default_cfg.n_groups) and traj.u_bar.shape == (31,)
     with pytest.raises(ConfigurationError):
         solve_replicator(c[:-1], default_cfg.mu, default_cfg.initial_population(), spec)
+
+
+# --- delayed dynamics one delay window at a time: same samples as integrate_dde
+
+
+@pytest.fixture(scope="module")
+def ten_group_cfg(default_cfg):
+    # 2 subsets x 4 power levels at sp.1: numpy's pairwise sums differ from
+    # sequential ones from 8 terms on
+    sps = list(default_cfg.sps)
+    sps[0] = dataclasses.replace(sps[0], irs_modules=2, power_levels_dbm=[10.0, 15.0, 20.0, 30.0])
+    return dataclasses.replace(default_cfg, sps=sps)
+
+
+def scenario_utilities(cfg):
+    links = build_all_links(cfg, generate_channels(cfg))
+    return make_utilities(links, UtilityParams.from_config(cfg), cfg)
+
+
+@pytest.mark.parametrize(
+    "scenario, delta, dt, horizon, renormalize",
+    [
+        ("reduced_cfg", 30.0, 0.05, 250.0, True),
+        ("reduced_cfg", 130.0, 0.05, 300.0, True),
+        ("reduced_cfg", 2.505, 0.01, 30.0, True),
+        ("reduced_cfg", 0.015, 0.01, 10.0, True),
+        ("reduced_cfg", 0.004, 0.01, 10.0, True),
+        ("reduced_cfg", 30.0, 0.05, 100.0, False),
+        ("default_cfg", 7.3, 0.01, 40.0, True),
+        ("ten_group_cfg", 30.0, 0.05, 200.0, True),
+        ("ten_group_cfg", 2.505, 0.01, 30.0, True),
+    ],
+)
+def test_solve_delayed_matches_integrate_dde_bit_for_bit(request, scenario, delta, dt, horizon, renormalize):
+    cfg = request.getfixturevalue(scenario)
+    utilities = scenario_utilities(cfg)
+    spec = IntegratorSpec(method="forward-euler", dt=dt, horizon=horizon, renormalize=renormalize)
+    p0 = cfg.initial_population()
+    fast = solve_delayed(utilities, cfg.mu, p0, delta, spec)
+    ref = integrate_dde(
+        lambda t, lookup: delayed_replicator_field(t, lookup, delta, cfg.mu), p0, delta, spec, utilities
+    )
+    assert np.array_equal(fast.times, ref.times)
+    assert np.array_equal(fast.states, ref.states)
+    assert np.array_equal(fast.utilities, ref.utilities, equal_nan=True)
+    assert np.array_equal(fast.u_bar, ref.u_bar)
+    assert fast.total_drift == ref.total_drift
+    assert fast.total_absorbed == ref.total_absorbed
+    if scenario == "reduced_cfg" and delta >= 30.0 and renormalize:
+        assert fast.total_absorbed > 0.0  # the run clamps shares at zero
+
+
+def test_solve_delayed_rejects_negative_delay(default_cfg, default_utilities):
+    with pytest.raises(ConfigurationError):
+        solve_delayed(default_utilities, 0.1, default_cfg.initial_population(), -1.0, IntegratorSpec(dt=0.1, horizon=1.0))
+
+
+def test_delayed_simulate_calls_utilities_once_per_delay_window(reduced_cfg, monkeypatch):
+    calls = []
+
+    def counted_make_utilities(*args):
+        utilities = make_utilities(*args)
+
+        def counted(p):
+            calls.append(np.shape(p))
+            return utilities(p)
+
+        return counted
+
+    monkeypatch.setattr("irsgame.experiments.make_utilities", counted_make_utilities)
+    cfg = with_scalar_overrides(reduced_cfg, delta=30.0, dt=0.05, horizon=250.0)
+    traj = simulate(cfg).trajectory
+    n = cfg.integrator.n_steps()
+    assert len(traj) == n + 1
+    assert len(calls) <= int(np.ceil(n / np.floor(cfg.delta / cfg.integrator.dt))) + 2

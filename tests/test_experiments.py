@@ -100,6 +100,14 @@ def test_simulate_routes_by_delay(reduced_cfg):
     assert len(ode.trajectory) == len(dde.trajectory)
 
 
+def test_delay_sweep_names_nearby_delays_apart(tmp_path, reduced_cfg):
+    cfg = with_scalar_overrides(reduced_cfg, dt=0.5, horizon=2.0)
+    cfg = dataclasses.replace(cfg, grids=dataclasses.replace(cfg.grids, delta=[30.0, 30.000001]))
+    paths = run_experiment("delay-sweep", cfg, tmp_path)
+    assert [p.name for p in paths] == ["delay_sweep_delta30.csv", "delay_sweep_delta30p000001.csv"]
+    assert all(p.is_file() for p in paths)
+
+
 def test_utilities_vs_time_rerun_is_byte_identical(tmp_path, default_cfg):
     cfg = with_scalar_overrides(default_cfg, dt=0.05, horizon=3.0)
     first = run_experiment("utilities-vs-time", cfg, tmp_path / "one", json_dump=True)

@@ -10,7 +10,6 @@ from irsgame import (
     ConfigurationError,
     NumericError,
     PhaseShiftVector,
-    PopulationState,
     ScenarioConfig,
     ServiceIndex,
     ServiceLink,
@@ -60,18 +59,6 @@ def one_service_links(snr=3.0):
             snr=snr,
         )
     return links
-
-
-def test_population_state_validation():
-    PopulationState(np.array([0.5, 0.5]))
-    u = PopulationState.uniform(4)
-    assert np.allclose(u.p, 0.25)
-    with pytest.raises(ConfigurationError):
-        PopulationState(np.array([0.6, 0.6]))
-    with pytest.raises(ConfigurationError):
-        PopulationState(np.array([-0.1, 1.1]))
-    with pytest.raises(ConfigurationError):
-        PopulationState(np.eye(2))
 
 
 def test_expected_rate_hand_value():
