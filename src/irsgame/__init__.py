@@ -53,14 +53,11 @@ from .game import (
     ServiceIndex,
     UtilityParams,
     UtilityVector,
-    average_utility,
     delayed_replicator_field,
     detect_equilibrium,
-    expected_rate,
     make_utilities,
     replicator_field,
     stability_bound,
-    utility,
     utility_numerators,
 )
 from .phy import Beamformer, PhaseShiftVector, ServiceLink, build_all_links, compute_snr, optimize_link

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from typing import Optional
@@ -134,12 +135,13 @@ class ScenarioConfig:
             errors.append("scenario needs at least one [sp.N] section")
         if self.n_users < 1:
             errors.append("scenario.n_users must be at least 1")
-        if self.mu <= 0:
-            errors.append("scenario.mu must be positive")
-        if self.delta < 0:
-            errors.append("scenario.delta must be non-negative")
-        if self.noise_var <= 0:
-            errors.append("scenario.noise_var must be positive")
+        # written so that NaN fails the checks too
+        if not 0 < self.mu < math.inf:
+            errors.append("scenario.mu must be positive and finite")
+        if not 0 <= self.delta < math.inf:
+            errors.append("scenario.delta must be non-negative and finite")
+        if not 0 < self.noise_var < math.inf:
+            errors.append("scenario.noise_var must be positive and finite")
         for m, sp in enumerate(self.sps, start=1):
             prefix = "sp.%d" % m
             if sp.antennas < 1:

@@ -6,7 +6,8 @@ any ordinary field with forward Euler or classic rk4.  integrate_dde steps
 the delayed field with forward Euler and a linearly interpolated history
 buffer (constant pre-history); solve_delayed takes the same Euler steps for
 the delayed replicator field, evaluating the field of a whole delay window
-at once (method of steps), and integrate_dde stays as its reference.
+at once (method of steps) and projecting each step on Python floats summed
+in numpy's order, and integrate_dde stays as its reference.
 picard_solve iterates the integral-equation form on a fixed grid and serves
 as an independent cross-check of the steppers.
 
@@ -19,7 +20,9 @@ behavior of the selection dynamics when a group empties in finite time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import add
 from typing import Callable, Optional
 
 import numpy as np
@@ -43,10 +46,10 @@ class IntegratorSpec:
     def __post_init__(self):
         if self.method not in _METHODS:
             raise ConfigurationError("integrator.method must be one of %s" % (_METHODS,))
-        if self.dt <= 0:
-            raise ConfigurationError("integrator.dt must be positive")
-        if self.horizon <= 0:
-            raise ConfigurationError("integrator.horizon must be positive")
+        if not 0.0 < self.dt < math.inf:
+            raise ConfigurationError("integrator.dt must be positive and finite")
+        if not 0.0 < self.horizon < math.inf:
+            raise ConfigurationError("integrator.horizon must be positive and finite")
 
     def n_steps(self) -> int:
         return max(1, int(np.ceil(self.horizon / self.dt - 1e-9)))
@@ -69,10 +72,6 @@ class Trajectory:
     @property
     def terminal_state(self) -> np.ndarray:
         return self.states[-1]
-
-    @property
-    def total_correction(self) -> float:
-        return self.total_drift + self.total_absorbed
 
 
 def _check_p0(p0) -> np.ndarray:
@@ -104,6 +103,58 @@ def _project_step(raw: np.ndarray, spec: IntegratorSpec) -> tuple[np.ndarray, fl
     if not total > 0.0:
         raise NumericalDriftError("entire population clamped away; reduce dt")
     return raw / total, drift, absorbed
+
+
+def _numpy_sum(x: list) -> float:
+    """Sum of Python floats with the bits of np.add.reduce on a contiguous float64 vector.
+
+    numpy adds below 8 terms from left to right, from 8 terms up in 8
+    interleaved accumulators, and above 128 terms splits the vector into two
+    halves (the first a multiple of 8 long) summed alike; the reduction
+    starts from the identity 0.0.
+    """
+    if len(x) < 8:
+        s = 0.0
+        for v in x:
+            s += v
+        return s
+    return 0.0 + _pairwise_blocks(x)
+
+
+def _pairwise_blocks(x: list) -> float:
+    n = len(x)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_blocks(x[:half]) + _pairwise_blocks(x[half:])
+    r = x[:8]
+    end = n - n % 8
+    for k in range(8, end, 8):
+        for j in range(8):
+            r[j] += x[k + j]
+    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for v in x[end:]:
+        s += v
+    return s
+
+
+def _project_row(raw: list, spec: IntegratorSpec) -> tuple[list, float, float]:
+    """_project_step on a list of Python floats, with the same bits, rules and messages."""
+    total = _numpy_sum(raw)
+    drift = abs(total - 1.0)
+    if not spec.renormalize:
+        return raw, drift, 0.0
+    if not drift <= spec.drift_tol:
+        raise NumericalDriftError(
+            "simplex drift %.3e exceeds %.1e in one step; reduce dt" % (drift, spec.drift_tol)
+        )
+    absorbed = 0.0
+    if min(raw) < 0.0:  # raw holds no NaN here: its sum passed the drift check
+        absorbed = -_numpy_sum([v for v in raw if v < 0.0])
+        raw = [0.0 if v < 0.0 else v for v in raw]
+        total = _numpy_sum(raw)
+    if not total > 0.0:
+        raise NumericalDriftError("entire population clamped away; reduce dt")
+    return [v / total for v in raw], drift, absorbed
 
 
 def integrate_ode(field: Callable, p0, spec: IntegratorSpec, utilities: Callable | None = None) -> Trajectory:
@@ -303,10 +354,12 @@ def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: Integr
     t' <= 0.  Step i reads history at i * dt - delta only, so every step
     whose newest history sample is already known (up to floor(delta / dt)
     steps) gets its field from one stacked utilities call (method of steps);
-    only the projection onto the simplex runs step by step.  A delay below
-    dt gives blocks of one step.  utilities must accept a (T, G) stack of
-    states, as make_utilities' map does; the utilities of the samples are
-    recorded with one more stacked call.
+    only the projection onto the simplex runs step by step, on Python
+    floats: numpy's fixed cost per call would dominate vectors this short.
+    Its sums add in numpy's order (_numpy_sum), so every step keeps the bits
+    of _project_step.  A delay below dt gives blocks of one step.  utilities
+    must accept a (T, G) stack of states, as make_utilities' map does; the
+    utilities of the samples are recorded with one more stacked call.
     """
     if delta < 0:
         raise ConfigurationError("delay must be non-negative, got %r" % (delta,))
@@ -328,17 +381,20 @@ def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: Integr
     states[0] = p
     drift_sum = 0.0
     absorbed_sum = 0.0
+    p = p.tolist()
     i = 0
     while i < n:
         j = max(int(np.searchsorted(hi, i, "right")), i + 1)  # steps i..j-1 read states[:i + 1]
         a, b, f = states[lo[i:j]], states[hi[i:j]], frac[i:j, None]
         p_d = np.where(f > 0.0, (1.0 - f) * a + f * b, a)
         step = dt * selection_rates(p_d, utilities(p_d), mu)
-        for k, dp in enumerate(step, i + 1):
-            p, drift, absorbed = _project_step(p + dp, spec)
+        flat = []  # the window's states in one list: less memory than a list per row
+        for dp in step.tolist():
+            p, drift, absorbed = _project_row(list(map(add, p, dp)), spec)
             drift_sum += drift
             absorbed_sum += absorbed
-            states[k] = p
+            flat += p
+        states[i + 1 : j + 1] = np.reshape(flat, (j - i, -1))
         i = j
     uv = utilities(states)
     return Trajectory(np.arange(n + 1) * dt, states, uv.u, uv.u_bar, drift_sum, absorbed_sum)

@@ -1,9 +1,17 @@
 """Shared fixtures: the two bundled scenarios, simulated once per session."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from irsgame import (
+    Beamformer,
+    PhaseShiftVector,
+    ScenarioConfig,
+    ServiceIndex,
+    ServiceLink,
+    SpConfig,
     UtilityParams,
     build_all_links,
     default_config,
@@ -53,3 +61,30 @@ def group_gains(cfg, links):
             - sp.price_power * links[g].beam.power_w
         )
     return np.array(out)
+
+
+def one_service_cfg(price_irs=0.1, mu=0.1, n_users=100):
+    """Two identical providers with one service each: unit bandwidth, 8 elements, 1 W."""
+    sp = SpConfig(
+        antennas=1,
+        bandwidth_mhz=1.0,
+        power_levels_dbm=[30.0],
+        price_irs=price_irs,
+        price_power=0.1,
+        irs_elements=8,
+        irs_modules=1,
+    )
+    return ScenarioConfig(sps=[sp, dataclasses.replace(sp)], mu=mu, n_users=n_users)
+
+
+def one_service_links(snr=3.0):
+    """Links of one_service_cfg: 1 W beams, 8 zero-phase elements, the same snr in both groups."""
+    links = {}
+    for g in range(2):
+        links[g] = ServiceLink(
+            service=ServiceIndex(g + 1, 1, 1),
+            beam=Beamformer(np.array([1.0 + 0j]), 1.0),
+            phases=PhaseShiftVector(np.zeros(8)),
+            snr=snr,
+        )
+    return links

@@ -1,6 +1,7 @@
 """End-to-end command line behavior and exit codes."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -61,6 +62,40 @@ def test_run_rejects_zero_step_or_horizon(tmp_path, capsys, flag):
     assert code == EXIT_CONFIG
     assert "integrator.%s must be positive" % flag[2:] in capsys.readouterr().err
     assert not (tmp_path / "utilities_vs_time.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("mu", "nan", "scenario.mu must be positive and finite"),
+        ("delta", "nan", "scenario.delta must be non-negative and finite"),
+        ("noise_var", "inf", "scenario.noise_var must be positive and finite"),
+        ("dt", "nan", "integrator.dt must be positive and finite"),
+        ("horizon", "inf", "integrator.horizon must be positive and finite"),
+    ],
+)
+def test_validate_rejects_non_finite_values(tmp_path, capsys, reduced_file, key, value, message):
+    # the first line of the key is the scalar in [scenario] or [integrator], not the grid
+    text = re.sub(r"^%s = .*$" % key, "%s = %s" % (key, value), reduced_file.read_text(), count=1, flags=re.M)
+    path = tmp_path / "non_finite.cfg"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "preset, flag, value, message",
+    [
+        ("utilities-vs-time", "--mu", "nan", "scenario.mu must be positive and finite"),
+        ("delay-sweep", "--horizon", "inf", "integrator.horizon must be positive and finite"),
+    ],
+)
+def test_run_rejects_non_finite_overrides(tmp_path, capsys, reduced_file, preset, flag, value, message):
+    out = tmp_path / "data"
+    code = main(["run", preset, "--config", str(reduced_file), "--out", str(out), flag, value])
+    assert code == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_rejects_unknown_preset():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from irsgame import (
     ConfigurationError,
@@ -29,6 +30,7 @@ from irsgame import (
     utility_numerators,
     with_scalar_overrides,
 )
+from irsgame.dynamics import _numpy_sum
 from conftest import group_gains
 
 
@@ -53,6 +55,11 @@ def test_integrator_spec_validation():
         IntegratorSpec(dt=0.0)
     with pytest.raises(ConfigurationError):
         IntegratorSpec(horizon=-1.0)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigurationError):
+            IntegratorSpec(dt=bad)
+        with pytest.raises(ConfigurationError):
+            IntegratorSpec(horizon=bad)
 
 
 def test_integrator_spec_step_count():
@@ -472,3 +479,51 @@ def test_delayed_simulate_calls_utilities_once_per_delay_window(reduced_cfg, mon
     n = cfg.integrator.n_steps()
     assert len(traj) == n + 1
     assert len(calls) <= int(np.ceil(n / np.floor(cfg.delta / cfg.integrator.dt))) + 2
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.integers(1, 300), elements=st.floats(-1e30, 1e30)))
+def test_numpy_sum_has_the_bits_of_np_add_reduce(x):
+    # lengths above 128 reach numpy's recursive split; a numpy release that
+    # changes its summation order fails here instead of drifting silently
+    assert np.float64(_numpy_sum(x.tolist())).tobytes() == np.add.reduce(x).tobytes()
+
+
+def leaky_utilities(u, u_bar):
+    """Constant utilities whose u_bar is not the population average, so the field does not conserve mass."""
+
+    def utilities(p):
+        p = np.asarray(p, dtype=float)
+        return UtilityVector(np.broadcast_to(u, p.shape), u_bar if p.ndim == 1 else np.full(len(p), u_bar))
+
+    return utilities
+
+
+def nan_utilities(p):
+    # u = c / p overflows for a subnormal share, as in test_drift_error_on_nan_step
+    p = np.asarray(p, dtype=float)
+    alive = p > 0.0
+    u = np.divide(1.0, p, out=np.full(p.shape, np.nan), where=alive)
+    u_bar = np.sum(np.where(alive, p * u, 0.0), axis=-1)
+    return UtilityVector(u, float(u_bar) if p.ndim == 1 else u_bar)
+
+
+@pytest.mark.parametrize(
+    "utilities, p0, drift_tol, message",
+    [
+        (nan_utilities, [1.0, 2.2e-309], 1e-6, "simplex drift nan"),
+        (leaky_utilities(np.array([1.0, 0.0]), 0.0), [0.5, 0.5], 1e-6, "simplex drift 5.000e-03 exceeds"),
+        # a loose tolerance lets a step overshoot zero in every component
+        (leaky_utilities(np.zeros(2), 1e3), [0.5, 0.5], 1e3, "entire population clamped away"),
+    ],
+)
+def test_solve_delayed_guards_match_integrate_dde(utilities, p0, drift_tol, message):
+    spec = IntegratorSpec(method="forward-euler", dt=0.01, horizon=1.0, drift_tol=drift_tol)
+    delta = 0.05
+    with np.errstate(all="ignore"), pytest.raises(NumericalDriftError, match=message) as fast:
+        solve_delayed(utilities, 1.0, np.array(p0), delta, spec)
+    with np.errstate(all="ignore"), pytest.raises(NumericalDriftError) as ref:
+        integrate_dde(
+            lambda t, lookup: delayed_replicator_field(t, lookup, delta, 1.0), np.array(p0), delta, spec, utilities
+        )
+    assert str(fast.value) == str(ref.value)

@@ -6,85 +6,19 @@ import numpy as np
 import pytest
 
 from irsgame import (
-    Beamformer,
     ConfigurationError,
     NumericError,
-    PhaseShiftVector,
-    ScenarioConfig,
-    ServiceIndex,
-    ServiceLink,
-    SpConfig,
     Trajectory,
     UnsupportedScenarioError,
     UtilityParams,
     UtilityVector,
-    average_utility,
     detect_equilibrium,
-    expected_rate,
     make_utilities,
     replicator_field,
     stability_bound,
-    utility,
 )
-from conftest import group_gains
-
-
-class _Link:
-    """Minimal stand-in carrying just an snr attribute."""
-
-    def __init__(self, snr):
-        self.snr = snr
-
-
-def one_service_cfg(price_irs=0.1, mu=0.1, n_users=100):
-    sp = SpConfig(
-        antennas=1,
-        bandwidth_mhz=1.0,
-        power_levels_dbm=[30.0],
-        price_irs=price_irs,
-        price_power=0.1,
-        irs_elements=8,
-        irs_modules=1,
-    )
-    return ScenarioConfig(sps=[sp, dataclasses.replace(sp)], mu=mu, n_users=n_users)
-
-
-def one_service_links(snr=3.0):
-    links = {}
-    for g in range(2):
-        links[g] = ServiceLink(
-            service=ServiceIndex(g + 1, 1, 1),
-            beam=Beamformer(np.array([1.0 + 0j]), 1.0),
-            phases=PhaseShiftVector(np.zeros(8)),
-            snr=snr,
-        )
-    return links
-
-
-def test_expected_rate_hand_value():
-    # snr 3 doubles the per-Hz rate; half the users of 100 share the band
-    link = _Link(snr=3.0)
-    assert expected_rate(link, 0.5, 1e6, 100) == pytest.approx(40000.0, rel=1e-12)
-    with pytest.raises(ConfigurationError):
-        expected_rate(link, 0.0, 1e6, 100)
-
-
-def test_utility_hand_value():
-    cfg = one_service_cfg()
-    links = one_service_links(snr=3.0)
-    params = UtilityParams.from_config(cfg)
-    # rate = 1/(0.5*100) * log2(4) = 0.04
-    # cost = 0.1 * 8 elements + 0.1 * 1 W = 0.9, shared by 50 users
-    got = utility(links[0], 0.5, params, cfg)
-    assert got == pytest.approx(0.04 - 0.9 / 50.0, rel=1e-12)
-
-
-def test_average_utility_skips_empty_groups():
-    p = np.array([0.5, 0.5, 0.0])
-    u = np.array([2.0, 1.0, np.nan])
-    assert average_utility(p, u) == pytest.approx(1.5, rel=1e-15)
-    with pytest.raises(ConfigurationError):
-        average_utility(np.ones(2), np.ones(3))
+from conftest import group_gains, one_service_cfg, one_service_links
+from oracle import average_utility, utility
 
 
 def test_make_utilities_matches_scalar_utility(default_cfg, default_links, default_utilities):
