@@ -15,7 +15,6 @@ from .channel import (
     Position,
     complex_rayleigh,
     generate_channels,
-    link_channel,
     path_loss_linear,
 )
 from .config import (

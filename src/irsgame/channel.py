@@ -9,6 +9,7 @@ reuses the same realization scaled by its own geometry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +49,14 @@ class PathLossModel:
     alpha_irs_user: float = 2.0
 
     def __post_init__(self):
-        if self.d0 <= 0:
-            raise ConfigurationError("pathloss.d0 must be positive, got %r" % (self.d0,))
+        # written so that NaN fails too
+        if not math.isfinite(self.pl0_db):
+            raise ConfigurationError("pathloss.pl0_db must be finite, got %r" % (self.pl0_db,))
+        if not 0 < self.d0 < math.inf:
+            raise ConfigurationError("pathloss.d0 must be positive and finite, got %r" % (self.d0,))
         for name in ("alpha_direct", "alpha_bs_irs", "alpha_irs_user"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError("pathloss.%s must be non-negative" % name)
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigurationError("pathloss.%s must be non-negative and finite" % name)
 
 
 def path_loss_linear(d: float, alpha: float, model: PathLossModel) -> float:
@@ -74,15 +78,6 @@ def path_loss_linear(d: float, alpha: float, model: PathLossModel) -> float:
 def complex_rayleigh(shape, rng: np.random.Generator) -> np.ndarray:
     """Unit-variance circularly symmetric complex Gaussian samples."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-def link_channel(d: float, alpha: float, model: PathLossModel, shape, rng: np.random.Generator) -> np.ndarray:
-    """Rayleigh-faded channel entries for one link.
-
-    Every entry is sqrt(gain(d)) * CN(0, 1), so the mean entry power equals
-    the linear path gain.
-    """
-    return np.sqrt(path_loss_linear(d, alpha, model)) * complex_rayleigh(shape, rng)
 
 
 @dataclass
@@ -136,18 +131,6 @@ class ChannelSet:
             g_bs_irs=self.g_bs_irs[:n_elements],
             h_irs_user=self.h_irs_user[:n_elements],
         )
-
-    def to_jsonable(self) -> dict:
-        """Arrays as nested [re, im] lists, for debug dumps."""
-
-        def c2l(a):
-            return np.stack([a.real, a.imag], axis=-1).tolist()
-
-        return {
-            "h_direct": c2l(self.h_direct),
-            "g_bs_irs": c2l(self.g_bs_irs),
-            "h_irs_user": c2l(self.h_irs_user),
-        }
 
 
 def _link_rng(seed: int, sp_index: int, link_code: int) -> np.random.Generator:

@@ -37,19 +37,16 @@ _METHODS = ("rk4", "forward-euler")
 class IntegratorSpec:
     """Fixed-step integration parameters."""
 
-    method: str = "rk4"  # "rk4" or "forward-euler"; delayed runs always step with Euler
     dt: float = 0.01
     horizon: float = 600.0
     renormalize: bool = True  # project every step back onto the simplex
     drift_tol: float = 1e-6  # max tolerated per-step sum deviation before erroring
 
     def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ConfigurationError("integrator.method must be one of %s" % (_METHODS,))
-        if not 0.0 < self.dt < math.inf:
-            raise ConfigurationError("integrator.dt must be positive and finite")
-        if not 0.0 < self.horizon < math.inf:
-            raise ConfigurationError("integrator.horizon must be positive and finite")
+        # written so that NaN fails too
+        for name in ("dt", "horizon", "drift_tol"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError("integrator.%s must be positive and finite" % name)
 
     def n_steps(self) -> int:
         return max(1, int(np.ceil(self.horizon / self.dt - 1e-9)))
@@ -157,12 +154,17 @@ def _project_row(raw: list, spec: IntegratorSpec) -> tuple[list, float, float]:
     return [v / total for v in raw], drift, absorbed
 
 
-def integrate_ode(field: Callable, p0, spec: IntegratorSpec, utilities: Callable | None = None) -> Trajectory:
+def integrate_ode(
+    field: Callable, p0, spec: IntegratorSpec, utilities: Callable | None = None, method: str = "rk4"
+) -> Trajectory:
     """Integrate dp/dt = field(t, p) on the fixed grid t_i = i * dt.
 
-    field(t, p) -> dp.  When a utilities callback is supplied, the utility
+    field(t, p) -> dp, stepped with method "rk4" (classic Runge-Kutta) or
+    "forward-euler".  When a utilities callback is supplied, the utility
     vector of every stored state is recorded alongside it.
     """
+    if method not in _METHODS:
+        raise ConfigurationError("integrate_ode method must be one of %s, got %r" % (_METHODS, method))
     p = _check_p0(p0)
     n = spec.n_steps()
     dt = spec.dt
@@ -171,7 +173,7 @@ def integrate_ode(field: Callable, p0, spec: IntegratorSpec, utilities: Callable
     absorbed_sum = 0.0
     for i in range(n):
         t = i * dt
-        if spec.method == "rk4":
+        if method == "rk4":
             k1 = field(t, p)
             k2 = field(t + 0.5 * dt, p + 0.5 * dt * k1)
             k3 = field(t + 0.5 * dt, p + 0.5 * dt * k2)

@@ -1,5 +1,7 @@
 """Path loss, fading statistics and seeded reproducibility."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from irsgame import (
     Position,
     complex_rayleigh,
     generate_channels,
-    link_channel,
     path_loss_linear,
 )
 
@@ -65,12 +66,25 @@ def test_rayleigh_unit_power():
     assert abs(np.mean(z)) < 0.02
 
 
-def test_link_channel_mean_power_tracks_path_gain():
-    rng = np.random.default_rng(11)
-    near = link_channel(10.0, 2.0, MODEL, (100000,), rng)
-    far = link_channel(20.0, 2.0, MODEL, (100000,), rng)
-    ratio = np.mean(np.abs(near) ** 2) / np.mean(np.abs(far) ** 2)
-    assert abs(ratio - 4.0) < 0.15
+def test_generate_channels_mean_power_tracks_path_gain(default_cfg):
+    # each entry is sqrt(gain(d)) * CN(0, 1): over 100 000 surface elements the
+    # mean power of the surface-to-user entries is the hop's path gain
+    def irs_user_power(distance, seed):
+        sp = dataclasses.replace(
+            default_cfg.sps[0],
+            antennas=1,
+            power_levels_dbm=[30.0],
+            irs_elements=100000,
+            irs_modules=1,
+            user_position=Position(default_cfg.sps[0].irs_position.x + distance, 0.0),
+        )
+        chans = generate_channels(dataclasses.replace(default_cfg, sps=[sp], seed=seed))
+        return np.mean(np.abs(chans[0].h_irs_user) ** 2)
+
+    near, far = irs_user_power(10.0, 11), irs_user_power(20.0, 12)
+    assert abs(near / far - 4.0) < 0.15
+    gain = path_loss_linear(10.0, default_cfg.pathloss.alpha_irs_user, default_cfg.pathloss)
+    assert abs(near / gain - 1.0) < 0.02
 
 
 def test_channel_set_shape_validation():
@@ -148,23 +162,8 @@ def test_generate_channels_scales_with_geometry(default_cfg):
 
 
 def test_generate_channels_missing_geometry(default_cfg):
-    import dataclasses
-
     sps = list(default_cfg.sps)
     sps[0] = dataclasses.replace(sps[0], user_position=None)
     cfg = dataclasses.replace(default_cfg, sps=sps)
     with pytest.raises(ConfigurationError):
         generate_channels(cfg)
-
-
-def test_to_jsonable_round_trip():
-    rng = np.random.default_rng(5)
-    ch = ChannelSet(
-        h_direct=complex_rayleigh((2,), rng),
-        g_bs_irs=complex_rayleigh((3, 2), rng),
-        h_irs_user=complex_rayleigh((3,), rng),
-    )
-    d = ch.to_jsonable()
-    back = np.array(d["g_bs_irs"])
-    assert back.shape == (3, 2, 2)
-    assert np.allclose(back[..., 0] + 1j * back[..., 1], ch.g_bs_irs)

@@ -72,10 +72,26 @@ def test_run_rejects_zero_step_or_horizon(tmp_path, capsys, flag):
         ("noise_var", "inf", "scenario.noise_var must be positive and finite"),
         ("dt", "nan", "integrator.dt must be positive and finite"),
         ("horizon", "inf", "integrator.horizon must be positive and finite"),
+        ("drift_tol", "nan", "integrator.drift_tol must be positive and finite"),
+        ("drift_tol", "-1", "integrator.drift_tol must be positive and finite"),
+        ("valuation", "nan", "scenario.valuation entries must be positive and finite"),
+        ("p0", "nan, nan", "scenario.p0 must be non-negative and sum to 1"),
+        ("n_users", "inf", "bad value for scenario.n_users"),
+        ("seed", "-1", "scenario.seed must be non-negative"),
+        ("d0", "nan", "pathloss.d0 must be positive and finite"),
+        ("alpha_direct", "nan", "pathloss.alpha_direct must be non-negative and finite"),
+        ("pl0_db", "inf", "pathloss.pl0_db must be finite"),
+        ("price_irs", "nan", "sp.1.price_irs must be non-negative and finite"),
+        ("price_power", "inf", "sp.1.price_power must be non-negative and finite"),
+        ("bandwidth_mhz", "nan", "sp.1.bandwidth_mhz must be positive and finite"),
+        ("power_levels_dbm", "nan", "sp.1.power_levels_dbm must be finite"),
+        ("bs_position", "nan, 0", "sp.1.bs_position must be finite"),
+        ("distance", "10, nan", "grids.distance must be finite"),
     ],
 )
 def test_validate_rejects_non_finite_values(tmp_path, capsys, reduced_file, key, value, message):
-    # the first line of the key is the scalar in [scenario] or [integrator], not the grid
+    # only the first line of the key changes: the one in the first section that
+    # has it, in the order [scenario], [integrator], [pathloss], [sp.1], [grids]
     text = re.sub(r"^%s = .*$" % key, "%s = %s" % (key, value), reduced_file.read_text(), count=1, flags=re.M)
     path = tmp_path / "non_finite.cfg"
     path.write_text(text)

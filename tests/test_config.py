@@ -4,10 +4,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irsgame import (
     ConfigurationError,
+    IntegratorSpec,
+    PathLossModel,
+    Position,
+    ScenarioConfig,
     ServiceIndex,
+    SpConfig,
+    SweepGrids,
     config_to_text,
     dbm_to_watt,
     default_config,
@@ -50,7 +58,6 @@ def test_default_scenario_shape():
     assert sp1.power_levels_dbm == [15.0, 30.0]
     assert sp2.power_levels_dbm == [10.0, 20.0]
     assert cfg.n_groups == 6
-    assert cfg.integrator.method == "rk4"
     assert cfg.integrator.dt == 0.01
     assert cfg.integrator.horizon == 600.0
     # one noise floor for the unit bandwidth: -94 dBm
@@ -123,6 +130,95 @@ def test_round_trip_preserves_everything():
     assert back.mu == cfg.mu
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+positions = st.builds(Position, finite, finite)
+
+
+def ascending(values):
+    return st.lists(values, min_size=1, max_size=4, unique=True).map(sorted)
+
+
+@st.composite
+def providers(draw):
+    modules = draw(st.integers(1, 4))
+    return SpConfig(
+        antennas=draw(st.integers(1, 10**6)),
+        bandwidth_mhz=draw(positive),
+        power_levels_dbm=draw(ascending(finite)),
+        price_irs=draw(non_negative),
+        price_power=draw(non_negative),
+        irs_elements=modules * draw(st.integers(1, 10**6)),
+        irs_modules=modules,
+        bs_position=draw(positions),
+        irs_position=draw(positions),
+        user_position=draw(positions),
+    )
+
+
+@st.composite
+def scenarios(draw):
+    sps = draw(st.lists(providers(), min_size=1, max_size=3))
+    n_groups = sum(sp.n_services for sp in sps)
+    per_group = dict(min_size=n_groups, max_size=n_groups)
+    weights = st.lists(st.floats(0.01, 1.0), **per_group).map(lambda w: np.array(w) / sum(w))
+    return ScenarioConfig(
+        sps=sps,
+        n_users=draw(st.integers(1, 10**9)),
+        mu=draw(positive),
+        delta=draw(non_negative),
+        seed=draw(st.integers(0, 2**64)),
+        valuation=draw(positive | st.lists(positive, **per_group)),
+        noise_var=draw(positive),
+        p0=draw(st.none() | weights),
+        pathloss=PathLossModel(
+            pl0_db=draw(finite),
+            d0=draw(positive),
+            alpha_direct=draw(non_negative),
+            alpha_bs_irs=draw(non_negative),
+            alpha_irs_user=draw(non_negative),
+        ),
+        integrator=IntegratorSpec(
+            dt=draw(positive), horizon=draw(positive), renormalize=draw(st.booleans()), drift_tol=draw(positive)
+        ),
+        grids=SweepGrids(
+            mu=draw(ascending(finite)),
+            n_users=draw(ascending(st.integers())),
+            delta=draw(ascending(finite)),
+            irs_elements_sp2=draw(ascending(st.integers())),
+            distance=draw(ascending(finite)),
+            price_irs_sp1=draw(ascending(finite)),
+        ),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(cfg=scenarios())
+def test_round_trip_of_random_scenarios(cfg):
+    assert parse_config(config_to_text(cfg)).flat_items() == cfg.flat_items()
+
+
+def test_written_keys_are_the_section_fields():
+    written = {}
+    for line in config_to_text(default_config()).splitlines():
+        if line.startswith("["):
+            keys = written.setdefault(line.strip("[]"), [])
+        elif line:
+            keys.append(line.split(" = ")[0])
+    assert list(written) == ["scenario", "integrator", "pathloss", "sp.1", "sp.2", "grids"]
+
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    sections = ("sps", "pathloss", "integrator", "grids")
+    assert written["scenario"] == [n for n in names(ScenarioConfig) if n not in sections]
+    assert written["integrator"] == names(IntegratorSpec)
+    assert written["pathloss"] == names(PathLossModel)
+    assert written["sp.1"] == written["sp.2"] == names(SpConfig)
+    assert written["grids"] == names(SweepGrids)
+
+
 def test_save_and_load(tmp_path):
     cfg = default_config()
     path = tmp_path / "scenario.cfg"
@@ -139,6 +235,9 @@ def test_load_missing_file():
 def test_unknown_key_and_section_rejected():
     with pytest.raises(ConfigurationError, match=r"unknown key.*sp\.1"):
         parse_config(MINIMAL + "beams = 3\n")
+    # integrate_ode takes the stepping method; it is not a config key
+    with pytest.raises(ConfigurationError, match=r"unknown key\(s\) in \[integrator\]: method"):
+        parse_config(MINIMAL + "[integrator]\nmethod = rk4\n")
     with pytest.raises(ConfigurationError, match=r"unknown section"):
         parse_config(MINIMAL + "[turbo]\nx = 1\n")
 

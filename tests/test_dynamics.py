@@ -49,10 +49,13 @@ def logistic_exact(t):
 
 def test_integrator_spec_validation():
     IntegratorSpec()
-    with pytest.raises(ConfigurationError):
-        IntegratorSpec(method="euler")
+    with pytest.raises(ConfigurationError, match="method"):
+        integrate_ode(logistic_field, np.array([0.5, 0.5]), IntegratorSpec(), method="euler")
     with pytest.raises(ConfigurationError):
         IntegratorSpec(dt=0.0)
+    for bad in (float("nan"), -1.0, 0.0, float("inf")):
+        with pytest.raises(ConfigurationError, match="integrator.drift_tol must be positive and finite"):
+            IntegratorSpec(drift_tol=bad)
     with pytest.raises(ConfigurationError):
         IntegratorSpec(horizon=-1.0)
     for bad in (float("nan"), float("inf")):
@@ -70,7 +73,7 @@ def test_integrator_spec_step_count():
 
 
 def test_rk4_logistic_oracle():
-    spec = IntegratorSpec(method="rk4", dt=0.01, horizon=10.0)
+    spec = IntegratorSpec(dt=0.01, horizon=10.0)
     traj = integrate_ode(logistic_field, np.array([0.5, 0.5]), spec)
     err = np.max(np.abs(traj.states[:, 0] - logistic_exact(traj.times)))
     assert err < 1e-6
@@ -78,15 +81,15 @@ def test_rk4_logistic_oracle():
 
 
 def test_forward_euler_logistic_converges_coarsely():
-    spec = IntegratorSpec(method="forward-euler", dt=0.01, horizon=5.0)
-    traj = integrate_ode(logistic_field, np.array([0.5, 0.5]), spec)
+    spec = IntegratorSpec(dt=0.01, horizon=5.0)
+    traj = integrate_ode(logistic_field, np.array([0.5, 0.5]), spec, method="forward-euler")
     err = np.max(np.abs(traj.states[:, 0] - logistic_exact(traj.times)))
     assert err < 1e-3  # first order: noticeably worse than rk4 at the same step
 
 
 def test_rk4_step_halving_order():
     def run(dt):
-        spec = IntegratorSpec(method="rk4", dt=dt, horizon=1.0, renormalize=False)
+        spec = IntegratorSpec(dt=dt, horizon=1.0, renormalize=False)
         traj = integrate_ode(logistic_field, np.array([0.5, 0.5]), spec)
         return abs(traj.states[-1, 0] - logistic_exact(1.0))
 
@@ -111,9 +114,9 @@ def test_initial_state_validation():
 
 def test_drift_error_on_leaky_field():
     # a field that pumps mass in violates the tolerance within one step
-    spec = IntegratorSpec(method="forward-euler", dt=0.1, horizon=1.0, drift_tol=1e-6)
+    spec = IntegratorSpec(dt=0.1, horizon=1.0, drift_tol=1e-6)
     with pytest.raises(NumericalDriftError):
-        integrate_ode(lambda t, p: np.array([0.01, 0.0]), np.array([0.5, 0.5]), spec)
+        integrate_ode(lambda t, p: np.array([0.01, 0.0]), np.array([0.5, 0.5]), spec, method="forward-euler")
 
 
 def test_drift_error_on_nan_step():
@@ -126,14 +129,16 @@ def test_drift_error_on_nan_step():
         u = np.divide(c, p, out=np.full(len(p), np.nan), where=alive)
         return UtilityVector(u, float(np.sum(np.where(alive, p * u, 0.0))))
 
-    spec = IntegratorSpec(method="forward-euler", dt=0.01, horizon=1.0)
+    spec = IntegratorSpec(dt=0.01, horizon=1.0)
     with np.errstate(all="ignore"), pytest.raises(NumericalDriftError):
-        integrate_ode(lambda t, p: replicator_field(t, p, utilities, 1.0), np.array([1.0, 2.2e-309]), spec)
+        integrate_ode(
+            lambda t, p: replicator_field(t, p, utilities, 1.0), np.array([1.0, 2.2e-309]), spec, method="forward-euler"
+        )
 
 
 def test_drift_recorded_without_projection():
-    spec = IntegratorSpec(method="forward-euler", dt=0.1, horizon=1.0, renormalize=False)
-    traj = integrate_ode(lambda t, p: np.array([0.01, 0.0]), np.array([0.5, 0.5]), spec)
+    spec = IntegratorSpec(dt=0.1, horizon=1.0, renormalize=False)
+    traj = integrate_ode(lambda t, p: np.array([0.01, 0.0]), np.array([0.5, 0.5]), spec, method="forward-euler")
     assert traj.total_drift == pytest.approx(0.001 * 10 * (10 + 1) / 2, rel=1e-9)
     assert float(traj.terminal_state.sum()) == pytest.approx(1.01, rel=1e-12)
 
@@ -141,9 +146,9 @@ def test_drift_recorded_without_projection():
 def test_boundary_clamp_is_absorbing_not_fatal():
     # outflow pushes the small group through zero; the overshoot is clamped,
     # recorded as absorbed mass, and the run continues
-    spec = IntegratorSpec(method="forward-euler", dt=0.02, horizon=1.0)
+    spec = IntegratorSpec(dt=0.02, horizon=1.0)
     traj = integrate_ode(
-        lambda t, p: np.array([-1.0, 1.0]) * (p[0] > 0.0), np.array([0.01, 0.99]), spec
+        lambda t, p: np.array([-1.0, 1.0]) * (p[0] > 0.0), np.array([0.01, 0.99]), spec, method="forward-euler"
     )
     assert traj.terminal_state[0] == 0.0
     assert traj.total_absorbed == pytest.approx(0.01, rel=1e-9)
@@ -169,12 +174,12 @@ def test_history_buffer_lookup():
 
 
 def test_dde_zero_delay_matches_euler_exactly(default_cfg, default_utilities):
-    spec = IntegratorSpec(method="forward-euler", dt=0.01, horizon=2.0)
+    spec = IntegratorSpec(dt=0.01, horizon=2.0)
     p0 = default_cfg.initial_population()
     mu = default_cfg.mu
 
     ode = integrate_ode(
-        lambda t, p: replicator_field(t, p, default_utilities, mu), p0, spec, default_utilities
+        lambda t, p: replicator_field(t, p, default_utilities, mu), p0, spec, default_utilities, method="forward-euler"
     )
     dde = integrate_dde(
         lambda t, lookup: delayed_replicator_field(t, lookup, 0.0, mu),
@@ -192,7 +197,7 @@ def test_dde_small_delay_reaches_known_equilibrium(reduced_cfg, reduced_links):
     utilities = make_utilities(reduced_links, params, reduced_cfg)
     gains = group_gains(reduced_cfg, reduced_links)
     p_star = gains / gains.sum()
-    spec = IntegratorSpec(method="forward-euler", dt=0.01, horizon=300.0)
+    spec = IntegratorSpec(dt=0.01, horizon=300.0)
     traj = integrate_dde(
         lambda t, lookup: delayed_replicator_field(t, lookup, 5.0, reduced_cfg.mu),
         reduced_cfg.initial_population(),
@@ -216,7 +221,7 @@ def test_dde_rejects_negative_delay(default_cfg, default_utilities):
 
 
 def test_simplex_preserved_along_default_run(default_cfg, default_utilities):
-    spec = IntegratorSpec(method="rk4", dt=0.01, horizon=5.0)
+    spec = IntegratorSpec(dt=0.01, horizon=5.0)
     traj = integrate_ode(
         lambda t, p: replicator_field(t, p, default_utilities, default_cfg.mu),
         default_cfg.initial_population(),
@@ -440,7 +445,7 @@ def scenario_utilities(cfg):
 def test_solve_delayed_matches_integrate_dde_bit_for_bit(request, scenario, delta, dt, horizon, renormalize):
     cfg = request.getfixturevalue(scenario)
     utilities = scenario_utilities(cfg)
-    spec = IntegratorSpec(method="forward-euler", dt=dt, horizon=horizon, renormalize=renormalize)
+    spec = IntegratorSpec(dt=dt, horizon=horizon, renormalize=renormalize)
     p0 = cfg.initial_population()
     fast = solve_delayed(utilities, cfg.mu, p0, delta, spec)
     ref = integrate_dde(
@@ -518,7 +523,7 @@ def nan_utilities(p):
     ],
 )
 def test_solve_delayed_guards_match_integrate_dde(utilities, p0, drift_tol, message):
-    spec = IntegratorSpec(method="forward-euler", dt=0.01, horizon=1.0, drift_tol=drift_tol)
+    spec = IntegratorSpec(dt=0.01, horizon=1.0, drift_tol=drift_tol)
     delta = 0.05
     with np.errstate(all="ignore"), pytest.raises(NumericalDriftError, match=message) as fast:
         solve_delayed(utilities, 1.0, np.array(p0), delta, spec)
