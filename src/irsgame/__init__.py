@@ -45,7 +45,6 @@ from .errors import (
     NonConvergenceError,
     NumericalDriftError,
     NumericError,
-    UnsupportedScenarioError,
 )
 from .game import (
     Equilibrium,

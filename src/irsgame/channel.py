@@ -138,6 +138,14 @@ def _link_rng(seed: int, sp_index: int, link_code: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, sp_index, link_code])))
 
 
+def require_positions(sps) -> None:
+    """Raise ConfigurationError naming the first provider position left unset."""
+    for m, sp in enumerate(sps, start=1):
+        for name in ("bs_position", "irs_position", "user_position"):
+            if getattr(sp, name) is None:
+                raise ConfigurationError("sp.%d.%s is not set" % (m, name))
+
+
 def generate_channels(cfg, seed: int | None = None) -> dict[int, ChannelSet]:
     """Draw the static channel realization for every group of a scenario.
 
@@ -156,11 +164,9 @@ def generate_channels(cfg, seed: int | None = None) -> dict[int, ChannelSet]:
     """
     root = int(cfg.seed if seed is None else seed)
     model = cfg.pathloss
+    require_positions(cfg.sps)
     fading = []
     for m, sp in enumerate(cfg.sps, start=1):
-        for pos_name in ("bs_position", "irs_position", "user_position"):
-            if getattr(sp, pos_name) is None:
-                raise ConfigurationError("sp%d.%s is not set" % (m, pos_name))
         l, k = sp.antennas, sp.irs_elements
         fading.append(
             (

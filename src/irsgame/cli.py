@@ -45,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate", help="check a config file and report problems")
     val.add_argument("config")
 
-    bnd = sub.add_parser("bound", help="print the stability delay bound of a reduced scenario")
+    bnd = sub.add_parser("bound", help="print the largest stable decision delay, pi / (2 mu C+)")
     bnd.add_argument("config")
     return parser
 

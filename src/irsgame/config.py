@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .channel import PathLossModel, Position
+from .channel import PathLossModel, Position, require_positions
 from .dynamics import IntegratorSpec
 from .errors import ConfigurationError
 from .game import ServiceIndex
@@ -346,8 +346,10 @@ def config_to_text(cfg: ScenarioConfig) -> str:
     """Serialize the fully resolved scenario back to config text: flat_items by section.
 
     parse_config(config_to_text(cfg)) reproduces cfg exactly: floats are
-    written with round-trip precision and defaults are materialized.
+    written with round-trip precision and defaults are materialized.  An
+    unset provider position raises ConfigurationError.
     """
+    require_positions(cfg.sps)
     out = []
     for name, items in groupby(cfg.flat_items(), key=lambda item: item[0].rpartition(".")[0]):
         out.append("[%s]\n" % name)
@@ -374,7 +376,7 @@ def default_config() -> ScenarioConfig:
 
 
 def reduced_config() -> ScenarioConfig:
-    """The bundled reduced scenario: one service per provider, delay bound defined."""
+    """The bundled reduced scenario: one service per provider (two groups)."""
     return parse_config(resources.files("irsgame").joinpath("data/reduced.cfg").read_text())
 
 

@@ -32,6 +32,12 @@ from .game import selection_rates
 
 _METHODS = ("rk4", "forward-euler")
 
+# Largest horizon / dt of a run: far above the longest run any preset or test
+# makes (criterion 03's 600 000 steps), yet a run at the cap keeps 3.2 GB of
+# samples (time, share, utility, mean utility; one group), so a mistyped dt
+# or horizon ends as a configuration error before the sample grid is built.
+MAX_STEPS = 10**8
+
 
 @dataclass
 class IntegratorSpec:
@@ -47,6 +53,11 @@ class IntegratorSpec:
         for name in ("dt", "horizon", "drift_tol"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigurationError("integrator.%s must be positive and finite" % name)
+        if not self.horizon / self.dt <= MAX_STEPS:
+            raise ConfigurationError(
+                "integrator.horizon / integrator.dt = %.3g steps exceeds the cap of %d"
+                % (self.horizon / self.dt, MAX_STEPS)
+            )
 
     def n_steps(self) -> int:
         return max(1, int(np.ceil(self.horizon / self.dt - 1e-9)))

@@ -9,10 +9,6 @@ class ConfigurationError(ValueError):
     """A scenario description violates an invariant (bad shapes, bad values)."""
 
 
-class UnsupportedScenarioError(ConfigurationError):
-    """The requested computation is only defined for a restricted scenario class."""
-
-
 class NumericError(ArithmeticError):
     """A numeric computation produced or encountered non-finite/invalid values."""
 

@@ -210,8 +210,6 @@ def _run_delay_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = False
     links = build_all_links(cfg, generate_channels(cfg))
     try:
         bound = "%.17g" % stability_bound(cfg, links)
-    except ConfigurationError:
-        bound = "not computable (needs one service per provider)"
     except NumericError:
         bound = "not computable (aggregate utility term is not positive)"
     paths = []

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericError, UnsupportedScenarioError
+from .errors import ConfigurationError, NumericError
 
 
 @dataclass(frozen=True)
@@ -140,33 +140,18 @@ def selection_rates(p: np.ndarray, uv: UtilityVector, mu: float) -> np.ndarray:
 
 
 def stability_bound(cfg, links: dict) -> float:
-    """Largest decision delay with provably stable dynamics.
+    """Largest decision delay with provably stable dynamics, for any scenario.
 
-    Only defined for the reduced setting of exactly one service per provider
-    (one surface subset, one power level); anything else raises
-    UnsupportedScenarioError.  For M providers with SNR eta_m the bound is
-
-        pi / (2 * mu * sum_m (B_m * log2(1 + eta_m)
-                              - price_irs_m * K_m - price_power_m * J_m) / N)
+    With c = utility_numerators / n_users, groups with c_g <= 0 die out and
+    each survivor follows dp_g/dt = mu (c_g - C+ p_g(t - delta)), where C+
+    is the sum of the positive c_g.  That is stable iff mu C+ delta < pi / 2
+    (Hayes, 1950), so the bound is pi / (2 mu C+).  Raises NumericError when
+    no c_g is positive.
     """
-    for m, sp in enumerate(cfg.sps, start=1):
-        if sp.irs_modules != 1 or len(sp.power_levels_dbm) != 1:
-            raise UnsupportedScenarioError(
-                "delay bound needs one service per provider; sp%d offers %d subset(s) x %d power level(s)"
-                % (m, sp.irs_modules, len(sp.power_levels_dbm))
-            )
-    params = UtilityParams.from_config(cfg)
-    total = 0.0
-    for g, svc in enumerate(cfg.service_indices()):
-        sp = cfg.sps[svc.sp - 1]
-        link = links[g]
-        total += (
-            sp.bandwidth_mhz * np.log2(1.0 + link.snr)
-            - params.price_irs[svc.sp - 1] * sp.irs_elements
-            - params.price_power[svc.sp - 1] * link.beam.power_w
-        )
+    c = utility_numerators(links, UtilityParams.from_config(cfg), cfg)
+    total = float(c[c > 0.0].sum())
     if total <= 0.0:
-        raise NumericError("delay bound undefined: aggregate utility term is not positive")
+        raise NumericError("delay bound undefined: no group earns a positive utility term")
     return float(np.pi / (2.0 * cfg.mu * total / cfg.n_users))
 
 

@@ -123,6 +123,29 @@ def test_criterion_03_delay_bracketing(reduced_setup, divergent_run):
     assert amps[-1] >= 0.1
 
 
+def test_delay_bracketing_on_default_scenario(default_run):
+    """Criterion 03's bracketing on the six-group scenario, three services per provider."""
+    cfg = default_config()
+    bound = stability_bound(cfg, build_all_links(cfg, generate_channels(cfg)))
+    assert bound == pytest.approx(46.841, rel=1e-4)
+    target = default_run[0].trajectory.terminal_state
+
+    mild = dataclasses.replace(cfg, delta=0.5 * bound)
+    res = simulate(mild)
+    assert detect_equilibrium(res.trajectory, min_quiet=mild.delta) is not None
+    assert np.max(np.abs(res.trajectory.terminal_state - target)) < 1e-3
+
+    wild = dataclasses.replace(
+        cfg, delta=2.0 * bound, integrator=dataclasses.replace(cfg.integrator, horizon=3000.0)
+    )
+    traj = simulate(wild).trajectory
+    assert detect_equilibrium(traj, min_quiet=wild.delta) is None
+    dev = np.abs(traj.states[:, 0] - target[0])
+    amps = np.array([w.max() for w in np.array_split(dev, 10)])
+    assert amps[-1] >= 0.9 * amps[0]
+    assert amps[-1] >= 0.1
+
+
 def test_criterion_04_surface_size_monotonicity(tmp_path):
     cfg = default_config()
     (path,) = run_experiment("irs-size-sweep", cfg, tmp_path)

@@ -1,6 +1,7 @@
 """Config parsing, validation messages and round-trip serialization."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from irsgame import (
     save_config,
     with_scalar_overrides,
 )
+from irsgame.dynamics import MAX_STEPS
 
 MINIMAL = """
 [sp.1]
@@ -134,6 +136,7 @@ finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
 non_negative = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
 positions = st.builds(Position, finite, finite)
+POSITION_KEYS = ("bs_position", "irs_position", "user_position")
 
 
 def ascending(values):
@@ -160,6 +163,10 @@ def providers(draw):
 @st.composite
 def scenarios(draw):
     sps = draw(st.lists(providers(), min_size=1, max_size=3))
+    if draw(st.booleans()):  # one position left unset, as scenarios built in code may
+        m = draw(st.integers(0, len(sps) - 1))
+        sps[m] = dataclasses.replace(sps[m], **{draw(st.sampled_from(POSITION_KEYS)): None})
+    horizon = draw(positive)
     n_groups = sum(sp.n_services for sp in sps)
     per_group = dict(min_size=n_groups, max_size=n_groups)
     weights = st.lists(st.floats(0.01, 1.0), **per_group).map(lambda w: np.array(w) / sum(w))
@@ -180,7 +187,11 @@ def scenarios(draw):
             alpha_irs_user=draw(non_negative),
         ),
         integrator=IntegratorSpec(
-            dt=draw(positive), horizon=draw(positive), renormalize=draw(st.booleans()), drift_tol=draw(positive)
+            # a dt above horizon / MAX_STEPS keeps the step count within the cap
+            dt=draw(st.floats(min_value=horizon / MAX_STEPS, exclude_min=True, allow_infinity=False)),
+            horizon=horizon,
+            renormalize=draw(st.booleans()),
+            drift_tol=draw(positive),
         ),
         grids=SweepGrids(
             mu=draw(ascending(finite)),
@@ -196,7 +207,17 @@ def scenarios(draw):
 @settings(max_examples=200, deadline=None)
 @given(cfg=scenarios())
 def test_round_trip_of_random_scenarios(cfg):
-    assert parse_config(config_to_text(cfg)).flat_items() == cfg.flat_items()
+    unset = [
+        "sp.%d.%s" % (m, key)
+        for m, sp in enumerate(cfg.sps, start=1)
+        for key in POSITION_KEYS
+        if getattr(sp, key) is None
+    ]
+    if unset:
+        with pytest.raises(ConfigurationError, match=re.escape(unset[0]) + " is not set"):
+            config_to_text(cfg)
+    else:
+        assert parse_config(config_to_text(cfg)).flat_items() == cfg.flat_items()
 
 
 def test_written_keys_are_the_section_fields():

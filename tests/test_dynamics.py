@@ -30,7 +30,7 @@ from irsgame import (
     utility_numerators,
     with_scalar_overrides,
 )
-from irsgame.dynamics import _numpy_sum
+from irsgame.dynamics import MAX_STEPS, _numpy_sum
 from conftest import group_gains
 
 
@@ -63,6 +63,13 @@ def test_integrator_spec_validation():
             IntegratorSpec(dt=bad)
         with pytest.raises(ConfigurationError):
             IntegratorSpec(horizon=bad)
+
+
+def test_integrator_spec_caps_the_step_count():
+    assert IntegratorSpec(dt=1.0, horizon=float(MAX_STEPS)).n_steps() == MAX_STEPS
+    for dt, horizon in ((1.0, MAX_STEPS * (1.0 + 1e-15)), (1e-300, 600.0), (1e-200, 1e100)):
+        with pytest.raises(ConfigurationError, match=r"integrator\.horizon / integrator\.dt .* exceeds the cap"):
+            IntegratorSpec(dt=dt, horizon=horizon)
 
 
 def test_integrator_spec_step_count():

@@ -9,13 +9,16 @@ from irsgame import (
     ConfigurationError,
     NumericError,
     Trajectory,
-    UnsupportedScenarioError,
     UtilityParams,
     UtilityVector,
+    build_all_links,
     detect_equilibrium,
+    generate_channels,
     make_utilities,
     replicator_field,
+    simulate,
     stability_bound,
+    utility_numerators,
 )
 from conftest import group_gains, one_service_cfg, one_service_links
 from oracle import average_utility, utility
@@ -95,9 +98,48 @@ def test_stability_bound_scaling():
     assert doubled == pytest.approx(base * 2.0, rel=1e-12)
 
 
-def test_stability_bound_needs_reduced_scenario(default_cfg, default_links):
-    with pytest.raises(UnsupportedScenarioError):
-        stability_bound(default_cfg, default_links)
+def test_stability_bound_on_default_scenario(default_cfg, default_links):
+    # six groups, three per provider: the bound needs no one-service reduction
+    assert stability_bound(default_cfg, default_links) == pytest.approx(46.841, rel=1e-4)
+
+
+def test_stability_bound_counts_valuation(reduced_cfg, reduced_links):
+    cfg = dataclasses.replace(reduced_cfg, valuation=2.0)
+    c = utility_numerators(reduced_links, UtilityParams.from_config(cfg), cfg)
+    want = np.pi / (2.0 * cfg.mu * c.sum() / cfg.n_users)
+    assert stability_bound(cfg, reduced_links) == pytest.approx(want, rel=1e-12)
+    assert want == pytest.approx(9.975, rel=1e-3)
+
+
+def test_stability_bound_sums_only_profitable_groups():
+    cfg = one_service_cfg()
+    sps = [cfg.sps[0], dataclasses.replace(cfg.sps[1], price_irs=10.0)]
+    cfg = dataclasses.replace(cfg, sps=sps)
+    # provider 1 earns log2(4) - 0.1*8 - 0.1*1 = 1.1; provider 2 loses 2 - 80 - 0.1
+    want = np.pi / (2.0 * cfg.mu * 1.1 / cfg.n_users)
+    assert stability_bound(cfg, one_service_links(snr=3.0)) == pytest.approx(want, rel=1e-12)
+
+
+def test_delay_between_the_positive_and_the_full_sum_bound_does_not_settle(default_cfg):
+    # at a surface price of 1.0 both of sp.2's groups lose money and die out,
+    # so only the positive numerators set the delay bound
+    sps = [default_cfg.sps[0], dataclasses.replace(default_cfg.sps[1], price_irs=1.0)]
+    cfg = dataclasses.replace(default_cfg, sps=sps)
+    links = build_all_links(cfg, generate_channels(cfg))
+    c = utility_numerators(links, UtilityParams.from_config(cfg), cfg)
+    assert np.any(c < 0.0)
+    bound = stability_bound(cfg, links)
+    full_sum_bound = np.pi / (2.0 * cfg.mu * c.sum() / cfg.n_users)
+    assert full_sum_bound > 1.2 * bound
+
+    mild = dataclasses.replace(cfg, delta=0.5 * bound)
+    assert detect_equilibrium(simulate(mild).trajectory, min_quiet=mild.delta) is not None
+    between = dataclasses.replace(
+        cfg,
+        delta=0.5 * (bound + full_sum_bound),
+        integrator=dataclasses.replace(cfg.integrator, horizon=3000.0),
+    )
+    assert detect_equilibrium(simulate(between).trajectory, min_quiet=between.delta) is None
 
 
 def test_stability_bound_rejects_unprofitable_scenario():
