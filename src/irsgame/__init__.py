@@ -33,6 +33,7 @@ from .config import (
 from .dynamics import (
     HistoryBuffer,
     IntegratorSpec,
+    ReplicatorSolution,
     Trajectory,
     integrate_dde,
     integrate_ode,

@@ -4,8 +4,7 @@
     irsgame validate <config>
     irsgame bound <config>
 
-Exit codes: 0 success, 1 configuration error, 2 numeric error,
-3 non-convergence where convergence was required.
+Exit codes: 0 success, 1 configuration error, 2 numeric error.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import sys
 
 from .config import default_config, load_config, with_scalar_overrides
 from .channel import generate_channels
-from .errors import ConfigurationError, NonConvergenceError, NumericError
+from .errors import ConfigurationError, NumericError
 from .experiments import PRESETS, run_experiment
 from .game import stability_bound
 from .phy import build_all_links
@@ -23,7 +22,6 @@ from .phy import build_all_links
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
-EXIT_NO_CONVERGENCE = 3
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,9 +84,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print("numeric error: %s" % exc, file=sys.stderr)
         return EXIT_NUMERIC
-    except NonConvergenceError as exc:
-        print("did not converge: %s" % exc, file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
     return EXIT_CONFIG
 
 

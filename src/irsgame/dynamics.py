@@ -1,7 +1,7 @@
 """Solvers for the selection dynamics.
 
-solve_replicator evaluates the exact solution of the undelayed replicator
-dynamics of the built-in utility model on a fixed grid.  integrate_ode steps
+ReplicatorSolution is the exact undelayed replicator dynamics of the built-in
+utility model and its rest point; solve_replicator samples it.  integrate_ode steps
 any ordinary field with forward Euler or classic rk4.  integrate_dde steps
 the delayed field with forward Euler and a linearly interpolated history
 buffer (constant pre-history); solve_delayed takes the same Euler steps for
@@ -202,60 +202,98 @@ def integrate_ode(
     return Trajectory(times, states, u, u_bar, drift_sum, absorbed_sum)
 
 
-def solve_replicator(c, mu: float, p0, spec: IntegratorSpec, utilities: Callable | None = None) -> Trajectory:
-    """Exact replicator dynamics when p_g * u_g = c_g does not depend on the shares.
+class ReplicatorSolution:
+    """Exact replicator dynamics from p0 at t = 0 when p_g * u_g = c_g does not depend on the shares.
 
-    The field mu * p_g * (u_g - u_bar) is then linear: dp/dt = mu * (c - p * C),
-    with C the sum of c over the non-empty groups.  From the state q at time
-    t_k the solution is p(t) = q + (c - q * C) * g(t - t_k), with g(s) the
-    integral of mu * exp(-mu * C * r) over [0, s]; it rests at c / C.  A
-    shrinking group with c_g < 0 reaches zero at a closed-form time: there it
-    is set to exactly zero, the others are rescaled to unit sum, C is
-    recomputed and the next piece starts.  Empty groups stay exactly zero.
-
-    Samples lie on the grid t_i = i * dt, i = 0..spec.n_steps().  Only the
-    sample grid of spec is used; nothing is stepped, so drift and absorbed
-    mass are zero.  utilities, when given, is called once with the whole
-    (T, G) state array and must return one row of utilities per state.
+    Then dp/dt = mu * (c - p * C), C the sum of c over the non-empty groups, so from q at t_k
+    p(t) = q + slope * g(t - t_k), slope = c - q * C, g(s) the integral of mu * exp(-mu * C * r)
+    over [0, s].  A group with c_g < 0 may empty at a closed-form t_end: it is set to exactly
+    zero, the others are rescaled and the next piece starts.  pieces holds (t_k, t_end, q, C,
+    slope); a zero slope holds q.  The last piece decays with C > 0 to rest = c / C, or holds.
     """
-    p = _check_p0(p0)
-    c = np.asarray(c, dtype=float)
-    if c.shape != p.shape:
-        raise ConfigurationError("payoff vector and initial state differ in length")
-    n = spec.n_steps()
-    times = np.arange(n + 1) * spec.dt
-    states = np.empty((n + 1, p.size))
-    t_k, i = 0.0, 0
-    while True:
-        c_alive = np.where(p > 0.0, c, 0.0)
-        big_c = float(c_alive.sum())
-        slope = c_alive - p * big_c  # dp/dt over mu at t_k
-        doomed = (c_alive < 0.0) & (slope < 0.0)
-        t_end = np.inf
-        if np.any(doomed) and np.count_nonzero(p) > 1:  # the last group never empties
-            q, c_d = p[doomed], c_alive[doomed]
-            if big_c == 0.0:
-                s_zero = q / (mu * -c_d)
-            else:
-                s_zero = np.log1p(-q * big_c / c_d) / (mu * big_c)
-            k = int(np.argmin(s_zero))
-            t_end = t_k + float(s_zero[k])
-            dying = np.flatnonzero(doomed)[k]
-        elif big_c < 0.0:
-            # c / C repels when C < 0; with no group shrinking to zero the
-            # state sits on it up to rounding, which must not grow like
-            # exp(mu * |C| * t)
-            states[i:] = p
-            break
-        j = int(np.searchsorted(times, t_end))  # first sample of the next piece
-        # rounding can put a share a hair below zero just before it empties
-        states[i:j] = np.maximum(p + _growth(times[i:j] - t_k, mu, big_c)[:, None] * slope, 0.0)
-        if j > n:
-            break
-        p = np.maximum(p + _growth(t_end - t_k, mu, big_c) * slope, 0.0)
-        p[dying] = 0.0
-        p /= p.sum()
-        t_k, i = t_end, j
+
+    def __init__(self, c, mu: float, p0):
+        p = _check_p0(p0)
+        c = np.asarray(c, dtype=float)
+        if c.shape != p.shape:
+            raise ConfigurationError("payoff vector and initial state differ in length")
+        self.mu = mu
+        self.pieces = []
+        t_k = 0.0
+        while True:
+            c_alive = np.where(p > 0.0, c, 0.0)
+            big_c = float(c_alive.sum())
+            slope = c_alive - p * big_c  # dp/dt over mu at t_k
+            doomed = (c_alive < 0.0) & (slope < 0.0)
+            t_end = np.inf
+            if np.any(doomed) and np.count_nonzero(p) > 1:  # the last group never empties
+                q, c_d = p[doomed], c_alive[doomed]
+                if big_c == 0.0:
+                    s_zero = q / (mu * -c_d)
+                else:
+                    s_zero = np.log1p(-q * big_c / c_d) / (mu * big_c)
+                k = int(np.argmin(s_zero))
+                t_end = t_k + float(s_zero[k])
+                dying = np.flatnonzero(doomed)[k]
+            elif big_c < 0.0:
+                # c / C repels when C < 0: the state sits on it, and its
+                # rounding must not grow like exp(mu * |C| * t)
+                slope = np.zeros_like(p)
+            self.pieces.append((t_k, t_end, p, big_c, slope))
+            if t_end == np.inf:
+                break
+            p = np.maximum(p + _growth(t_end - t_k, mu, big_c) * slope, 0.0)
+            p[dying] = 0.0
+            p /= p.sum()
+            t_k = t_end
+        self.rest = c_alive / big_c if slope.any() else p
+
+    def at(self, times: np.ndarray) -> np.ndarray:
+        """States (T, G) at the sorted non-negative times."""
+        states = np.empty((len(times), len(self.rest)))
+        for t_k, t_end, q, big_c, slope in self.pieces:
+            i, j = np.searchsorted(times, [t_k, t_end])
+            if not slope.any():
+                states[i:j] = q
+            else:  # rounding can put a share a hair below zero just before it empties
+                states[i:j] = np.maximum(q + _growth(times[i:j] - t_k, self.mu, big_c)[:, None] * slope, 0.0)
+        return states
+
+    def equilibrium_index(self, dt: float, eps: float) -> int:
+        """detect_equilibrium's index on the grid t_i = i * dt, however long the grid.
+
+        Within a piece the rate max_g |p_{i+1,g} - p_{i,g}| / dt is k0 * exp(-a * (t - t_k)),
+        a = mu * C, k0 = max|slope| * (1 - exp(-a * dt)) / (C * dt): with C > 0 it falls below
+        eps for good after t_k + ln(k0 / eps) / a, else it peaks at t_end.  Going back from the
+        last piece, only samples near those times and near t_k are checked, with
+        detect_equilibrium's arithmetic.  Raises ConfigurationError past MAX_STEPS samples.
+        """
+        for t_k, t_end, _, big_c, slope in reversed(self.pieces):
+            near = [t_k, t_end] if t_end < np.inf else [t_k]
+            if slope.any() and big_c > 0.0:
+                k0 = float(np.max(np.abs(slope))) * -math.expm1(-self.mu * big_c * dt) / (big_c * dt)
+                if k0 > eps:
+                    near.append(min(t_end, t_k + math.log(k0 / eps) / (self.mu * big_c)))
+            last = max(near) / dt
+            if not last <= MAX_STEPS:
+                raise ConfigurationError(
+                    "the rest point comes after sample %.3g, beyond the cap of %d" % (last, MAX_STEPS)
+                )
+            i = np.unique(np.maximum(0, [math.ceil(t / dt) + k for t in near for k in range(-9, 3)]))
+            rates = np.max(np.abs(self.at((i + 1) * dt) - self.at(i * dt)), axis=1) / ((i + 1) * dt - i * dt)
+            moving = i[~(rates < eps)]
+            if moving.size:
+                return int(moving[-1]) + 1
+        return 0
+
+
+def solve_replicator(c, mu: float, p0, spec: IntegratorSpec, utilities: Callable | None = None) -> Trajectory:
+    """ReplicatorSolution(c, mu, p0) sampled on the grid t_i = i * dt, i = 0..spec.n_steps().
+
+    utilities, when given, maps the whole (T, G) state array to one row of utilities per state.
+    """
+    times = np.arange(spec.n_steps() + 1) * spec.dt
+    states = ReplicatorSolution(c, mu, p0).at(times)
     if utilities is None:
         return Trajectory(times, states)
     uv = utilities(states)

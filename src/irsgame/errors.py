@@ -1,7 +1,7 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes, so the distinction between
-configuration problems, numeric failures and non-convergence matters.
+The CLI maps configuration problems to exit code 1 and numeric failures to
+2; non-convergence comes only from picard_solve, which no command runs.
 """
 
 

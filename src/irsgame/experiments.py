@@ -2,7 +2,9 @@
 
 Every preset is a pure function of (config, seed): channels, links and
 trajectories are deterministic, so rerunning a preset with the same inputs
-reproduces its output files byte for byte.
+reproduces its output files byte for byte.  The undelayed sweeps sample no
+trajectory: they read each point's rest, or the sample where it comes to rest,
+off its exact ReplicatorSolution, so integrator.horizon does not enter them.
 """
 
 from __future__ import annotations
@@ -10,14 +12,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .channel import Position, generate_channels
 from .config import ScenarioConfig
-from .dynamics import Trajectory, solve_delayed, solve_replicator
-from .errors import ConfigurationError, NonConvergenceError, NumericError
+from .dynamics import ReplicatorSolution, Trajectory, solve_delayed, solve_replicator
+from .errors import ConfigurationError, NumericError
 from .game import (
     UtilityParams,
     detect_equilibrium,
@@ -41,10 +42,6 @@ EPS_MASS = 1e-2
 
 # trajectory CSVs keep every TRAJECTORY_STRIDE-th sample (plus the last)
 TRAJECTORY_STRIDE = 10
-
-# the distance sweep reaches points whose equilibration is slow, so it runs
-# longer than the base config
-DISTANCE_SWEEP_HORIZON_FACTOR = 4.0
 
 
 @dataclass
@@ -82,20 +79,12 @@ def simulate(cfg: ScenarioConfig) -> SimulationResult:
 # --- CSV emission --------------------------------------------------------------
 
 
-def _fmt_cell(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return "%.17g" % float(v)
-
-
 def _write_csv(path: Path, meta: list, columns: list, rows) -> Path:
-    return _write_lines(path, meta, columns, [",".join(_fmt_cell(v) for v in row) for row in rows])
-
-
-def _write_lines(path: Path, meta: list, columns: list, body: list) -> Path:
+    # %.17g reads back to the same float and prints integers below 10**17 exactly
+    row = ",".join(["%.17g"] * len(columns))
     lines = ["# %s = %s" % (k, v) for k, v in meta]
     lines.append(",".join(columns))
-    lines.extend(body)
+    lines.extend(row % tuple(r) for r in rows)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
@@ -129,8 +118,7 @@ def emit_csv(traj: Trajectory, meta: list, path, stride: int = 1) -> Path:
     else:
         u, u_bar = traj.utilities[idx], traj.u_bar[idx]
     table = np.column_stack([traj.times[idx], traj.states[idx], u, u_bar])
-    row = ",".join(["%.17g"] * len(columns))
-    return _write_lines(Path(path), meta, columns, [row % tuple(r) for r in table.tolist()])
+    return _write_csv(Path(path), meta, columns, table.tolist())
 
 
 def trajectory_json(traj: Trajectory) -> dict:
@@ -150,18 +138,13 @@ def trajectory_json(traj: Trajectory) -> dict:
 # --- presets -------------------------------------------------------------------
 
 
-def _require_equilibrium(traj: Trajectory, what: str):
-    eq = detect_equilibrium(traj, EPS_FIELD, EPS_MASS)
-    if eq is None:
-        raise NonConvergenceError(
-            "%s did not reach an equilibrium within the horizon; increase integrator.horizon" % what
-        )
-    return eq
-
-
-def _scaled_horizon(cfg: ScenarioConfig, mu: float, n_users: int) -> float:
-    # convergence time scales like n_users / mu; keep the configured margin
-    return cfg.integrator.horizon * (cfg.mu / mu) * (n_users / cfg.n_users)
+def _solution(point: ScenarioConfig) -> ReplicatorSolution:
+    """Exact undelayed dynamics of one sweep point: channels, links, payoffs, pieces."""
+    if point.delta > 0:
+        raise ConfigurationError("scenario.delta = %g: needs delta = 0; use delay-sweep" % point.delta)
+    links = build_all_links(point, generate_channels(point))
+    c = utility_numerators(links, UtilityParams.from_config(point), point) / point.n_users
+    return ReplicatorSolution(c, point.mu, point.initial_population())
 
 
 def _run_utilities_vs_time(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = False) -> list:
@@ -186,17 +169,15 @@ def _write_json(traj: Trajectory, path: Path) -> Path:
 
 def _run_convergence_speed(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = False) -> list:
     rows = []
+    dt = cfg.integrator.dt
     for mu in cfg.grids.mu:
         for n in cfg.grids.n_users:
-            point = replace(
-                cfg,
-                mu=mu,
-                n_users=n,
-                integrator=replace(cfg.integrator, horizon=_scaled_horizon(cfg, mu, n)),
-            )
-            res = simulate(point)
-            eq = _require_equilibrium(res.trajectory, "grid point mu=%g n_users=%d" % (mu, n))
-            rows.append((mu, n, eq.time))
+            solution = _solution(replace(cfg, mu=mu, n_users=n))
+            try:
+                index = solution.equilibrium_index(dt, EPS_FIELD)
+            except ConfigurationError as exc:
+                raise ConfigurationError("grid point mu=%g n_users=%d: %s" % (mu, n, exc)) from None
+            rows.append((mu, n, index * dt))
     path = _write_csv(
         out_dir / "convergence_speed.csv",
         _meta(cfg, "convergence-speed"),
@@ -240,18 +221,14 @@ def _run_irs_size_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = Fa
     # is not eaten by the element price across the whole default grid
     base = replace(cfg, sps=[replace(sp, price_irs=min(sp.price_irs, 0.05)) for sp in cfg.sps])
     rows = []
-    n_groups = base.n_groups
     for k2 in base.grids.irs_elements_sp2:
         sps = list(base.sps)
         sps[1] = replace(sps[1], irs_elements=int(k2))
-        point = replace(base, sps=sps)
-        res = simulate(point)
-        _require_equilibrium(res.trajectory, "grid point irs_elements_sp2=%d" % k2)
-        rows.append((int(k2), *res.trajectory.terminal_state))
+        rows.append((int(k2), *_solution(replace(base, sps=sps)).rest))
     path = _write_csv(
         out_dir / "irs_size_sweep.csv",
         _meta(base, "irs-size-sweep"),
-        ["irs_elements_sp2"] + ["p_%d" % (g + 1) for g in range(n_groups)],
+        ["irs_elements_sp2"] + ["p_%d" % (g + 1) for g in range(base.n_groups)],
         rows,
     )
     return [path]
@@ -268,7 +245,6 @@ def _run_distance_price_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: boo
     axis = axis / norm
     sp1_groups = cfg.groups_of_sp(1)
     sp2_groups = cfg.groups_of_sp(2) if len(cfg.sps) > 1 else []
-    integrator = replace(cfg.integrator, horizon=cfg.integrator.horizon * DISTANCE_SWEEP_HORIZON_FACTOR)
     rows = []
     for price in cfg.grids.price_irs_sp1:
         for dist in cfg.grids.distance:
@@ -277,20 +253,8 @@ def _run_distance_price_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: boo
             )
             sps = list(cfg.sps)
             sps[0] = replace(sp1, price_irs=price, user_position=user)
-            point = replace(cfg, sps=sps, integrator=integrator)
-            res = simulate(point)
-            _require_equilibrium(
-                res.trajectory, "grid point distance=%g price_irs_sp1=%g" % (dist, price)
-            )
-            p_end = res.trajectory.terminal_state
-            rows.append(
-                (
-                    dist,
-                    price,
-                    float(p_end[sp1_groups].sum()),
-                    float(p_end[sp2_groups].sum()),
-                )
-            )
+            rest = _solution(replace(cfg, sps=sps)).rest
+            rows.append((dist, price, float(rest[sp1_groups].sum()), float(rest[sp2_groups].sum())))
     path = _write_csv(
         out_dir / "distance_price_sweep.csv",
         _meta(cfg, "distance-price-sweep"),

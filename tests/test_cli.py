@@ -7,13 +7,8 @@ import numpy as np
 import pytest
 
 from irsgame import default_config, reduced_config, save_config
-from irsgame.cli import (
-    EXIT_CONFIG,
-    EXIT_NO_CONVERGENCE,
-    EXIT_NUMERIC,
-    EXIT_OK,
-    main,
-)
+from irsgame.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from irsgame.dynamics import MAX_STEPS
 
 
 @pytest.fixture
@@ -174,12 +169,34 @@ def test_bound_with_ruinous_prices(tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
-def test_run_reports_non_convergence(tmp_path, capsys):
-    code = main(
-        ["run", "convergence-speed", "--out", str(tmp_path), "--horizon", "1"]
-    )
-    assert code == EXIT_NO_CONVERGENCE
-    assert "did not converge" in capsys.readouterr().err
+def test_convergence_speed_does_not_depend_on_the_horizon(tmp_path):
+    # each point's equilibrium time comes from the exact solution, not from
+    # samples up to the horizon; only the meta block records the horizon
+    assert main(["run", "convergence-speed", "--out", str(tmp_path / "a")]) == EXIT_OK
+    assert main(["run", "convergence-speed", "--out", str(tmp_path / "b"), "--horizon", "1"]) == EXIT_OK
+
+    def rows(d):
+        lines = (d / "convergence_speed.csv").read_text().splitlines()
+        return [line for line in lines if not line.startswith("#")]
+
+    assert rows(tmp_path / "b") == rows(tmp_path / "a")
+    assert len(rows(tmp_path / "a")) == 1 + 12
+
+
+@pytest.mark.parametrize("preset", ["convergence-speed", "irs-size-sweep", "distance-price-sweep"])
+def test_undelayed_sweeps_reject_a_delay(tmp_path, capsys, preset):
+    assert main(["run", preset, "--out", str(tmp_path), "--delta", "5"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "scenario.delta" in err and "delay-sweep" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_convergence_speed_caps_the_equilibrium_index(tmp_path, capsys):
+    # horizon / dt is within the cap, but the equilibrium index is not
+    code = main(["run", "convergence-speed", "--out", str(tmp_path), "--dt", "1e-17", "--horizon", "1e-9"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "grid point mu=0.05 n_users=50" in err and str(MAX_STEPS) in err
 
 
 def test_delay_sweep_with_ruinous_prices(tmp_path):

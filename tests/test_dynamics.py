@@ -14,10 +14,12 @@ from irsgame import (
     IntegratorSpec,
     NonConvergenceError,
     NumericalDriftError,
+    ReplicatorSolution,
     UtilityParams,
     UtilityVector,
     build_all_links,
     delayed_replicator_field,
+    detect_equilibrium,
     generate_channels,
     integrate_dde,
     integrate_ode,
@@ -416,6 +418,73 @@ def test_exact_solution_records_utilities_in_one_call(default_cfg, default_utili
     assert traj.utilities.shape == (31, default_cfg.n_groups) and traj.u_bar.shape == (31,)
     with pytest.raises(ConfigurationError):
         solve_replicator(c[:-1], default_cfg.mu, default_cfg.initial_population(), spec)
+
+
+# payoffs well away from zero, so that the rate of every moving piece changes
+# per sample by far more than rounding moves it
+payoffs = st.one_of(st.just(0.0), st.floats(0.01, 1.0), st.floats(-1.0, -0.01))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=1, max_size=7).filter(
+        lambda w: max(w) > 0.0
+    ),
+    c=st.lists(payoffs, min_size=7, max_size=7),
+    mu=st.floats(0.05, 1.0),
+    dt=st.floats(0.003, 0.1),
+    eps=st.sampled_from([1e-6, 1e-4]),
+)
+def test_equilibrium_index_matches_detect_equilibrium(weights, c, mu, dt, eps):
+    # extinctions, C <= 0 (all losing, or the sum of mixed signs), zero
+    # payoffs and empty groups all occur among the draws
+    p0 = np.array(weights) / sum(weights)
+    c = np.array(c[: len(p0)])
+    try:
+        index = ReplicatorSolution(c, mu, p0).equilibrium_index(dt, eps)
+    except ConfigurationError:  # beyond MAX_STEPS samples
+        assume(False)
+    assume(index <= 100_000)
+    # every rate past the last sample must be quiet for detect_equilibrium
+    # to find the index, so the tail only needs a margin
+    traj = solve_replicator(c, mu, p0, IntegratorSpec(dt=dt, horizon=(index + 64) * dt))
+    eq = detect_equilibrium(traj, eps)
+    assert eq is not None and eq.index == index
+
+
+def test_equilibrium_index_is_capped():
+    solution = ReplicatorSolution(np.array([0.3, 0.1]), 0.1, np.array([0.5, 0.5]))
+    assert solution.equilibrium_index(0.01, 1e-6) > 0
+    with pytest.raises(ConfigurationError, match="cap of %d" % MAX_STEPS):
+        solution.equilibrium_index(1e-10, 1e-6)
+
+
+@pytest.mark.parametrize(
+    "c, p0, rest",
+    [
+        # group 2 empties; the payoff-free group 4 decays towards zero but stays alive
+        ([0.3, -0.1, 0.2, 0.0], [0.25, 0.25, 0.25, 0.25], [0.3 / 0.5, 0.0, 0.2 / 0.5, 0.0]),
+        # an empty group keeps its positive payoff out of C
+        ([0.3, 0.5, 0.2], [0.5, 0.0, 0.5], [0.6, 0.0, 0.4]),
+        # C = 0 then one survivor
+        ([0.2, -0.2], [0.5, 0.5], [1.0, 0.0]),
+        # every group loses: they empty until one is left, which holds
+        ([-0.1, -0.3, -0.2], [0.2, 0.3, 0.5], [0.0, 0.0, 1.0]),
+        # no payoff at all: nothing moves
+        ([0.0, 0.0], [0.3, 0.7], [0.3, 0.7]),
+    ],
+)
+def test_rest_point_is_c_alive_over_c(c, p0, rest):
+    solution = ReplicatorSolution(np.array(c), 0.5, np.array(p0))
+    assert np.allclose(solution.rest, rest, rtol=0.0, atol=1e-15)
+    t_l, _, q, big_c, slope = solution.pieces[-1]
+    if slope.any():
+        c_alive = np.where(q > 0.0, c, 0.0)
+        assert big_c > 0.0 and np.array_equal(solution.rest, c_alive / c_alive.sum())
+    else:
+        assert np.array_equal(solution.rest, q)
+    late = solution.at(np.array([t_l + 500.0]))[0]
+    assert np.max(np.abs(late - solution.rest)) < 1e-12
 
 
 # --- delayed dynamics one delay window at a time: same samples as integrate_dde

@@ -7,13 +7,16 @@ import pytest
 
 from irsgame import (
     ConfigurationError,
+    SweepGrids,
     Trajectory,
+    detect_equilibrium,
     emit_csv,
     run_experiment,
     simulate,
     trajectory_json,
     with_scalar_overrides,
 )
+from irsgame import experiments
 
 
 def toy_trajectory(n=5, groups=2):
@@ -132,3 +135,45 @@ def test_utilities_vs_time_csv_meta_block(tmp_path, default_cfg):
     assert float(rows[-1][0]) == pytest.approx(3.0, abs=1e-12)
     shares = np.array([[float(c) for c in row[1:7]] for row in rows])
     assert np.all(np.abs(shares.sum(axis=1) - 1.0) < 1e-9)
+
+
+def small_grids(cfg):
+    return dataclasses.replace(
+        cfg,
+        grids=SweepGrids(
+            mu=[0.2], n_users=[50, 100], irs_elements_sp2=[4, 8], distance=[10.0, 60.0], price_irs_sp1=[0.1]
+        ),
+    )
+
+
+def test_undelayed_sweeps_sample_no_trajectory(tmp_path, default_cfg, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an undelayed sweep sampled a trajectory")
+
+    monkeypatch.setattr(experiments, "simulate", refuse)
+    monkeypatch.setattr(experiments, "detect_equilibrium", refuse)
+    for preset in ("convergence-speed", "irs-size-sweep", "distance-price-sweep"):
+        (path,) = run_experiment(preset, small_grids(default_cfg), tmp_path / preset)
+        assert len(read_csv(path)[2]) == 2
+
+
+def test_undelayed_sweeps_match_long_sampled_runs(tmp_path, default_cfg):
+    # the rest point and its sample index, against detect_equilibrium and the
+    # last sample of runs long enough to settle
+    cfg = small_grids(default_cfg)
+    (path,) = run_experiment("convergence-speed", cfg, tmp_path)
+    _, _, rows = read_csv(path)
+    for mu, n, t_eq in rows:
+        run = simulate(with_scalar_overrides(cfg, mu=float(mu), n_users=int(n), horizon=2400.0))
+        assert detect_equilibrium(run.trajectory, experiments.EPS_FIELD).time == float(t_eq)
+    (path,) = run_experiment("irs-size-sweep", cfg, tmp_path)
+    _, _, rows = read_csv(path)
+    # the sweep's own surface price cap
+    base = dataclasses.replace(
+        cfg, sps=[dataclasses.replace(sp, price_irs=min(sp.price_irs, 0.05)) for sp in cfg.sps]
+    )
+    for row in rows:
+        sps = list(base.sps)
+        sps[1] = dataclasses.replace(sps[1], irs_elements=int(row[0]))
+        run = simulate(with_scalar_overrides(dataclasses.replace(base, sps=sps), horizon=2400.0))
+        assert np.max(np.abs(np.array(row[1:], dtype=float) - run.trajectory.terminal_state)) < 1e-9
