@@ -146,7 +146,7 @@ def require_positions(sps) -> None:
                 raise ConfigurationError("sp.%d.%s is not set" % (m, name))
 
 
-def generate_channels(cfg, seed: int | None = None) -> dict[int, ChannelSet]:
+def generate_channels(cfg) -> dict[int, ChannelSet]:
     """Draw the static channel realization for every group of a scenario.
 
     The small-scale fading of each provider is drawn once per link type from
@@ -156,13 +156,12 @@ def generate_channels(cfg, seed: int | None = None) -> dict[int, ChannelSet]:
     identical channel sets.
 
     Args:
-        cfg: scenario configuration (providers, geometry, path loss model).
-        seed: root seed; defaults to cfg.seed.
+        cfg: scenario configuration (providers, geometry, path loss model, seed).
 
     Returns:
         Mapping from flat group index (0-based) to ChannelSet.
     """
-    root = int(cfg.seed if seed is None else seed)
+    root = int(cfg.seed)
     model = cfg.pathloss
     require_positions(cfg.sps)
     fading = []

@@ -13,11 +13,9 @@ import argparse
 import sys
 
 from .config import default_config, load_config, with_scalar_overrides
-from .channel import generate_channels
 from .errors import ConfigurationError, NumericError
-from .experiments import PRESETS, run_experiment
+from .experiments import PRESETS, numerators, run_experiment
 from .game import stability_bound
-from .phy import build_all_links
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -75,8 +73,7 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "bound":
             cfg = load_config(args.config)
-            links = build_all_links(cfg, generate_channels(cfg))
-            print("%.17g" % stability_bound(cfg, links))
+            print("%.17g" % stability_bound(numerators(cfg), cfg.mu, cfg.n_users))
             return EXIT_OK
     except ConfigurationError as exc:
         print("configuration error: %s" % exc, file=sys.stderr)

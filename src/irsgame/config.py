@@ -29,6 +29,10 @@ from .errors import ConfigurationError
 from .game import ServiceIndex
 
 _REQUIRED = {"required": True}  # field metadata: a config file must set this key
+# grid field metadata: the range of the key the grid sweeps, as a test and its wording
+_POSITIVE = {"entries": (lambda x: x > 0, "positive and finite")}
+_NON_NEGATIVE = {"entries": (lambda x: x >= 0, "non-negative and finite")}
+_COUNT = {"entries": (lambda x: x >= 1, "at least 1")}
 
 
 def dbm_to_watt(dbm: float) -> float:
@@ -64,14 +68,14 @@ class SpConfig:
 class SweepGrids:
     """Sweep axes used by the experiment presets."""
 
-    mu: list[float] = field(default_factory=lambda: [0.05, 0.1, 0.2, 0.4])
-    n_users: list[int] = field(default_factory=lambda: [50, 100, 200])
-    delta: list[float] = field(default_factory=lambda: [0.0, 30.0, 60.0, 130.0])
-    irs_elements_sp2: list[int] = field(default_factory=lambda: [4, 8, 12, 16, 20, 24, 28, 32])
+    mu: list[float] = field(default_factory=lambda: [0.05, 0.1, 0.2, 0.4], metadata=_POSITIVE)
+    n_users: list[int] = field(default_factory=lambda: [50, 100, 200], metadata=_COUNT)
+    delta: list[float] = field(default_factory=lambda: [0.0, 30.0, 60.0, 130.0], metadata=_NON_NEGATIVE)
+    irs_elements_sp2: list[int] = field(default_factory=lambda: [4, 8, 12, 16, 20, 24, 28, 32], metadata=_COUNT)
     distance: list[float] = field(
         default_factory=lambda: [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0]
     )
-    price_irs_sp1: list[float] = field(default_factory=lambda: [0.05, 0.1, 0.2])
+    price_irs_sp1: list[float] = field(default_factory=lambda: [0.05, 0.1, 0.2], metadata=_NON_NEGATIVE)
 
 
 @dataclass
@@ -195,6 +199,8 @@ class ScenarioConfig:
                 errors.append("grids.%s must be finite" % f.name)
             elif any(b <= a for a, b in zip(grid, grid[1:])):
                 errors.append("grids.%s must be strictly increasing" % f.name)
+            elif "entries" in f.metadata and not f.metadata["entries"][0](grid[0]):  # the least entry
+                errors.append("grids.%s entries must be %s" % (f.name, f.metadata["entries"][1]))
         if errors:
             raise ConfigurationError("\n".join(errors))
 

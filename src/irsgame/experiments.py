@@ -2,9 +2,12 @@
 
 Every preset is a pure function of (config, seed): channels, links and
 trajectories are deterministic, so rerunning a preset with the same inputs
-reproduces its output files byte for byte.  The undelayed sweeps sample no
-trajectory: they read each point's rest, or the sample where it comes to rest,
-off its exact ReplicatorSolution, so integrator.horizon does not enter them.
+reproduces its output files byte for byte.  A scenario enters the game only
+through its payoff vector, numerators(cfg), so links are built once per radio
+scenario: sweeps over mu, n_users, delta or a price reuse them.  The undelayed
+sweeps sample no trajectory: they read each point's rest, or the sample where
+it comes to rest, off its exact ReplicatorSolution, so integrator.horizon does
+not enter them.
 """
 
 from __future__ import annotations
@@ -19,13 +22,7 @@ from .channel import Position, generate_channels
 from .config import ScenarioConfig
 from .dynamics import ReplicatorSolution, Trajectory, solve_delayed, solve_replicator
 from .errors import ConfigurationError, NumericError
-from .game import (
-    UtilityParams,
-    detect_equilibrium,
-    make_utilities,
-    stability_bound,
-    utility_numerators,
-)
+from .game import detect_equilibrium, make_utilities, stability_bound, utility_numerators
 from .phy import build_all_links
 
 PRESETS = (
@@ -49,31 +46,35 @@ class SimulationResult:
     """Everything produced by one scenario run."""
 
     cfg: ScenarioConfig
-    channels: dict
-    links: dict
     utilities: object  # state -> UtilityVector callable
     trajectory: Trajectory
 
 
+def numerators(cfg: ScenarioConfig) -> np.ndarray:
+    """The scenario's payoff vector: channels, optimized links, then utility_numerators."""
+    return utility_numerators(build_all_links(cfg, generate_channels(cfg)), cfg)
+
+
 def simulate(cfg: ScenarioConfig) -> SimulationResult:
-    """Run the full pipeline: channels, link optimization, selection dynamics.
+    """Run the full pipeline: the payoff vector numerators(cfg), then the selection dynamics."""
+    return _dynamics(cfg, numerators(cfg))
+
+
+def _dynamics(cfg: ScenarioConfig, numer: np.ndarray) -> SimulationResult:
+    """Selection dynamics of a scenario with payoff vector numer.
 
     A zero decision delay evaluates the exact solution of the replicator
     dynamics (solve_replicator) on the configured sample grid; a positive
     delay steps the delayed field with forward Euler, one delay window at a
     time (solve_delayed).
     """
-    channels = generate_channels(cfg)
-    links = build_all_links(cfg, channels)
-    params = UtilityParams.from_config(cfg)
-    utilities = make_utilities(links, params, cfg)
+    utilities = make_utilities(numer, cfg.n_users)
     p0 = cfg.initial_population()
     if cfg.delta > 0:
         traj = solve_delayed(utilities, cfg.mu, p0, cfg.delta, cfg.integrator)
     else:
-        c = utility_numerators(links, params, cfg) / cfg.n_users
-        traj = solve_replicator(c, cfg.mu, p0, cfg.integrator, utilities)
-    return SimulationResult(cfg=cfg, channels=channels, links=links, utilities=utilities, trajectory=traj)
+        traj = solve_replicator(numer / cfg.n_users, cfg.mu, p0, cfg.integrator, utilities)
+    return SimulationResult(cfg=cfg, utilities=utilities, trajectory=traj)
 
 
 # --- CSV emission --------------------------------------------------------------
@@ -138,15 +139,6 @@ def trajectory_json(traj: Trajectory) -> dict:
 # --- presets -------------------------------------------------------------------
 
 
-def _solution(point: ScenarioConfig) -> ReplicatorSolution:
-    """Exact undelayed dynamics of one sweep point: channels, links, payoffs, pieces."""
-    if point.delta > 0:
-        raise ConfigurationError("scenario.delta = %g: needs delta = 0; use delay-sweep" % point.delta)
-    links = build_all_links(point, generate_channels(point))
-    c = utility_numerators(links, UtilityParams.from_config(point), point) / point.n_users
-    return ReplicatorSolution(c, point.mu, point.initial_population())
-
-
 def _run_utilities_vs_time(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = False) -> list:
     res = simulate(cfg)
     paths = [
@@ -168,11 +160,13 @@ def _write_json(traj: Trajectory, path: Path) -> Path:
 
 
 def _run_convergence_speed(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = False) -> list:
+    numer = numerators(cfg)  # neither mu nor n_users enters the links
+    p0 = cfg.initial_population()
     rows = []
     dt = cfg.integrator.dt
     for mu in cfg.grids.mu:
         for n in cfg.grids.n_users:
-            solution = _solution(replace(cfg, mu=mu, n_users=n))
+            solution = ReplicatorSolution(numer / n, mu, p0)
             try:
                 index = solution.equilibrium_index(dt, EPS_FIELD)
             except ConfigurationError as exc:
@@ -188,15 +182,15 @@ def _run_convergence_speed(cfg: ScenarioConfig, out_dir: Path, json_dump: bool =
 
 
 def _run_delay_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = False) -> list:
-    links = build_all_links(cfg, generate_channels(cfg))
+    numer = numerators(cfg)  # delta does not enter the links
     try:
-        bound = "%.17g" % stability_bound(cfg, links)
+        bound = "%.17g" % stability_bound(numer, cfg.mu, cfg.n_users)
     except NumericError:
         bound = "not computable (aggregate utility term is not positive)"
     paths = []
     for delta in cfg.grids.delta:
         point = replace(cfg, delta=delta)
-        res = simulate(point)
+        res = _dynamics(point, numer)
         eq = detect_equilibrium(res.trajectory, EPS_FIELD, EPS_MASS, min_quiet=delta)
         t_eq = "%.17g" % eq.time if eq is not None else "none (tail never rests for a full delay window)"
         # shortest round-trip form, so that distinct delays never share a file
@@ -220,11 +214,13 @@ def _run_irs_size_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = Fa
     # keep the surface price low enough that the rate gain of extra elements
     # is not eaten by the element price across the whole default grid
     base = replace(cfg, sps=[replace(sp, price_irs=min(sp.price_irs, 0.05)) for sp in cfg.sps])
+    p0 = base.initial_population()
     rows = []
     for k2 in base.grids.irs_elements_sp2:
         sps = list(base.sps)
         sps[1] = replace(sps[1], irs_elements=int(k2))
-        rows.append((int(k2), *_solution(replace(base, sps=sps)).rest))
+        numer = numerators(replace(base, sps=sps))
+        rows.append((int(k2), *ReplicatorSolution(numer / base.n_users, base.mu, p0).rest))
     path = _write_csv(
         out_dir / "irs_size_sweep.csv",
         _meta(base, "irs-size-sweep"),
@@ -245,15 +241,17 @@ def _run_distance_price_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: boo
     axis = axis / norm
     sp1_groups = cfg.groups_of_sp(1)
     sp2_groups = cfg.groups_of_sp(2) if len(cfg.sps) > 1 else []
+    placed = []  # (distance, scenario, its links): the surface price does not enter the links
+    for dist in cfg.grids.distance:
+        user = Position(sp1.irs_position.x + axis[0] * dist, sp1.irs_position.y + axis[1] * dist)
+        point = replace(cfg, sps=[replace(sp1, user_position=user)] + cfg.sps[1:])
+        placed.append((dist, point, build_all_links(point, generate_channels(point))))
+    p0 = cfg.initial_population()
     rows = []
     for price in cfg.grids.price_irs_sp1:
-        for dist in cfg.grids.distance:
-            user = Position(
-                sp1.irs_position.x + axis[0] * dist, sp1.irs_position.y + axis[1] * dist
-            )
-            sps = list(cfg.sps)
-            sps[0] = replace(sp1, price_irs=price, user_position=user)
-            rest = _solution(replace(cfg, sps=sps)).rest
+        for dist, point, links in placed:
+            priced = replace(point, sps=[replace(point.sps[0], price_irs=price)] + point.sps[1:])
+            rest = ReplicatorSolution(utility_numerators(links, priced) / cfg.n_users, cfg.mu, p0).rest
             rows.append((dist, price, float(rest[sp1_groups].sum()), float(rest[sp2_groups].sum())))
     path = _write_csv(
         out_dir / "distance_price_sweep.csv",
@@ -283,6 +281,8 @@ def run_experiment(preset: str, cfg: ScenarioConfig, out_dir, json_dump: bool = 
         raise ConfigurationError(
             "unknown preset %r; choose one of: %s" % (preset, ", ".join(PRESETS))
         )
+    if cfg.delta > 0 and preset not in ("utilities-vs-time", "delay-sweep"):
+        raise ConfigurationError("scenario.delta = %g: needs delta = 0; use delay-sweep" % cfg.delta)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     return list(_RUNNERS[preset](cfg, out, json_dump))

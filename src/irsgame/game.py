@@ -63,12 +63,13 @@ class UtilityParams:
         )
 
 
-def utility_numerators(links: dict, params: UtilityParams, cfg) -> np.ndarray:
+def utility_numerators(links: dict, cfg) -> np.ndarray:
     """Valued rate minus prices of every group, before the division by its headcount.
 
     The utility of group g is numer_g / (p_g * n_users), so p_g * u_g =
     numer_g / n_users does not depend on the shares.
     """
+    params = UtilityParams.from_config(cfg)
     n_groups = cfg.n_groups
     snr = np.empty(n_groups)
     bw = np.empty(n_groups)
@@ -86,17 +87,16 @@ def utility_numerators(links: dict, params: UtilityParams, cfg) -> np.ndarray:
     return params.valuation * bw * np.log2(1.0 + snr) - cost
 
 
-def make_utilities(links: dict, params: UtilityParams, cfg) -> Callable[[np.ndarray], UtilityVector]:
-    """Build the state -> UtilityVector map for a fixed set of optimized links.
+def make_utilities(numer: np.ndarray, n_users: int) -> Callable[[np.ndarray], UtilityVector]:
+    """Build the state -> UtilityVector map u_g = numer_g / (p_g * n_users).
 
-    Channels are static, so per-group SNRs and prices are folded into
-    constants; only the division by the group share happens per call.  The
-    map takes one state (G,) or a stack of states (T, G); for a stack, u is
-    (T, G) and u_bar is (T,), each row equal to the single-state result.
+    numer is utility_numerators of the scenario's optimized links; only the
+    division by the group share happens per call.  The map takes one state
+    (G,) or a stack of states (T, G); for a stack, u is (T, G) and u_bar is
+    (T,), each row equal to the single-state result.
     """
-    numer = utility_numerators(links, params, cfg)
-    n = float(cfg.n_users)
-    n_nan = np.full(cfg.n_groups, np.nan)
+    n = float(n_users)
+    n_nan = np.full(len(numer), np.nan)
 
     def utilities(p: np.ndarray) -> UtilityVector:
         p = np.asarray(p, dtype=float)
@@ -139,20 +139,19 @@ def selection_rates(p: np.ndarray, uv: UtilityVector, mu: float) -> np.ndarray:
     return mu * np.where(p > 0.0, p * (uv.u - u_bar), 0.0)
 
 
-def stability_bound(cfg, links: dict) -> float:
+def stability_bound(numer: np.ndarray, mu: float, n_users: int) -> float:
     """Largest decision delay with provably stable dynamics, for any scenario.
 
-    With c = utility_numerators / n_users, groups with c_g <= 0 die out and
-    each survivor follows dp_g/dt = mu (c_g - C+ p_g(t - delta)), where C+
-    is the sum of the positive c_g.  That is stable iff mu C+ delta < pi / 2
-    (Hayes, 1950), so the bound is pi / (2 mu C+).  Raises NumericError when
-    no c_g is positive.
+    With c = numer / n_users (numer from utility_numerators), groups with
+    c_g <= 0 die out and each survivor follows
+    dp_g/dt = mu (c_g - C+ p_g(t - delta)), where C+ is the sum of the
+    positive c_g.  That is stable iff mu C+ delta < pi / 2 (Hayes, 1950), so
+    the bound is pi / (2 mu C+).  Raises NumericError when no c_g is positive.
     """
-    c = utility_numerators(links, UtilityParams.from_config(cfg), cfg)
-    total = float(c[c > 0.0].sum())
+    total = float(numer[numer > 0.0].sum())
     if total <= 0.0:
         raise NumericError("delay bound undefined: no group earns a positive utility term")
-    return float(np.pi / (2.0 * cfg.mu * total / cfg.n_users))
+    return float(np.pi / (2.0 * mu * total / n_users))
 
 
 @dataclass

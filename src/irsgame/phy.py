@@ -177,7 +177,7 @@ def optimize_link(
     return ServiceLink(service=service, beam=beam, phases=PhaseShiftVector(alphas), snr=snr)
 
 
-def build_all_links(cfg, channels: dict[int, ChannelSet], tol: float = 1e-6, max_iters: int = 100) -> dict:
+def build_all_links(cfg, channels: dict[int, ChannelSet]) -> dict:
     """Optimize every group's link of a scenario.
 
     Group (sp, subset k, power j) uses the first k * elements_per_module
@@ -192,8 +192,6 @@ def build_all_links(cfg, channels: dict[int, ChannelSet], tol: float = 1e-6, max
             power_w=dbm_to_watt(sp.power_levels_dbm[svc.power_level - 1]),
             bandwidth=sp.bandwidth_mhz,
             noise_var=cfg.noise_var,
-            tol=tol,
-            max_iters=max_iters,
             service=svc,
         )
     return links

@@ -12,12 +12,12 @@ from irsgame import (
     ServiceIndex,
     ServiceLink,
     SpConfig,
-    UtilityParams,
     build_all_links,
     default_config,
     generate_channels,
     make_utilities,
     reduced_config,
+    utility_numerators,
 )
 
 
@@ -33,8 +33,7 @@ def default_links(default_cfg):
 
 @pytest.fixture(scope="session")
 def default_utilities(default_cfg, default_links):
-    params = UtilityParams.from_config(default_cfg)
-    return make_utilities(default_links, params, default_cfg)
+    return make_utilities(utility_numerators(default_links, default_cfg), default_cfg.n_users)
 
 
 @pytest.fixture(scope="session")

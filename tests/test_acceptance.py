@@ -22,8 +22,6 @@ from irsgame import (
     compute_snr,
     default_config,
     detect_equilibrium,
-    generate_channels,
-    build_all_links,
     integrate_ode,
     optimize_link,
     picard_solve,
@@ -33,6 +31,7 @@ from irsgame import (
     simulate,
     stability_bound,
 )
+from irsgame.experiments import numerators
 
 
 def read_rows(path):
@@ -62,8 +61,7 @@ def default_run():
 def reduced_setup():
     """Reduced scenario (one service per provider), its delay bound, delta=0 run."""
     cfg = reduced_config()
-    links = build_all_links(cfg, generate_channels(cfg))
-    bound = stability_bound(cfg, links)
+    bound = stability_bound(numerators(cfg), cfg.mu, cfg.n_users)
     return cfg, bound, simulate(cfg)
 
 
@@ -126,7 +124,7 @@ def test_criterion_03_delay_bracketing(reduced_setup, divergent_run):
 def test_delay_bracketing_on_default_scenario(default_run):
     """Criterion 03's bracketing on the six-group scenario, three services per provider."""
     cfg = default_config()
-    bound = stability_bound(cfg, build_all_links(cfg, generate_channels(cfg)))
+    bound = stability_bound(numerators(cfg), cfg.mu, cfg.n_users)
     assert bound == pytest.approx(46.841, rel=1e-4)
     target = default_run[0].trajectory.terminal_state
 

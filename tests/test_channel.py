@@ -127,7 +127,7 @@ def test_generate_channels_deterministic(default_cfg):
         assert np.array_equal(a[g].h_direct, b[g].h_direct)
         assert np.array_equal(a[g].g_bs_irs, b[g].g_bs_irs)
         assert np.array_equal(a[g].h_irs_user, b[g].h_irs_user)
-    c = generate_channels(default_cfg, seed=default_cfg.seed + 1)
+    c = generate_channels(dataclasses.replace(default_cfg, seed=default_cfg.seed + 1))
     assert not np.array_equal(a[0].h_direct, c[0].h_direct)
 
 

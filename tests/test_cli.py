@@ -95,6 +95,27 @@ def test_validate_rejects_non_finite_values(tmp_path, capsys, reduced_file, key,
 
 
 @pytest.mark.parametrize(
+    "key, entries, message",
+    [
+        ("mu", "-0.1, 0.2", "grids.mu entries must be positive and finite"),
+        ("mu", "0, 0.2", "grids.mu entries must be positive and finite"),
+        ("n_users", "0, 50", "grids.n_users entries must be at least 1"),
+        ("delta", "-3, 30", "grids.delta entries must be non-negative and finite"),
+        ("irs_elements_sp2", "-4, 8", "grids.irs_elements_sp2 entries must be at least 1"),
+        ("price_irs_sp1", "-1, 0.1", "grids.price_irs_sp1 entries must be non-negative and finite"),
+    ],
+)
+def test_validate_rejects_out_of_range_grid_entries(tmp_path, capsys, reduced_file, key, entries, message):
+    # each grid entry must lie in the range of the key it sweeps
+    head, grids = reduced_file.read_text().split("[grids]")
+    grids = re.sub(r"^%s = .*$" % key, "%s = %s" % (key, entries), grids, count=1, flags=re.M)
+    path = tmp_path / "grid.cfg"
+    path.write_text(head + "[grids]" + grids)
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "preset, flag, value, message",
     [
         ("utilities-vs-time", "--mu", "nan", "scenario.mu must be positive and finite"),

@@ -194,12 +194,12 @@ def scenarios(draw):
             drift_tol=draw(positive),
         ),
         grids=SweepGrids(
-            mu=draw(ascending(finite)),
-            n_users=draw(ascending(st.integers())),
-            delta=draw(ascending(finite)),
-            irs_elements_sp2=draw(ascending(st.integers())),
+            mu=draw(ascending(positive)),
+            n_users=draw(ascending(st.integers(min_value=1))),
+            delta=draw(ascending(non_negative)),
+            irs_elements_sp2=draw(ascending(st.integers(min_value=1))),
             distance=draw(ascending(finite)),
-            price_irs_sp1=draw(ascending(finite)),
+            price_irs_sp1=draw(ascending(non_negative)),
         ),
     )
 

@@ -15,12 +15,9 @@ from irsgame import (
     NonConvergenceError,
     NumericalDriftError,
     ReplicatorSolution,
-    UtilityParams,
     UtilityVector,
-    build_all_links,
     delayed_replicator_field,
     detect_equilibrium,
-    generate_channels,
     integrate_dde,
     integrate_ode,
     make_utilities,
@@ -33,6 +30,7 @@ from irsgame import (
     with_scalar_overrides,
 )
 from irsgame.dynamics import MAX_STEPS, _numpy_sum
+from irsgame.experiments import numerators
 from conftest import group_gains
 
 
@@ -202,8 +200,7 @@ def test_dde_zero_delay_matches_euler_exactly(default_cfg, default_utilities):
 
 
 def test_dde_small_delay_reaches_known_equilibrium(reduced_cfg, reduced_links):
-    params = UtilityParams.from_config(reduced_cfg)
-    utilities = make_utilities(reduced_links, params, reduced_cfg)
+    utilities = make_utilities(utility_numerators(reduced_links, reduced_cfg), reduced_cfg.n_users)
     gains = group_gains(reduced_cfg, reduced_links)
     p_star = gains / gains.sum()
     spec = IntegratorSpec(dt=0.01, horizon=300.0)
@@ -329,7 +326,7 @@ def test_exact_solution_with_unprofitable_groups(default_cfg):
     cfg = with_scalar_overrides(dataclasses.replace(default_cfg, sps=sps), horizon=20.0)
     res = simulate(cfg)
     traj = res.trajectory
-    c = utility_numerators(res.links, UtilityParams.from_config(cfg), cfg) / cfg.n_users
+    c = numerators(cfg) / cfg.n_users
     assert np.count_nonzero(c < 0.0) == 2
     assert on_simplex(traj.states)
     assert traj.total_absorbed == 0.0
@@ -500,8 +497,7 @@ def ten_group_cfg(default_cfg):
 
 
 def scenario_utilities(cfg):
-    links = build_all_links(cfg, generate_channels(cfg))
-    return make_utilities(links, UtilityParams.from_config(cfg), cfg)
+    return make_utilities(numerators(cfg), cfg.n_users)
 
 
 @pytest.mark.parametrize(

@@ -157,6 +157,32 @@ def test_undelayed_sweeps_sample_no_trajectory(tmp_path, default_cfg, monkeypatc
         assert len(read_csv(path)[2]) == 2
 
 
+def test_links_are_built_once_per_radio_scenario(tmp_path, default_cfg, monkeypatch):
+    # mu, n_users, delta and the surface price do not enter the links; the
+    # user position and the surface size do
+    calls = []
+    build = experiments.build_all_links
+
+    def counted(*args):
+        calls.append(1)
+        return build(*args)
+
+    monkeypatch.setattr(experiments, "build_all_links", counted)
+    cfg = with_scalar_overrides(default_cfg, horizon=20.0)
+    grids = cfg.grids
+    builds = {
+        "utilities-vs-time": 1,
+        "convergence-speed": 1,
+        "delay-sweep": 1,
+        "irs-size-sweep": len(grids.irs_elements_sp2),
+        "distance-price-sweep": len(grids.distance),
+    }
+    for preset, want in builds.items():
+        calls.clear()
+        run_experiment(preset, cfg, tmp_path / preset)
+        assert len(calls) == want, preset
+
+
 def test_undelayed_sweeps_match_long_sampled_runs(tmp_path, default_cfg):
     # the rest point and its sample index, against detect_equilibrium and the
     # last sample of runs long enough to settle

@@ -11,15 +11,13 @@ from irsgame import (
     Trajectory,
     UtilityParams,
     UtilityVector,
-    build_all_links,
     detect_equilibrium,
-    generate_channels,
-    make_utilities,
     replicator_field,
     simulate,
     stability_bound,
     utility_numerators,
 )
+from irsgame.experiments import numerators
 from conftest import group_gains, one_service_cfg, one_service_links
 from oracle import average_utility, utility
 
@@ -85,29 +83,31 @@ def test_stability_bound_hand_value():
     links = one_service_links(snr=3.0)
     # each provider contributes log2(4) - 0.1*8 - 0.1*1 = 1.1
     want = np.pi / (2.0 * cfg.mu * 2.2 / cfg.n_users)
-    assert stability_bound(cfg, links) == pytest.approx(want, rel=1e-12)
+    numer = utility_numerators(links, cfg)
+    assert stability_bound(numer, cfg.mu, cfg.n_users) == pytest.approx(want, rel=1e-12)
 
 
 def test_stability_bound_scaling():
     cfg = one_service_cfg()
-    links = one_service_links()
-    base = stability_bound(cfg, links)
-    halved = stability_bound(dataclasses.replace(cfg, mu=0.2), links)
-    doubled = stability_bound(dataclasses.replace(cfg, n_users=200), links)
+    numer = utility_numerators(one_service_links(), cfg)
+    base = stability_bound(numer, cfg.mu, cfg.n_users)
+    halved = stability_bound(numer, 0.2, cfg.n_users)
+    doubled = stability_bound(numer, cfg.mu, 200)
     assert halved == pytest.approx(base / 2.0, rel=1e-12)
     assert doubled == pytest.approx(base * 2.0, rel=1e-12)
 
 
 def test_stability_bound_on_default_scenario(default_cfg, default_links):
     # six groups, three per provider: the bound needs no one-service reduction
-    assert stability_bound(default_cfg, default_links) == pytest.approx(46.841, rel=1e-4)
+    numer = utility_numerators(default_links, default_cfg)
+    assert stability_bound(numer, default_cfg.mu, default_cfg.n_users) == pytest.approx(46.841, rel=1e-4)
 
 
 def test_stability_bound_counts_valuation(reduced_cfg, reduced_links):
     cfg = dataclasses.replace(reduced_cfg, valuation=2.0)
-    c = utility_numerators(reduced_links, UtilityParams.from_config(cfg), cfg)
+    c = utility_numerators(reduced_links, cfg)
     want = np.pi / (2.0 * cfg.mu * c.sum() / cfg.n_users)
-    assert stability_bound(cfg, reduced_links) == pytest.approx(want, rel=1e-12)
+    assert stability_bound(c, cfg.mu, cfg.n_users) == pytest.approx(want, rel=1e-12)
     assert want == pytest.approx(9.975, rel=1e-3)
 
 
@@ -117,7 +117,8 @@ def test_stability_bound_sums_only_profitable_groups():
     cfg = dataclasses.replace(cfg, sps=sps)
     # provider 1 earns log2(4) - 0.1*8 - 0.1*1 = 1.1; provider 2 loses 2 - 80 - 0.1
     want = np.pi / (2.0 * cfg.mu * 1.1 / cfg.n_users)
-    assert stability_bound(cfg, one_service_links(snr=3.0)) == pytest.approx(want, rel=1e-12)
+    numer = utility_numerators(one_service_links(snr=3.0), cfg)
+    assert stability_bound(numer, cfg.mu, cfg.n_users) == pytest.approx(want, rel=1e-12)
 
 
 def test_delay_between_the_positive_and_the_full_sum_bound_does_not_settle(default_cfg):
@@ -125,10 +126,9 @@ def test_delay_between_the_positive_and_the_full_sum_bound_does_not_settle(defau
     # so only the positive numerators set the delay bound
     sps = [default_cfg.sps[0], dataclasses.replace(default_cfg.sps[1], price_irs=1.0)]
     cfg = dataclasses.replace(default_cfg, sps=sps)
-    links = build_all_links(cfg, generate_channels(cfg))
-    c = utility_numerators(links, UtilityParams.from_config(cfg), cfg)
+    c = numerators(cfg)
     assert np.any(c < 0.0)
-    bound = stability_bound(cfg, links)
+    bound = stability_bound(c, cfg.mu, cfg.n_users)
     full_sum_bound = np.pi / (2.0 * cfg.mu * c.sum() / cfg.n_users)
     assert full_sum_bound > 1.2 * bound
 
@@ -145,7 +145,7 @@ def test_delay_between_the_positive_and_the_full_sum_bound_does_not_settle(defau
 def test_stability_bound_rejects_unprofitable_scenario():
     cfg = one_service_cfg(price_irs=10.0)  # element price swamps the rate
     with pytest.raises(NumericError):
-        stability_bound(cfg, one_service_links())
+        stability_bound(utility_numerators(one_service_links(), cfg), cfg.mu, cfg.n_users)
 
 
 def test_stability_bound_matches_reduced_dynamics_rate(reduced_cfg, reduced_links):
@@ -153,7 +153,8 @@ def test_stability_bound_matches_reduced_dynamics_rate(reduced_cfg, reduced_link
     # with S the summed group gains
     gains = group_gains(reduced_cfg, reduced_links)
     rate = reduced_cfg.mu * gains.sum() / reduced_cfg.n_users
-    bound = stability_bound(reduced_cfg, reduced_links)
+    numer = utility_numerators(reduced_links, reduced_cfg)
+    bound = stability_bound(numer, reduced_cfg.mu, reduced_cfg.n_users)
     assert bound == pytest.approx(np.pi / (2.0 * rate), rel=1e-12)
 
 
