@@ -19,6 +19,7 @@ from .channel import (
 )
 from .config import (
     ScenarioConfig,
+    ServiceIndex,
     SpConfig,
     SweepGrids,
     config_to_text,
@@ -49,7 +50,6 @@ from .errors import (
 )
 from .game import (
     Equilibrium,
-    ServiceIndex,
     UtilityParams,
     UtilityVector,
     delayed_replicator_field,

@@ -3,8 +3,9 @@
 All links follow a log-distance power law referenced to 1 m, with independent
 complex Gaussian small-scale fading on every entry.  Channels are static per
 scenario: one realization is drawn per (provider, link type) from a counter
-based sub-seed of the scenario seed, and every group served by that provider
-reuses the same realization scaled by its own geometry.
+based sub-seed of the scenario seed and scaled by the path gain of that
+provider's geometry.  Each group of a provider uses a leading subset of that
+provider's surface (ChannelSet.subset).
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def complex_rayleigh(shape, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class ChannelSet:
-    """The three channels seen by one group: direct, BS-to-IRS and IRS-to-user.
+    """The three channels of one provider: direct, BS-to-IRS and IRS-to-user.
 
     Shapes: h_direct (L,), g_bs_irs (K, L), h_irs_user (K,) where L is the
     provider's antenna count and K its full IRS element count.  Reduced
@@ -146,44 +147,36 @@ def require_positions(sps) -> None:
                 raise ConfigurationError("sp.%d.%s is not set" % (m, name))
 
 
-def generate_channels(cfg) -> dict[int, ChannelSet]:
-    """Draw the static channel realization for every group of a scenario.
+def generate_channels(cfg) -> list[ChannelSet]:
+    """Draw the static channel realization of every provider of a scenario.
 
     The small-scale fading of each provider is drawn once per link type from
-    its own sub-seeded generator and shared by all of that provider's groups;
-    each group's entries are scaled by the path gain of its own geometry.
-    Groups of one provider with identical geometry therefore receive
-    identical channel sets.
+    its own sub-seeded generator and scaled by the path gain of the
+    provider's geometry.
 
     Args:
         cfg: scenario configuration (providers, geometry, path loss model, seed).
 
     Returns:
-        Mapping from flat group index (0-based) to ChannelSet.
+        One ChannelSet per provider, in provider order.
     """
     root = int(cfg.seed)
     model = cfg.pathloss
     require_positions(cfg.sps)
-    fading = []
+    out = []
     for m, sp in enumerate(cfg.sps, start=1):
         l, k = sp.antennas, sp.irs_elements
-        fading.append(
-            (
-                complex_rayleigh((l,), _link_rng(root, m, _LINK_DIRECT)),
-                complex_rayleigh((k, l), _link_rng(root, m, _LINK_BS_IRS)),
-                complex_rayleigh((k,), _link_rng(root, m, _LINK_IRS_USER)),
-            )
-        )
-    out: dict[int, ChannelSet] = {}
-    for g, svc in enumerate(cfg.service_indices()):
-        sp = cfg.sps[svc.sp - 1]
-        z_d, z_g, z_u = fading[svc.sp - 1]
         d_direct = sp.bs_position.distance_to(sp.user_position)
         d_bs_irs = sp.bs_position.distance_to(sp.irs_position)
         d_irs_user = sp.irs_position.distance_to(sp.user_position)
-        out[g] = ChannelSet(
-            h_direct=np.sqrt(path_loss_linear(d_direct, model.alpha_direct, model)) * z_d,
-            g_bs_irs=np.sqrt(path_loss_linear(d_bs_irs, model.alpha_bs_irs, model)) * z_g,
-            h_irs_user=np.sqrt(path_loss_linear(d_irs_user, model.alpha_irs_user, model)) * z_u,
+        out.append(
+            ChannelSet(
+                h_direct=np.sqrt(path_loss_linear(d_direct, model.alpha_direct, model))
+                * complex_rayleigh((l,), _link_rng(root, m, _LINK_DIRECT)),
+                g_bs_irs=np.sqrt(path_loss_linear(d_bs_irs, model.alpha_bs_irs, model))
+                * complex_rayleigh((k, l), _link_rng(root, m, _LINK_BS_IRS)),
+                h_irs_user=np.sqrt(path_loss_linear(d_irs_user, model.alpha_irs_user, model))
+                * complex_rayleigh((k,), _link_rng(root, m, _LINK_IRS_USER)),
+            )
         )
     return out

@@ -26,7 +26,6 @@ import numpy as np
 from .channel import PathLossModel, Position, require_positions
 from .dynamics import IntegratorSpec
 from .errors import ConfigurationError
-from .game import ServiceIndex
 
 _REQUIRED = {"required": True}  # field metadata: a config file must set this key
 # grid field metadata: the range of the key the grid sweeps, as a test and its wording
@@ -38,6 +37,15 @@ _COUNT = {"entries": (lambda x: x >= 1, "at least 1")}
 def dbm_to_watt(dbm: float) -> float:
     """Convert a dBm level to watts: 10 ** ((dbm - 30) / 10)."""
     return 10.0 ** ((dbm - 30.0) / 10.0)
+
+
+@dataclass(frozen=True)
+class ServiceIndex:
+    """Identifies one service: provider sp, surface subset k, power level j (all 1-based)."""
+
+    sp: int
+    subset: int
+    power_level: int
 
 
 @dataclass
@@ -73,7 +81,7 @@ class SweepGrids:
     delta: list[float] = field(default_factory=lambda: [0.0, 30.0, 60.0, 130.0], metadata=_NON_NEGATIVE)
     irs_elements_sp2: list[int] = field(default_factory=lambda: [4, 8, 12, 16, 20, 24, 28, 32], metadata=_COUNT)
     distance: list[float] = field(
-        default_factory=lambda: [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0]
+        default_factory=lambda: [10.0, 20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0], metadata=_POSITIVE
     )
     price_irs_sp1: list[float] = field(default_factory=lambda: [0.05, 0.1, 0.2], metadata=_NON_NEGATIVE)
 
@@ -104,7 +112,7 @@ class ScenarioConfig:
     def n_groups(self) -> int:
         return sum(sp.n_services for sp in self.sps)
 
-    def service_indices(self) -> list:
+    def service_indices(self) -> list[ServiceIndex]:
         """Flat group order: providers ascending, then subsets, then power levels."""
         out = []
         for m, sp in enumerate(self.sps, start=1):
@@ -112,16 +120,6 @@ class ScenarioConfig:
                 for j in range(1, len(sp.power_levels_dbm) + 1):
                     out.append(ServiceIndex(sp=m, subset=k, power_level=j))
         return out
-
-    def group_index(self, svc: ServiceIndex) -> int:
-        g = 0
-        for m, sp in enumerate(self.sps, start=1):
-            if m == svc.sp:
-                if not (1 <= svc.subset <= sp.irs_modules and 1 <= svc.power_level <= len(sp.power_levels_dbm)):
-                    raise ConfigurationError("service %r does not exist in this scenario" % (svc,))
-                return g + (svc.subset - 1) * len(sp.power_levels_dbm) + (svc.power_level - 1)
-            g += sp.n_services
-        raise ConfigurationError("service %r does not exist in this scenario" % (svc,))
 
     def initial_population(self) -> np.ndarray:
         if self.p0 is None:
@@ -220,8 +218,6 @@ class ScenarioConfig:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, Position):
         return _fmt([value.x, value.y])
     if isinstance(value, (list, tuple, np.ndarray)):
@@ -251,15 +247,6 @@ def _to_int(s) -> int:
     return i
 
 
-def _to_bool(s) -> bool:
-    v = str(s).strip().lower()
-    if v in ("true", "yes", "1", "on"):
-        return True
-    if v in ("false", "no", "0", "off"):
-        return False
-    raise ValueError("expected a boolean, got %r" % (s,))
-
-
 def _to_floats(s) -> list:
     return [float(x) for x in _split(s)]
 
@@ -275,7 +262,6 @@ def _to_position(s) -> Position:
 _PARSERS = {
     "int": _to_int,
     "float": float,
-    "bool": _to_bool,
     "list[int]": lambda s: [_to_int(x) for x in _split(s)],
     "list[float]": _to_floats,
     "float | list[float]": lambda s: _to_floats(s) if "," in s else float(s),

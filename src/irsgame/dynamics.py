@@ -45,7 +45,6 @@ class IntegratorSpec:
 
     dt: float = 0.01
     horizon: float = 600.0
-    renormalize: bool = True  # project every step back onto the simplex
     drift_tol: float = 1e-6  # max tolerated per-step sum deviation before erroring
 
     def __post_init__(self):
@@ -95,8 +94,6 @@ def _project_step(raw: np.ndarray, spec: IntegratorSpec) -> tuple[np.ndarray, fl
     """Clamp negatives, rescale to unit sum; returns (state, drift, absorbed)."""
     total = float(raw.sum())
     drift = abs(total - 1.0)
-    if not spec.renormalize:
-        return raw, drift, 0.0
     # written so that a NaN drift or total raises too
     if not drift <= spec.drift_tol:
         raise NumericalDriftError(
@@ -149,8 +146,6 @@ def _project_row(raw: list, spec: IntegratorSpec) -> tuple[list, float, float]:
     """_project_step on a list of Python floats, with the same bits, rules and messages."""
     total = _numpy_sum(raw)
     drift = abs(total - 1.0)
-    if not spec.renormalize:
-        return raw, drift, 0.0
     if not drift <= spec.drift_tol:
         raise NumericalDriftError(
             "simplex drift %.3e exceeds %.1e in one step; reduce dt" % (drift, spec.drift_tol)

@@ -43,10 +43,8 @@ TRAJECTORY_STRIDE = 10
 
 @dataclass
 class SimulationResult:
-    """Everything produced by one scenario run."""
+    """The trajectory of one scenario run (perfbench/record.py reads simulate(cfg).trajectory)."""
 
-    cfg: ScenarioConfig
-    utilities: object  # state -> UtilityVector callable
     trajectory: Trajectory
 
 
@@ -57,10 +55,10 @@ def numerators(cfg: ScenarioConfig) -> np.ndarray:
 
 def simulate(cfg: ScenarioConfig) -> SimulationResult:
     """Run the full pipeline: the payoff vector numerators(cfg), then the selection dynamics."""
-    return _dynamics(cfg, numerators(cfg))
+    return SimulationResult(_dynamics(cfg, numerators(cfg)))
 
 
-def _dynamics(cfg: ScenarioConfig, numer: np.ndarray) -> SimulationResult:
+def _dynamics(cfg: ScenarioConfig, numer: np.ndarray) -> Trajectory:
     """Selection dynamics of a scenario with payoff vector numer.
 
     A zero decision delay evaluates the exact solution of the replicator
@@ -71,10 +69,8 @@ def _dynamics(cfg: ScenarioConfig, numer: np.ndarray) -> SimulationResult:
     utilities = make_utilities(numer, cfg.n_users)
     p0 = cfg.initial_population()
     if cfg.delta > 0:
-        traj = solve_delayed(utilities, cfg.mu, p0, cfg.delta, cfg.integrator)
-    else:
-        traj = solve_replicator(numer / cfg.n_users, cfg.mu, p0, cfg.integrator, utilities)
-    return SimulationResult(cfg=cfg, utilities=utilities, trajectory=traj)
+        return solve_delayed(utilities, cfg.mu, p0, cfg.delta, cfg.integrator)
+    return solve_replicator(numer / cfg.n_users, cfg.mu, p0, cfg.integrator, utilities)
 
 
 # --- CSV emission --------------------------------------------------------------
@@ -140,17 +136,17 @@ def trajectory_json(traj: Trajectory) -> dict:
 
 
 def _run_utilities_vs_time(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = False) -> list:
-    res = simulate(cfg)
+    traj = simulate(cfg).trajectory
     paths = [
         emit_csv(
-            res.trajectory,
+            traj,
             _meta(cfg, "utilities-vs-time"),
             out_dir / "utilities_vs_time.csv",
             stride=TRAJECTORY_STRIDE,
         )
     ]
     if json_dump:
-        paths.append(_write_json(res.trajectory, out_dir / "utilities_vs_time.json"))
+        paths.append(_write_json(traj, out_dir / "utilities_vs_time.json"))
     return paths
 
 
@@ -190,21 +186,21 @@ def _run_delay_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = False
     paths = []
     for delta in cfg.grids.delta:
         point = replace(cfg, delta=delta)
-        res = _dynamics(point, numer)
-        eq = detect_equilibrium(res.trajectory, EPS_FIELD, EPS_MASS, min_quiet=delta)
+        traj = _dynamics(point, numer)
+        eq = detect_equilibrium(traj, EPS_FIELD, EPS_MASS, min_quiet=delta)
         t_eq = "%.17g" % eq.time if eq is not None else "none (tail never rests for a full delay window)"
         # shortest round-trip form, so that distinct delays never share a file
         tag = repr(float(delta)).removesuffix(".0").replace(".", "p").replace("-", "m")
         paths.append(
             emit_csv(
-                res.trajectory,
+                traj,
                 _meta(point, "delay-sweep", [("stability_bound", bound), ("t_equilibrium", t_eq)]),
                 out_dir / ("delay_sweep_delta%s.csv" % tag),
                 stride=TRAJECTORY_STRIDE,
             )
         )
         if json_dump:
-            paths.append(_write_json(res.trajectory, out_dir / ("delay_sweep_delta%s.json" % tag)))
+            paths.append(_write_json(traj, out_dir / ("delay_sweep_delta%s.json" % tag)))
     return paths
 
 

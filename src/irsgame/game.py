@@ -16,15 +16,6 @@ import numpy as np
 from .errors import ConfigurationError, NumericError
 
 
-@dataclass(frozen=True)
-class ServiceIndex:
-    """Identifies one service: provider sp, surface subset k, power level j (all 1-based)."""
-
-    sp: int
-    subset: int
-    power_level: int
-
-
 @dataclass
 class UtilityVector:
     """Per-group utilities plus their population average.
@@ -63,27 +54,23 @@ class UtilityParams:
         )
 
 
-def utility_numerators(links: dict, cfg) -> np.ndarray:
+def utility_numerators(links: list, cfg) -> np.ndarray:
     """Valued rate minus prices of every group, before the division by its headcount.
 
-    The utility of group g is numer_g / (p_g * n_users), so p_g * u_g =
-    numer_g / n_users does not depend on the shares.
+    links are the scenario's optimized links in group order.  The utility of
+    group g is numer_g / (p_g * n_users), so p_g * u_g = numer_g / n_users
+    does not depend on the shares.
     """
     params = UtilityParams.from_config(cfg)
     n_groups = cfg.n_groups
     snr = np.empty(n_groups)
     bw = np.empty(n_groups)
     cost = np.empty(n_groups)
-    for g in range(n_groups):
-        link = links[g]
-        svc = link.service
-        sp = cfg.sps[svc.sp - 1]
+    for g, (svc, link) in enumerate(zip(cfg.service_indices(), links, strict=True)):
+        m = svc.sp - 1
         snr[g] = link.snr
-        bw[g] = sp.bandwidth_mhz
-        cost[g] = (
-            params.price_irs[svc.sp - 1] * len(link.phases.alphas)
-            + params.price_power[svc.sp - 1] * link.beam.power_w
-        )
+        bw[g] = cfg.sps[m].bandwidth_mhz
+        cost[g] = params.price_irs[m] * len(link.phases.alphas) + params.price_power[m] * link.beam.power_w
     return params.valuation * bw * np.log2(1.0 + snr) - cost
 
 

@@ -11,14 +11,12 @@ decrease the SNR, so the iteration climbs monotonically.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .channel import ChannelSet
 from .config import dbm_to_watt
 from .errors import ConfigurationError, NumericError
-from .game import ServiceIndex
 
 TWO_PI = 2.0 * np.pi
 
@@ -72,7 +70,6 @@ class Beamformer:
 class ServiceLink:
     """An optimized link: beam, surface phases and the resulting SNR."""
 
-    service: Optional[ServiceIndex]
     beam: Beamformer
     phases: PhaseShiftVector
     snr: float
@@ -126,7 +123,6 @@ def optimize_link(
     noise_var: float,
     tol: float = 1e-6,
     max_iters: int = 100,
-    service: ServiceIndex | None = None,
     trace: list | None = None,
 ) -> ServiceLink:
     """Alternating beam / phase optimization of one link.
@@ -174,24 +170,24 @@ def optimize_link(
             snr = max(new_snr, snr)
             break
         snr = new_snr
-    return ServiceLink(service=service, beam=beam, phases=PhaseShiftVector(alphas), snr=snr)
+    return ServiceLink(beam=beam, phases=PhaseShiftVector(alphas), snr=snr)
 
 
-def build_all_links(cfg, channels: dict[int, ChannelSet]) -> dict:
-    """Optimize every group's link of a scenario.
+def build_all_links(cfg, channels: list[ChannelSet]) -> list[ServiceLink]:
+    """Optimize every group's link of a scenario, in group order.
 
     Group (sp, subset k, power j) uses the first k * elements_per_module
-    surface elements of its provider and the j-th power level.
+    surface elements of its provider's channel set and the j-th power level.
     """
-    links = {}
-    for g, svc in enumerate(cfg.service_indices()):
+    links = []
+    for svc in cfg.service_indices():
         sp = cfg.sps[svc.sp - 1]
-        n_active = svc.subset * sp.irs_elements_per_module
-        links[g] = optimize_link(
-            channels[g].subset(n_active),
-            power_w=dbm_to_watt(sp.power_levels_dbm[svc.power_level - 1]),
-            bandwidth=sp.bandwidth_mhz,
-            noise_var=cfg.noise_var,
-            service=svc,
+        links.append(
+            optimize_link(
+                channels[svc.sp - 1].subset(svc.subset * sp.irs_elements_per_module),
+                power_w=dbm_to_watt(sp.power_levels_dbm[svc.power_level - 1]),
+                bandwidth=sp.bandwidth_mhz,
+                noise_var=cfg.noise_var,
+            )
         )
     return links

@@ -9,7 +9,6 @@ from irsgame import (
     Beamformer,
     PhaseShiftVector,
     ScenarioConfig,
-    ServiceIndex,
     ServiceLink,
     SpConfig,
     build_all_links,
@@ -78,12 +77,7 @@ def one_service_cfg(price_irs=0.1, mu=0.1, n_users=100):
 
 def one_service_links(snr=3.0):
     """Links of one_service_cfg: 1 W beams, 8 zero-phase elements, the same snr in both groups."""
-    links = {}
-    for g in range(2):
-        links[g] = ServiceLink(
-            service=ServiceIndex(g + 1, 1, 1),
-            beam=Beamformer(np.array([1.0 + 0j]), 1.0),
-            phases=PhaseShiftVector(np.zeros(8)),
-            snr=snr,
-        )
-    return links
+    return [
+        ServiceLink(beam=Beamformer(np.array([1.0 + 0j]), 1.0), phases=PhaseShiftVector(np.zeros(8)), snr=snr)
+        for _ in range(2)
+    ]

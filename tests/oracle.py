@@ -16,10 +16,9 @@ def expected_rate(link, p_g: float, bandwidth: float, n_users: int) -> float:
     return bandwidth / (p_g * n_users) * np.log2(1.0 + link.snr)
 
 
-def utility(link, p_g: float, params, cfg) -> float:
-    """Group utility: valued rate minus per-user surface and power prices."""
-    svc = link.service
-    g = cfg.group_index(svc)
+def utility(link, g: int, p_g: float, params, cfg) -> float:
+    """Utility of group g on its link: valued rate minus per-user surface and power prices."""
+    svc = cfg.service_indices()[g]
     sp = cfg.sps[svc.sp - 1]
     rate = expected_rate(link, p_g, sp.bandwidth_mhz, cfg.n_users)
     n_active = len(link.phases.alphas)

@@ -122,31 +122,24 @@ def test_channel_set_subset():
 def test_generate_channels_deterministic(default_cfg):
     a = generate_channels(default_cfg)
     b = generate_channels(default_cfg)
-    assert sorted(a) == sorted(b) == list(range(default_cfg.n_groups))
-    for g in a:
-        assert np.array_equal(a[g].h_direct, b[g].h_direct)
-        assert np.array_equal(a[g].g_bs_irs, b[g].g_bs_irs)
-        assert np.array_equal(a[g].h_irs_user, b[g].h_irs_user)
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert np.array_equal(x.h_direct, y.h_direct)
+        assert np.array_equal(x.g_bs_irs, y.g_bs_irs)
+        assert np.array_equal(x.h_irs_user, y.h_irs_user)
     c = generate_channels(dataclasses.replace(default_cfg, seed=default_cfg.seed + 1))
     assert not np.array_equal(a[0].h_direct, c[0].h_direct)
 
 
 def test_groups_of_one_provider_share_fading(default_cfg):
+    # one channel set per provider, its full surface; every group of the
+    # provider selects a subset of it
     chans = generate_channels(default_cfg)
-    svcs = default_cfg.service_indices()
-    by_sp = {}
-    for g, svc in enumerate(svcs):
-        by_sp.setdefault(svc.sp, []).append(g)
-    for groups in by_sp.values():
-        first = chans[groups[0]]
-        for g in groups[1:]:
-            # same provider, same geometry: identical channel set
-            assert np.array_equal(chans[g].h_direct, first.h_direct)
-            assert np.array_equal(chans[g].g_bs_irs, first.g_bs_irs)
+    assert len(chans) == len(default_cfg.sps)
+    for ch, sp in zip(chans, default_cfg.sps):
+        assert (ch.n_antennas, ch.n_elements) == (sp.antennas, sp.irs_elements)
     # different providers draw independent fading
-    g1 = by_sp[1][0]
-    g2 = by_sp[2][0]
-    assert not np.allclose(np.abs(chans[g1].h_direct), np.abs(chans[g2].h_direct))
+    assert not np.allclose(np.abs(chans[0].h_direct), np.abs(chans[1].h_direct))
 
 
 def test_generate_channels_scales_with_geometry(default_cfg):

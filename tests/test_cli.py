@@ -103,6 +103,8 @@ def test_validate_rejects_non_finite_values(tmp_path, capsys, reduced_file, key,
         ("delta", "-3, 30", "grids.delta entries must be non-negative and finite"),
         ("irs_elements_sp2", "-4, 8", "grids.irs_elements_sp2 entries must be at least 1"),
         ("price_irs_sp1", "-1, 0.1", "grids.price_irs_sp1 entries must be non-negative and finite"),
+        ("distance", "0, 10", "grids.distance entries must be positive and finite"),
+        ("distance", "-10, 10", "grids.distance entries must be positive and finite"),
     ],
 )
 def test_validate_rejects_out_of_range_grid_entries(tmp_path, capsys, reduced_file, key, entries, message):

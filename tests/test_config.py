@@ -95,12 +95,6 @@ def test_service_index_order():
         ServiceIndex(2, 1, 1),
         ServiceIndex(2, 1, 2),
     ]
-    for g, svc in enumerate(svcs):
-        assert cfg.group_index(svc) == g
-    with pytest.raises(ConfigurationError):
-        cfg.group_index(ServiceIndex(3, 1, 1))
-    with pytest.raises(ConfigurationError):
-        cfg.group_index(ServiceIndex(2, 2, 1))
     assert cfg.groups_of_sp(1) == [0, 1, 2, 3]
     assert cfg.groups_of_sp(2) == [4, 5]
 
@@ -190,7 +184,6 @@ def scenarios(draw):
             # a dt above horizon / MAX_STEPS keeps the step count within the cap
             dt=draw(st.floats(min_value=horizon / MAX_STEPS, exclude_min=True, allow_infinity=False)),
             horizon=horizon,
-            renormalize=draw(st.booleans()),
             drift_tol=draw(positive),
         ),
         grids=SweepGrids(
@@ -198,7 +191,7 @@ def scenarios(draw):
             n_users=draw(ascending(st.integers(min_value=1))),
             delta=draw(ascending(non_negative)),
             irs_elements_sp2=draw(ascending(st.integers(min_value=1))),
-            distance=draw(ascending(finite)),
+            distance=draw(ascending(positive)),
             price_irs_sp1=draw(ascending(non_negative)),
         ),
     )
@@ -259,6 +252,9 @@ def test_unknown_key_and_section_rejected():
     # integrate_ode takes the stepping method; it is not a config key
     with pytest.raises(ConfigurationError, match=r"unknown key\(s\) in \[integrator\]: method"):
         parse_config(MINIMAL + "[integrator]\nmethod = rk4\n")
+    # every step is projected onto the simplex; there is no key to turn that off
+    with pytest.raises(ConfigurationError, match=r"unknown key\(s\) in \[integrator\]: renormalize"):
+        parse_config(MINIMAL + "[integrator]\nrenormalize = false\n")
     with pytest.raises(ConfigurationError, match=r"unknown section"):
         parse_config(MINIMAL + "[turbo]\nx = 1\n")
 

@@ -29,7 +29,7 @@ def test_make_utilities_matches_scalar_utility(default_cfg, default_links, defau
         p = rng.dirichlet(np.ones(default_cfg.n_groups))
         uv = default_utilities(p)
         for g in range(default_cfg.n_groups):
-            want = utility(default_links[g], p[g], params, default_cfg)
+            want = utility(default_links[g], g, p[g], params, default_cfg)
             assert uv.u[g] == pytest.approx(want, rel=1e-12)
         assert uv.u_bar == pytest.approx(average_utility(p, uv.u), rel=1e-12)
 

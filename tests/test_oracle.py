@@ -29,7 +29,7 @@ def test_utility_hand_value():
     params = UtilityParams.from_config(cfg)
     # rate = 1/(0.5*100) * log2(4) = 0.04
     # cost = 0.1 * 8 elements + 0.1 * 1 W = 0.9, shared by 50 users
-    got = utility(links[0], 0.5, params, cfg)
+    got = utility(links[0], 0, 0.5, params, cfg)
     assert got == pytest.approx(0.04 - 0.9 / 50.0, rel=1e-12)
 
 

@@ -183,12 +183,11 @@ def test_optimize_link_argument_validation():
 
 
 def test_build_all_links_default_scenario(default_cfg, default_links):
-    assert sorted(default_links) == list(range(default_cfg.n_groups))
+    assert len(default_links) == default_cfg.n_groups
     svcs = default_cfg.service_indices()
     for g, svc in enumerate(svcs):
         sp = default_cfg.sps[svc.sp - 1]
         link = default_links[g]
-        assert link.service == svc
         assert len(link.phases) == svc.subset * sp.irs_elements_per_module
         assert link.snr > 0.0
     # larger surface subsets give a better optimized link at the same power
@@ -198,8 +197,8 @@ def test_build_all_links_default_scenario(default_cfg, default_links):
         smaller = svcs.index(ServiceIndex(svc.sp, svc.subset - 1, svc.power_level))
         assert default_links[svcs.index(svc)].snr > default_links[smaller].snr
     # higher power gives a proportionally better link: 15 dBm vs 30 dBm
-    g15 = default_cfg.group_index(ServiceIndex(1, 1, 1))
-    g30 = default_cfg.group_index(ServiceIndex(1, 1, 2))
+    g15 = svcs.index(ServiceIndex(1, 1, 1))
+    g30 = svcs.index(ServiceIndex(1, 1, 2))
     ratio = default_links[g30].snr / default_links[g15].snr
     assert ratio == pytest.approx(10.0 ** 1.5, rel=1e-6)
 
@@ -208,7 +207,8 @@ def test_build_all_links_deterministic(default_cfg, default_links):
     from irsgame import build_all_links, generate_channels
 
     again = build_all_links(default_cfg, generate_channels(default_cfg))
-    for g in default_links:
+    assert len(again) == len(default_links)
+    for g in range(len(default_links)):
         assert again[g].snr == default_links[g].snr
         assert np.array_equal(again[g].beam.w, default_links[g].beam.w)
         assert np.array_equal(again[g].phases.alphas, default_links[g].phases.alphas)
