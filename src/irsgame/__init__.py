@@ -9,15 +9,11 @@ cross-check (dynamics), and
 reproducible experiment presets with CSV output (experiments, cli).
 """
 
-from .channel import (
-    ChannelSet,
+from .channel import ChannelSet, complex_rayleigh, generate_channels, path_loss_linear
+from .config import (
+    IntegratorSpec,
     PathLossModel,
     Position,
-    complex_rayleigh,
-    generate_channels,
-    path_loss_linear,
-)
-from .config import (
     ScenarioConfig,
     ServiceIndex,
     SpConfig,
@@ -33,7 +29,6 @@ from .config import (
 )
 from .dynamics import (
     HistoryBuffer,
-    IntegratorSpec,
     ReplicatorSolution,
     Trajectory,
     integrate_dde,

@@ -10,54 +10,17 @@ provider's surface (ChannelSet.subset).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import PathLossModel
 from .errors import ConfigurationError, NumericError
 
 # sub-seed discriminators for the three link types of one provider
 _LINK_DIRECT = 0
 _LINK_BS_IRS = 1
 _LINK_IRS_USER = 2
-
-
-@dataclass(frozen=True)
-class Position:
-    """A point in the 2-D deployment plane, coordinates in meters."""
-
-    x: float
-    y: float
-
-    def distance_to(self, other: "Position") -> float:
-        return float(np.hypot(self.x - other.x, self.y - other.y))
-
-
-@dataclass(frozen=True)
-class PathLossModel:
-    """Log-distance path loss: gain(d) = g0 * (d / d0) ** (-alpha).
-
-    g0 is the linear gain at the reference distance d0.  Each link type
-    carries its own exponent; the direct base-station/user path is heavily
-    obstructed while the two reflected hops see near free-space conditions.
-    """
-
-    pl0_db: float = -30.0  # reference gain at d0, in dB
-    d0: float = 1.0  # reference distance, meters
-    alpha_direct: float = 6.0
-    alpha_bs_irs: float = 2.0
-    alpha_irs_user: float = 2.0
-
-    def __post_init__(self):
-        # written so that NaN fails too
-        if not math.isfinite(self.pl0_db):
-            raise ConfigurationError("pathloss.pl0_db must be finite, got %r" % (self.pl0_db,))
-        if not 0 < self.d0 < math.inf:
-            raise ConfigurationError("pathloss.d0 must be positive and finite, got %r" % (self.d0,))
-        for name in ("alpha_direct", "alpha_bs_irs", "alpha_irs_user"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ConfigurationError("pathloss.%s must be non-negative and finite" % name)
 
 
 def path_loss_linear(d: float, alpha: float, model: PathLossModel) -> float:
@@ -70,10 +33,16 @@ def path_loss_linear(d: float, alpha: float, model: PathLossModel) -> float:
 
     Returns:
         Dimensionless power gain 10**(pl0_db/10) * (d/d0)**(-alpha).
+
+    Raises:
+        NumericError: (d/d0)**(-alpha) overflows a float.
     """
     if d <= 0:
         raise ConfigurationError("link distance must be positive, got %r" % (d,))
-    return 10.0 ** (model.pl0_db / 10.0) * (d / model.d0) ** (-alpha)
+    try:
+        return 10.0 ** (model.pl0_db / 10.0) * (d / model.d0) ** (-alpha)
+    except OverflowError:
+        raise NumericError("path gain overflows at distance %r m with exponent %r" % (d, alpha)) from None
 
 
 def complex_rayleigh(shape, rng: np.random.Generator) -> np.ndarray:
@@ -139,14 +108,6 @@ def _link_rng(seed: int, sp_index: int, link_code: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, sp_index, link_code])))
 
 
-def require_positions(sps) -> None:
-    """Raise ConfigurationError naming the first provider position left unset."""
-    for m, sp in enumerate(sps, start=1):
-        for name in ("bs_position", "irs_position", "user_position"):
-            if getattr(sp, name) is None:
-                raise ConfigurationError("sp.%d.%s is not set" % (m, name))
-
-
 def generate_channels(cfg) -> list[ChannelSet]:
     """Draw the static channel realization of every provider of a scenario.
 
@@ -162,7 +123,6 @@ def generate_channels(cfg) -> list[ChannelSet]:
     """
     root = int(cfg.seed)
     model = cfg.pathloss
-    require_positions(cfg.sps)
     out = []
     for m, sp in enumerate(cfg.sps, start=1):
         l, k = sp.antennas, sp.irs_elements

@@ -7,31 +7,44 @@ sections ([scenario], [integrator], [pathloss], [sp.1], [sp.2], ...,
 [grids]); see data/default.cfg for the reference scenario.
 
 Each key is a field of its section's dataclass (ScenarioConfig's scalars,
-IntegratorSpec, PathLossModel, SpConfig, SweepGrids): it is parsed by its
-annotation, defaults to its field default, and "required" field metadata
-makes it mandatory.
+IntegratorSpec, PathLossModel, SpConfig, SweepGrids, all defined here): it is
+parsed by its annotation and defaults to its field default; a key without a
+default is required.  Its valid range is its field's "range" metadata, a test
+and its wording, which _field_errors applies to every section alike;
+ScenarioConfig.validate adds only the rules that span keys.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 from itertools import groupby
 from typing import Optional
 
 import numpy as np
 
-from .channel import PathLossModel, Position, require_positions
-from .dynamics import IntegratorSpec
 from .errors import ConfigurationError
 
-_REQUIRED = {"required": True}  # field metadata: a config file must set this key
-# grid field metadata: the range of the key the grid sweeps, as a test and its wording
-_POSITIVE = {"entries": (lambda x: x > 0, "positive and finite")}
-_NON_NEGATIVE = {"entries": (lambda x: x >= 0, "non-negative and finite")}
-_COUNT = {"entries": (lambda x: x >= 1, "at least 1")}
+
+def _finite(x) -> bool:
+    return -math.inf < x < math.inf  # NaN fails; exact for ints of any size
+
+
+# field metadata: the range of a key (of each entry of a list key), as a test and its wording
+_POSITIVE = {"range": (lambda x: 0 < x < math.inf, "positive and finite")}
+_NON_NEGATIVE = {"range": (lambda x: 0 <= x < math.inf, "non-negative and finite")}
+_COUNT = {"range": (lambda x: x >= 1, "at least 1")}
+_FINITE = {"range": (_finite, "finite")}
+# a level in dB: 10 ** (x / 10) must stay a float
+_DB = {"range": (lambda x: abs(x) < 3000, "finite and below 3000 in magnitude")}
+
+# Largest horizon / dt of a run: far above the longest run any preset or test
+# makes (criterion 03's 600 000 steps), yet a run at the cap keeps 3.2 GB of
+# samples (time, share, utility, mean utility; one group), so a mistyped dt
+# or horizon ends as a configuration error before the sample grid is built.
+MAX_STEPS = 10**8
 
 
 def dbm_to_watt(dbm: float) -> float:
@@ -48,20 +61,71 @@ class ServiceIndex:
     power_level: int
 
 
+@dataclass(frozen=True)
+class Position:
+    """A point in the 2-D deployment plane, coordinates in meters."""
+
+    x: float
+    y: float
+
+    def distance_to(self, other: "Position") -> float:
+        return float(np.hypot(self.x - other.x, self.y - other.y))
+
+
+@dataclass(frozen=True)
+class PathLossModel:
+    """Log-distance path loss: gain(d) = g0 * (d / d0) ** (-alpha).
+
+    g0 is the linear gain at the reference distance d0.  Each link type
+    carries its own exponent; the direct base-station/user path is heavily
+    obstructed while the two reflected hops see near free-space conditions.
+    """
+
+    pl0_db: float = field(default=-30.0, metadata=_DB)  # reference gain at d0, in dB
+    d0: float = field(default=1.0, metadata=_POSITIVE)  # reference distance, meters
+    alpha_direct: float = field(default=6.0, metadata=_NON_NEGATIVE)
+    alpha_bs_irs: float = field(default=2.0, metadata=_NON_NEGATIVE)
+    alpha_irs_user: float = field(default=2.0, metadata=_NON_NEGATIVE)
+
+    def __post_init__(self):
+        _raise(_field_errors(self, "pathloss"))
+
+
 @dataclass
+class IntegratorSpec:
+    """Fixed-step integration parameters."""
+
+    dt: float = field(default=0.01, metadata=_POSITIVE)
+    horizon: float = field(default=600.0, metadata=_POSITIVE)
+    # max tolerated per-step sum deviation before erroring
+    drift_tol: float = field(default=1e-6, metadata=_POSITIVE)
+
+    def __post_init__(self):
+        _raise(_field_errors(self, "integrator"))
+        if not self.horizon / self.dt <= MAX_STEPS:
+            raise ConfigurationError(
+                "integrator.horizon / integrator.dt = %.3g steps exceeds the cap of %d"
+                % (self.horizon / self.dt, MAX_STEPS)
+            )
+
+    def n_steps(self) -> int:
+        return max(1, int(np.ceil(self.horizon / self.dt - 1e-9)))
+
+
+@dataclass(kw_only=True)
 class SpConfig:
     """One service provider: radio front end, surface partition, prices, geometry."""
 
-    antennas: int = field(default=4, metadata=_REQUIRED)
-    bandwidth_mhz: float = 1.0
-    power_levels_dbm: list[float] = field(default_factory=lambda: [15.0, 30.0], metadata=_REQUIRED)
-    price_irs: float = 0.1  # per active surface element
-    price_power: float = 0.1  # per watt
-    irs_elements: int = field(default=8, metadata=_REQUIRED)
-    irs_modules: int = field(default=2, metadata=_REQUIRED)
-    bs_position: Optional[Position] = field(default=None, metadata=_REQUIRED)
-    irs_position: Optional[Position] = field(default=None, metadata=_REQUIRED)
-    user_position: Optional[Position] = field(default=None, metadata=_REQUIRED)
+    antennas: int = field(metadata=_COUNT)
+    bandwidth_mhz: float = field(default=1.0, metadata=_POSITIVE)
+    power_levels_dbm: list[float] = field(metadata=_DB)  # an ascending axis
+    price_irs: float = field(default=0.1, metadata=_NON_NEGATIVE)  # per active surface element
+    price_power: float = field(default=0.1, metadata=_NON_NEGATIVE)  # per watt
+    irs_elements: int = field(metadata=_COUNT)
+    irs_modules: int = field(metadata=_COUNT)
+    bs_position: Position = field(metadata=_FINITE)
+    irs_position: Position = field(metadata=_FINITE)
+    user_position: Position = field(metadata=_FINITE)
 
     @property
     def irs_elements_per_module(self) -> int:
@@ -74,7 +138,7 @@ class SpConfig:
 
 @dataclass
 class SweepGrids:
-    """Sweep axes used by the experiment presets."""
+    """Sweep axes used by the experiment presets; each entry lies in the range of the key it sweeps."""
 
     mu: list[float] = field(default_factory=lambda: [0.05, 0.1, 0.2, 0.4], metadata=_POSITIVE)
     n_users: list[int] = field(default_factory=lambda: [50, 100, 200], metadata=_COUNT)
@@ -91,12 +155,14 @@ class ScenarioConfig:
     """Full description of one simulation scenario."""
 
     sps: list[SpConfig] = field(default_factory=list)
-    n_users: int = 100
-    mu: float = 0.1  # selection adaptation rate
-    delta: float = 0.0  # decision delay
-    seed: int = 42
-    valuation: float | list[float] = 1.0  # scalar or per-group list: value per rate unit
-    noise_var: float = 3.9810717055349694e-13  # per-MHz noise variance, -94 dBm over 1 MHz
+    n_users: int = field(default=100, metadata=_COUNT)
+    mu: float = field(default=0.1, metadata=_POSITIVE)  # selection adaptation rate
+    delta: float = field(default=0.0, metadata=_NON_NEGATIVE)  # decision delay
+    seed: int = field(default=42, metadata=_NON_NEGATIVE)
+    # scalar or per-group list: value per rate unit
+    valuation: float | list[float] = field(default=1.0, metadata=_POSITIVE)
+    # per-MHz noise variance, -94 dBm over 1 MHz
+    noise_var: float = field(default=3.9810717055349694e-13, metadata=_POSITIVE)
     # initial shares, None means uniform; written out resolved
     p0: Optional[np.ndarray] = field(default=None, metadata={"write": lambda cfg: cfg.initial_population()})
     pathloss: PathLossModel = field(default_factory=PathLossModel)
@@ -129,92 +195,83 @@ class ScenarioConfig:
     def groups_of_sp(self, m: int) -> list:
         return [g for g, svc in enumerate(self.service_indices()) if svc.sp == m]
 
+    def _sections(self) -> list:
+        """(name, dataclass) of every config section, in file order."""
+        sections = [("scenario", self), ("integrator", self.integrator), ("pathloss", self.pathloss)]
+        sections += [("sp.%d" % m, sp) for m, sp in enumerate(self.sps, start=1)]
+        return sections + [("grids", self.grids)]
+
     # --- validation ---------------------------------------------------------
 
     def validate(self) -> None:
-        # range checks are written so that NaN fails them too
-        errors = []
+        """Check every section's key ranges, then the rules that span keys."""
+        errors = [e for name, obj in self._sections() for e in _field_errors(obj, name)]
         if not self.sps:
             errors.append("scenario needs at least one [sp.N] section")
-        if self.n_users < 1:
-            errors.append("scenario.n_users must be at least 1")
-        if self.seed < 0:
-            errors.append("scenario.seed must be non-negative")
-        if not 0 < self.mu < math.inf:
-            errors.append("scenario.mu must be positive and finite")
-        if not 0 <= self.delta < math.inf:
-            errors.append("scenario.delta must be non-negative and finite")
-        if not 0 < self.noise_var < math.inf:
-            errors.append("scenario.noise_var must be positive and finite")
         for m, sp in enumerate(self.sps, start=1):
-            prefix = "sp.%d" % m
-            if sp.antennas < 1:
-                errors.append("%s.antennas must be at least 1" % prefix)
-            if not 0 < sp.bandwidth_mhz < math.inf:
-                errors.append("%s.bandwidth_mhz must be positive and finite" % prefix)
-            if sp.irs_elements < 1:
-                errors.append("%s.irs_elements must be at least 1" % prefix)
-            if sp.irs_modules < 1:
-                errors.append("%s.irs_modules must be at least 1" % prefix)
-            elif sp.irs_elements % sp.irs_modules != 0:
+            if sp.irs_modules >= 1 and sp.irs_elements % sp.irs_modules != 0:
                 errors.append(
-                    "%s: irs_elements = %d is not divisible by irs_modules = %d"
+                    "sp.%d: irs_elements = %d is not divisible by irs_modules = %d"
                     " (irs_elements == irs_modules * elements_per_module)"
-                    % (prefix, sp.irs_elements, sp.irs_modules)
+                    % (m, sp.irs_elements, sp.irs_modules)
                 )
-            if not sp.power_levels_dbm:
-                errors.append("%s.power_levels_dbm must not be empty" % prefix)
-            elif not all(math.isfinite(x) for x in sp.power_levels_dbm):
-                errors.append("%s.power_levels_dbm must be finite" % prefix)
-            elif any(b <= a for a, b in zip(sp.power_levels_dbm, sp.power_levels_dbm[1:])):
-                errors.append("%s.power_levels_dbm must be strictly ascending" % prefix)
-            for name in ("price_irs", "price_power"):
-                if not 0 <= getattr(sp, name) < math.inf:
-                    errors.append("%s.%s must be non-negative and finite" % (prefix, name))
-            for name in ("bs_position", "irs_position", "user_position"):
-                pos = getattr(sp, name)
-                if pos is not None and not (math.isfinite(pos.x) and math.isfinite(pos.y)):
-                    errors.append("%s.%s must be finite" % (prefix, name))
         if not errors:
             v = np.asarray(self.valuation, dtype=float)
             if v.ndim not in (0, 1) or (v.ndim == 1 and v.shape != (self.n_groups,)):
                 errors.append(
                     "scenario.valuation must be a scalar or %d comma-separated values" % self.n_groups
                 )
-            elif not np.all((v > 0) & (v < math.inf)):
-                errors.append("scenario.valuation entries must be positive and finite")
             if self.p0 is not None:
                 p = np.asarray(self.p0, dtype=float)
                 if p.shape != (self.n_groups,):
                     errors.append("scenario.p0 must have one share per group (%d)" % self.n_groups)
                 elif not (np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= 1e-9):
                     errors.append("scenario.p0 must be non-negative and sum to 1 within 1e-9")
-        for f in fields(self.grids):
-            grid = getattr(self.grids, f.name)
-            if not grid:
-                errors.append("grids.%s must not be empty" % f.name)
-            elif not all(math.isfinite(x) for x in grid):
-                errors.append("grids.%s must be finite" % f.name)
-            elif any(b <= a for a, b in zip(grid, grid[1:])):
-                errors.append("grids.%s must be strictly increasing" % f.name)
-            elif "entries" in f.metadata and not f.metadata["entries"][0](grid[0]):  # the least entry
-                errors.append("grids.%s entries must be %s" % (f.name, f.metadata["entries"][1]))
-        if errors:
-            raise ConfigurationError("\n".join(errors))
+        _raise(errors)
 
     # --- serialization ------------------------------------------------------
 
     def flat_items(self) -> list:
         """(section.key, value) pairs of the fully resolved scenario, in file order."""
-        sections = [("scenario", self), ("integrator", self.integrator), ("pathloss", self.pathloss)]
-        sections += [("sp.%d" % m, sp) for m, sp in enumerate(self.sps, start=1)]
-        sections.append(("grids", self.grids))
         items = []
-        for name, obj in sections:
+        for name, obj in self._sections():
             for f in _keys(type(obj)):
                 value = f.metadata["write"](obj) if "write" in f.metadata else getattr(obj, f.name)
                 items.append(("%s.%s" % (name, f.name), _fmt(value)))
         return items
+
+
+def _field_errors(obj, section: str) -> list:
+    """Range errors of one section's keys, each checked as its field's annotation says."""
+    errors = []
+    for f in fields(obj):
+        if "range" not in f.metadata:
+            continue
+        test, wording = f.metadata["range"]
+        key, value = "%s.%s" % (section, f.name), getattr(obj, f.name)
+        if f.type == "Position":
+            if not (isinstance(value, Position) and test(value.x) and test(value.y)):
+                errors.append("%s must be %s" % (key, wording))
+        elif f.type.startswith("list"):  # an ascending axis
+            if not value:
+                errors.append("%s must not be empty" % key)
+            elif not all(_finite(x) for x in value):
+                errors.append("%s must be finite" % key)
+            elif any(b <= a for a, b in zip(value, value[1:])):
+                errors.append("%s must be strictly ascending" % key)
+            elif not all(test(x) for x in value):
+                errors.append("%s entries must be %s" % (key, wording))
+        elif f.type == "float | list[float]":  # a scalar or one entry per group
+            if not all(test(x) for x in np.ravel(value)):
+                errors.append("%s entries must be %s" % (key, wording))
+        elif not test(value):
+            errors.append("%s must be %s" % (key, wording))
+    return errors
+
+
+def _raise(errors: list) -> None:
+    if errors:
+        raise ConfigurationError("\n".join(errors))
 
 
 def _fmt(value) -> str:
@@ -265,7 +322,7 @@ _PARSERS = {
     "list[int]": lambda s: [_to_int(x) for x in _split(s)],
     "list[float]": _to_floats,
     "float | list[float]": lambda s: _to_floats(s) if "," in s else float(s),
-    "Optional[Position]": _to_position,
+    "Position": _to_position,
     "Optional[np.ndarray]": lambda s: np.asarray(_to_floats(s), dtype=float),
 }
 
@@ -285,7 +342,7 @@ def _parse_section(cp: configparser.ConfigParser, name: str, cls) -> dict:
     values = {}
     for f in keys:
         if f.name not in raw:
-            if f.metadata.get("required"):
+            if f.default is MISSING and f.default_factory is MISSING:
                 raise ConfigurationError("missing required key %s.%s" % (name, f.name))
             continue
         try:
@@ -338,10 +395,8 @@ def config_to_text(cfg: ScenarioConfig) -> str:
     """Serialize the fully resolved scenario back to config text: flat_items by section.
 
     parse_config(config_to_text(cfg)) reproduces cfg exactly: floats are
-    written with round-trip precision and defaults are materialized.  An
-    unset provider position raises ConfigurationError.
+    written with round-trip precision and defaults are materialized.
     """
-    require_positions(cfg.sps)
     out = []
     for name, items in groupby(cfg.flat_items(), key=lambda item: item[0].rpartition(".")[0]):
         out.append("[%s]\n" % name)

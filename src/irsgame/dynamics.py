@@ -27,39 +27,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .config import MAX_STEPS, IntegratorSpec
 from .errors import ConfigurationError, NonConvergenceError, NumericalDriftError
 from .game import selection_rates
 
 _METHODS = ("rk4", "forward-euler")
-
-# Largest horizon / dt of a run: far above the longest run any preset or test
-# makes (criterion 03's 600 000 steps), yet a run at the cap keeps 3.2 GB of
-# samples (time, share, utility, mean utility; one group), so a mistyped dt
-# or horizon ends as a configuration error before the sample grid is built.
-MAX_STEPS = 10**8
-
-
-@dataclass
-class IntegratorSpec:
-    """Fixed-step integration parameters."""
-
-    dt: float = 0.01
-    horizon: float = 600.0
-    drift_tol: float = 1e-6  # max tolerated per-step sum deviation before erroring
-
-    def __post_init__(self):
-        # written so that NaN fails too
-        for name in ("dt", "horizon", "drift_tol"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigurationError("integrator.%s must be positive and finite" % name)
-        if not self.horizon / self.dt <= MAX_STEPS:
-            raise ConfigurationError(
-                "integrator.horizon / integrator.dt = %.3g steps exceeds the cap of %d"
-                % (self.horizon / self.dt, MAX_STEPS)
-            )
-
-    def n_steps(self) -> int:
-        return max(1, int(np.ceil(self.horizon / self.dt - 1e-9)))
 
 
 @dataclass

@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import Position, generate_channels
-from .config import ScenarioConfig
+from .channel import generate_channels
+from .config import Position, ScenarioConfig
 from .dynamics import ReplicatorSolution, Trajectory, solve_delayed, solve_replicator
 from .errors import ConfigurationError, NumericError
 from .game import detect_equilibrium, make_utilities, stability_bound, utility_numerators

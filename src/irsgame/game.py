@@ -39,16 +39,8 @@ class UtilityParams:
 
     @classmethod
     def from_config(cls, cfg) -> "UtilityParams":
-        v = np.asarray(cfg.valuation, dtype=float)
-        if v.ndim == 0:
-            v = np.full(cfg.n_groups, float(v))
-        if v.shape != (cfg.n_groups,):
-            raise ConfigurationError(
-                "valuation must be scalar or one value per group (%d), got shape %r"
-                % (cfg.n_groups, v.shape)
-            )
         return cls(
-            valuation=v,
+            valuation=np.full(cfg.n_groups, cfg.valuation, dtype=float),
             price_irs=np.array([sp.price_irs for sp in cfg.sps], dtype=float),
             price_power=np.array([sp.price_power for sp in cfg.sps], dtype=float),
         )
@@ -59,19 +51,32 @@ def utility_numerators(links: list, cfg) -> np.ndarray:
 
     links are the scenario's optimized links in group order.  The utility of
     group g is numer_g / (p_g * n_users), so p_g * u_g = numer_g / n_users
-    does not depend on the shares.
+    does not depend on the shares.  Raises NumericError, naming the group,
+    when an entry or their sum is not finite.
     """
     params = UtilityParams.from_config(cfg)
     n_groups = cfg.n_groups
     snr = np.empty(n_groups)
     bw = np.empty(n_groups)
     cost = np.empty(n_groups)
-    for g, (svc, link) in enumerate(zip(cfg.service_indices(), links, strict=True)):
+    services = cfg.service_indices()
+    for g, (svc, link) in enumerate(zip(services, links, strict=True)):
         m = svc.sp - 1
         snr[g] = link.snr
         bw[g] = cfg.sps[m].bandwidth_mhz
         cost[g] = params.price_irs[m] * len(link.phases.alphas) + params.price_power[m] * link.beam.power_w
-    return params.valuation * bw * np.log2(1.0 + snr) - cost
+    numer = params.valuation * bw * np.log2(1.0 + snr) - cost
+    bad = np.flatnonzero(~np.isfinite(numer))
+    if bad.size:
+        g = int(bad[0])
+        svc = services[g]
+        raise NumericError(
+            "payoff of group %d (sp %d, subset %d, power level %d) is %r"
+            % (g + 1, svc.sp, svc.subset, svc.power_level, float(numer[g]))
+        )
+    if not np.isfinite(numer.sum()):
+        raise NumericError("the payoffs of the %d groups sum to %r" % (n_groups, float(numer.sum())))
+    return numer
 
 
 def make_utilities(numer: np.ndarray, n_users: int) -> Callable[[np.ndarray], UtilityVector]:

@@ -8,6 +8,7 @@ import pytest
 from irsgame import (
     Beamformer,
     PhaseShiftVector,
+    Position,
     ScenarioConfig,
     ServiceLink,
     SpConfig,
@@ -62,7 +63,7 @@ def group_gains(cfg, links):
 
 
 def one_service_cfg(price_irs=0.1, mu=0.1, n_users=100):
-    """Two identical providers with one service each: unit bandwidth, 8 elements, 1 W."""
+    """Two identical providers with one service each: unit bandwidth, 8 elements, 1 W, on one line."""
     sp = SpConfig(
         antennas=1,
         bandwidth_mhz=1.0,
@@ -71,6 +72,9 @@ def one_service_cfg(price_irs=0.1, mu=0.1, n_users=100):
         price_power=0.1,
         irs_elements=8,
         irs_modules=1,
+        bs_position=Position(0.0, 0.0),
+        irs_position=Position(10.0, 0.0),
+        user_position=Position(20.0, 0.0),
     )
     return ScenarioConfig(sps=[sp, dataclasses.replace(sp)], mu=mu, n_users=n_users)
 

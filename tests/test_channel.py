@@ -8,6 +8,7 @@ import pytest
 from irsgame import (
     ChannelSet,
     ConfigurationError,
+    NumericError,
     PathLossModel,
     Position,
     complex_rayleigh,
@@ -46,6 +47,12 @@ def test_path_loss_rejects_nonpositive_distance():
     for d in (0.0, -1.0):
         with pytest.raises(ConfigurationError):
             path_loss_linear(d, 2.0, MODEL)
+
+
+def test_path_loss_overflow_is_a_numeric_error():
+    far_reference = PathLossModel(d0=1e6)
+    with pytest.raises(NumericError, match=r"distance 50\.0 m with exponent 100\.0"):
+        path_loss_linear(50.0, 100.0, far_reference)
 
 
 def test_pathloss_model_validation():
@@ -155,8 +162,8 @@ def test_generate_channels_scales_with_geometry(default_cfg):
 
 
 def test_generate_channels_missing_geometry(default_cfg):
+    # a scenario validates at construction, so one without a position never reaches generate_channels
     sps = list(default_cfg.sps)
     sps[0] = dataclasses.replace(sps[0], user_position=None)
-    cfg = dataclasses.replace(default_cfg, sps=sps)
-    with pytest.raises(ConfigurationError):
-        generate_channels(cfg)
+    with pytest.raises(ConfigurationError, match=r"sp\.1\.user_position"):
+        dataclasses.replace(default_cfg, sps=sps)

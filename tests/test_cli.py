@@ -117,6 +117,61 @@ def test_validate_rejects_out_of_range_grid_entries(tmp_path, capsys, reduced_fi
     assert message in capsys.readouterr().err
 
 
+def _edited(reduced_file, tmp_path, **values):
+    """A copy of reduced_file with the first line of each key set to its new value."""
+    text = reduced_file.read_text()
+    for key, value in values.items():
+        text = re.sub(r"^%s = .*$" % key, "%s = %s" % (key, value), text, count=1, flags=re.M)
+    path = tmp_path / "edited.cfg"
+    path.write_text(text)
+    return path
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("power_levels_dbm", "4000", "sp.1.power_levels_dbm entries must be finite and below 3000 in magnitude"),
+        ("pl0_db", "4000", "pathloss.pl0_db must be finite and below 3000 in magnitude"),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "bound"])
+def test_decibel_levels_that_overflow_are_rejected(tmp_path, capsys, reduced_file, command, key, value, message):
+    # 10 ** (x / 10) of a level beyond 3000 dB is no float
+    assert main([command, str(_edited(reduced_file, tmp_path, **{key: value}))]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, values, message",
+    [
+        (["bound"], {"noise_var": "1e-320"}, "payoff of group 1 (sp 1, subset 1, power level 1) is inf"),
+        (["run", "utilities-vs-time"], {"valuation": "1e308"}, "payoff of group 1 (sp 1, subset 1, power level 1) is inf"),
+        (["run", "convergence-speed"], {"price_irs": "1e308"}, "payoff of group 1 (sp 1, subset 1, power level 1) is -inf"),
+        (["bound"], {"d0": "1e6", "alpha_bs_irs": "100"}, "path gain overflows at distance 50.0 m with exponent 100.0"),
+    ],
+)
+def test_non_finite_payoffs_are_numeric_errors(tmp_path, capsys, reduced_file, command, values, message):
+    path = _edited(reduced_file, tmp_path, **values)
+    out = tmp_path / "data"
+    if command[0] == "run":
+        command = command + ["--config", str(path), "--out", str(out)]
+    else:
+        command = command + [str(path)]
+    with np.errstate(all="ignore"):
+        assert main(command) == EXIT_NUMERIC
+    assert message in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
+def test_payoffs_whose_sum_overflows_are_numeric_errors(tmp_path, capsys, reduced_file, reduced_cfg, reduced_links):
+    # each group earns about 1e308, a finite payoff; the two together do not
+    rates = [sp.bandwidth_mhz * np.log2(1.0 + link.snr) for sp, link in zip(reduced_cfg.sps, reduced_links)]
+    valuation = ", ".join(repr(float(1e308 / r)) for r in rates)
+    assert main(["bound", str(_edited(reduced_file, tmp_path, valuation=valuation))]) == EXIT_NUMERIC
+    assert "the payoffs of the 2 groups sum to inf" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "preset, flag, value, message",
     [

@@ -142,6 +142,15 @@ def test_delay_between_the_positive_and_the_full_sum_bound_does_not_settle(defau
     assert detect_equilibrium(simulate(between).trajectory, min_quiet=between.delta) is None
 
 
+def test_utility_numerators_reject_non_finite_payoffs():
+    links = one_service_links(snr=3.0)  # each provider earns v * log2(4) - 0.9
+    with pytest.raises(NumericError, match=r"payoff of group 2 \(sp 2, subset 1, power level 1\) is inf"):
+        utility_numerators(links, dataclasses.replace(one_service_cfg(), valuation=[1.0, 1e308]))
+    # finite entries of 1.2e308 whose sum is not
+    with pytest.raises(NumericError, match="the payoffs of the 2 groups sum to inf"):
+        utility_numerators(links, dataclasses.replace(one_service_cfg(), valuation=0.6e308))
+
+
 def test_stability_bound_rejects_unprofitable_scenario():
     cfg = one_service_cfg(price_irs=10.0)  # element price swamps the rate
     with pytest.raises(NumericError):
