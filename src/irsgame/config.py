@@ -36,6 +36,8 @@ def _finite(x) -> bool:
 _POSITIVE = {"range": (lambda x: 0 < x < math.inf, "positive and finite")}
 _NON_NEGATIVE = {"range": (lambda x: 0 <= x < math.inf, "non-negative and finite")}
 _COUNT = {"range": (lambda x: x >= 1, "at least 1")}
+# a population size: float(n_users) must be exact
+_USERS = {"range": (lambda x: 1 <= x <= 2**53, "at least 1 and at most 2**53")}
 _FINITE = {"range": (_finite, "finite")}
 # a level in dB: 10 ** (x / 10) must stay a float
 _DB = {"range": (lambda x: abs(x) < 3000, "finite and below 3000 in magnitude")}
@@ -45,6 +47,11 @@ _DB = {"range": (lambda x: abs(x) < 3000, "finite and below 3000 in magnitude")}
 # samples (time, share, utility, mean utility; one group), so a mistyped dt
 # or horizon ends as a configuration error before the sample grid is built.
 MAX_STEPS = 10**8
+
+# Largest antennas * irs_elements of a provider: its BS-surface channel then
+# holds 16 MB of complex entries, so an oversized radio front end ends as a
+# configuration error before any channel is drawn.
+MAX_CHANNEL_ENTRIES = 10**6
 
 
 def dbm_to_watt(dbm: float) -> float:
@@ -97,8 +104,6 @@ class IntegratorSpec:
 
     dt: float = field(default=0.01, metadata=_POSITIVE)
     horizon: float = field(default=600.0, metadata=_POSITIVE)
-    # max tolerated per-step sum deviation before erroring
-    drift_tol: float = field(default=1e-6, metadata=_POSITIVE)
 
     def __post_init__(self):
         _raise(_field_errors(self, "integrator"))
@@ -141,7 +146,7 @@ class SweepGrids:
     """Sweep axes used by the experiment presets; each entry lies in the range of the key it sweeps."""
 
     mu: list[float] = field(default_factory=lambda: [0.05, 0.1, 0.2, 0.4], metadata=_POSITIVE)
-    n_users: list[int] = field(default_factory=lambda: [50, 100, 200], metadata=_COUNT)
+    n_users: list[int] = field(default_factory=lambda: [50, 100, 200], metadata=_USERS)
     delta: list[float] = field(default_factory=lambda: [0.0, 30.0, 60.0, 130.0], metadata=_NON_NEGATIVE)
     irs_elements_sp2: list[int] = field(default_factory=lambda: [4, 8, 12, 16, 20, 24, 28, 32], metadata=_COUNT)
     distance: list[float] = field(
@@ -155,7 +160,7 @@ class ScenarioConfig:
     """Full description of one simulation scenario."""
 
     sps: list[SpConfig] = field(default_factory=list)
-    n_users: int = field(default=100, metadata=_COUNT)
+    n_users: int = field(default=100, metadata=_USERS)
     mu: float = field(default=0.1, metadata=_POSITIVE)  # selection adaptation rate
     delta: float = field(default=0.0, metadata=_NON_NEGATIVE)  # decision delay
     seed: int = field(default=42, metadata=_NON_NEGATIVE)
@@ -215,6 +220,8 @@ class ScenarioConfig:
                     " (irs_elements == irs_modules * elements_per_module)"
                     % (m, sp.irs_elements, sp.irs_modules)
                 )
+            if sp.antennas * sp.irs_elements > MAX_CHANNEL_ENTRIES:
+                errors.append("sp.%d: antennas * irs_elements must be at most %d" % (m, MAX_CHANNEL_ENTRIES))
         if not errors:
             v = np.asarray(self.valuation, dtype=float)
             if v.ndim not in (0, 1) or (v.ndim == 1 and v.shape != (self.n_groups,)):

@@ -13,7 +13,7 @@ as an independent cross-check of the steppers.
 
 All steppers keep states on the probability simplex.  Two corrections are
 accounted separately: "drift" is the deviation of the component sum from 1
-(a step-size symptom, bounded by spec.drift_tol), while "absorbed" mass
+(a step-size symptom, bounded by DRIFT_TOL), while "absorbed" mass
 comes from clamping components that cross zero, which is the exact boundary
 behavior of the selection dynamics when a group empties in finite time.
 """
@@ -62,23 +62,26 @@ def _check_p0(p0) -> np.ndarray:
     return p
 
 
-def _project_step(raw: np.ndarray, spec: IntegratorSpec) -> tuple[np.ndarray, float, float]:
-    """Clamp negatives, rescale to unit sum; returns (state, drift, absorbed)."""
+# Largest |sum(p) - 1| one step may leave before it is projected back
+DRIFT_TOL = 1e-6
+
+
+def _project_step(raw: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Clamp negatives, rescale to unit sum; returns (state, drift, absorbed).
+
+    A raw sum within DRIFT_TOL of 1 has a positive entry, so the clamped sum is positive.
+    """
     total = float(raw.sum())
     drift = abs(total - 1.0)
     # written so that a NaN drift or total raises too
-    if not drift <= spec.drift_tol:
-        raise NumericalDriftError(
-            "simplex drift %.3e exceeds %.1e in one step; reduce dt" % (drift, spec.drift_tol)
-        )
+    if not drift <= DRIFT_TOL:
+        raise NumericalDriftError("simplex drift %.3e exceeds %.1e in one step; reduce dt" % (drift, DRIFT_TOL))
     absorbed = 0.0
     if raw.min() < 0.0:
         neg = raw < 0.0
         absorbed = float(-raw[neg].sum())
         raw = np.where(neg, 0.0, raw)
         total = float(raw.sum())
-    if not total > 0.0:
-        raise NumericalDriftError("entire population clamped away; reduce dt")
     return raw / total, drift, absorbed
 
 
@@ -114,21 +117,17 @@ def _pairwise_blocks(x: list) -> float:
     return s
 
 
-def _project_row(raw: list, spec: IntegratorSpec) -> tuple[list, float, float]:
+def _project_row(raw: list) -> tuple[list, float, float]:
     """_project_step on a list of Python floats, with the same bits, rules and messages."""
     total = _numpy_sum(raw)
     drift = abs(total - 1.0)
-    if not drift <= spec.drift_tol:
-        raise NumericalDriftError(
-            "simplex drift %.3e exceeds %.1e in one step; reduce dt" % (drift, spec.drift_tol)
-        )
+    if not drift <= DRIFT_TOL:
+        raise NumericalDriftError("simplex drift %.3e exceeds %.1e in one step; reduce dt" % (drift, DRIFT_TOL))
     absorbed = 0.0
     if min(raw) < 0.0:  # raw holds no NaN here: its sum passed the drift check
         absorbed = -_numpy_sum([v for v in raw if v < 0.0])
         raw = [0.0 if v < 0.0 else v for v in raw]
         total = _numpy_sum(raw)
-    if not total > 0.0:
-        raise NumericalDriftError("entire population clamped away; reduce dt")
     return [v / total for v in raw], drift, absorbed
 
 
@@ -159,7 +158,7 @@ def integrate_ode(
             raw = p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
             raw = p + dt * field(t, p)
-        p, drift, absorbed = _project_step(raw, spec)
+        p, drift, absorbed = _project_step(raw)
         drift_sum += drift
         absorbed_sum += absorbed
         states.append(p.copy())
@@ -346,7 +345,7 @@ def integrate_dde(field: Callable, p0, delta: float, spec: IntegratorSpec, utili
     for i in range(n):
         t = i * dt
         raw = p + dt * field(t, lookup)
-        p, drift, absorbed = _project_step(raw, spec)
+        p, drift, absorbed = _project_step(raw)
         drift_sum += drift
         absorbed_sum += absorbed
         hist.append(p.copy())
@@ -408,7 +407,7 @@ def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: Integr
         step = dt * selection_rates(p_d, utilities(p_d), mu)
         flat = []  # the window's states in one list: less memory than a list per row
         for dp in step.tolist():
-            p, drift, absorbed = _project_row(list(map(add, p, dp)), spec)
+            p, drift, absorbed = _project_row(list(map(add, p, dp)))
             drift_sum += drift
             absorbed_sum += absorbed
             flat += p

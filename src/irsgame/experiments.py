@@ -22,7 +22,7 @@ from .channel import generate_channels
 from .config import Position, ScenarioConfig
 from .dynamics import ReplicatorSolution, Trajectory, solve_delayed, solve_replicator
 from .errors import ConfigurationError, NumericError
-from .game import detect_equilibrium, make_utilities, stability_bound, utility_numerators
+from .game import EPS_FIELD, detect_equilibrium, make_utilities, stability_bound, utility_numerators
 from .phy import build_all_links
 
 PRESETS = (
@@ -32,10 +32,6 @@ PRESETS = (
     "irs-size-sweep",
     "distance-price-sweep",
 )
-
-# equilibrium detection thresholds shared by all presets
-EPS_FIELD = 1e-6
-EPS_MASS = 1e-2
 
 # trajectory CSVs keep every TRAJECTORY_STRIDE-th sample (plus the last)
 TRAJECTORY_STRIDE = 10
@@ -181,13 +177,13 @@ def _run_delay_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = False
     numer = numerators(cfg)  # delta does not enter the links
     try:
         bound = "%.17g" % stability_bound(numer, cfg.mu, cfg.n_users)
-    except NumericError:
-        bound = "not computable (aggregate utility term is not positive)"
+    except NumericError as exc:
+        bound = "not computable (%s)" % exc
     paths = []
     for delta in cfg.grids.delta:
         point = replace(cfg, delta=delta)
         traj = _dynamics(point, numer)
-        eq = detect_equilibrium(traj, EPS_FIELD, EPS_MASS, min_quiet=delta)
+        eq = detect_equilibrium(traj, min_quiet=delta)
         t_eq = "%.17g" % eq.time if eq is not None else "none (tail never rests for a full delay window)"
         # shortest round-trip form, so that distinct delays never share a file
         tag = repr(float(delta)).removesuffix(".0").replace(".", "p").replace("-", "m")

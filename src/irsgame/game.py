@@ -15,6 +15,10 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 
+# equilibrium detection thresholds shared by all presets
+EPS_FIELD = 1e-6
+EPS_MASS = 1e-2
+
 
 @dataclass
 class UtilityVector:
@@ -60,12 +64,14 @@ def utility_numerators(links: list, cfg) -> np.ndarray:
     bw = np.empty(n_groups)
     cost = np.empty(n_groups)
     services = cfg.service_indices()
-    for g, (svc, link) in enumerate(zip(services, links, strict=True)):
-        m = svc.sp - 1
-        snr[g] = link.snr
-        bw[g] = cfg.sps[m].bandwidth_mhz
-        cost[g] = params.price_irs[m] * len(link.phases.alphas) + params.price_power[m] * link.beam.power_w
-    numer = params.valuation * bw * np.log2(1.0 + snr) - cost
+    with np.errstate(all="ignore"):  # a non-finite payoff or sum is reported below
+        for g, (svc, link) in enumerate(zip(services, links, strict=True)):
+            m = svc.sp - 1
+            snr[g] = link.snr
+            bw[g] = cfg.sps[m].bandwidth_mhz
+            cost[g] = params.price_irs[m] * len(link.phases.alphas) + params.price_power[m] * link.beam.power_w
+        numer = params.valuation * bw * np.log2(1.0 + snr) - cost
+        total = numer.sum()
     bad = np.flatnonzero(~np.isfinite(numer))
     if bad.size:
         g = int(bad[0])
@@ -74,8 +80,8 @@ def utility_numerators(links: list, cfg) -> np.ndarray:
             "payoff of group %d (sp %d, subset %d, power level %d) is %r"
             % (g + 1, svc.sp, svc.subset, svc.power_level, float(numer[g]))
         )
-    if not np.isfinite(numer.sum()):
-        raise NumericError("the payoffs of the %d groups sum to %r" % (n_groups, float(numer.sum())))
+    if not np.isfinite(total):
+        raise NumericError("the payoffs of the %d groups sum to %r" % (n_groups, float(total)))
     return numer
 
 
@@ -138,12 +144,17 @@ def stability_bound(numer: np.ndarray, mu: float, n_users: int) -> float:
     c_g <= 0 die out and each survivor follows
     dp_g/dt = mu (c_g - C+ p_g(t - delta)), where C+ is the sum of the
     positive c_g.  That is stable iff mu C+ delta < pi / 2 (Hayes, 1950), so
-    the bound is pi / (2 mu C+).  Raises NumericError when no c_g is positive.
+    the bound is pi / (2 mu C+).  Raises NumericError when no c_g is positive
+    or when 2 mu C+ or the bound is not a positive finite number.
     """
-    total = float(numer[numer > 0.0].sum())
+    with np.errstate(over="ignore"):  # an infinite C+ is reported below
+        total = float(numer[numer > 0.0].sum())
     if total <= 0.0:
-        raise NumericError("delay bound undefined: no group earns a positive utility term")
-    return float(np.pi / (2.0 * mu * total / n_users))
+        raise NumericError("aggregate utility term is not positive")
+    rate = 2.0 * mu * total / n_users
+    if not (0.0 < rate < np.inf and np.pi / rate < np.inf):
+        raise NumericError("no positive finite delay bound pi / (2 mu C+) for mu = %r, C+ = %r" % (mu, total / n_users))
+    return float(np.pi / rate)
 
 
 @dataclass
@@ -156,7 +167,7 @@ class Equilibrium:
 
 
 def detect_equilibrium(
-    traj, eps_field: float = 1e-6, eps_mass: float = 1e-2, min_quiet: float = 0.0
+    traj, eps_field: float = EPS_FIELD, eps_mass: float = EPS_MASS, min_quiet: float = 0.0
 ) -> Optional[Equilibrium]:
     """Earliest time after which the trajectory stops moving.
 

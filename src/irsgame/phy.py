@@ -20,6 +20,10 @@ from .errors import ConfigurationError, NumericError
 
 TWO_PI = 2.0 * np.pi
 
+# stopping rule of optimize_link
+TOL = 1e-6
+MAX_ITERS = 100
+
 
 @dataclass
 class PhaseShiftVector:
@@ -103,7 +107,8 @@ def compute_snr(
     if k:
         eff = eff + (np.conj(ch.h_irs_user[:k]) * np.conj(phases.coefficients)) @ ch.g_bs_irs[:k]
     amp = eff @ beam.w
-    return float(abs(amp) ** 2 / (bandwidth * noise_var))
+    with np.errstate(all="ignore"):  # utility_numerators reports a non-finite SNR
+        return float(abs(amp) ** 2 / (bandwidth * noise_var))
 
 
 def _mrt(eff_conj: np.ndarray, power_w: float) -> np.ndarray:
@@ -121,28 +126,26 @@ def optimize_link(
     power_w: float,
     bandwidth: float,
     noise_var: float,
-    tol: float = 1e-6,
-    max_iters: int = 100,
     trace: list | None = None,
 ) -> ServiceLink:
     """Alternating beam / phase optimization of one link.
 
     Starts from all-zero phases and stops once the relative SNR improvement
-    of a full round falls below tol, or after max_iters rounds.  An optional
+    of a full round falls below TOL, or after MAX_ITERS rounds.  An optional
     trace list collects the SNR after every half step (beam update, then
     phase update) for monotonicity checks.
 
     Returns a ServiceLink whose cached snr field equals compute_snr for the
     returned beam and phases.
     """
-    if power_w <= 0 or tol <= 0 or max_iters < 1:
-        raise ConfigurationError("power, tol and max_iters must be positive")
+    if power_w <= 0:
+        raise ConfigurationError("transmit power must be positive")
     if not (np.all(np.isfinite(ch.h_direct)) and np.all(np.isfinite(ch.g_bs_irs)) and np.all(np.isfinite(ch.h_irs_user))):
         raise NumericError("channel entries must be finite")
     alphas = np.zeros(ch.n_elements)
     snr = -np.inf
     beam = None
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         phases = PhaseShiftVector(alphas)
         theta_conj = np.conj(phases.coefficients)
         eff = np.conj(ch.h_direct)
@@ -166,7 +169,7 @@ def optimize_link(
         if new_snr == 0.0 and snr <= 0.0:
             snr = new_snr
             break
-        if snr > -np.inf and new_snr - snr <= tol * abs(snr):
+        if snr > -np.inf and new_snr - snr <= TOL * abs(snr):
             snr = max(new_snr, snr)
             break
         snr = new_snr

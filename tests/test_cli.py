@@ -67,8 +67,6 @@ def test_run_rejects_zero_step_or_horizon(tmp_path, capsys, flag):
         ("noise_var", "inf", "scenario.noise_var must be positive and finite"),
         ("dt", "nan", "integrator.dt must be positive and finite"),
         ("horizon", "inf", "integrator.horizon must be positive and finite"),
-        ("drift_tol", "nan", "integrator.drift_tol must be positive and finite"),
-        ("drift_tol", "-1", "integrator.drift_tol must be positive and finite"),
         ("valuation", "nan", "scenario.valuation entries must be positive and finite"),
         ("p0", "nan, nan", "scenario.p0 must be non-negative and sum to 1"),
         ("n_users", "inf", "bad value for scenario.n_users"),
@@ -143,12 +141,36 @@ def test_decibel_levels_that_overflow_are_rejected(tmp_path, capsys, reduced_fil
 
 
 @pytest.mark.parametrize(
+    "command, key, value, message",
+    [
+        # a provider's channel would not fit in memory: checked only through validate
+        ("validate", "antennas", "1e300", "sp.1: antennas * irs_elements must be at most 1000000"),
+        ("validate", "antennas", "1e10", "sp.1: antennas * irs_elements must be at most 1000000"),
+        # float(n_users) would overflow
+        ("validate", "n_users", "9" * 401, "scenario.n_users must be at least 1 and at most 2**53"),
+        ("bound", "n_users", "9" * 401, "scenario.n_users must be at least 1 and at most 2**53"),
+    ],
+    ids=["antennas-1e300", "antennas-1e10", "validate-n_users-401-digits", "bound-n_users-401-digits"],
+)
+def test_sizes_beyond_the_caps_are_rejected(tmp_path, capsys, reduced_file, command, key, value, message):
+    assert main([command, str(_edited(reduced_file, tmp_path, **{key: value}))]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+# overflowing inputs end in their exit-2 message alone, with no numpy RuntimeWarning before it
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
     "command, values, message",
     [
         (["bound"], {"noise_var": "1e-320"}, "payoff of group 1 (sp 1, subset 1, power level 1) is inf"),
         (["run", "utilities-vs-time"], {"valuation": "1e308"}, "payoff of group 1 (sp 1, subset 1, power level 1) is inf"),
         (["run", "convergence-speed"], {"price_irs": "1e308"}, "payoff of group 1 (sp 1, subset 1, power level 1) is -inf"),
         (["bound"], {"d0": "1e6", "alpha_bs_irs": "100"}, "path gain overflows at distance 50.0 m with exponent 100.0"),
+        # 2 mu C+ underflows to 0, overflows, or pi over it overflows
+        (["bound"], {"mu": "5e-324"}, "no positive finite delay bound pi / (2 mu C+) for mu = 5e-324, C+ = "),
+        (["bound"], {"mu": "1e308"}, "no positive finite delay bound pi / (2 mu C+) for mu = 1e+308, C+ = "),
+        (["bound"], {"mu": "1e-320"}, "no positive finite delay bound pi / (2 mu C+) for mu = 1e-320, C+ = "),
     ],
 )
 def test_non_finite_payoffs_are_numeric_errors(tmp_path, capsys, reduced_file, command, values, message):
@@ -158,12 +180,12 @@ def test_non_finite_payoffs_are_numeric_errors(tmp_path, capsys, reduced_file, c
         command = command + ["--config", str(path), "--out", str(out)]
     else:
         command = command + [str(path)]
-    with np.errstate(all="ignore"):
-        assert main(command) == EXIT_NUMERIC
+    assert main(command) == EXIT_NUMERIC
     assert message in capsys.readouterr().err
     assert not list(out.glob("*"))
 
 
+@pytest.mark.filterwarnings("error")
 def test_payoffs_whose_sum_overflows_are_numeric_errors(tmp_path, capsys, reduced_file, reduced_cfg, reduced_links):
     # each group earns about 1e308, a finite payoff; the two together do not
     rates = [sp.bandwidth_mhz * np.log2(1.0 + link.snr) for sp, link in zip(reduced_cfg.sps, reduced_links)]
@@ -300,3 +322,16 @@ def test_delay_sweep_with_ruinous_prices(tmp_path):
     assert np.min(shares) >= 0.0
     assert np.max(np.abs(shares.sum(axis=1) - 1.0)) < 1e-12
     assert sorted(shares[-1]) == [0.0, 1.0]
+
+
+def test_delay_sweep_states_why_the_bound_is_not_computable(tmp_path):
+    cfg = reduced_config()
+    cfg = dataclasses.replace(cfg, mu=5e-324, grids=dataclasses.replace(cfg.grids, delta=[0.0]))
+    path = tmp_path / "frozen.cfg"
+    save_config(cfg, path)
+    out = tmp_path / "data"
+    assert main(["run", "delay-sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
+    lines = (out / "delay_sweep_delta0.csv").read_text().splitlines()
+    (line,) = [line for line in lines if line.startswith("# stability_bound = ")]
+    reason = "no positive finite delay bound pi / (2 mu C+) for mu = 5e-324, C+ = "
+    assert line.startswith("# stability_bound = not computable (" + reason)

@@ -25,7 +25,7 @@ from irsgame import (
     save_config,
     with_scalar_overrides,
 )
-from irsgame.config import _keys
+from irsgame.config import MAX_CHANNEL_ENTRIES, _keys
 from irsgame.dynamics import MAX_STEPS
 
 MINIMAL = """
@@ -140,13 +140,15 @@ def ascending(values):
 @st.composite
 def providers(draw):
     modules = draw(st.integers(1, 4))
+    # within the channel cap: antennas * irs_elements <= MAX_CHANNEL_ENTRIES
+    antennas = draw(st.integers(1, MAX_CHANNEL_ENTRIES // modules))
     return SpConfig(
-        antennas=draw(st.integers(1, 10**6)),
+        antennas=antennas,
         bandwidth_mhz=draw(positive),
         power_levels_dbm=draw(ascending(decibels)),
         price_irs=draw(non_negative),
         price_power=draw(non_negative),
-        irs_elements=modules * draw(st.integers(1, 10**6)),
+        irs_elements=modules * draw(st.integers(1, MAX_CHANNEL_ENTRIES // (antennas * modules))),
         irs_modules=modules,
         bs_position=draw(positions),
         irs_position=draw(positions),
@@ -181,11 +183,10 @@ def scenarios(draw):
             # a dt above horizon / MAX_STEPS keeps the step count within the cap
             dt=draw(st.floats(min_value=horizon / MAX_STEPS, exclude_min=True, allow_infinity=False)),
             horizon=horizon,
-            drift_tol=draw(positive),
         ),
         grids=SweepGrids(
             mu=draw(ascending(positive)),
-            n_users=draw(ascending(st.integers(min_value=1))),
+            n_users=draw(ascending(st.integers(1, 2**53))),
             delta=draw(ascending(non_negative)),
             irs_elements_sp2=draw(ascending(st.integers(min_value=1))),
             distance=draw(ascending(positive)),
@@ -251,6 +252,9 @@ def test_unknown_key_and_section_rejected():
     # every step is projected onto the simplex; there is no key to turn that off
     with pytest.raises(ConfigurationError, match=r"unknown key\(s\) in \[integrator\]: renormalize"):
         parse_config(MINIMAL + "[integrator]\nrenormalize = false\n")
+    # the per-step drift tolerance is dynamics.DRIFT_TOL, not a key
+    with pytest.raises(ConfigurationError, match=r"unknown key\(s\) in \[integrator\]: drift_tol"):
+        parse_config(MINIMAL + "[integrator]\ndrift_tol = 1e-6\n")
     with pytest.raises(ConfigurationError, match=r"unknown section"):
         parse_config(MINIMAL + "[turbo]\nx = 1\n")
 
@@ -270,6 +274,23 @@ def test_module_partition_invariant():
     bad = MINIMAL.replace("irs_modules = 1", "irs_modules = 3")
     with pytest.raises(ConfigurationError, match="not divisible"):
         parse_config(bad)
+
+
+def test_channel_size_cap():
+    # MINIMAL has 4 surface elements; the cap holds before any channel is drawn
+    at_cap = MINIMAL.replace("antennas = 2", "antennas = %d" % (MAX_CHANNEL_ENTRIES // 4))
+    assert parse_config(at_cap).sps[0].antennas == MAX_CHANNEL_ENTRIES // 4
+    for antennas in ("%d" % (MAX_CHANNEL_ENTRIES // 4 + 1), "1e10", "1e300"):
+        with pytest.raises(ConfigurationError, match=r"sp\.1: antennas \* irs_elements must be at most 1000000"):
+            parse_config(MINIMAL.replace("antennas = 2", "antennas = " + antennas))
+
+
+def test_population_size_cap():
+    # float(n_users) is exact up to 2**53
+    assert parse_config("[scenario]\nn_users = %d\n" % 2**53 + MINIMAL).n_users == 2**53
+    for section, key in (("scenario", "scenario.n_users must"), ("grids", "grids.n_users entries must")):
+        with pytest.raises(ConfigurationError, match=r"%s be at least 1 and at most 2\*\*53" % key):
+            parse_config("[%s]\nn_users = %d\n" % (section, 2**53 + 1) + MINIMAL)
 
 
 def test_power_levels_must_ascend():

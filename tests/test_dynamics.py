@@ -29,7 +29,7 @@ from irsgame import (
     utility_numerators,
     with_scalar_overrides,
 )
-from irsgame.dynamics import MAX_STEPS, _numpy_sum
+from irsgame.dynamics import DRIFT_TOL, MAX_STEPS, _numpy_sum, _project_row, _project_step
 from irsgame.experiments import numerators
 from conftest import group_gains
 
@@ -53,9 +53,6 @@ def test_integrator_spec_validation():
         integrate_ode(logistic_field, np.array([0.5, 0.5]), IntegratorSpec(), method="euler")
     with pytest.raises(ConfigurationError):
         IntegratorSpec(dt=0.0)
-    for bad in (float("nan"), -1.0, 0.0, float("inf")):
-        with pytest.raises(ConfigurationError, match="integrator.drift_tol must be positive and finite"):
-            IntegratorSpec(drift_tol=bad)
     with pytest.raises(ConfigurationError):
         IntegratorSpec(horizon=-1.0)
     for bad in (float("nan"), float("inf")):
@@ -121,7 +118,7 @@ def test_initial_state_validation():
 
 def test_drift_error_on_leaky_field():
     # a field that pumps mass in violates the tolerance within one step
-    spec = IntegratorSpec(dt=0.1, horizon=1.0, drift_tol=1e-6)
+    spec = IntegratorSpec(dt=0.1, horizon=1.0)
     with pytest.raises(NumericalDriftError):
         integrate_ode(lambda t, p: np.array([0.01, 0.0]), np.array([0.5, 0.5]), spec, method="forward-euler")
 
@@ -144,9 +141,9 @@ def test_drift_error_on_nan_step():
 
 
 def test_drift_recorded_under_projection():
-    # a leak of 1e-7 per step stays below drift_tol: every step is recorded
+    # a leak of 1e-7 per step stays below DRIFT_TOL: every step is recorded
     # as drift and projected back onto the simplex
-    spec = IntegratorSpec(dt=0.1, horizon=1.0, drift_tol=1e-6)
+    spec = IntegratorSpec(dt=0.1, horizon=1.0)
     traj = integrate_ode(lambda t, p: np.array([1e-6, 0.0]), np.array([0.5, 0.5]), spec, method="forward-euler")
     assert traj.total_drift == pytest.approx(10 * 1e-7, rel=1e-6)
     assert traj.total_absorbed == 0.0
@@ -590,16 +587,14 @@ def nan_utilities(p):
 
 
 @pytest.mark.parametrize(
-    "utilities, p0, drift_tol, message",
+    "utilities, p0, message",
     [
-        (nan_utilities, [1.0, 2.2e-309], 1e-6, "simplex drift nan"),
-        (leaky_utilities(np.array([1.0, 0.0]), 0.0), [0.5, 0.5], 1e-6, "simplex drift 5.000e-03 exceeds"),
-        # a loose tolerance lets a step overshoot zero in every component
-        (leaky_utilities(np.zeros(2), 1e3), [0.5, 0.5], 1e3, "entire population clamped away"),
+        (nan_utilities, [1.0, 2.2e-309], "simplex drift nan"),
+        (leaky_utilities(np.array([1.0, 0.0]), 0.0), [0.5, 0.5], "simplex drift 5.000e-03 exceeds"),
     ],
 )
-def test_solve_delayed_guards_match_integrate_dde(utilities, p0, drift_tol, message):
-    spec = IntegratorSpec(dt=0.01, horizon=1.0, drift_tol=drift_tol)
+def test_solve_delayed_guards_match_integrate_dde(utilities, p0, message):
+    spec = IntegratorSpec(dt=0.01, horizon=1.0)
     delta = 0.05
     with np.errstate(all="ignore"), pytest.raises(NumericalDriftError, match=message) as fast:
         solve_delayed(utilities, 1.0, np.array(p0), delta, spec)
@@ -608,3 +603,26 @@ def test_solve_delayed_guards_match_integrate_dde(utilities, p0, drift_tol, mess
             lambda t, lookup: delayed_replicator_field(t, lookup, delta, 1.0), np.array(p0), delta, spec, utilities
         )
     assert str(fast.value) == str(ref.value)
+
+
+@st.composite
+def rows_near_the_simplex(draw):
+    """A raw step of 1-12 groups whose float sum lies within DRIFT_TOL of 1, negative entries allowed."""
+    head = draw(st.lists(st.floats(-2.0, 2.0), max_size=11))
+    last = 1.0 + draw(st.floats(-DRIFT_TOL, DRIFT_TOL)) - _numpy_sum(head)
+    raw = np.array(head + [last])
+    assume(abs(float(raw.sum()) - 1.0) <= DRIFT_TOL)
+    return raw
+
+
+@settings(max_examples=500, deadline=None)
+@given(rows_near_the_simplex())
+def test_projection_of_any_admitted_step_lies_on_the_simplex(raw):
+    # a sum within DRIFT_TOL of 1 has a positive entry, so no step the drift
+    # check admits is clamped away entirely
+    state, drift, absorbed = _project_step(raw)
+    assert np.all(state >= 0.0)
+    assert abs(float(state.sum()) - 1.0) <= 1e-12
+    assert drift <= DRIFT_TOL and absorbed >= 0.0
+    row = _project_row(raw.tolist())
+    assert np.array(row[0]).tobytes() == state.tobytes() and row[1:] == (drift, absorbed)
