@@ -4,7 +4,8 @@
     irsgame validate <config>
     irsgame bound <config>
 
-Exit codes: 0 success, 1 configuration error, 2 numeric error.
+Exit codes: 0 success, 1 configuration error, 2 numeric error.  A run flag
+the preset does not read (experiments.PRESET_TABLE) is a configuration error.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from .game import stability_bound
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
+
+OVERRIDES = ("mu", "delta", "dt", "horizon", "n_users", "seed")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -51,18 +54,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             cfg = default_config() if args.config is None else load_config(args.config)
-            cfg = with_scalar_overrides(
-                cfg,
-                mu=args.mu,
-                delta=args.delta,
-                dt=args.dt,
-                horizon=args.horizon,
-                n_users=args.n_users,
-                seed=args.seed,
-            )
-            paths = run_experiment(args.preset, cfg, args.out, json_dump=args.json)
-            for p in paths:
-                print(p)
+            overrides = {name: getattr(args, name) for name in OVERRIDES if getattr(args, name) is not None}
+            flags = list(overrides) + ["json"] * args.json
+            paths = run_experiment(args.preset, with_scalar_overrides(cfg, **overrides), args.out, flags)
+            print(*paths, sep="\n")
             return EXIT_OK
         if args.command == "validate":
             cfg = load_config(args.config)

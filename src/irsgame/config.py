@@ -222,6 +222,12 @@ class ScenarioConfig:
                 )
             if sp.antennas * sp.irs_elements > MAX_CHANNEL_ENTRIES:
                 errors.append("sp.%d: antennas * irs_elements must be at most %d" % (m, MAX_CHANNEL_ENTRIES))
+            elif m == 2 and sp.irs_modules >= 1:  # irs-size-sweep gives sp.2 each grid entry as its irs_elements
+                if any(k % sp.irs_modules or sp.antennas * k > MAX_CHANNEL_ENTRIES for k in self.grids.irs_elements_sp2):
+                    errors.append(
+                        "grids.irs_elements_sp2 entries must be multiples of sp.2.irs_modules = %d, each with"
+                        " sp.2.antennas * entry at most %d" % (sp.irs_modules, MAX_CHANNEL_ENTRIES)
+                    )
         if not errors:
             v = np.asarray(self.valuation, dtype=float)
             if v.ndim not in (0, 1) or (v.ndim == 1 and v.shape != (self.n_groups,)):

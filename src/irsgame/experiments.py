@@ -19,19 +19,11 @@ from pathlib import Path
 import numpy as np
 
 from .channel import generate_channels
-from .config import Position, ScenarioConfig
+from .config import Position, ScenarioConfig, _raise
 from .dynamics import ReplicatorSolution, Trajectory, solve_delayed, solve_replicator
 from .errors import ConfigurationError, NumericError
 from .game import EPS_FIELD, detect_equilibrium, make_utilities, stability_bound, utility_numerators
 from .phy import build_all_links
-
-PRESETS = (
-    "utilities-vs-time",
-    "convergence-speed",
-    "delay-sweep",
-    "irs-size-sweep",
-    "distance-price-sweep",
-)
 
 # trajectory CSVs keep every TRAJECTORY_STRIDE-th sample (plus the last)
 TRAJECTORY_STRIDE = 10
@@ -131,7 +123,7 @@ def trajectory_json(traj: Trajectory) -> dict:
 # --- presets -------------------------------------------------------------------
 
 
-def _run_utilities_vs_time(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = False) -> list:
+def _run_utilities_vs_time(cfg: ScenarioConfig, out_dir: Path, json_dump: bool) -> list:
     traj = simulate(cfg).trajectory
     paths = [
         emit_csv(
@@ -151,7 +143,7 @@ def _write_json(traj: Trajectory, path: Path) -> Path:
     return path
 
 
-def _run_convergence_speed(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = False) -> list:
+def _run_convergence_speed(cfg: ScenarioConfig, out_dir: Path) -> list:
     numer = numerators(cfg)  # neither mu nor n_users enters the links
     p0 = cfg.initial_population()
     rows = []
@@ -173,7 +165,7 @@ def _run_convergence_speed(cfg: ScenarioConfig, out_dir: Path, json_dump: bool =
     return [path]
 
 
-def _run_delay_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = False) -> list:
+def _run_delay_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: bool) -> list:
     numer = numerators(cfg)  # delta does not enter the links
     try:
         bound = "%.17g" % stability_bound(numer, cfg.mu, cfg.n_users)
@@ -200,7 +192,7 @@ def _run_delay_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = False
     return paths
 
 
-def _run_irs_size_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = False) -> list:
+def _run_irs_size_sweep(cfg: ScenarioConfig, out_dir: Path) -> list:
     if len(cfg.sps) < 2:
         raise ConfigurationError("irs-size-sweep needs a second provider to resize")
     # keep the surface price low enough that the rate gain of extra elements
@@ -222,7 +214,7 @@ def _run_irs_size_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = Fa
     return [path]
 
 
-def _run_distance_price_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: bool = False) -> list:
+def _run_distance_price_sweep(cfg: ScenarioConfig, out_dir: Path) -> list:
     sp1 = cfg.sps[0]
     axis = np.array(
         [sp1.irs_position.x - sp1.bs_position.x, sp1.irs_position.y - sp1.bs_position.y]
@@ -254,27 +246,34 @@ def _run_distance_price_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: boo
     return [path]
 
 
-_RUNNERS = {
-    "utilities-vs-time": _run_utilities_vs_time,
-    "convergence-speed": _run_convergence_speed,
-    "delay-sweep": _run_delay_sweep,
-    "irs-size-sweep": _run_irs_size_sweep,
-    "distance-price-sweep": _run_distance_price_sweep,
+# preset: (runner, the run flags it reads, the grids it sweeps in place of the others)
+PRESET_TABLE = {
+    "utilities-vs-time": (_run_utilities_vs_time, ("mu", "delta", "dt", "horizon", "n_users", "seed", "json"), ()),
+    "convergence-speed": (_run_convergence_speed, ("dt", "seed"), ("mu", "n_users")),
+    "delay-sweep": (_run_delay_sweep, ("mu", "dt", "horizon", "n_users", "seed", "json"), ("delta",)),
+    "irs-size-sweep": (_run_irs_size_sweep, ("mu", "n_users", "seed"), ("irs_elements_sp2",)),
+    "distance-price-sweep": (_run_distance_price_sweep, ("mu", "n_users", "seed"), ("distance", "price_irs_sp1")),
 }
+PRESETS = tuple(PRESET_TABLE)
 
 
-def run_experiment(preset: str, cfg: ScenarioConfig, out_dir, json_dump: bool = False) -> list:
+def run_experiment(preset: str, cfg: ScenarioConfig, out_dir, flags=()) -> list:
     """Run one preset and write its data files; returns the written paths.
 
-    json_dump additionally writes a .json twin (arrays keyed by column name)
-    for every trajectory CSV.
+    flags names the run flags that were set; one the preset does not read is a
+    configuration error, and "json" also writes a .json twin (arrays keyed by
+    column name) of every trajectory CSV.
     """
-    if preset not in _RUNNERS:
-        raise ConfigurationError(
-            "unknown preset %r; choose one of: %s" % (preset, ", ".join(PRESETS))
-        )
-    if cfg.delta > 0 and preset not in ("utilities-vs-time", "delay-sweep"):
-        raise ConfigurationError("scenario.delta = %g: needs delta = 0; use delay-sweep" % cfg.delta)
+    if preset not in PRESET_TABLE:
+        raise ConfigurationError("unknown preset %r; choose one of: %s" % (preset, ", ".join(PRESETS)))
+    run, reads, sweeps = PRESET_TABLE[preset]
+    instead = "it sweeps " + " and ".join("grids." + name for name in sweeps)
+    errors = ["%s does not read --%s; %s" % (preset, f.replace("_", "-"), instead) for f in flags if f not in reads]
+    if cfg.delta > 0 and "delta" not in reads + sweeps:
+        errors.append("scenario.delta = %g: needs delta = 0; use delay-sweep" % cfg.delta)
+    _raise(errors)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return list(_RUNNERS[preset](cfg, out, json_dump))
+    if "json" in reads:  # the presets that write trajectories
+        return list(run(cfg, out, "json" in flags))
+    return list(run(cfg, out))

@@ -124,8 +124,7 @@ def delayed_replicator_field(t: float, history: Callable, delta: float, mu: floa
     with delta = 0 this reduces to the ordinary replicator field.
     """
     p_d, uv_d = history(t - delta)
-    p_d = np.asarray(p_d, dtype=float)
-    return mu * np.where(p_d > 0.0, p_d * (uv_d.u - uv_d.u_bar), 0.0)
+    return selection_rates(np.asarray(p_d, dtype=float), uv_d, mu)
 
 
 def selection_rates(p: np.ndarray, uv: UtilityVector, mu: float) -> np.ndarray:

@@ -131,9 +131,9 @@ def optimize_link(
     """Alternating beam / phase optimization of one link.
 
     Starts from all-zero phases and stops once the relative SNR improvement
-    of a full round falls below TOL, or after MAX_ITERS rounds.  An optional
-    trace list collects the SNR after every half step (beam update, then
-    phase update) for monotonicity checks.
+    of a full round falls below TOL, at the first SNR that is not finite,
+    or after MAX_ITERS rounds.  An optional trace list collects the SNR after
+    every half step (beam update, then phase update) for monotonicity checks.
 
     Returns a ServiceLink whose cached snr field equals compute_snr for the
     returned beam and phases.
@@ -166,7 +166,8 @@ def optimize_link(
         new_snr = compute_snr(ch, beam, phases, bandwidth, noise_var)
         if trace is not None:
             trace.append(new_snr)
-        if new_snr == 0.0 and snr <= 0.0:
+        # inf - inf is nan, so an SNR that is not finite would never pass the test below
+        if (new_snr == 0.0 and snr <= 0.0) or not np.isfinite(new_snr):
             snr = new_snr
             break
         if snr > -np.inf and new_snr - snr <= TOL * abs(snr):

@@ -1,14 +1,22 @@
 """End-to-end command line behavior and exit codes."""
 
+import contextlib
 import dataclasses
+import io
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from irsgame import default_config, reduced_config, save_config
+from irsgame import PRESETS, config_to_text, default_config, reduced_config, save_config, with_scalar_overrides
 from irsgame.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from irsgame.dynamics import MAX_STEPS
+from irsgame.experiments import PRESET_TABLE
+from test_config import scenarios
 
 
 @pytest.fixture
@@ -149,8 +157,16 @@ def test_decibel_levels_that_overflow_are_rejected(tmp_path, capsys, reduced_fil
         # float(n_users) would overflow
         ("validate", "n_users", "9" * 401, "scenario.n_users must be at least 1 and at most 2**53"),
         ("bound", "n_users", "9" * 401, "scenario.n_users must be at least 1 and at most 2**53"),
+        # irs-size-sweep would give sp.2 a channel that does not fit
+        ("validate", "irs_elements_sp2", "8, 1e300", "grids.irs_elements_sp2 entries must be multiples of sp.2"),
     ],
-    ids=["antennas-1e300", "antennas-1e10", "validate-n_users-401-digits", "bound-n_users-401-digits"],
+    ids=[
+        "antennas-1e300",
+        "antennas-1e10",
+        "validate-n_users-401-digits",
+        "bound-n_users-401-digits",
+        "irs_elements_sp2-1e300",
+    ],
 )
 def test_sizes_beyond_the_caps_are_rejected(tmp_path, capsys, reduced_file, command, key, value, message):
     assert main([command, str(_edited(reduced_file, tmp_path, **{key: value}))]) == EXIT_CONFIG
@@ -171,6 +187,12 @@ def test_sizes_beyond_the_caps_are_rejected(tmp_path, capsys, reduced_file, comm
         (["bound"], {"mu": "5e-324"}, "no positive finite delay bound pi / (2 mu C+) for mu = 5e-324, C+ = "),
         (["bound"], {"mu": "1e308"}, "no positive finite delay bound pi / (2 mu C+) for mu = 1e+308, C+ = "),
         (["bound"], {"mu": "1e-320"}, "no positive finite delay bound pi / (2 mu C+) for mu = 1e-320, C+ = "),
+        # d / d0 underflows to 0, and 0.0 ** -2.0 is no float
+        (
+            ["bound"],
+            {"d0": "1e300", "alpha_direct": "0", "alpha_bs_irs": "0", "user_position": "50.0, 1e-30"},
+            "path gain overflows at distance 1e-30 m with exponent 2.0",
+        ),
     ],
 )
 def test_non_finite_payoffs_are_numeric_errors(tmp_path, capsys, reduced_file, command, values, message):
@@ -269,11 +291,17 @@ def test_bound_with_ruinous_prices(tmp_path, capsys):
     assert "numeric error" in capsys.readouterr().err
 
 
-def test_convergence_speed_does_not_depend_on_the_horizon(tmp_path):
+def test_convergence_speed_does_not_depend_on_the_horizon(tmp_path, capsys):
     # each point's equilibrium time comes from the exact solution, not from
     # samples up to the horizon; only the meta block records the horizon
+    path = tmp_path / "short.cfg"
+    save_config(with_scalar_overrides(default_config(), horizon=1.0), path)
     assert main(["run", "convergence-speed", "--out", str(tmp_path / "a")]) == EXIT_OK
-    assert main(["run", "convergence-speed", "--out", str(tmp_path / "b"), "--horizon", "1"]) == EXIT_OK
+    assert main(["run", "convergence-speed", "--config", str(path), "--out", str(tmp_path / "b")]) == EXIT_OK
+    # so the flag is rejected rather than written into the meta block
+    assert main(["run", "convergence-speed", "--out", str(tmp_path / "c"), "--horizon", "1"]) == EXIT_CONFIG
+    assert "convergence-speed does not read --horizon" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
 
     def rows(d):
         lines = (d / "convergence_speed.csv").read_text().splitlines()
@@ -293,7 +321,9 @@ def test_undelayed_sweeps_reject_a_delay(tmp_path, capsys, preset):
 
 def test_convergence_speed_caps_the_equilibrium_index(tmp_path, capsys):
     # horizon / dt is within the cap, but the equilibrium index is not
-    code = main(["run", "convergence-speed", "--out", str(tmp_path), "--dt", "1e-17", "--horizon", "1e-9"])
+    path = tmp_path / "fine.cfg"
+    save_config(with_scalar_overrides(default_config(), dt=1e-17, horizon=1e-9), path)
+    code = main(["run", "convergence-speed", "--config", str(path), "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "grid point mu=0.05 n_users=50" in err and str(MAX_STEPS) in err
@@ -335,3 +365,101 @@ def test_delay_sweep_states_why_the_bound_is_not_computable(tmp_path):
     (line,) = [line for line in lines if line.startswith("# stability_bound = ")]
     reason = "no positive finite delay bound pi / (2 mu C+) for mu = 5e-324, C+ = "
     assert line.startswith("# stability_bound = not computable (" + reason)
+
+
+# the run flags each preset reads, and the grids it sweeps in place of the rest
+READS = {
+    "utilities-vs-time": (("mu", "delta", "dt", "horizon", "n_users", "seed", "json"), ""),
+    "convergence-speed": (("dt", "seed"), "grids.mu and grids.n_users"),
+    "delay-sweep": (("mu", "dt", "horizon", "n_users", "seed", "json"), "grids.delta"),
+    "irs-size-sweep": (("mu", "n_users", "seed"), "grids.irs_elements_sp2"),
+    "distance-price-sweep": (("mu", "n_users", "seed"), "grids.distance and grids.price_irs_sp1"),
+}
+FLAG_VALUES = {
+    "mu": ["0.3"], "delta": ["5"], "dt": ["0.05"], "horizon": ["5"], "n_users": ["7"], "seed": ["3"], "json": []
+}
+
+
+def test_the_preset_table_lists_the_flags_each_preset_reads():
+    assert {preset: reads for preset, (_, reads, _) in PRESET_TABLE.items()} == {
+        preset: reads for preset, (reads, _) in READS.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "preset, flag",
+    [(preset, flag) for preset, (reads, _) in READS.items() for flag in FLAG_VALUES if flag not in reads],
+)
+def test_a_flag_the_preset_does_not_read_is_rejected(tmp_path, capsys, reduced_file, preset, flag):
+    out = tmp_path / "data"
+    typed = "--" + flag.replace("_", "-")
+    code = main(["run", preset, "--config", str(reduced_file), "--out", str(out), typed] + FLAG_VALUES[flag])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "%s does not read %s; it sweeps %s" % (preset, typed, READS[preset][1]) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+# values at the edges of the float range and of the key ranges
+EXTREMES = ["0", "1", "-1", "5e-324", "1e-300", "1e10", "1e-10", "1e300", "1e308", "2999", "-2999"]
+INT_EXTREMES = ["0", "1", "-1", "2999", "-2999", "10000000000", "1" + "0" * 300]
+# keys whose value sizes an array: drawn small or beyond their caps, never in between
+COUNT_KEYS = ("antennas", "irs_elements", "irs_modules", "irs_elements_sp2")
+SMALL_ENTRIES, SMALL_STEPS = 16, 40
+
+
+@st.composite
+def invocations(draw):
+    """argv of one `irsgame` call on a fuzzed scenario text, written to a file named {cfg}."""
+    cfg = draw(st.sampled_from([reduced_config(), default_config()]) | scenarios(max_entries=SMALL_ENTRIES))
+    horizon = cfg.integrator.horizon
+    if draw(st.integers(0, 3)) == 3:  # a step count beyond the cap
+        dt = horizon / (10.0 * MAX_STEPS)
+    else:
+        dt = draw(st.floats(min_value=horizon / SMALL_STEPS, exclude_min=True, allow_infinity=False))
+    lines = config_to_text(cfg).splitlines()
+    lines[lines.index("dt = %r" % cfg.integrator.dt)] = "dt = %r" % dt
+    keys = [i for i, line in enumerate(lines) if " = " in line and line.split(" = ")[0] not in ("dt", "horizon")]
+    for i in draw(st.lists(st.sampled_from(keys), max_size=3, unique=True)):
+        key = lines[i].split(" = ")[0]
+        pool = [v for v in EXTREMES if v != "2999"] if key in COUNT_KEYS else EXTREMES
+        lines[i] = "%s = %s" % (key, draw(st.sampled_from(pool)))
+    command = draw(st.sampled_from(PRESETS + ("bound",)))
+    if command == "bound":
+        return "\n".join(lines) + "\n", ["bound", "{cfg}"]
+    argv = ["run", command, "--config", "{cfg}"]
+    steps = {"dt": repr(dt), "horizon": repr(horizon)}  # the flags repeat the drawn step count
+    for flag in draw(st.lists(st.sampled_from(PRESET_TABLE[command][1]), unique=True)):
+        if flag == "json":
+            argv.append("--json")
+        else:
+            value = steps.get(flag) or draw(st.sampled_from(INT_EXTREMES if flag in ("n_users", "seed") else EXTREMES))
+            argv.append("--%s=%s" % (flag.replace("_", "-"), value))
+    return "\n".join(lines) + "\n", argv
+
+
+# 150 examples take about 3.5 s on a 2-vCPU machine
+@settings(max_examples=150, deadline=None)
+@given(invocation=invocations())
+def test_no_input_ends_in_a_traceback(invocation):
+    text, argv = invocation
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as printed:
+        path = Path(tmp) / "fuzzed.cfg"
+        path.write_text(text)
+        out = Path(tmp) / "data"
+        argv = [str(path) if a == "{cfg}" else a for a in argv]
+        code = main(argv + (["--out", str(out)] if argv[0] == "run" else []))
+        assert code in (EXIT_OK, EXIT_CONFIG, EXIT_NUMERIC)
+        if code != EXIT_OK:
+            return
+        if argv[0] == "bound":
+            assert 0.0 < float(printed.getvalue()) < np.inf
+        for csv in out.glob("*.csv"):
+            body = [line for line in csv.read_text().splitlines() if not line.startswith("#")]
+            header = body[0].split(",")
+            rows = np.array([[float(x) for x in line.split(",")] for line in body[1:]])
+            shares = rows[:, [i for i, col in enumerate(header) if col.startswith(("p_", "share_"))]]
+            assert np.all(np.isfinite(shares)) and np.all(shares >= 0.0)
+            if "p_1" in header:  # the share_sp columns leave out a third provider
+                assert np.max(np.abs(shares.sum(axis=1) - 1.0)) <= 1e-9

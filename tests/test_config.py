@@ -138,17 +138,17 @@ def ascending(values):
 
 
 @st.composite
-def providers(draw):
+def providers(draw, max_entries=MAX_CHANNEL_ENTRIES):
     modules = draw(st.integers(1, 4))
-    # within the channel cap: antennas * irs_elements <= MAX_CHANNEL_ENTRIES
-    antennas = draw(st.integers(1, MAX_CHANNEL_ENTRIES // modules))
+    # within the channel cap: antennas * irs_elements <= max_entries <= MAX_CHANNEL_ENTRIES
+    antennas = draw(st.integers(1, max_entries // modules))
     return SpConfig(
         antennas=antennas,
         bandwidth_mhz=draw(positive),
         power_levels_dbm=draw(ascending(decibels)),
         price_irs=draw(non_negative),
         price_power=draw(non_negative),
-        irs_elements=modules * draw(st.integers(1, MAX_CHANNEL_ENTRIES // (antennas * modules))),
+        irs_elements=modules * draw(st.integers(1, max_entries // (antennas * modules))),
         irs_modules=modules,
         bs_position=draw(positions),
         irs_position=draw(positions),
@@ -157,12 +157,17 @@ def providers(draw):
 
 
 @st.composite
-def scenarios(draw):
-    sps = draw(st.lists(providers(), min_size=1, max_size=3))
+def scenarios(draw, max_entries=MAX_CHANNEL_ENTRIES):
+    """Valid scenarios with at most max_entries channel entries per provider."""
+    sps = draw(st.lists(providers(max_entries), min_size=1, max_size=3))
     horizon = draw(positive)
     n_groups = sum(sp.n_services for sp in sps)
     per_group = dict(min_size=n_groups, max_size=n_groups)
     weights = st.lists(st.floats(0.01, 1.0), **per_group).map(lambda w: np.array(w) / sum(w))
+    surface_sizes = st.integers(min_value=1)
+    if len(sps) > 1:  # irs-size-sweep gives each entry to sp.2 as its irs_elements
+        m, top = sps[1].irs_modules, max_entries // sps[1].antennas
+        surface_sizes = st.integers(1, top // m).map(lambda k: m * k)
     return ScenarioConfig(
         sps=sps,
         n_users=draw(st.integers(1, 10**9)),
@@ -188,7 +193,7 @@ def scenarios(draw):
             mu=draw(ascending(positive)),
             n_users=draw(ascending(st.integers(1, 2**53))),
             delta=draw(ascending(non_negative)),
-            irs_elements_sp2=draw(ascending(st.integers(min_value=1))),
+            irs_elements_sp2=draw(ascending(surface_sizes)),
             distance=draw(ascending(positive)),
             price_irs_sp1=draw(ascending(non_negative)),
         ),
@@ -274,6 +279,11 @@ def test_module_partition_invariant():
     bad = MINIMAL.replace("irs_modules = 1", "irs_modules = 3")
     with pytest.raises(ConfigurationError, match="not divisible"):
         parse_config(bad)
+    # irs-size-sweep gives each grids.irs_elements_sp2 entry to sp.2 as its irs_elements
+    two = MINIMAL + MINIMAL.replace("[sp.1]", "[sp.2]").replace("irs_modules = 1", "irs_modules = 2")
+    assert parse_config(two + "[grids]\nirs_elements_sp2 = 2, 6\n").grids.irs_elements_sp2 == [2, 6]
+    with pytest.raises(ConfigurationError, match=r"grids\.irs_elements_sp2 entries .* sp\.2\.irs_modules = 2"):
+        parse_config(two + "[grids]\nirs_elements_sp2 = 2, 5\n")
 
 
 def test_channel_size_cap():
@@ -283,6 +293,12 @@ def test_channel_size_cap():
     for antennas in ("%d" % (MAX_CHANNEL_ENTRIES // 4 + 1), "1e10", "1e300"):
         with pytest.raises(ConfigurationError, match=r"sp\.1: antennas \* irs_elements must be at most 1000000"):
             parse_config(MINIMAL.replace("antennas = 2", "antennas = " + antennas))
+    # and for every size irs-size-sweep gives sp.2 (2 antennas)
+    two = MINIMAL + MINIMAL.replace("[sp.1]", "[sp.2]")
+    at_cap = "[grids]\nirs_elements_sp2 = 4, %d\n" % (MAX_CHANNEL_ENTRIES // 2)
+    assert parse_config(two + at_cap).grids.irs_elements_sp2 == [4, MAX_CHANNEL_ENTRIES // 2]
+    with pytest.raises(ConfigurationError, match=r"grids\.irs_elements_sp2 .* sp\.2\.antennas \* entry at most 1000000"):
+        parse_config(two + "[grids]\nirs_elements_sp2 = 4, %d\n" % (MAX_CHANNEL_ENTRIES // 2 + 1))
 
 
 def test_population_size_cap():

@@ -113,8 +113,8 @@ def test_delay_sweep_names_nearby_delays_apart(tmp_path, reduced_cfg):
 
 def test_utilities_vs_time_rerun_is_byte_identical(tmp_path, default_cfg):
     cfg = with_scalar_overrides(default_cfg, dt=0.05, horizon=3.0)
-    first = run_experiment("utilities-vs-time", cfg, tmp_path / "one", json_dump=True)
-    second = run_experiment("utilities-vs-time", cfg, tmp_path / "two", json_dump=True)
+    first = run_experiment("utilities-vs-time", cfg, tmp_path / "one", flags=["json"])
+    second = run_experiment("utilities-vs-time", cfg, tmp_path / "two", flags=["json"])
     assert [p.name for p in first] == [p.name for p in second]
     for a, b in zip(first, second):
         assert a.read_bytes() == b.read_bytes()

@@ -11,7 +11,9 @@ from irsgame import (
     ServiceIndex,
     compute_snr,
     complex_rayleigh,
+    generate_channels,
     optimize_link,
+    reduced_config,
 )
 
 BW = 1.0
@@ -176,6 +178,14 @@ def test_optimize_link_argument_validation():
     ch = random_channels(rng)
     with pytest.raises(ConfigurationError, match="transmit power must be positive"):
         optimize_link(ch, power_w=0.0, bandwidth=BW, noise_var=NOISE)
+
+
+def test_optimize_link_stops_at_an_infinite_snr():
+    # inf - inf is nan, which no relative-improvement test passes: stop after the first round
+    trace = []
+    link = optimize_link(generate_channels(reduced_config())[0], 1.0, 1.0, 1e-320, trace=trace)
+    assert len(trace) // 2 == 1
+    assert link.snr == np.inf
 
 
 def test_build_all_links_default_scenario(default_cfg, default_links):
