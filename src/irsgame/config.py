@@ -112,6 +112,10 @@ class IntegratorSpec:
                 "integrator.horizon / integrator.dt = %.3g steps exceeds the cap of %d"
                 % (self.horizon / self.dt, MAX_STEPS)
             )
+        if not self.n_steps() * self.dt < np.inf:  # n_steps rounds up past a horizon near the float limit
+            raise ConfigurationError(
+                "integrator: the last sample time %d * %r is not a float" % (self.n_steps(), self.dt)
+            )
 
     def n_steps(self) -> int:
         return max(1, int(np.ceil(self.horizon / self.dt - 1e-9)))

@@ -28,7 +28,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import MAX_STEPS, IntegratorSpec
-from .errors import ConfigurationError, NonConvergenceError, NumericalDriftError
+from .errors import ConfigurationError, NonConvergenceError, NumericalDriftError, NumericError
 from .game import selection_rates
 
 _METHODS = ("rk4", "forward-euler")
@@ -176,6 +176,7 @@ class ReplicatorSolution:
     over [0, s].  A group with c_g < 0 may empty at a closed-form t_end: it is set to exactly
     zero, the others are rescaled and the next piece starts.  pieces holds (t_k, t_end, q, C,
     slope); a zero slope holds q.  The last piece decays with C > 0 to rest = c / C, or holds.
+    Raises NumericError when a piece's rate mu * C is not a finite float.
     """
 
     def __init__(self, c, mu: float, p0):
@@ -188,11 +189,15 @@ class ReplicatorSolution:
         t_k = 0.0
         while True:
             c_alive = np.where(p > 0.0, c, 0.0)
-            big_c = float(c_alive.sum())
+            with np.errstate(over="ignore"):  # an infinite C is reported below
+                big_c = float(c_alive.sum())
+            if not abs(mu * big_c) < np.inf:  # exp(-mu * C * t) and the times t_end would be nan
+                raise NumericError("the replicator rate mu * C is not finite for mu = %r, C = %r" % (mu, big_c))
             slope = c_alive - p * big_c  # dp/dt over mu at t_k
             doomed = (c_alive < 0.0) & (slope < 0.0)
             t_end = np.inf
-            if np.any(doomed) and np.count_nonzero(p) > 1:  # the last group never empties
+            # the slopes sum to 0: with none positive (a lone group) they are rounding at rest
+            if np.any(doomed) and np.any(slope > 0.0):
                 q, c_d = p[doomed], c_alive[doomed]
                 if big_c == 0.0:
                     s_zero = q / (mu * -c_d)

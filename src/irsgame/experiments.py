@@ -125,14 +125,8 @@ def trajectory_json(traj: Trajectory) -> dict:
 
 def _run_utilities_vs_time(cfg: ScenarioConfig, out_dir: Path, json_dump: bool) -> list:
     traj = simulate(cfg).trajectory
-    paths = [
-        emit_csv(
-            traj,
-            _meta(cfg, "utilities-vs-time"),
-            out_dir / "utilities_vs_time.csv",
-            stride=TRAJECTORY_STRIDE,
-        )
-    ]
+    csv = out_dir / "utilities_vs_time.csv"
+    paths = [emit_csv(traj, _meta(cfg, "utilities-vs-time"), csv, stride=TRAJECTORY_STRIDE)]
     if json_dump:
         paths.append(_write_json(traj, out_dir / "utilities_vs_time.json"))
     return paths
@@ -274,6 +268,4 @@ def run_experiment(preset: str, cfg: ScenarioConfig, out_dir, flags=()) -> list:
     _raise(errors)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if "json" in reads:  # the presets that write trajectories
-        return list(run(cfg, out, "json" in flags))
-    return list(run(cfg, out))
+    return list(run(cfg, out, "json" in flags) if "json" in reads else run(cfg, out))  # "json": trajectory presets

@@ -166,8 +166,7 @@ def optimize_link(
         new_snr = compute_snr(ch, beam, phases, bandwidth, noise_var)
         if trace is not None:
             trace.append(new_snr)
-        # inf - inf is nan, so an SNR that is not finite would never pass the test below
-        if (new_snr == 0.0 and snr <= 0.0) or not np.isfinite(new_snr):
+        if (new_snr == 0.0 and snr <= 0.0) or not np.isfinite(new_snr):  # inf - inf below is nan
             snr = new_snr
             break
         if snr > -np.inf and new_snr - snr <= TOL * abs(snr):

@@ -193,6 +193,12 @@ def test_sizes_beyond_the_caps_are_rejected(tmp_path, capsys, reduced_file, comm
             {"d0": "1e300", "alpha_direct": "0", "alpha_bs_irs": "0", "user_position": "50.0, 1e-30"},
             "path gain overflows at distance 1e-30 m with exponent 2.0",
         ),
+        # finite payoffs whose replicator rate mu * C overflows: the shares would be nan
+        (
+            ["run", "utilities-vs-time"],
+            {"mu": "1e300", "price_irs": "1e300"},
+            "the replicator rate mu * C is not finite for mu = 1e+300, C = ",
+        ),
     ],
 )
 def test_non_finite_payoffs_are_numeric_errors(tmp_path, capsys, reduced_file, command, values, message):

@@ -1,6 +1,7 @@
 """Config parsing, validation messages and round-trip serialization."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -185,8 +186,13 @@ def scenarios(draw, max_entries=MAX_CHANNEL_ENTRIES):
             alpha_irs_user=draw(non_negative),
         ),
         integrator=IntegratorSpec(
-            # a dt above horizon / MAX_STEPS keeps the step count within the cap
-            dt=draw(st.floats(min_value=horizon / MAX_STEPS, exclude_min=True, allow_infinity=False)),
+            # a dt above horizon / MAX_STEPS keeps the step count within the cap; near the
+            # float limit, rounding the step count up may put the last sample time past it
+            dt=draw(
+                st.floats(min_value=horizon / MAX_STEPS, exclude_min=True, allow_infinity=False).filter(
+                    lambda dt: math.ceil(horizon / dt - 1e-9) * dt < math.inf
+                )
+            ),
             horizon=horizon,
         ),
         grids=SweepGrids(

@@ -14,6 +14,7 @@ from irsgame import (
     IntegratorSpec,
     NonConvergenceError,
     NumericalDriftError,
+    NumericError,
     ReplicatorSolution,
     UtilityVector,
     delayed_replicator_field,
@@ -67,6 +68,13 @@ def test_integrator_spec_caps_the_step_count():
     for dt, horizon in ((1.0, MAX_STEPS * (1.0 + 1e-15)), (1e-300, 600.0), (1e-200, 1e100)):
         with pytest.raises(ConfigurationError, match=r"integrator\.horizon / integrator\.dt .* exceeds the cap"):
             IntegratorSpec(dt=dt, horizon=horizon)
+
+
+def test_integrator_spec_keeps_the_last_sample_time_finite():
+    # horizon / dt rounds up to 40 steps, and 40 * dt is past the largest float
+    with pytest.raises(ConfigurationError, match="last sample time 40 \\* 4.49423283715579e\\+306 is not a float"):
+        IntegratorSpec(dt=4.49423283715579e306, horizon=1.7527508065357005e308)
+    assert IntegratorSpec(dt=1e308, horizon=1e308).n_steps() == 1
 
 
 def test_integrator_spec_step_count():
@@ -456,6 +464,30 @@ def test_equilibrium_index_is_capped():
     assert solution.equilibrium_index(0.01, 1e-6) > 0
     with pytest.raises(ConfigurationError, match="cap of %d" % MAX_STEPS):
         solution.equilibrium_index(1e-10, 1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "c, mu",
+    [
+        ([1.5e-3, -6.3e291], 1e17),  # mu * C overflows at t = 0
+        ([1e308, -1e308, 1e308], 1.0),  # C itself overflows once group 2 has emptied
+    ],
+)
+def test_a_rate_beyond_a_float_is_a_numeric_error(c, mu):
+    with pytest.raises(NumericError, match="replicator rate mu"):
+        ReplicatorSolution(np.array(c), mu, np.full(len(c), 1.0 / len(c)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_state_on_the_repelling_rest_point_holds():
+    # p = c / C, but p * C rounds so that every slope is a hair below zero: no group may
+    # empty, or all three would at once and leave nan shares
+    p0 = np.full(3, 1.0 / 3.0)
+    solution = ReplicatorSolution(np.full(3, -4.743286880619196e13), 1.0, p0)
+    assert len(solution.pieces) == 1 and not solution.pieces[0][4].any()
+    assert np.array_equal(solution.rest, p0)
+    assert np.array_equal(solution.at(np.array([0.0, 1.0, 1e6])), np.tile(p0, (3, 1)))
 
 
 @pytest.mark.parametrize(
