@@ -35,10 +35,12 @@ def path_loss_linear(d: float, alpha: float, model: PathLossModel) -> float:
         Dimensionless power gain 10**(pl0_db/10) * (d/d0)**(-alpha).
 
     Raises:
-        NumericError: (d/d0)**(-alpha) overflows a float, or d/d0 underflows to 0.
+        NumericError: d is not finite, (d/d0)**(-alpha) overflows a float, or d/d0 underflows to 0.
     """
     if d <= 0:
         raise ConfigurationError("link distance must be positive, got %r" % (d,))
+    if not d < np.inf:
+        raise NumericError("link distance %r m is not finite" % (d,))
     try:
         return 10.0 ** (model.pl0_db / 10.0) * (d / model.d0) ** (-alpha)
     except (OverflowError, ZeroDivisionError):  # d / d0 can underflow to 0

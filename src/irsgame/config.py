@@ -76,7 +76,7 @@ class Position:
     y: float
 
     def distance_to(self, other: "Position") -> float:
-        return float(np.hypot(self.x - other.x, self.y - other.y))
+        return math.hypot(self.x - other.x, self.y - other.y)  # inf, without a warning, past a float
 
 
 @dataclass(frozen=True)

@@ -176,7 +176,10 @@ class ReplicatorSolution:
     over [0, s].  A group with c_g < 0 may empty at a closed-form t_end: it is set to exactly
     zero, the others are rescaled and the next piece starts.  pieces holds (t_k, t_end, q, C,
     slope); a zero slope holds q.  The last piece decays with C > 0 to rest = c / C, or holds.
-    Raises NumericError when a piece's rate mu * C is not a finite float.
+    An extinction time past the largest float (mu * C underflows) makes the current piece the
+    last; mu only rescales time, so rest comes from the extinctions in mu-free time.  Raises
+    NumericError when a piece's rate mu * C is not a finite float, or when a mu-free extinction
+    time is past the largest float.
     """
 
     def __init__(self, c, mu: float, p0):
@@ -186,7 +189,7 @@ class ReplicatorSolution:
             raise ConfigurationError("payoff vector and initial state differ in length")
         self.mu = mu
         self.pieces = []
-        t_k = 0.0
+        t_k, rate = 0.0, mu  # rate becomes 1 once an extinction time is past the largest float
         while True:
             c_alive = np.where(p > 0.0, c, 0.0)
             with np.errstate(over="ignore"):  # an infinite C is reported below
@@ -199,21 +202,31 @@ class ReplicatorSolution:
             # the slopes sum to 0: with none positive (a lone group) they are rounding at rest
             if np.any(doomed) and np.any(slope > 0.0):
                 q, c_d = p[doomed], c_alive[doomed]
-                if big_c == 0.0:
-                    s_zero = q / (mu * -c_d)
-                else:
-                    s_zero = np.log1p(-q * big_c / c_d) / (mu * big_c)
+                with np.errstate(divide="ignore", over="ignore"):  # rate * C may underflow
+                    if big_c == 0.0:
+                        s_zero = q / (rate * -c_d)
+                    else:
+                        s_zero = np.log1p(-q * big_c / c_d) / (rate * big_c)
                 k = int(np.argmin(s_zero))
                 t_end = t_k + float(s_zero[k])
                 dying = np.flatnonzero(doomed)[k]
+                if not t_end < np.inf:
+                    if rate == 1.0:
+                        raise NumericError("a group empties after a mu-free time past the largest float")
+                    # mu only rescales time: at() holds this piece, and the rest
+                    # point comes from the extinctions in mu-free time
+                    self.pieces.append((t_k, np.inf, p, big_c, slope))
+                    t_k, rate = 0.0, 1.0
+                    continue
             elif big_c < 0.0:
                 # c / C repels when C < 0: the state sits on it, and its
                 # rounding must not grow like exp(mu * |C| * t)
                 slope = np.zeros_like(p)
-            self.pieces.append((t_k, t_end, p, big_c, slope))
+            if rate == mu:
+                self.pieces.append((t_k, t_end, p, big_c, slope))
             if t_end == np.inf:
                 break
-            p = np.maximum(p + _growth(t_end - t_k, mu, big_c) * slope, 0.0)
+            p = np.maximum(p + _growth(t_end - t_k, rate, big_c) * slope, 0.0)
             p[dying] = 0.0
             p /= p.sum()
             t_k = t_end
@@ -237,7 +250,8 @@ class ReplicatorSolution:
         a = mu * C, k0 = max|slope| * (1 - exp(-a * dt)) / (C * dt): with C > 0 it falls below
         eps for good after t_k + ln(k0 / eps) / a, else it peaks at t_end.  Going back from the
         last piece, only samples near those times and near t_k are checked, with
-        detect_equilibrium's arithmetic.  Raises ConfigurationError past MAX_STEPS samples.
+        detect_equilibrium's arithmetic.  Raises ConfigurationError past MAX_STEPS samples or
+        when those samples' times pass the largest float.
         """
         for t_k, t_end, _, big_c, slope in reversed(self.pieces):
             near = [t_k, t_end] if t_end < np.inf else [t_k]
@@ -250,6 +264,8 @@ class ReplicatorSolution:
                 raise ConfigurationError(
                     "the rest point comes after sample %.3g, beyond the cap of %d" % (last, MAX_STEPS)
                 )
+            if not (last + 4) * dt < np.inf:  # the samples checked below go up to ceil(last) + 3
+                raise ConfigurationError("the samples near the rest point are past the largest float for dt = %r" % dt)
             i = np.unique(np.maximum(0, [math.ceil(t / dt) + k for t in near for k in range(-9, 3)]))
             rates = np.max(np.abs(self.at((i + 1) * dt) - self.at(i * dt)), axis=1) / ((i + 1) * dt - i * dt)
             moving = i[~(rates < eps)]
@@ -275,7 +291,10 @@ def _growth(s, mu: float, big_c: float):
     """Integral of mu * exp(-mu * C * r) over r in [0, s]."""
     if big_c == 0.0:
         return mu * s
-    return -np.expm1(-mu * big_c * s) / big_c
+    # -mu * C * s can overflow only where C > 0 (with C < 0 a piece ends before its shares
+    # blow up): expm1(-inf) = -1 is then the exact limit, the rest point
+    with np.errstate(over="ignore"):
+        return -np.expm1(-mu * big_c * s) / big_c
 
 
 def _record_utilities(states: np.ndarray, utilities: Callable | None):
@@ -388,36 +407,38 @@ def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: Integr
     p = _check_p0(p0)
     n = spec.n_steps()
     dt = spec.dt
-    # HistoryBuffer.lookup(i * dt - delta) for every step: samples lo and hi
-    # (hi = lo + 1 when interpolating) with weight frac on hi
-    t_q = np.arange(n) * dt - delta
-    x = t_q / dt
-    near = np.round(x)
-    snap = np.abs(x - near) < 1e-9
-    lo = np.where(snap, near, np.floor(x))
-    pre = (lo < 0) | (t_q <= 0.0)
-    frac = np.where(snap | pre, 0.0, x - lo)
-    lo = np.where(pre, 0, lo).astype(np.intp)
-    hi = lo + (frac > 0.0)
-    states = np.empty((n + 1, p.size))
-    states[0] = p
-    drift_sum = 0.0
-    absorbed_sum = 0.0
-    p = p.tolist()
-    i = 0
-    while i < n:
-        j = max(int(np.searchsorted(hi, i, "right")), i + 1)  # steps i..j-1 read states[:i + 1]
-        a, b, f = states[lo[i:j]], states[hi[i:j]], frac[i:j, None]
-        p_d = np.where(f > 0.0, (1.0 - f) * a + f * b, a)
-        step = dt * selection_rates(p_d, utilities(p_d), mu)
-        flat = []  # the window's states in one list: less memory than a list per row
-        for dp in step.tolist():
-            p, drift, absorbed = _project_row(list(map(add, p, dp)))
-            drift_sum += drift
-            absorbed_sum += absorbed
-            flat += p
-        states[i + 1 : j + 1] = np.reshape(flat, (j - i, -1))
-        i = j
+    # a step that overflows fails the drift check; a query time t_q / dt past a float is pre-history
+    with np.errstate(over="ignore", invalid="ignore"):
+        # HistoryBuffer.lookup(i * dt - delta) for every step: samples lo and hi
+        # (hi = lo + 1 when interpolating) with weight frac on hi
+        t_q = np.arange(n) * dt - delta
+        x = t_q / dt
+        near = np.round(x)
+        snap = np.abs(x - near) < 1e-9
+        lo = np.where(snap, near, np.floor(x))
+        pre = (lo < 0) | (t_q <= 0.0)
+        frac = np.where(snap | pre, 0.0, x - lo)
+        lo = np.where(pre, 0, lo).astype(np.intp)
+        hi = lo + (frac > 0.0)
+        states = np.empty((n + 1, p.size))
+        states[0] = p
+        drift_sum = 0.0
+        absorbed_sum = 0.0
+        p = p.tolist()
+        i = 0
+        while i < n:
+            j = max(int(np.searchsorted(hi, i, "right")), i + 1)  # steps i..j-1 read states[:i + 1]
+            a, b, f = states[lo[i:j]], states[hi[i:j]], frac[i:j, None]
+            p_d = np.where(f > 0.0, (1.0 - f) * a + f * b, a)
+            step = dt * selection_rates(p_d, utilities(p_d), mu)
+            flat = []  # the window's states in one list: less memory than a list per row
+            for dp in step.tolist():
+                p, drift, absorbed = _project_row(list(map(add, p, dp)))
+                drift_sum += drift
+                absorbed_sum += absorbed
+                flat += p
+            states[i + 1 : j + 1] = np.reshape(flat, (j - i, -1))
+            i = j
     uv = utilities(states)
     return Trajectory(np.arange(n + 1) * dt, states, uv.u, uv.u_bar, drift_sum, absorbed_sum)
 

@@ -7,7 +7,8 @@ through its payoff vector, numerators(cfg), so links are built once per radio
 scenario: sweeps over mu, n_users, delta or a price reuse them.  The undelayed
 sweeps sample no trajectory: they read each point's rest, or the sample where
 it comes to rest, off its exact ReplicatorSolution, so integrator.horizon does
-not enter them.
+not enter them.  A preset's runner writes nothing: it yields each file's data,
+and run_experiment names every file after the preset and writes it.
 """
 
 from __future__ import annotations
@@ -74,10 +75,6 @@ def _write_csv(path: Path, meta: list, columns: list, rows) -> Path:
     return path
 
 
-def _meta(cfg: ScenarioConfig, preset: str, extra: list = ()) -> list:
-    return [("preset", preset)] + list(extra) + cfg.flat_items()
-
-
 def emit_csv(traj: Trajectory, meta: list, path, stride: int = 1) -> Path:
     """Write a trajectory as CSV: '#' header lines, then t, shares, utilities.
 
@@ -121,23 +118,16 @@ def trajectory_json(traj: Trajectory) -> dict:
 
 
 # --- presets -------------------------------------------------------------------
+# A runner yields (file stem suffix, scenario, extra meta lines, data) per file,
+# data a Trajectory or (columns, rows), one at a time: run_experiment writes each
+# before the next is computed.
 
 
-def _run_utilities_vs_time(cfg: ScenarioConfig, out_dir: Path, json_dump: bool) -> list:
-    traj = simulate(cfg).trajectory
-    csv = out_dir / "utilities_vs_time.csv"
-    paths = [emit_csv(traj, _meta(cfg, "utilities-vs-time"), csv, stride=TRAJECTORY_STRIDE)]
-    if json_dump:
-        paths.append(_write_json(traj, out_dir / "utilities_vs_time.json"))
-    return paths
+def _run_utilities_vs_time(cfg: ScenarioConfig):
+    yield "", cfg, [], simulate(cfg).trajectory
 
 
-def _write_json(traj: Trajectory, path: Path) -> Path:
-    path.write_text(json.dumps(trajectory_json(traj)) + "\n", encoding="utf-8")
-    return path
-
-
-def _run_convergence_speed(cfg: ScenarioConfig, out_dir: Path) -> list:
+def _run_convergence_speed(cfg: ScenarioConfig):
     numer = numerators(cfg)  # neither mu nor n_users enters the links
     p0 = cfg.initial_population()
     rows = []
@@ -150,22 +140,15 @@ def _run_convergence_speed(cfg: ScenarioConfig, out_dir: Path) -> list:
             except ConfigurationError as exc:
                 raise ConfigurationError("grid point mu=%g n_users=%d: %s" % (mu, n, exc)) from None
             rows.append((mu, n, index * dt))
-    path = _write_csv(
-        out_dir / "convergence_speed.csv",
-        _meta(cfg, "convergence-speed"),
-        ["mu", "n_users", "t_equilibrium"],
-        rows,
-    )
-    return [path]
+    yield "", cfg, [], (["mu", "n_users", "t_equilibrium"], rows)
 
 
-def _run_delay_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: bool) -> list:
+def _run_delay_sweep(cfg: ScenarioConfig):
     numer = numerators(cfg)  # delta does not enter the links
     try:
         bound = "%.17g" % stability_bound(numer, cfg.mu, cfg.n_users)
     except NumericError as exc:
         bound = "not computable (%s)" % exc
-    paths = []
     for delta in cfg.grids.delta:
         point = replace(cfg, delta=delta)
         traj = _dynamics(point, numer)
@@ -173,20 +156,10 @@ def _run_delay_sweep(cfg: ScenarioConfig, out_dir: Path, json_dump: bool) -> lis
         t_eq = "%.17g" % eq.time if eq is not None else "none (tail never rests for a full delay window)"
         # shortest round-trip form, so that distinct delays never share a file
         tag = repr(float(delta)).removesuffix(".0").replace(".", "p").replace("-", "m")
-        paths.append(
-            emit_csv(
-                traj,
-                _meta(point, "delay-sweep", [("stability_bound", bound), ("t_equilibrium", t_eq)]),
-                out_dir / ("delay_sweep_delta%s.csv" % tag),
-                stride=TRAJECTORY_STRIDE,
-            )
-        )
-        if json_dump:
-            paths.append(_write_json(traj, out_dir / ("delay_sweep_delta%s.json" % tag)))
-    return paths
+        yield "_delta" + tag, point, [("stability_bound", bound), ("t_equilibrium", t_eq)], traj
 
 
-def _run_irs_size_sweep(cfg: ScenarioConfig, out_dir: Path) -> list:
+def _run_irs_size_sweep(cfg: ScenarioConfig):
     if len(cfg.sps) < 2:
         raise ConfigurationError("irs-size-sweep needs a second provider to resize")
     # keep the surface price low enough that the rate gain of extra elements
@@ -199,24 +172,18 @@ def _run_irs_size_sweep(cfg: ScenarioConfig, out_dir: Path) -> list:
         sps[1] = replace(sps[1], irs_elements=int(k2))
         numer = numerators(replace(base, sps=sps))
         rows.append((int(k2), *ReplicatorSolution(numer / base.n_users, base.mu, p0).rest))
-    path = _write_csv(
-        out_dir / "irs_size_sweep.csv",
-        _meta(base, "irs-size-sweep"),
-        ["irs_elements_sp2"] + ["p_%d" % (g + 1) for g in range(base.n_groups)],
-        rows,
-    )
-    return [path]
+    yield "", base, [], (["irs_elements_sp2"] + ["p_%d" % (g + 1) for g in range(base.n_groups)], rows)
 
 
-def _run_distance_price_sweep(cfg: ScenarioConfig, out_dir: Path) -> list:
+def _run_distance_price_sweep(cfg: ScenarioConfig):
     sp1 = cfg.sps[0]
-    axis = np.array(
-        [sp1.irs_position.x - sp1.bs_position.x, sp1.irs_position.y - sp1.bs_position.y]
-    )
-    norm = float(np.hypot(*axis))
+    norm = sp1.bs_position.distance_to(sp1.irs_position)
     if norm == 0:
         raise ConfigurationError("sp.1 BS and surface positions coincide; no sweep axis")
-    axis = axis / norm
+    if not norm < np.inf:
+        raise NumericError("sp.1 BS to surface distance %r m is not finite" % norm)
+    # Python floats: a user placed past the largest float is at inf, without a warning
+    axis = ((sp1.irs_position.x - sp1.bs_position.x) / norm, (sp1.irs_position.y - sp1.bs_position.y) / norm)
     sp1_groups = cfg.groups_of_sp(1)
     sp2_groups = cfg.groups_of_sp(2) if len(cfg.sps) > 1 else []
     placed = []  # (distance, scenario, its links): the surface price does not enter the links
@@ -231,13 +198,7 @@ def _run_distance_price_sweep(cfg: ScenarioConfig, out_dir: Path) -> list:
             priced = replace(point, sps=[replace(point.sps[0], price_irs=price)] + point.sps[1:])
             rest = ReplicatorSolution(utility_numerators(links, priced) / cfg.n_users, cfg.mu, p0).rest
             rows.append((dist, price, float(rest[sp1_groups].sum()), float(rest[sp2_groups].sum())))
-    path = _write_csv(
-        out_dir / "distance_price_sweep.csv",
-        _meta(cfg, "distance-price-sweep"),
-        ["distance", "price_irs_sp1", "share_sp1", "share_sp2"],
-        rows,
-    )
-    return [path]
+    yield "", cfg, [], (["distance", "price_irs_sp1", "share_sp1", "share_sp2"], rows)
 
 
 # preset: (runner, the run flags it reads, the grids it sweeps in place of the others)
@@ -268,4 +229,16 @@ def run_experiment(preset: str, cfg: ScenarioConfig, out_dir, flags=()) -> list:
     _raise(errors)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    return list(run(cfg, out, "json" in flags) if "json" in reads else run(cfg, out))  # "json": trajectory presets
+    paths = []
+    for suffix, scenario, extra, data in run(cfg):
+        path = out / (preset.replace("-", "_") + suffix + ".csv")
+        meta = [("preset", preset)] + extra + scenario.flat_items()
+        if isinstance(data, Trajectory):
+            paths.append(emit_csv(data, meta, path, stride=TRAJECTORY_STRIDE))
+            if "json" in flags:
+                path = path.with_suffix(".json")
+                path.write_text(json.dumps(trajectory_json(data)) + "\n", encoding="utf-8")
+                paths.append(path)
+        else:
+            paths.append(_write_csv(path, meta, *data))
+    return paths

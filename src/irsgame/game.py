@@ -91,7 +91,8 @@ def make_utilities(numer: np.ndarray, n_users: int) -> Callable[[np.ndarray], Ut
     numer is utility_numerators of the scenario's optimized links; only the
     division by the group share happens per call.  The map takes one state
     (G,) or a stack of states (T, G); for a stack, u is (T, G) and u_bar is
-    (T,), each row equal to the single-state result.
+    (T,), each row equal to the single-state result.  Raises NumericError when
+    a utility overflows a float.
     """
     n = float(n_users)
     n_nan = np.full(len(numer), np.nan)
@@ -100,7 +101,11 @@ def make_utilities(numer: np.ndarray, n_users: int) -> Callable[[np.ndarray], Ut
         p = np.asarray(p, dtype=float)
         alive = p > 0.0
         empty = n_nan.copy() if p.ndim == 1 else np.full(p.shape, np.nan)
-        u = np.divide(numer, p * n, out=empty, where=alive)
+        try:
+            with np.errstate(over="raise"):  # an infinite u_g would make u_bar infinite too
+                u = np.divide(numer, p * n, out=empty, where=alive)
+        except FloatingPointError:
+            raise NumericError("a utility numer_g / (p_g * n_users) overflows a float") from None
         u_bar = np.sum(np.where(alive, p * u, 0.0), axis=-1)
         return UtilityVector(u=u, u_bar=float(u_bar) if p.ndim == 1 else u_bar)
 

@@ -113,7 +113,10 @@ def compute_snr(
 
 def _mrt(eff_conj: np.ndarray, power_w: float) -> np.ndarray:
     """Maximum ratio beam for the effective row channel eff_conj = (h_eff)^H."""
-    norm = np.linalg.norm(eff_conj)
+    with np.errstate(over="ignore"):  # reported below
+        norm = np.linalg.norm(eff_conj)
+    if not norm < np.inf:
+        raise NumericError("the effective channel's norm %r is not finite" % float(norm))
     if norm == 0.0:
         w = np.zeros(len(eff_conj), dtype=complex)
         w[0] = 1.0

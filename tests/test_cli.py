@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irsgame import PRESETS, config_to_text, default_config, reduced_config, save_config, with_scalar_overrides
@@ -199,8 +199,20 @@ def test_sizes_beyond_the_caps_are_rejected(tmp_path, capsys, reduced_file, comm
             {"mu": "1e300", "price_irs": "1e300"},
             "the replicator rate mu * C is not finite for mu = 1e+300, C = ",
         ),
+        # a user past the largest float: the link would have no path gain at all
+        (["bound"], {"user_position": "1.7e308, 1.7e308"}, "link distance inf m is not finite"),
+        (["run", "utilities-vs-time"], {"user_position": "1.7e308, 1.7e308"}, "link distance inf m is not finite"),
+        # finite channel entries whose effective channel norm overflows
+        (["run", "utilities-vs-time"], {"pl0_db": "2999", "noise_var": "1e10"}, "the effective channel's norm inf"),
+        # a finite payoff over a share of one user: the utility, and u_bar with it, would be -inf
+        (
+            ["run", "utilities-vs-time"],
+            {"n_users": "1", "price_irs": "1.5e307"},
+            "a utility numer_g / (p_g * n_users) overflows a float",
+        ),
     ],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_payoffs_are_numeric_errors(tmp_path, capsys, reduced_file, command, values, message):
     path = _edited(reduced_file, tmp_path, **values)
     out = tmp_path / "data"
@@ -446,8 +458,16 @@ def invocations(draw):
 
 
 # 150 examples take about 3.5 s on a 2-vCPU machine
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(invocation=invocations())
+# mu * C underflows, so an extinction time overflows: the rest must still leave that group empty
+@example(
+    invocation=(
+        config_to_text(default_config()),
+        ["run", "distance-price-sweep", "--config", "{cfg}", "--seed", "1", "--mu", "5e-324"],
+    )
+)
 def test_no_input_ends_in_a_traceback(invocation):
     text, argv = invocation
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as printed:

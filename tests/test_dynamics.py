@@ -480,6 +480,27 @@ def test_a_rate_beyond_a_float_is_a_numeric_error(c, mu):
 
 
 @pytest.mark.filterwarnings("error")
+def test_an_extinction_time_past_a_float_keeps_the_rest_point():
+    # mu * C underflows, so group 3 empties after a time past the largest float: the
+    # state does not move, and mu, which only rescales time, leaves the rest point as it is
+    c, p0 = np.array([1.0, 0.5, -0.2]), np.array([0.2, 0.3, 0.5])
+    frozen = ReplicatorSolution(c, 5e-324, p0)
+    assert np.all(frozen.rest >= 0.0)
+    assert np.allclose(frozen.rest, ReplicatorSolution(c, 0.1, p0).rest, rtol=0.0, atol=1e-12)
+    assert len(frozen.pieces) == 1 and frozen.pieces[0][1] == np.inf
+    assert np.array_equal(frozen.at(np.array([0.0, 1e6])), np.tile(p0, (2, 1)))
+    # payoffs so small that even the mu-free extinction time overflows
+    with pytest.raises(NumericError, match="mu-free time past the largest float"):
+        ReplicatorSolution(np.array([2e-320, -1e-320]), 0.1, np.array([0.5, 0.5]))
+
+
+def test_equilibrium_index_rejects_sample_times_past_a_float():
+    solution = ReplicatorSolution(np.array([0.3, 0.1]), 0.1, np.array([0.5, 0.5]))
+    with pytest.raises(ConfigurationError, match="past the largest float for dt = 1.7e"):
+        solution.equilibrium_index(1.7e308, 1e-6)
+
+
+@pytest.mark.filterwarnings("error")
 def test_a_state_on_the_repelling_rest_point_holds():
     # p = c / C, but p * C rounds so that every slope is a hair below zero: no group may
     # empty, or all three would at once and leave nan shares

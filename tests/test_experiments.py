@@ -111,6 +111,32 @@ def test_delay_sweep_names_nearby_delays_apart(tmp_path, reduced_cfg):
     assert all(p.is_file() for p in paths)
 
 
+@pytest.mark.parametrize("json_flag", [False, True])
+def test_every_file_is_named_after_its_preset(tmp_path, reduced_cfg, json_flag):
+    cfg = small_grids(with_scalar_overrides(reduced_cfg, dt=0.5, horizon=2.0))
+    cfg = dataclasses.replace(cfg, grids=dataclasses.replace(cfg.grids, delta=[0.0, 0.5, 30.0]))
+    twin = [".json"] if json_flag else []
+    written = {
+        "utilities-vs-time": ["utilities_vs_time" + ext for ext in [".csv"] + twin],
+        "convergence-speed": ["convergence_speed.csv"],
+        "delay-sweep": ["delay_sweep_delta%s%s" % (tag, ext) for tag in ("0", "0p5", "30") for ext in [".csv"] + twin],
+        "irs-size-sweep": ["irs_size_sweep.csv"],
+        "distance-price-sweep": ["distance_price_sweep.csv"],
+    }
+    for preset, names in written.items():
+        flags = ["json"] if json_flag and "json" in experiments.PRESET_TABLE[preset][1] else []
+        paths = run_experiment(preset, cfg, tmp_path / preset, flags)
+        assert [p.name for p in paths] == names, preset
+        assert sorted(p.name for p in paths[0].parent.iterdir()) == sorted(names)
+        extra = ["stability_bound", "t_equilibrium"] if preset == "delay-sweep" else []
+        for path in paths:
+            if path.suffix == ".csv":
+                lines = path.read_text().splitlines()
+                assert lines[0] == "# preset = %s" % preset
+                keys = [line[2:].split(" = ")[0] for line in lines if line.startswith("#")]
+                assert keys == ["preset"] + extra + [key for key, _ in cfg.flat_items()]
+
+
 def test_utilities_vs_time_rerun_is_byte_identical(tmp_path, default_cfg):
     cfg = with_scalar_overrides(default_cfg, dt=0.05, horizon=3.0)
     first = run_experiment("utilities-vs-time", cfg, tmp_path / "one", flags=["json"])
