@@ -20,7 +20,7 @@ import configparser
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
-from itertools import groupby
+from itertools import combinations, groupby
 from typing import Optional
 
 import numpy as np
@@ -224,6 +224,10 @@ class ScenarioConfig:
                     " (irs_elements == irs_modules * elements_per_module)"
                     % (m, sp.irs_elements, sp.irs_modules)
                 )
+            # the three links join these points, and a link of length 0 has no path loss
+            for a, b in combinations(("bs_position", "irs_position", "user_position"), 2):
+                if getattr(sp, a) == getattr(sp, b):
+                    errors.append("sp.%d.%s and sp.%d.%s must be distinct points" % (m, a, m, b))
             if sp.antennas * sp.irs_elements > MAX_CHANNEL_ENTRIES:
                 errors.append("sp.%d: antennas * irs_elements must be at most %d" % (m, MAX_CHANNEL_ENTRIES))
             elif m == 2 and sp.irs_modules >= 1:  # irs-size-sweep gives sp.2 each grid entry as its irs_elements

@@ -6,12 +6,12 @@ any ordinary field with forward Euler or classic rk4.  integrate_dde steps
 the delayed field with forward Euler and a linearly interpolated history
 buffer (constant pre-history); solve_delayed takes the same Euler steps for
 the delayed replicator field, evaluating the field of a whole delay window
-at once (method of steps) and projecting each step on Python floats summed
-in numpy's order, and integrate_dde stays as its reference.
+at once (method of steps), and integrate_dde stays as its reference.
 picard_solve iterates the integral-equation form on a fixed grid and serves
 as an independent cross-check of the steppers.
 
-All steppers keep states on the probability simplex.  Two corrections are
+All steppers keep states on the probability simplex with one projection on
+Python floats, summed left to right (_project).  Two corrections are
 accounted separately: "drift" is the deviation of the component sum from 1
 (a step-size symptom, bounded by DRIFT_TOL), while "absorbed" mass
 comes from clamping components that cross zero, which is the exact boundary
@@ -66,68 +66,30 @@ def _check_p0(p0) -> np.ndarray:
 DRIFT_TOL = 1e-6
 
 
-def _project_step(raw: np.ndarray) -> tuple[np.ndarray, float, float]:
+def _sum(x: list) -> float:
+    """Sum from left to right: builtin sum compensates from Python 3.12, so its bits depend on the version."""
+    s = 0.0
+    for v in x:
+        s += v
+    return s
+
+
+def _project(raw: list) -> tuple[list, float, float]:
     """Clamp negatives, rescale to unit sum; returns (state, drift, absorbed).
 
-    A raw sum within DRIFT_TOL of 1 has a positive entry, so the clamped sum is positive.
+    On Python floats, since numpy's fixed cost per call would dominate vectors a few groups
+    long.  A raw sum within DRIFT_TOL of 1 has a positive entry, so the clamped sum is positive.
     """
-    total = float(raw.sum())
+    total = _sum(raw)
     drift = abs(total - 1.0)
     # written so that a NaN drift or total raises too
     if not drift <= DRIFT_TOL:
         raise NumericalDriftError("simplex drift %.3e exceeds %.1e in one step; reduce dt" % (drift, DRIFT_TOL))
     absorbed = 0.0
-    if raw.min() < 0.0:
-        neg = raw < 0.0
-        absorbed = float(-raw[neg].sum())
-        raw = np.where(neg, 0.0, raw)
-        total = float(raw.sum())
-    return raw / total, drift, absorbed
-
-
-def _numpy_sum(x: list) -> float:
-    """Sum of Python floats with the bits of np.add.reduce on a contiguous float64 vector.
-
-    numpy adds below 8 terms from left to right, from 8 terms up in 8
-    interleaved accumulators, and above 128 terms splits the vector into two
-    halves (the first a multiple of 8 long) summed alike; the reduction
-    starts from the identity 0.0.
-    """
-    if len(x) < 8:
-        s = 0.0
-        for v in x:
-            s += v
-        return s
-    return 0.0 + _pairwise_blocks(x)
-
-
-def _pairwise_blocks(x: list) -> float:
-    n = len(x)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_blocks(x[:half]) + _pairwise_blocks(x[half:])
-    r = x[:8]
-    end = n - n % 8
-    for k in range(8, end, 8):
-        for j in range(8):
-            r[j] += x[k + j]
-    s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for v in x[end:]:
-        s += v
-    return s
-
-
-def _project_row(raw: list) -> tuple[list, float, float]:
-    """_project_step on a list of Python floats, with the same bits, rules and messages."""
-    total = _numpy_sum(raw)
-    drift = abs(total - 1.0)
-    if not drift <= DRIFT_TOL:
-        raise NumericalDriftError("simplex drift %.3e exceeds %.1e in one step; reduce dt" % (drift, DRIFT_TOL))
-    absorbed = 0.0
     if min(raw) < 0.0:  # raw holds no NaN here: its sum passed the drift check
-        absorbed = -_numpy_sum([v for v in raw if v < 0.0])
+        absorbed = -_sum([v for v in raw if v < 0.0])
         raw = [0.0 if v < 0.0 else v for v in raw]
-        total = _numpy_sum(raw)
+        total = _sum(raw)
     return [v / total for v in raw], drift, absorbed
 
 
@@ -158,7 +120,8 @@ def integrate_ode(
             raw = p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
             raw = p + dt * field(t, p)
-        p, drift, absorbed = _project_step(raw)
+        p, drift, absorbed = _project(raw.tolist())
+        p = np.array(p)
         drift_sum += drift
         absorbed_sum += absorbed
         states.append(p.copy())
@@ -369,7 +332,8 @@ def integrate_dde(field: Callable, p0, delta: float, spec: IntegratorSpec, utili
     for i in range(n):
         t = i * dt
         raw = p + dt * field(t, lookup)
-        p, drift, absorbed = _project_step(raw)
+        p, drift, absorbed = _project(raw.tolist())
+        p = np.array(p)
         drift_sum += drift
         absorbed_sum += absorbed
         hist.append(p.copy())
@@ -395,10 +359,8 @@ def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: Integr
     t' <= 0.  Step i reads history at i * dt - delta only, so every step
     whose newest history sample is already known (up to floor(delta / dt)
     steps) gets its field from one stacked utilities call (method of steps);
-    only the projection onto the simplex runs step by step, on Python
-    floats: numpy's fixed cost per call would dominate vectors this short.
-    Its sums add in numpy's order (_numpy_sum), so every step keeps the bits
-    of _project_step.  A delay below dt gives blocks of one step.  utilities
+    only the projection onto the simplex, the one integrate_dde takes, runs
+    step by step.  A delay below dt gives blocks of one step.  utilities
     must accept a (T, G) stack of states, as make_utilities' map does; the
     utilities of the samples are recorded with one more stacked call.
     """
@@ -433,7 +395,7 @@ def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: Integr
             step = dt * selection_rates(p_d, utilities(p_d), mu)
             flat = []  # the window's states in one list: less memory than a list per row
             for dp in step.tolist():
-                p, drift, absorbed = _project_row(list(map(add, p, dp)))
+                p, drift, absorbed = _project(list(map(add, p, dp)))
                 drift_sum += drift
                 absorbed_sum += absorbed
                 flat += p

@@ -178,8 +178,6 @@ def _run_irs_size_sweep(cfg: ScenarioConfig):
 def _run_distance_price_sweep(cfg: ScenarioConfig):
     sp1 = cfg.sps[0]
     norm = sp1.bs_position.distance_to(sp1.irs_position)
-    if norm == 0:
-        raise ConfigurationError("sp.1 BS and surface positions coincide; no sweep axis")
     if not norm < np.inf:
         raise NumericError("sp.1 BS to surface distance %r m is not finite" % norm)
     # Python floats: a user placed past the largest float is at inf, without a warning
@@ -227,18 +225,21 @@ def run_experiment(preset: str, cfg: ScenarioConfig, out_dir, flags=()) -> list:
     if cfg.delta > 0 and "delta" not in reads + sweeps:
         errors.append("scenario.delta = %g: needs delta = 0; use delay-sweep" % cfg.delta)
     _raise(errors)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    path = out = Path(out_dir)
     paths = []
-    for suffix, scenario, extra, data in run(cfg):
-        path = out / (preset.replace("-", "_") + suffix + ".csv")
-        meta = [("preset", preset)] + extra + scenario.flat_items()
-        if isinstance(data, Trajectory):
-            paths.append(emit_csv(data, meta, path, stride=TRAJECTORY_STRIDE))
-            if "json" in flags:
-                path = path.with_suffix(".json")
-                path.write_text(json.dumps(trajectory_json(data)) + "\n", encoding="utf-8")
-                paths.append(path)
-        else:
-            paths.append(_write_csv(path, meta, *data))
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for suffix, scenario, extra, data in run(cfg):
+            path = out / (preset.replace("-", "_") + suffix + ".csv")
+            meta = [("preset", preset)] + extra + scenario.flat_items()
+            if isinstance(data, Trajectory):
+                paths.append(emit_csv(data, meta, path, stride=TRAJECTORY_STRIDE))
+                if "json" in flags:
+                    path = path.with_suffix(".json")
+                    path.write_text(json.dumps(trajectory_json(data)) + "\n", encoding="utf-8")
+                    paths.append(path)
+            else:
+                paths.append(_write_csv(path, meta, *data))
+    except OSError as exc:  # path is the directory or the file being written
+        raise ConfigurationError("cannot write %s: %s" % (path, exc)) from None
     return paths

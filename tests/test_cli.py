@@ -270,6 +270,27 @@ def test_run_missing_config_file(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_run_to_an_unwritable_out_is_a_configuration_error(tmp_path, capsys, reduced_file):
+    (tmp_path / "data" / "convergence_speed.csv").mkdir(parents=True)
+    for out in (reduced_file, tmp_path / "data"):  # a file, then a directory holding a directory of the CSV's name
+        assert main(["run", "convergence-speed", "--config", str(reduced_file), "--out", str(out)]) == EXIT_CONFIG
+        assert "configuration error: cannot write %s" % out in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, pair",
+    [
+        ("irs_position", "0, -0", "sp.1.bs_position and sp.1.irs_position"),
+        ("user_position", "0.0, 0.0", "sp.1.bs_position and sp.1.user_position"),
+        ("user_position", "50, 0", "sp.1.irs_position and sp.1.user_position"),
+    ],
+)
+def test_validate_rejects_coinciding_positions(tmp_path, capsys, reduced_file, key, value, pair):
+    # a link of length 0 has no path loss
+    assert main(["validate", str(_edited(reduced_file, tmp_path, **{key: value}))]) == EXIT_CONFIG
+    assert "%s must be distinct points" % pair in capsys.readouterr().err
+
+
 def test_validate_ok(tmp_path, capsys):
     path = tmp_path / "scenario.cfg"
     save_config(default_config(), path)

@@ -143,6 +143,7 @@ def providers(draw, max_entries=MAX_CHANNEL_ENTRIES):
     modules = draw(st.integers(1, 4))
     # within the channel cap: antennas * irs_elements <= max_entries <= MAX_CHANNEL_ENTRIES
     antennas = draw(st.integers(1, max_entries // modules))
+    bs, irs, user = draw(st.lists(positions, min_size=3, max_size=3, unique=True))  # -0.0 == 0.0 here too
     return SpConfig(
         antennas=antennas,
         bandwidth_mhz=draw(positive),
@@ -151,9 +152,9 @@ def providers(draw, max_entries=MAX_CHANNEL_ENTRIES):
         price_power=draw(non_negative),
         irs_elements=modules * draw(st.integers(1, max_entries // (antennas * modules))),
         irs_modules=modules,
-        bs_position=draw(positions),
-        irs_position=draw(positions),
-        user_position=draw(positions),
+        bs_position=bs,
+        irs_position=irs,
+        user_position=user,
     )
 
 
