@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import default_config, load_config, with_scalar_overrides
+from .config import OVERRIDES, default_config, load_config, with_scalar_overrides
 from .errors import ConfigurationError, NumericError
 from .experiments import PRESETS, numerators, run_experiment
 from .game import stability_bound
@@ -21,8 +21,6 @@ from .game import stability_bound
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
-
-OVERRIDES = ("mu", "delta", "dt", "horizon", "n_users", "seed")
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -448,13 +448,18 @@ def reduced_config() -> ScenarioConfig:
     return parse_config(resources.files("irsgame").joinpath("data/reduced.cfg").read_text())
 
 
+# the scalar settings a run may override, one CLI flag each
+OVERRIDES = ("mu", "delta", "dt", "horizon", "n_users", "seed")
+
+
 def with_scalar_overrides(cfg: ScenarioConfig, **kwargs) -> ScenarioConfig:
-    """Copy cfg with CLI-style scalar overrides (mu, delta, dt, horizon, n_users, seed)."""
-    cfg_kwargs = {}
-    for key in ("mu", "delta", "n_users", "seed"):
-        if kwargs.get(key) is not None:
-            cfg_kwargs[key] = kwargs[key]
-    integrator = {k: kwargs[k] for k in ("dt", "horizon") if kwargs.get(k) is not None}
+    """Copy cfg with scalar overrides named in OVERRIDES; a value of None keeps the setting."""
+    for key in kwargs:
+        if key not in OVERRIDES:
+            raise ConfigurationError("unknown override %r, expected one of %s" % (key, ", ".join(OVERRIDES)))
+    cfg_kwargs = {k: v for k, v in kwargs.items() if v is not None}
+    spec_keys = {f.name for f in fields(IntegratorSpec)}
+    integrator = {k: cfg_kwargs.pop(k) for k in list(cfg_kwargs) if k in spec_keys}
     if integrator:
         cfg_kwargs["integrator"] = replace(cfg.integrator, **integrator)
     return replace(cfg, **cfg_kwargs) if cfg_kwargs else cfg

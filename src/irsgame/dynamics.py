@@ -2,11 +2,11 @@
 
 ReplicatorSolution is the exact undelayed replicator dynamics of the built-in
 utility model and its rest point; solve_replicator samples it.  integrate_ode steps
-any ordinary field with forward Euler or classic rk4.  integrate_dde steps
-the delayed field with forward Euler and a linearly interpolated history
-buffer (constant pre-history); solve_delayed takes the same Euler steps for
-the delayed replicator field, evaluating the field of a whole delay window
-at once (method of steps), and integrate_dde stays as its reference.
+any ordinary field with forward Euler or classic rk4.  integrate_dde is its
+forward Euler on the delayed field over a linearly interpolated history
+buffer (constant pre-history); solve_delayed takes the same Euler steps in its
+own loop, evaluating the delayed replicator field of a whole delay window at
+once (method of steps), and integrate_dde stays as its reference.
 picard_solve iterates the integral-equation form on a fixed grid and serves
 as an independent cross-check of the steppers.
 
@@ -60,6 +60,11 @@ def _check_p0(p0) -> np.ndarray:
     if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
         raise ConfigurationError("initial state must lie on the unit simplex")
     return p
+
+
+def _check_delay(delta: float) -> None:
+    if not 0.0 <= delta < np.inf:
+        raise ConfigurationError("delay must be non-negative and finite, got %r" % (delta,))
 
 
 # Largest |sum(p) - 1| one step may leave before it is projected back
@@ -125,10 +130,9 @@ def integrate_ode(
         drift_sum += drift
         absorbed_sum += absorbed
         states.append(p.copy())
-    times = np.arange(n + 1) * dt
     states = np.array(states)
     u, u_bar = _record_utilities(states, utilities)
-    return Trajectory(times, states, u, u_bar, drift_sum, absorbed_sum)
+    return Trajectory(np.arange(n + 1) * dt, states, u, u_bar, drift_sum, absorbed_sum)
 
 
 class ReplicatorSolution:
@@ -269,18 +273,17 @@ def _record_utilities(states: np.ndarray, utilities: Callable | None):
 
 @dataclass
 class HistoryBuffer:
-    """Grid-aligned state history of a delayed integration.
+    """Grid-aligned state history of a delayed integration from t = 0.
 
     Stores one state per step and answers lookups at any t' <= newest
     sample: the exact sample when t' hits the grid, the linear interpolation
     between neighbours otherwise, and the constant initial state for
-    t' <= t0.  Only states are stored; callers derive utilities from the
+    t' <= 0.  Only states are stored; callers derive utilities from the
     looked-up state, which keeps identities of the utility map (such as the
     population average being the mass-weighted mean) exact even between
     grid points.
     """
 
-    t0: float
     dt: float
     states: list = field(default_factory=list)
 
@@ -289,7 +292,7 @@ class HistoryBuffer:
 
     def lookup(self, t: float) -> np.ndarray:
         """State at time t, interpolating between samples."""
-        x = (t - self.t0) / self.dt
+        x = t / self.dt
         i = int(round(x))
         if abs(x - i) < 1e-9:
             frac = 0.0
@@ -298,7 +301,7 @@ class HistoryBuffer:
             frac = x - i
         if i >= len(self.states) or (i == len(self.states) - 1 and frac > 0.0):
             raise ConfigurationError("history lookup at t=%r is beyond the newest sample" % (t,))
-        if i < 0 or t <= self.t0:
+        if i < 0 or t <= 0.0:
             return self.states[0]
         if frac == 0.0:
             return self.states[i]
@@ -306,48 +309,26 @@ class HistoryBuffer:
 
 
 def integrate_dde(field: Callable, p0, delta: float, spec: IntegratorSpec, utilities: Callable) -> Trajectory:
-    """Integrate the delayed field with forward Euler and recorded history.
+    """Forward-Euler integrate_ode of the delayed field over a recorded history.
 
     field(t, lookup) -> dp, where lookup(t') returns the (state, utilities)
-    pair at an earlier time.  Before t0 the history is the constant initial
-    state.  With delta = 0 the stepping reproduces forward-Euler
+    pair at an earlier time.  Before t = 0 the history is the constant
+    initial state.  With delta = 0 the stepping reproduces forward-Euler
     integrate_ode sample for sample.
     """
-    if delta < 0:
-        raise ConfigurationError("delay must be non-negative, got %r" % (delta,))
-    p = _check_p0(p0)
-    n = spec.n_steps()
-    dt = spec.dt
-    hist = HistoryBuffer(t0=0.0, dt=dt)
-    hist.append(p.copy())
+    _check_delay(delta)
+    hist = HistoryBuffer(dt=spec.dt)
 
     def lookup(t_query: float):
         p_q = hist.lookup(t_query)
         return p_q, utilities(p_q)
 
-    states = [p.copy()]
-    u_rows = [utilities(p)]
-    drift_sum = 0.0
-    absorbed_sum = 0.0
-    for i in range(n):
-        t = i * dt
-        raw = p + dt * field(t, lookup)
-        p, drift, absorbed = _project(raw.tolist())
-        p = np.array(p)
-        drift_sum += drift
-        absorbed_sum += absorbed
-        hist.append(p.copy())
-        states.append(p.copy())
-        u_rows.append(utilities(p))
-    times = np.arange(n + 1) * dt
-    return Trajectory(
-        times,
-        np.array(states),
-        np.array([r.u for r in u_rows]),
-        np.array([r.u_bar for r in u_rows]),
-        drift_sum,
-        absorbed_sum,
-    )
+    def delayed(t: float, p: np.ndarray) -> np.ndarray:
+        # Euler calls the field once per step, at the newest sample, so step i sees samples 0..i; rk4 would not
+        hist.append(p)
+        return field(t, lookup)
+
+    return integrate_ode(delayed, p0, spec, utilities, method="forward-euler")
 
 
 def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: IntegratorSpec) -> Trajectory:
@@ -364,8 +345,7 @@ def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: Integr
     must accept a (T, G) stack of states, as make_utilities' map does; the
     utilities of the samples are recorded with one more stacked call.
     """
-    if delta < 0:
-        raise ConfigurationError("delay must be non-negative, got %r" % (delta,))
+    _check_delay(delta)
     p = _check_p0(p0)
     n = spec.n_steps()
     dt = spec.dt

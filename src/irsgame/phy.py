@@ -103,12 +103,18 @@ def compute_snr(
         raise ConfigurationError(
             "beam has %d entries but the BS has %d antennas" % (len(beam.w), ch.n_antennas)
         )
+    amp = _effective_channel(ch, phases) @ beam.w
+    with np.errstate(all="ignore"):  # utility_numerators reports a non-finite SNR
+        return float(abs(amp) ** 2 / (bandwidth * noise_var))
+
+
+def _effective_channel(ch: ChannelSet, phases: PhaseShiftVector) -> np.ndarray:
+    """The row h^H + h_iu^H Theta^H G, the phases on the leading len(phases) surface elements."""
+    k = len(phases)
     eff = np.conj(ch.h_direct)
     if k:
         eff = eff + (np.conj(ch.h_irs_user[:k]) * np.conj(phases.coefficients)) @ ch.g_bs_irs[:k]
-    amp = eff @ beam.w
-    with np.errstate(all="ignore"):  # utility_numerators reports a non-finite SNR
-        return float(abs(amp) ** 2 / (bandwidth * noise_var))
+    return eff
 
 
 def _mrt(eff_conj: np.ndarray, power_w: float) -> np.ndarray:
@@ -143,18 +149,12 @@ def optimize_link(
     """
     if power_w <= 0:
         raise ConfigurationError("transmit power must be positive")
-    if not (np.all(np.isfinite(ch.h_direct)) and np.all(np.isfinite(ch.g_bs_irs)) and np.all(np.isfinite(ch.h_irs_user))):
-        raise NumericError("channel entries must be finite")
     alphas = np.zeros(ch.n_elements)
     snr = -np.inf
     beam = None
     for _ in range(MAX_ITERS):
         phases = PhaseShiftVector(alphas)
-        theta_conj = np.conj(phases.coefficients)
-        eff = np.conj(ch.h_direct)
-        if len(alphas):
-            eff = eff + (np.conj(ch.h_irs_user) * theta_conj) @ ch.g_bs_irs
-        beam = Beamformer(_mrt(eff, power_w), power_w)
+        beam = Beamformer(_mrt(_effective_channel(ch, phases), power_w), power_w)
         if trace is not None:
             trace.append(compute_snr(ch, beam, phases, bandwidth, noise_var))
         # align every reflected term with the direct term's phase

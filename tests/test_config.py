@@ -370,3 +370,5 @@ def test_scalar_overrides():
     assert cfg.mu == 0.1  # original untouched
     same = with_scalar_overrides(cfg)
     assert same is cfg
+    with pytest.raises(ConfigurationError, match="unknown override 'n_user'"):
+        with_scalar_overrides(cfg, n_user=7)

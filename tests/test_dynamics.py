@@ -171,7 +171,7 @@ def test_boundary_clamp_is_absorbing_not_fatal():
 
 
 def test_history_buffer_lookup():
-    hist = HistoryBuffer(t0=0.0, dt=0.5)
+    hist = HistoryBuffer(dt=0.5)
     a, b, c = np.array([1.0, 0.0]), np.array([0.5, 0.5]), np.array([0.0, 1.0])
     for s in (a, b, c):
         hist.append(s)
@@ -203,8 +203,12 @@ def test_dde_zero_delay_matches_euler_exactly(default_cfg, default_utilities):
         spec,
         default_utilities,
     )
+    assert np.array_equal(ode.times, dde.times)
     assert np.array_equal(ode.states, dde.states)
+    assert np.array_equal(ode.utilities, dde.utilities, equal_nan=True)
     assert np.array_equal(ode.u_bar, dde.u_bar)
+    assert ode.total_drift == dde.total_drift
+    assert ode.total_absorbed == dde.total_absorbed
 
 
 def test_dde_small_delay_reaches_known_equilibrium(reduced_cfg, reduced_links):
@@ -589,6 +593,21 @@ def test_solve_delayed_matches_integrate_dde_bit_for_bit(request, scenario, delt
 def test_solve_delayed_rejects_negative_delay(default_cfg, default_utilities):
     with pytest.raises(ConfigurationError):
         solve_delayed(default_utilities, 0.1, default_cfg.initial_population(), -1.0, IntegratorSpec(dt=0.1, horizon=1.0))
+
+
+@pytest.mark.parametrize("delta", [np.nan, np.inf])
+@pytest.mark.parametrize("solver", ["solve_delayed", "integrate_dde"])
+def test_delayed_solvers_reject_a_non_finite_delay(reduced_cfg, solver, delta):
+    utilities = scenario_utilities(reduced_cfg)
+    spec = IntegratorSpec(dt=0.1, horizon=2.0)
+    p0 = reduced_cfg.initial_population()
+    with pytest.raises(ConfigurationError, match="delay must be non-negative and finite"):
+        if solver == "solve_delayed":
+            solve_delayed(utilities, reduced_cfg.mu, p0, delta, spec)
+        else:
+            integrate_dde(
+                lambda t, lookup: delayed_replicator_field(t, lookup, delta, reduced_cfg.mu), p0, delta, spec, utilities
+            )
 
 
 def test_delayed_simulate_calls_utilities_once_per_delay_window(reduced_cfg, monkeypatch):
