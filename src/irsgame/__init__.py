@@ -55,6 +55,6 @@ from .game import (
     utility_numerators,
 )
 from .phy import Beamformer, PhaseShiftVector, ServiceLink, build_all_links, compute_snr, optimize_link
-from .experiments import PRESETS, SimulationResult, emit_csv, run_experiment, simulate, trajectory_json
+from .experiments import PRESETS, SimulationResult, emit_csv, run_experiment, simulate
 
 __version__ = "0.1.0"

@@ -37,7 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dt", type=float, default=None, help="override the integration step")
     run.add_argument("--horizon", type=float, default=None, help="override the integration horizon")
     run.add_argument("--n-users", type=int, default=None, help="override the population size")
-    run.add_argument("--json", action="store_true", help="also write JSON twins of trajectory CSVs")
+    run.add_argument("--json", action="store_true", help="also write a .json twin of each CSV, cell for cell")
 
     val = sub.add_parser("validate", help="check a config file and report problems")
     val.add_argument("config")

@@ -10,14 +10,15 @@ Each key is a field of its section's dataclass (ScenarioConfig's scalars,
 IntegratorSpec, PathLossModel, SpConfig, SweepGrids, all defined here): it is
 parsed by its annotation and defaults to its field default; a key without a
 default is required.  Its valid range is its field's "range" metadata, a test
-and its wording, which _field_errors applies to every section alike;
-ScenarioConfig.validate adds only the rules that span keys.
+and its wording, which _field_errors applies to every section and _require to
+API arguments; ScenarioConfig.validate adds only the rules that span keys.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 from itertools import combinations, groupby
@@ -30,6 +31,23 @@ from .errors import ConfigurationError
 
 def _finite(x) -> bool:
     return -math.inf < x < math.inf  # NaN fails; exact for ints of any size
+
+
+def _in(x, rng: dict) -> bool:
+    """Whether x is a number in rng, a key's range metadata; a non-number fails."""
+    return isinstance(x, numbers.Real) and rng["range"][0](x)
+
+
+def _require(name: str, x, rng: dict, kind=numbers.Real):
+    """x when it is of the kind and _in(x, rng), else a ConfigurationError naming it: an API argument's check."""
+    if not (isinstance(x, kind) and _in(x, rng)):
+        raise ConfigurationError("%s must be %s, got %r" % (name, rng["range"][1], x))
+    return x
+
+
+def _on_simplex(p: np.ndarray) -> bool:
+    """The shares rule: no share negative (or NaN), and their sum within 1e-9 of 1."""
+    return bool(np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= 1e-9)
 
 
 # field metadata: the range of a key (of each entry of a list key), as a test and its wording
@@ -56,7 +74,7 @@ MAX_CHANNEL_ENTRIES = 10**6
 
 def dbm_to_watt(dbm: float) -> float:
     """Convert a dBm level to watts: 10 ** ((dbm - 30) / 10)."""
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    return 10.0 ** ((_require("dBm level", dbm, _DB) - 30.0) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -246,7 +264,7 @@ class ScenarioConfig:
                 p = np.asarray(self.p0, dtype=float)
                 if p.shape != (self.n_groups,):
                     errors.append("scenario.p0 must have one share per group (%d)" % self.n_groups)
-                elif not (np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= 1e-9):
+                elif not _on_simplex(p):
                     errors.append("scenario.p0 must be non-negative and sum to 1 within 1e-9")
         _raise(errors)
 
@@ -268,24 +286,24 @@ def _field_errors(obj, section: str) -> list:
     for f in fields(obj):
         if "range" not in f.metadata:
             continue
-        test, wording = f.metadata["range"]
+        rng, wording = f.metadata, f.metadata["range"][1]
         key, value = "%s.%s" % (section, f.name), getattr(obj, f.name)
         if f.type == "Position":
-            if not (isinstance(value, Position) and test(value.x) and test(value.y)):
+            if not (isinstance(value, Position) and _in(value.x, rng) and _in(value.y, rng)):
                 errors.append("%s must be %s" % (key, wording))
         elif f.type.startswith("list"):  # an ascending axis
             if not value:
                 errors.append("%s must not be empty" % key)
-            elif not all(_finite(x) for x in value):
+            elif not all(_in(x, _FINITE) for x in value):
                 errors.append("%s must be finite" % key)
             elif any(b <= a for a, b in zip(value, value[1:])):
                 errors.append("%s must be strictly ascending" % key)
-            elif not all(test(x) for x in value):
+            elif not all(_in(x, rng) for x in value):
                 errors.append("%s entries must be %s" % (key, wording))
         elif f.type == "float | list[float]":  # a scalar or one entry per group
-            if not all(test(x) for x in np.ravel(value)):
+            if not all(_in(x, rng) for x in np.ravel(value)):
                 errors.append("%s entries must be %s" % (key, wording))
-        elif not test(value):
+        elif not _in(value, rng):
             errors.append("%s must be %s" % (key, wording))
     return errors
 
@@ -386,8 +404,6 @@ def parse_config(text: str) -> ScenarioConfig:
     for s in cp.sections():
         if s not in known and s not in sp_names:
             raise ConfigurationError("unknown section [%s]" % s)
-    if not sp_names:
-        raise ConfigurationError("config must define at least one [sp.N] section")
     expected = ["sp.%d" % i for i in range(1, len(sp_names) + 1)]
     if sp_names != expected:
         raise ConfigurationError(

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import MAX_STEPS, IntegratorSpec
+from .config import _NON_NEGATIVE, _POSITIVE, MAX_STEPS, IntegratorSpec, _on_simplex, _require
 from .errors import ConfigurationError, NonConvergenceError, NumericalDriftError, NumericError
 from .game import selection_rates
 
@@ -55,16 +55,9 @@ class Trajectory:
 
 def _check_p0(p0) -> np.ndarray:
     p = np.array(p0, dtype=float)
-    if p.ndim != 1:
-        raise ConfigurationError("initial state must be a vector")
-    if np.any(p < 0) or abs(float(p.sum()) - 1.0) > 1e-9:
-        raise ConfigurationError("initial state must lie on the unit simplex")
+    if p.ndim != 1 or not _on_simplex(p):
+        raise ConfigurationError("p0 must be a vector of non-negative shares that sum to 1 within 1e-9")
     return p
-
-
-def _check_delay(delta: float) -> None:
-    if not 0.0 <= delta < np.inf:
-        raise ConfigurationError("delay must be non-negative and finite, got %r" % (delta,))
 
 
 # Largest |sum(p) - 1| one step may leave before it is projected back
@@ -98,6 +91,7 @@ def _project(raw: list) -> tuple[list, float, float]:
     return [v / total for v in raw], drift, absorbed
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails the drift check
 def integrate_ode(
     field: Callable, p0, spec: IntegratorSpec, utilities: Callable | None = None, method: str = "rk4"
 ) -> Trajectory:
@@ -113,8 +107,7 @@ def integrate_ode(
     n = spec.n_steps()
     dt = spec.dt
     states = [p.copy()]
-    drift_sum = 0.0
-    absorbed_sum = 0.0
+    drift_sum = absorbed_sum = 0.0
     for i in range(n):
         t = i * dt
         if method == "rk4":
@@ -150,6 +143,7 @@ class ReplicatorSolution:
     """
 
     def __init__(self, c, mu: float, p0):
+        _require("mu", mu, _POSITIVE)
         p = _check_p0(p0)
         c = np.asarray(c, dtype=float)
         if c.shape != p.shape:
@@ -292,6 +286,8 @@ class HistoryBuffer:
 
     def lookup(self, t: float) -> np.ndarray:
         """State at time t, interpolating between samples."""
+        if t <= 0.0:  # before t / dt can pass the largest float
+            return self.states[0]
         x = t / self.dt
         i = int(round(x))
         if abs(x - i) < 1e-9:
@@ -301,8 +297,6 @@ class HistoryBuffer:
             frac = x - i
         if i >= len(self.states) or (i == len(self.states) - 1 and frac > 0.0):
             raise ConfigurationError("history lookup at t=%r is beyond the newest sample" % (t,))
-        if i < 0 or t <= 0.0:
-            return self.states[0]
         if frac == 0.0:
             return self.states[i]
         return (1.0 - frac) * self.states[i] + frac * self.states[i + 1]
@@ -316,7 +310,7 @@ def integrate_dde(field: Callable, p0, delta: float, spec: IntegratorSpec, utili
     initial state.  With delta = 0 the stepping reproduces forward-Euler
     integrate_ode sample for sample.
     """
-    _check_delay(delta)
+    _require("delay", delta, _NON_NEGATIVE)
     hist = HistoryBuffer(dt=spec.dt)
 
     def lookup(t_query: float):
@@ -345,7 +339,8 @@ def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: Integr
     must accept a (T, G) stack of states, as make_utilities' map does; the
     utilities of the samples are recorded with one more stacked call.
     """
-    _check_delay(delta)
+    _require("delay", delta, _NON_NEGATIVE)
+    _require("mu", mu, _POSITIVE)
     p = _check_p0(p0)
     n = spec.n_steps()
     dt = spec.dt
@@ -364,8 +359,7 @@ def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: Integr
         hi = lo + (frac > 0.0)
         states = np.empty((n + 1, p.size))
         states[0] = p
-        drift_sum = 0.0
-        absorbed_sum = 0.0
+        drift_sum = absorbed_sum = 0.0
         p = p.tolist()
         i = 0
         while i < n:
@@ -385,6 +379,7 @@ def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: Integr
     return Trajectory(np.arange(n + 1) * dt, states, uv.u, uv.u_bar, drift_sum, absorbed_sum)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a round that overflows never reaches tol
 def picard_solve(
     field: Callable,
     p0,
@@ -403,8 +398,8 @@ def picard_solve(
     """
     p_init = _check_p0(p0)
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) < 2 or np.any(np.diff(times) <= 0):
-        raise ConfigurationError("picard grid must be strictly increasing with at least 2 points")
+    if times.ndim != 1 or len(times) < 2 or not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
+        raise ConfigurationError("picard grid must be finite, strictly increasing, with at least 2 points")
     t_count = len(times)
     current = np.tile(p_init, (t_count, 1))
     for _ in range(max_rounds):

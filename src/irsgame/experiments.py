@@ -14,13 +14,14 @@ and run_experiment names every file after the preset and writes it.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .channel import generate_channels
-from .config import Position, ScenarioConfig, _raise
+from .config import _COUNT, Position, ScenarioConfig, _finite, _raise, _require
 from .dynamics import ReplicatorSolution, Trajectory, solve_delayed, solve_replicator
 from .errors import ConfigurationError, NumericError
 from .game import EPS_FIELD, detect_equilibrium, make_utilities, stability_bound, utility_numerators
@@ -75,46 +76,34 @@ def _write_csv(path: Path, meta: list, columns: list, rows) -> Path:
     return path
 
 
+def _write_json(path: Path, meta: list, columns: list, rows) -> Path:
+    """The twin of _write_csv: the meta block, then one array per column, a non-finite cell as null."""
+    cols = {name: [v if _finite(v) else None for v in col] for name, col in zip(columns, zip(*rows))}
+    path.write_text(json.dumps({"meta": dict(meta), **cols}) + "\n", encoding="utf-8")
+    return path
+
+
+def _trajectory_table(traj: Trajectory, stride: int) -> tuple[list, list]:
+    """emit_csv's (columns, rows): every stride-th sample and the last."""
+    if len(traj) == 0:
+        raise ConfigurationError("refusing to write an empty trajectory")
+    _require("stride", stride, _COUNT, numbers.Integral)
+    g = range(1, traj.states.shape[1] + 1)
+    columns = ["t"] + ["p_%d" % k for k in g] + ["u_%d" % k for k in g] + ["u_bar"]
+    idx = np.append(np.arange(0, len(traj) - 1, stride), len(traj) - 1)
+    u = np.full((len(idx), len(g) + 1), np.nan)  # no utilities recorded
+    if traj.utilities is not None:
+        u = np.column_stack([traj.utilities[idx], traj.u_bar[idx]])
+    return columns, np.column_stack([traj.times[idx], traj.states[idx], u]).tolist()
+
+
 def emit_csv(traj: Trajectory, meta: list, path, stride: int = 1) -> Path:
     """Write a trajectory as CSV: '#' header lines, then t, shares, utilities.
 
     Columns: t, p_1..p_G, u_1..u_G, u_bar.  Utilities of empty groups are
     written as nan.  stride thins the samples but always keeps the last one.
     """
-    if len(traj) == 0:
-        raise ConfigurationError("refusing to write an empty trajectory")
-    if stride < 1:
-        raise ConfigurationError("stride must be at least 1")
-    n_groups = traj.states.shape[1]
-    columns = (
-        ["t"]
-        + ["p_%d" % (g + 1) for g in range(n_groups)]
-        + ["u_%d" % (g + 1) for g in range(n_groups)]
-        + ["u_bar"]
-    )
-    idx = np.arange(0, len(traj), stride)
-    if idx[-1] != len(traj) - 1:
-        idx = np.append(idx, len(traj) - 1)
-    if traj.utilities is None:
-        u, u_bar = np.full((len(idx), n_groups), np.nan), np.full(len(idx), np.nan)
-    else:
-        u, u_bar = traj.utilities[idx], traj.u_bar[idx]
-    table = np.column_stack([traj.times[idx], traj.states[idx], u, u_bar])
-    return _write_csv(Path(path), meta, columns, table.tolist())
-
-
-def trajectory_json(traj: Trajectory) -> dict:
-    """Trajectory as arrays keyed by CSV column name."""
-    n_groups = traj.states.shape[1]
-    out = {"t": traj.times.tolist()}
-    for g in range(n_groups):
-        out["p_%d" % (g + 1)] = traj.states[:, g].tolist()
-    if traj.utilities is not None:
-        for g in range(n_groups):
-            col = traj.utilities[:, g]
-            out["u_%d" % (g + 1)] = [None if not np.isfinite(v) else v for v in col]
-        out["u_bar"] = traj.u_bar.tolist()
-    return out
+    return _write_csv(Path(path), meta, *_trajectory_table(traj, stride))
 
 
 # --- presets -------------------------------------------------------------------
@@ -214,8 +203,8 @@ def run_experiment(preset: str, cfg: ScenarioConfig, out_dir, flags=()) -> list:
     """Run one preset and write its data files; returns the written paths.
 
     flags names the run flags that were set; one the preset does not read is a
-    configuration error, and "json" also writes a .json twin (arrays keyed by
-    column name) of every trajectory CSV.
+    configuration error, and "json" also writes a .json twin of every CSV:
+    the same meta block and cells, as one array per column.
     """
     if preset not in PRESET_TABLE:
         raise ConfigurationError("unknown preset %r; choose one of: %s" % (preset, ", ".join(PRESETS)))
@@ -233,13 +222,12 @@ def run_experiment(preset: str, cfg: ScenarioConfig, out_dir, flags=()) -> list:
             path = out / (preset.replace("-", "_") + suffix + ".csv")
             meta = [("preset", preset)] + extra + scenario.flat_items()
             if isinstance(data, Trajectory):
-                paths.append(emit_csv(data, meta, path, stride=TRAJECTORY_STRIDE))
-                if "json" in flags:
-                    path = path.with_suffix(".json")
-                    path.write_text(json.dumps(trajectory_json(data)) + "\n", encoding="utf-8")
-                    paths.append(path)
-            else:
-                paths.append(_write_csv(path, meta, *data))
+                data = _trajectory_table(data, TRAJECTORY_STRIDE)
+            paths.append(_write_csv(path, meta, *data))
+            if "json" in flags:  # only presets of trajectories read it
+                path = path.with_suffix(".json")
+                paths.append(_write_json(path, meta, *data))
+            del data  # a table is not kept while the runner computes the next file's data
     except OSError as exc:  # path is the directory or the file being written
         raise ConfigurationError("cannot write %s: %s" % (path, exc)) from None
     return paths

@@ -13,6 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .config import _POSITIVE, _USERS, _require
 from .errors import ConfigurationError, NumericError
 
 # equilibrium detection thresholds shared by all presets
@@ -94,7 +95,7 @@ def make_utilities(numer: np.ndarray, n_users: int) -> Callable[[np.ndarray], Ut
     (T,), each row equal to the single-state result.  Raises NumericError when
     a utility overflows a float.
     """
-    n = float(n_users)
+    n = float(_require("n_users", n_users, _USERS))
     n_nan = np.full(len(numer), np.nan)
 
     def utilities(p: np.ndarray) -> UtilityVector:
@@ -151,6 +152,8 @@ def stability_bound(numer: np.ndarray, mu: float, n_users: int) -> float:
     the bound is pi / (2 mu C+).  Raises NumericError when no c_g is positive
     or when 2 mu C+ or the bound is not a positive finite number.
     """
+    _require("mu", mu, _POSITIVE)
+    _require("n_users", n_users, _USERS)
     with np.errstate(over="ignore"):  # an infinite C+ is reported below
         total = float(numer[numer > 0.0].sum())
     if total <= 0.0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .config import dbm_to_watt
+from .config import _POSITIVE, _require, dbm_to_watt
 from .errors import ConfigurationError, NumericError
 
 TWO_PI = 2.0 * np.pi
@@ -39,7 +39,7 @@ class PhaseShiftVector:
         self.alphas = np.asarray(self.alphas, dtype=float)
         if self.alphas.ndim != 1:
             raise ConfigurationError("phase vector must be one-dimensional")
-        if np.any(self.alphas < 0.0) or np.any(self.alphas >= TWO_PI):
+        if not np.all((self.alphas >= 0.0) & (self.alphas < TWO_PI)):  # a NaN phase fails too
             raise ConfigurationError("phases must lie in [0, 2*pi)")
 
     @property
@@ -61,10 +61,9 @@ class Beamformer:
         self.w = np.asarray(self.w, dtype=complex)
         if self.w.ndim != 1:
             raise ConfigurationError("beamforming vector must be one-dimensional")
-        if self.power_w <= 0:
-            raise ConfigurationError("transmit power must be positive")
+        _require("transmit power", self.power_w, _POSITIVE)
         norm_sq = float(np.vdot(self.w, self.w).real)
-        if abs(norm_sq - self.power_w) > 1e-9 * self.power_w:
+        if not abs(norm_sq - self.power_w) <= 1e-9 * self.power_w:  # a NaN entry fails too
             raise ConfigurationError(
                 "||w||^2 = %r does not match the power budget %r" % (norm_sq, self.power_w)
             )
@@ -92,8 +91,8 @@ def compute_snr(
     phase vector may cover a leading subset of the surface; elements beyond
     it do not reflect.
     """
-    if bandwidth <= 0 or noise_var <= 0:
-        raise ConfigurationError("bandwidth and noise variance must be positive")
+    _require("bandwidth", bandwidth, _POSITIVE)
+    _require("noise_var", noise_var, _POSITIVE)
     k = len(phases)
     if k > ch.n_elements:
         raise ConfigurationError(
@@ -147,8 +146,7 @@ def optimize_link(
     Returns a ServiceLink whose cached snr field equals compute_snr for the
     returned beam and phases.
     """
-    if power_w <= 0:
-        raise ConfigurationError("transmit power must be positive")
+    _require("transmit power", power_w, _POSITIVE)
     alphas = np.zeros(ch.n_elements)
     snr = -np.inf
     beam = None

