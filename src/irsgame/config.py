@@ -235,8 +235,10 @@ class ScenarioConfig:
         errors = [e for name, obj in self._sections() for e in _field_errors(obj, name)]
         if not self.sps:
             errors.append("scenario needs at least one [sp.N] section")
+        if errors:  # the rules below need keys of the right type and range
+            _raise(errors)
         for m, sp in enumerate(self.sps, start=1):
-            if sp.irs_modules >= 1 and sp.irs_elements % sp.irs_modules != 0:
+            if sp.irs_elements % sp.irs_modules != 0:
                 errors.append(
                     "sp.%d: irs_elements = %d is not divisible by irs_modules = %d"
                     " (irs_elements == irs_modules * elements_per_module)"
@@ -248,7 +250,7 @@ class ScenarioConfig:
                     errors.append("sp.%d.%s and sp.%d.%s must be distinct points" % (m, a, m, b))
             if sp.antennas * sp.irs_elements > MAX_CHANNEL_ENTRIES:
                 errors.append("sp.%d: antennas * irs_elements must be at most %d" % (m, MAX_CHANNEL_ENTRIES))
-            elif m == 2 and sp.irs_modules >= 1:  # irs-size-sweep gives sp.2 each grid entry as its irs_elements
+            elif m == 2:  # irs-size-sweep gives sp.2 each grid entry as its irs_elements
                 if any(k % sp.irs_modules or sp.antennas * k > MAX_CHANNEL_ENTRIES for k in self.grids.irs_elements_sp2):
                     errors.append(
                         "grids.irs_elements_sp2 entries must be multiples of sp.2.irs_modules = %d, each with"
@@ -292,7 +294,9 @@ def _field_errors(obj, section: str) -> list:
             if not (isinstance(value, Position) and _in(value.x, rng) and _in(value.y, rng)):
                 errors.append("%s must be %s" % (key, wording))
         elif f.type.startswith("list"):  # an ascending axis
-            if not value:
+            if not isinstance(value, list):
+                errors.append("%s must be a list of entries that are %s" % (key, wording))
+            elif not value:
                 errors.append("%s must not be empty" % key)
             elif not all(_in(x, _FINITE) for x in value):
                 errors.append("%s must be finite" % key)

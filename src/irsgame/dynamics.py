@@ -4,14 +4,15 @@ ReplicatorSolution is the exact undelayed replicator dynamics of the built-in
 utility model and its rest point; solve_replicator samples it.  integrate_ode steps
 any ordinary field with forward Euler or classic rk4.  integrate_dde is its
 forward Euler on the delayed field over a linearly interpolated history
-buffer (constant pre-history); solve_delayed takes the same Euler steps in its
-own loop, evaluating the delayed replicator field of a whole delay window at
-once (method of steps), and integrate_dde stays as its reference.
+buffer (constant pre-history); solve_delayed takes the same Euler steps,
+evaluating the delayed replicator field of a whole delay window at once
+(method of steps), and integrate_dde stays as its reference.
 picard_solve iterates the integral-equation form on a fixed grid and serves
 as an independent cross-check of the steppers.
 
-All steppers keep states on the probability simplex with one projection on
-Python floats, summed left to right (_project).  Two corrections are
+All steppers take their steps through one loop on Python floats (_advance),
+which adds each step to the state and projects the sum back onto the
+probability simplex, summing left to right.  Two corrections are
 accounted separately: "drift" is the deviation of the component sum from 1
 (a step-size symptom, bounded by DRIFT_TOL), while "absorbed" mass
 comes from clamping components that cross zero, which is the exact boundary
@@ -72,23 +73,37 @@ def _sum(x: list) -> float:
     return s
 
 
-def _project(raw: list) -> tuple[list, float, float]:
-    """Clamp negatives, rescale to unit sum; returns (state, drift, absorbed).
+def _advance(p: list, steps, drift_sum: float, absorbed_sum: float) -> tuple[list, float, float]:
+    """Add each row of steps to the state p in turn, projecting onto the simplex after each.
 
-    On Python floats, since numpy's fixed cost per call would dominate vectors a few groups
-    long.  A raw sum within DRIFT_TOL of 1 has a positive entry, so the clamped sum is positive.
+    Returns the states one after another in one flat list, and the two running sums with each
+    step's drift |sum - 1| and absorbed (clamped) mass added in step order.  A step's
+    negative entries are clamped to zero and it is rescaled to unit sum.  On Python floats,
+    since numpy's fixed cost per call would dominate vectors a few groups long.  A total of
+    exactly 1 is neither divided nor counted: v / 1.0 == v and x + 0.0 == x.  A raw sum
+    within DRIFT_TOL of 1 has a positive entry, so the clamped sum is positive.
     """
-    total = _sum(raw)
-    drift = abs(total - 1.0)
-    # written so that a NaN drift or total raises too
-    if not drift <= DRIFT_TOL:
-        raise NumericalDriftError("simplex drift %.3e exceeds %.1e in one step; reduce dt" % (drift, DRIFT_TOL))
-    absorbed = 0.0
-    if min(raw) < 0.0:  # raw holds no NaN here: its sum passed the drift check
-        absorbed = -_sum([v for v in raw if v < 0.0])
-        raw = [0.0 if v < 0.0 else v for v in raw]
-        total = _sum(raw)
-    return [v / total for v in raw], drift, absorbed
+    flat = []
+    for dp in steps:
+        p = list(map(add, p, dp))
+        total, clamp = 0.0, False
+        for v in p:
+            total += v
+            if v < 0.0:
+                clamp = True
+        if total != 1.0:  # true for a NaN total, which the drift check below rejects
+            drift = abs(total - 1.0)
+            if not drift <= DRIFT_TOL:
+                raise NumericalDriftError("simplex drift %.3e exceeds %.1e in one step; reduce dt" % (drift, DRIFT_TOL))
+            drift_sum += drift
+        if clamp:  # p holds no NaN here: its sum passed the drift check
+            absorbed_sum -= _sum([v for v in p if v < 0.0])
+            p = [0.0 if v < 0.0 else v for v in p]
+            total = _sum(p)
+        if total != 1.0:
+            p = [v / total for v in p]
+        flat += p
+    return flat, drift_sum, absorbed_sum
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails the drift check
@@ -106,23 +121,31 @@ def integrate_ode(
     p = _check_p0(p0)
     n = spec.n_steps()
     dt = spec.dt
-    states = [p.copy()]
+    shape = p.shape
+
+    def rate(t: float, q: np.ndarray) -> np.ndarray:
+        dp = field(t, q)
+        if np.shape(dp) != shape:  # numpy would broadcast a single value, and _advance truncate a longer one
+            raise ConfigurationError(
+                "integrate_ode field returned shape %s for a state of shape %s" % (np.shape(dp), shape)
+            )
+        return dp
+
+    states = [p]
     drift_sum = absorbed_sum = 0.0
     for i in range(n):
         t = i * dt
         if method == "rk4":
-            k1 = field(t, p)
-            k2 = field(t + 0.5 * dt, p + 0.5 * dt * k1)
-            k3 = field(t + 0.5 * dt, p + 0.5 * dt * k2)
-            k4 = field(t + dt, p + dt * k3)
-            raw = p + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k1 = rate(t, p)
+            k2 = rate(t + 0.5 * dt, p + 0.5 * dt * k1)
+            k3 = rate(t + 0.5 * dt, p + 0.5 * dt * k2)
+            k4 = rate(t + dt, p + dt * k3)
+            step = dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
-            raw = p + dt * field(t, p)
-        p, drift, absorbed = _project(raw.tolist())
-        p = np.array(p)
-        drift_sum += drift
-        absorbed_sum += absorbed
-        states.append(p.copy())
+            step = dt * rate(t, p)
+        flat, drift_sum, absorbed_sum = _advance(p.tolist(), [step.tolist()], drift_sum, absorbed_sum)
+        p = np.array(flat)
+        states.append(p)
     states = np.array(states)
     u, u_bar = _record_utilities(states, utilities)
     return Trajectory(np.arange(n + 1) * dt, states, u, u_bar, drift_sum, absorbed_sum)
@@ -211,9 +234,12 @@ class ReplicatorSolution:
         a = mu * C, k0 = max|slope| * (1 - exp(-a * dt)) / (C * dt): with C > 0 it falls below
         eps for good after t_k + ln(k0 / eps) / a, else it peaks at t_end.  Going back from the
         last piece, only samples near those times and near t_k are checked, with
-        detect_equilibrium's arithmetic.  Raises ConfigurationError past MAX_STEPS samples or
-        when those samples' times pass the largest float.
+        detect_equilibrium's arithmetic.  Raises ConfigurationError for a dt or eps that is not
+        positive and finite, past MAX_STEPS samples, or when those samples' times pass the
+        largest float.
         """
+        _require("dt", dt, _POSITIVE)
+        _require("eps", eps, _POSITIVE)
         for t_k, t_end, _, big_c, slope in reversed(self.pieces):
             near = [t_k, t_end] if t_end < np.inf else [t_k]
             if slope.any() and big_c > 0.0:
@@ -367,13 +393,11 @@ def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: Integr
             a, b, f = states[lo[i:j]], states[hi[i:j]], frac[i:j, None]
             p_d = np.where(f > 0.0, (1.0 - f) * a + f * b, a)
             step = dt * selection_rates(p_d, utilities(p_d), mu)
-            flat = []  # the window's states in one list: less memory than a list per row
-            for dp in step.tolist():
-                p, drift, absorbed = _project(list(map(add, p, dp)))
-                drift_sum += drift
-                absorbed_sum += absorbed
-                flat += p
+            # the window's states in one list: less memory than a list per row
+            flat, drift_sum, absorbed_sum = _advance(p, step.tolist(), drift_sum, absorbed_sum)
             states[i + 1 : j + 1] = np.reshape(flat, (j - i, -1))
+            del flat  # freed before the next window's list is built
+            p = states[j].tolist()
             i = j
     uv = utilities(states)
     return Trajectory(np.arange(n + 1) * dt, states, uv.u, uv.u_bar, drift_sum, absorbed_sum)

@@ -193,6 +193,8 @@ def detect_equilibrium(
     if len(traj.times) == 1:
         return Equilibrium(time=float(traj.times[0]), index=0, utility_spread=_spread(traj, 0, eps_mass))
     dts = np.diff(traj.times)
+    if not np.all(dts > 0.0):  # a NaN time fails too
+        raise ConfigurationError("trajectory times must be strictly increasing to detect an equilibrium")
     rates = np.max(np.abs(np.diff(traj.states, axis=0)), axis=1) / dts
     quiet = rates < eps_field
     if not quiet[-1]:

@@ -1,6 +1,7 @@
 """The Python API checks its arguments with the config key ranges, as the CLI does."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,10 +14,12 @@ from irsgame import (
     IntegratorSpec,
     PhaseShiftVector,
     ReplicatorSolution,
+    SweepGrids,
     Trajectory,
     compute_snr,
     dbm_to_watt,
     delayed_replicator_field,
+    detect_equilibrium,
     emit_csv,
     generate_channels,
     integrate_dde,
@@ -75,6 +78,44 @@ REGRESSIONS = {
     "a dB level past a float": (lambda: dbm_to_watt(1e6), "dBm level must be finite"),
     "a string integration step": (lambda: IntegratorSpec(dt="0.1"), r"integrator\.dt must be positive"),
     "a NaN Picard grid": (lambda: picard_solve(lambda t, p: 0.0 * p, P0, [0.0, NAN]), "picard grid must be finite"),
+    # numpy broadcast a field of one value, and rk4 ended in a numpy ValueError on a longer one
+    **{
+        "a field of %d values for 2 groups, %s" % (n, method): (
+            lambda n=n, method=method: integrate_ode(lambda t, p: np.zeros(n), P0, SPEC, method=method),
+            r"integrate_ode field returned shape \(%d,\) for a state of shape \(2,\)" % n,
+        )
+        for n in (1, 3)
+        for method in ("rk4", "forward-euler")
+    },
+    "repeated times of a trajectory": (
+        lambda: detect_equilibrium(Trajectory(times=np.array([0.0, 1.0, 1.0]), states=np.tile(P0, (3, 1)))),
+        "trajectory times must be strictly increasing",
+    ),
+    "a zero dt of the rest-point index": (
+        lambda: ReplicatorSolution(C, 0.1, P0).equilibrium_index(0.0, 1e-6),
+        "dt must be positive and finite, got 0.0",
+    ),
+    "a negative dt of the rest-point index": (
+        lambda: ReplicatorSolution(C, 0.1, P0).equilibrium_index(-0.01, 1e-6),
+        "dt must be positive and finite, got -0.01",
+    ),
+    "a string dt of the rest-point index": (
+        lambda: ReplicatorSolution(C, 0.1, P0).equilibrium_index("x", 1e-6),
+        "dt must be positive and finite, got 'x'",
+    ),
+    "a zero eps of the rest-point index": (
+        lambda: ReplicatorSolution(C, 0.1, P0).equilibrium_index(0.01, 0.0),
+        "eps must be positive and finite, got 0.0",
+    ),
+    # the rules that span keys used to run on mistyped keys
+    "a sweep grid that is not a list": (
+        lambda: replace(CFG, grids=SweepGrids(mu=0.1)),
+        "grids.mu must be a list of entries that are positive and finite",
+    ),
+    "a string surface partition": (
+        lambda: replace(CFG, sps=[replace(CFG.sps[0], irs_modules="x"), CFG.sps[1]]),
+        "sp.1.irs_modules must be at least 1",
+    ),
 }
 
 

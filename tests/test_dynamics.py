@@ -4,7 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from irsgame import (
@@ -29,9 +29,10 @@ from irsgame import (
     utility_numerators,
     with_scalar_overrides,
 )
-from irsgame.dynamics import DRIFT_TOL, MAX_STEPS, _project, _sum
+from irsgame.dynamics import DRIFT_TOL, MAX_STEPS, _advance, _sum
 from irsgame.experiments import numerators
 from conftest import group_gains
+import oracle
 
 
 def logistic_utilities(p):
@@ -571,7 +572,7 @@ def scenario_utilities(cfg):
         ("ten_group_cfg", 2.505, 0.01, 30.0),
     ],
 )
-def test_solve_delayed_matches_integrate_dde_bit_for_bit(request, scenario, delta, dt, horizon):
+def test_solve_delayed_matches_integrate_dde_bit_for_bit(request, monkeypatch, scenario, delta, dt, horizon):
     cfg = request.getfixturevalue(scenario)
     utilities = scenario_utilities(cfg)
     spec = IntegratorSpec(dt=dt, horizon=horizon)
@@ -588,6 +589,11 @@ def test_solve_delayed_matches_integrate_dde_bit_for_bit(request, scenario, delt
     assert fast.total_absorbed == ref.total_absorbed
     if scenario == "reduced_cfg" and delta >= 30.0:
         assert fast.total_absorbed > 0.0  # the run clamps shares at zero
+    # both solvers step through _advance: the projection's own reference is one call per step
+    monkeypatch.setattr("irsgame.dynamics._advance", oracle.advance)
+    slow = solve_delayed(utilities, cfg.mu, p0, delta, spec)
+    assert fast.states.tobytes() == slow.states.tobytes()
+    assert (fast.total_drift, fast.total_absorbed) == (slow.total_drift, slow.total_absorbed)
 
 
 def test_solve_delayed_rejects_negative_delay(default_cfg, default_utilities):
@@ -656,7 +662,7 @@ def nan_utilities(p):
         (leaky_utilities(np.array([1.0, 0.0]), 0.0), [0.5, 0.5], "simplex drift 5.000e-03 exceeds"),
     ],
 )
-def test_solve_delayed_guards_match_integrate_dde(utilities, p0, message):
+def test_solve_delayed_guards_match_integrate_dde(monkeypatch, utilities, p0, message):
     spec = IntegratorSpec(dt=0.01, horizon=1.0)
     delta = 0.05
     with np.errstate(all="ignore"), pytest.raises(NumericalDriftError, match=message) as fast:
@@ -666,6 +672,10 @@ def test_solve_delayed_guards_match_integrate_dde(utilities, p0, message):
             lambda t, lookup: delayed_replicator_field(t, lookup, delta, 1.0), np.array(p0), delta, spec, utilities
         )
     assert str(fast.value) == str(ref.value)
+    monkeypatch.setattr("irsgame.dynamics._advance", oracle.advance)
+    with np.errstate(all="ignore"), pytest.raises(NumericalDriftError) as slow:
+        solve_delayed(utilities, 1.0, np.array(p0), delta, spec)
+    assert str(fast.value) == str(slow.value)
 
 
 @st.composite
@@ -683,7 +693,7 @@ def rows_near_the_simplex(draw):
 def test_projection_of_any_admitted_step_lies_on_the_simplex(raw):
     # a sum within DRIFT_TOL of 1 has a positive entry, so no step the drift
     # check admits is clamped away entirely
-    state, drift, absorbed = _project(raw.tolist())
+    state, drift, absorbed = _advance([0.0] * len(raw), [raw.tolist()], 0.0, 0.0)
     state = np.array(state)
     assert np.all(state >= 0.0)
     assert abs(float(state.sum()) - 1.0) <= 1e-12
@@ -692,6 +702,46 @@ def test_projection_of_any_admitted_step_lies_on_the_simplex(raw):
     assert np.allclose(state, clamped / clamped.sum(), rtol=0.0, atol=1e-12)
     assert abs(drift - abs(raw.sum() - 1.0)) <= 1e-12
     assert abs(absorbed - (clamped - raw).sum()) <= 1e-12
+
+
+# rows that sum to 0 exactly or nearly, with the values that take _advance's other branches
+NEAR_ZERO = [0.0, -0.0, 1e-9, -1e-9, 2e-6, -2e-6, np.nan, np.inf]
+entries = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.25, -0.25, 1e-300, np.nan]), st.floats(-1.0, 1.0))
+
+
+@st.composite
+def projected_runs(draw):
+    """A state of 1-6 groups and 0-8 steps, most of them summing to 0 exactly or within DRIFT_TOL."""
+    g = draw(st.integers(1, 6))
+    share = st.sampled_from([0.0, -0.0, 0.125, 0.25, 0.5]) | st.floats(0.0, 1.0)
+    head = draw(st.lists(share, min_size=g - 1, max_size=g - 1))
+    p = head + [1.0 - _sum(head)]
+    steps = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = draw(st.lists(entries, min_size=g - 1, max_size=g - 1))
+        steps.append(row + [draw(st.sampled_from(NEAR_ZERO)) - _sum(row)] if draw(st.booleans()) else row + [0.0])
+    return p, steps, draw(st.sampled_from([0.0, 1e-7])), draw(st.sampled_from([0.0, 0.5]))
+
+
+def _projected(advance, p, steps, drift_sum, absorbed_sum):
+    """advance's flat states as bytes (telling -0.0 from 0.0) and sums, or its error message."""
+    try:
+        flat, drift_sum, absorbed_sum = advance(p, steps, drift_sum, absorbed_sum)
+    except NumericalDriftError as exc:
+        return str(exc)
+    return np.array(flat).tobytes(), drift_sum, absorbed_sum
+
+
+@settings(max_examples=500, deadline=None)
+@given(projected_runs())
+@example(([0.5, 0.5], [[0.25, -0.25], [-0.5, 0.5]], 0.0, 0.0))  # totals of exactly 1.0
+@example(([0.5, 0.5], [[-0.75, 0.75], [0.125, -0.125]], 0.0, 0.0))  # a negative entry clamped
+@example(([-0.0, 1.0], [[-0.0, 0.0], [0.5, -0.5]], 0.0, 0.0))  # -0.0 kept
+@example(([0.5, 0.5], [[1e-9, 0.0], [np.nan, 0.0]], 1e-7, 0.0))  # NaN after an inexact total
+@example(([0.5, 0.5], [[0.0, 0.0], [2e-6, 0.0]], 0.0, 0.5))  # a sum past DRIFT_TOL
+@example(([0.5, 0.5], [[0.6, 1e-9 - 0.6]], 0.0, 0.0))  # clamped and inexact
+def test_advance_has_the_bits_of_one_projection_per_step(run):
+    assert _projected(_advance, *run) == _projected(oracle.advance, *run)
 
 
 def test_sum_adds_from_left_to_right():
