@@ -3,9 +3,9 @@
 Pipeline: static Rayleigh channels per provider geometry (channel), SNR
 maximization by alternating beamforming and surface phase alignment (phy),
 population utilities and replicator dynamics over service groups (game),
-the exact undelayed solution, fixed-step ODE/DDE integration (the delayed
-replicator dynamics stepped one delay window at a time) and a Picard
-cross-check (dynamics), and
+the exact undelayed solution, fixed-step ODE integration, the delayed
+replicator dynamics stepped one delay window at a time over a state history,
+and a Picard cross-check (dynamics), and
 reproducible experiment presets with CSV output (experiments, cli).
 """
 
@@ -31,7 +31,6 @@ from .dynamics import (
     HistoryBuffer,
     ReplicatorSolution,
     Trajectory,
-    integrate_dde,
     integrate_ode,
     picard_solve,
     solve_delayed,
@@ -47,7 +46,6 @@ from .game import (
     Equilibrium,
     UtilityParams,
     UtilityVector,
-    delayed_replicator_field,
     detect_equilibrium,
     make_utilities,
     replicator_field,

@@ -11,7 +11,8 @@ IntegratorSpec, PathLossModel, SpConfig, SweepGrids, all defined here): it is
 parsed by its annotation and defaults to its field default; a key without a
 default is required.  Its valid range is its field's "range" metadata, a test
 and its wording, which _field_errors applies to every section and _require to
-API arguments; ScenarioConfig.validate adds only the rules that span keys.
+API arguments; a key annotated int must also hold integers, as _require's kind
+asks of an argument.  ScenarioConfig.validate adds only the rules that span keys.
 """
 
 from __future__ import annotations
@@ -290,6 +291,7 @@ def _field_errors(obj, section: str) -> list:
             continue
         rng, wording = f.metadata, f.metadata["range"][1]
         key, value = "%s.%s" % (section, f.name), getattr(obj, f.name)
+        kind = numbers.Integral if f.type in ("int", "list[int]") else numbers.Real
         if f.type == "Position":
             if not (isinstance(value, Position) and _in(value.x, rng) and _in(value.y, rng)):
                 errors.append("%s must be %s" % (key, wording))
@@ -304,11 +306,15 @@ def _field_errors(obj, section: str) -> list:
                 errors.append("%s must be strictly ascending" % key)
             elif not all(_in(x, rng) for x in value):
                 errors.append("%s entries must be %s" % (key, wording))
+            elif not all(isinstance(x, kind) for x in value):
+                errors.append("%s entries must be integers" % key)
         elif f.type == "float | list[float]":  # a scalar or one entry per group
             if not all(_in(x, rng) for x in np.ravel(value)):
                 errors.append("%s entries must be %s" % (key, wording))
         elif not _in(value, rng):
             errors.append("%s must be %s" % (key, wording))
+        elif not isinstance(value, kind):
+            errors.append("%s must be an integer" % key)
     return errors
 
 

@@ -2,11 +2,10 @@
 
 ReplicatorSolution is the exact undelayed replicator dynamics of the built-in
 utility model and its rest point; solve_replicator samples it.  integrate_ode steps
-any ordinary field with forward Euler or classic rk4.  integrate_dde is its
-forward Euler on the delayed field over a linearly interpolated history
-buffer (constant pre-history); solve_delayed takes the same Euler steps,
-evaluating the delayed replicator field of a whole delay window at once
-(method of steps), and integrate_dde stays as its reference.
+any ordinary field with forward Euler or classic rk4.  solve_delayed takes
+forward-Euler steps of the delayed replicator field, reading past states through
+HistoryBuffer (linear interpolation between samples, constant pre-history) and
+evaluating the field of a whole delay window at once (method of steps).
 picard_solve iterates the integral-equation form on a fixed grid and serves
 as an independent cross-check of the steppers.
 
@@ -22,7 +21,7 @@ behavior of the selection dynamics when a group empties in finite time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import add
 from typing import Callable, Optional
 
@@ -293,105 +292,69 @@ def _record_utilities(states: np.ndarray, utilities: Callable | None):
 
 @dataclass
 class HistoryBuffer:
-    """Grid-aligned state history of a delayed integration from t = 0.
+    """Grid-aligned state history of a delayed integration from t = 0: states[i] is the state at i * dt.
 
-    Stores one state per step and answers lookups at any t' <= newest
-    sample: the exact sample when t' hits the grid, the linear interpolation
-    between neighbours otherwise, and the constant initial state for
-    t' <= 0.  Only states are stored; callers derive utilities from the
-    looked-up state, which keeps identities of the utility map (such as the
-    population average being the mass-weighted mean) exact even between
-    grid points.
+    The one history rule of the delayed dynamics: a time within 1e-9 steps of a sample is that
+    sample, a time between two samples is their linear interpolation, and a time t <= 0 is the
+    initial state (constant pre-history).  Only states are stored; callers derive utilities from
+    the looked-up state, which keeps identities of the utility map (such as the population
+    average being the mass-weighted mean) exact even between grid points.
     """
 
     dt: float
-    states: list = field(default_factory=list)
+    states: np.ndarray  # (N, G)
 
-    def append(self, p: np.ndarray) -> None:
-        self.states.append(p)
-
-    def lookup(self, t: float) -> np.ndarray:
-        """State at time t, interpolating between samples."""
-        if t <= 0.0:  # before t / dt can pass the largest float
-            return self.states[0]
+    @np.errstate(over="ignore", invalid="ignore")  # t / dt past a float is pre-history or past the newest sample
+    def _samples(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The samples lo <= hi that each time reads, and the weight frac of hi (0 when hi = lo)."""
         x = t / self.dt
-        i = int(round(x))
-        if abs(x - i) < 1e-9:
-            frac = 0.0
-        else:
-            i = int(np.floor(x))
-            frac = x - i
-        if i >= len(self.states) or (i == len(self.states) - 1 and frac > 0.0):
-            raise ConfigurationError("history lookup at t=%r is beyond the newest sample" % (t,))
-        if frac == 0.0:
-            return self.states[i]
-        return (1.0 - frac) * self.states[i] + frac * self.states[i + 1]
+        near = np.round(x)
+        snap = np.abs(x - near) < 1e-9
+        pre = t <= 0.0
+        lo = np.where(pre, 0.0, np.where(snap, near, np.floor(x)))
+        frac = np.where(snap | pre, 0.0, x - lo)
+        return lo, lo + (frac > 0.0), frac
 
+    def lookup(self, t) -> np.ndarray:
+        """States at the time t (G,) or at each of the times t (T, G).
 
-def integrate_dde(field: Callable, p0, delta: float, spec: IntegratorSpec, utilities: Callable) -> Trajectory:
-    """Forward-Euler integrate_ode of the delayed field over a recorded history.
-
-    field(t, lookup) -> dp, where lookup(t') returns the (state, utilities)
-    pair at an earlier time.  Before t = 0 the history is the constant
-    initial state.  With delta = 0 the stepping reproduces forward-Euler
-    integrate_ode sample for sample.
-    """
-    _require("delay", delta, _NON_NEGATIVE)
-    hist = HistoryBuffer(dt=spec.dt)
-
-    def lookup(t_query: float):
-        p_q = hist.lookup(t_query)
-        return p_q, utilities(p_q)
-
-    def delayed(t: float, p: np.ndarray) -> np.ndarray:
-        # Euler calls the field once per step, at the newest sample, so step i sees samples 0..i; rk4 would not
-        hist.append(p)
-        return field(t, lookup)
-
-    return integrate_ode(delayed, p0, spec, utilities, method="forward-euler")
+        Raises ConfigurationError when a time is past the newest sample, or NaN.
+        """
+        t = np.asarray(t, dtype=float)
+        lo, hi, frac = self._samples(t)
+        if not np.all(hi < len(self.states)):
+            raise ConfigurationError("history lookup at t=%r is beyond the newest sample" % (float(np.max(t)),))
+        a, b, f = self.states[lo.astype(np.intp)], self.states[hi.astype(np.intp)], frac[..., None]
+        return np.where(f > 0.0, (1.0 - f) * a + f * b, a)
 
 
 def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: IntegratorSpec) -> Trajectory:
     """Forward-Euler steps of the delayed replicator field, one delay window at a time.
 
-    Takes the same steps as integrate_dde with delayed_replicator_field and
-    gives the same samples bit for bit, history rules included: grid snap,
-    linear interpolation between samples, constant initial state for
-    t' <= 0.  Step i reads history at i * dt - delta only, so every step
-    whose newest history sample is already known (up to floor(delta / dt)
-    steps) gets its field from one stacked utilities call (method of steps);
-    only the projection onto the simplex, the one integrate_dde takes, runs
-    step by step.  A delay below dt gives blocks of one step.  utilities
-    must accept a (T, G) stack of states, as make_utilities' map does; the
-    utilities of the samples are recorded with one more stacked call.
+    Step i adds dt * mu * p_g * (u_g - u_bar) with state and utilities at i * dt - delta, read
+    from the samples so far by HistoryBuffer.lookup.  Every step whose history is already known
+    (up to floor(delta / dt) + 1 steps) gets its field from one stacked utilities call (method
+    of steps); only the projection onto the simplex runs step by step.  A delay below dt gives
+    windows of one step, and delta = 0 is forward-Euler integrate_ode of replicator_field.
+    utilities must accept a (T, G) stack of states, as make_utilities' map does; the utilities
+    of the samples are recorded with one more stacked call.
     """
     _require("delay", delta, _NON_NEGATIVE)
     _require("mu", mu, _POSITIVE)
     p = _check_p0(p0)
     n = spec.n_steps()
     dt = spec.dt
-    # a step that overflows fails the drift check; a query time t_q / dt past a float is pre-history
-    with np.errstate(over="ignore", invalid="ignore"):
-        # HistoryBuffer.lookup(i * dt - delta) for every step: samples lo and hi
-        # (hi = lo + 1 when interpolating) with weight frac on hi
-        t_q = np.arange(n) * dt - delta
-        x = t_q / dt
-        near = np.round(x)
-        snap = np.abs(x - near) < 1e-9
-        lo = np.where(snap, near, np.floor(x))
-        pre = (lo < 0) | (t_q <= 0.0)
-        frac = np.where(snap | pre, 0.0, x - lo)
-        lo = np.where(pre, 0, lo).astype(np.intp)
-        hi = lo + (frac > 0.0)
-        states = np.empty((n + 1, p.size))
-        states[0] = p
-        drift_sum = absorbed_sum = 0.0
-        p = p.tolist()
-        i = 0
+    states = np.empty((n + 1, p.size))
+    states[0] = p
+    t_q = np.arange(n) * dt - delta  # the time each step reads
+    newest = HistoryBuffer(dt, states)._samples(t_q)[1]  # the newest sample each step reads
+    drift_sum = absorbed_sum = 0.0
+    p = p.tolist()
+    i = 0
+    with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows fails the drift check
         while i < n:
-            j = max(int(np.searchsorted(hi, i, "right")), i + 1)  # steps i..j-1 read states[:i + 1]
-            a, b, f = states[lo[i:j]], states[hi[i:j]], frac[i:j, None]
-            p_d = np.where(f > 0.0, (1.0 - f) * a + f * b, a)
+            j = max(int(np.searchsorted(newest, i, "right")), i + 1)  # steps i..j-1 read states[:i + 1]
+            p_d = HistoryBuffer(dt, states[: i + 1]).lookup(t_q[i:j])
             step = dt * selection_rates(p_d, utilities(p_d), mu)
             # the window's states in one list: less memory than a list per row
             flat, drift_sum, absorbed_sum = _advance(p, step.tolist(), drift_sum, absorbed_sum)

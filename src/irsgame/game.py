@@ -123,16 +123,6 @@ def replicator_field(t: float, state: np.ndarray, utilities: Callable, mu: float
     return selection_rates(p, utilities(p), mu)
 
 
-def delayed_replicator_field(t: float, history: Callable, delta: float, mu: float) -> np.ndarray:
-    """Replicator field evaluated on the state and utilities delta time ago.
-
-    history(t') must return (state, UtilityVector) for any t' <= current t;
-    with delta = 0 this reduces to the ordinary replicator field.
-    """
-    p_d, uv_d = history(t - delta)
-    return selection_rates(np.asarray(p_d, dtype=float), uv_d, mu)
-
-
 def selection_rates(p: np.ndarray, uv: UtilityVector, mu: float) -> np.ndarray:
     """mu * p_g * (u_g - u_bar) for a state (G,) or row by row for a stack (T, G).
 

@@ -1,11 +1,12 @@
-"""Independent oracles: the scalar utility model, one group at a time, of make_utilities; and
-the step-by-step simplex projection, one call per step, of dynamics._advance."""
+"""Independent oracles: the scalar utility model, one group at a time, of make_utilities; the
+step-by-step simplex projection, one call per step, of dynamics._advance; and the delayed
+replicator dynamics one step and one scalar history lookup at a time, of solve_delayed."""
 
 from operator import add
 
 import numpy as np
 
-from irsgame import ConfigurationError, NumericalDriftError
+from irsgame import ConfigurationError, NumericalDriftError, Trajectory
 from irsgame.dynamics import DRIFT_TOL
 
 
@@ -75,3 +76,48 @@ def advance(p: list, steps, drift_sum: float, absorbed_sum: float) -> tuple[list
         absorbed_sum += absorbed
         flat += p
     return flat, drift_sum, absorbed_sum
+
+
+def history(states, dt: float, t: float) -> np.ndarray:
+    """State at time t from the samples states[i] at i * dt, the rule of HistoryBuffer.lookup.
+
+    A time within 1e-9 steps of a sample is that sample, one between two samples their linear
+    interpolation, and t <= 0 the initial state; past the newest sample is a ConfigurationError.
+    """
+    if t <= 0.0:  # before t / dt can pass the largest float
+        return states[0]
+    x = t / dt
+    i = int(round(x))
+    if abs(x - i) < 1e-9:
+        frac = 0.0
+    else:
+        i = int(np.floor(x))
+        frac = x - i
+    if i >= len(states) or (i == len(states) - 1 and frac > 0.0):
+        raise ConfigurationError("history lookup at t=%r is beyond the newest sample" % (t,))
+    if frac == 0.0:
+        return states[i]
+    return (1.0 - frac) * states[i] + frac * states[i + 1]
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails the drift check
+def delayed_euler(utilities, mu: float, p0, delta: float, spec) -> Trajectory:
+    """dynamics.solve_delayed one forward-Euler step at a time.
+
+    Step i reads the state at i * dt - delta through history(), evaluates the replicator
+    field mu * p_g * (u_g - u_bar) there (empty groups zero) and is projected by advance;
+    the utilities of the samples are recorded one state at a time.
+    """
+    n, dt = spec.n_steps(), spec.dt
+    states = [np.array(p0, dtype=float)]
+    drift_sum = absorbed_sum = 0.0
+    for i in range(n):
+        p_d = history(states, dt, i * dt - delta)
+        uv = utilities(p_d)
+        step = dt * (mu * np.where(p_d > 0.0, p_d * (uv.u - uv.u_bar), 0.0))
+        flat, drift_sum, absorbed_sum = advance(states[-1].tolist(), [step.tolist()], drift_sum, absorbed_sum)
+        states.append(np.array(flat))
+    states = np.array(states)
+    rows = [utilities(s) for s in states]
+    u, u_bar = np.array([r.u for r in rows]), np.array([r.u_bar for r in rows])
+    return Trajectory(np.arange(n + 1) * dt, states, u, u_bar, drift_sum, absorbed_sum)

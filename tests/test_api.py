@@ -18,11 +18,9 @@ from irsgame import (
     Trajectory,
     compute_snr,
     dbm_to_watt,
-    delayed_replicator_field,
     detect_equilibrium,
     emit_csv,
     generate_channels,
-    integrate_dde,
     integrate_ode,
     make_utilities,
     optimize_link,
@@ -116,6 +114,17 @@ REGRESSIONS = {
         lambda: replace(CFG, sps=[replace(CFG.sps[0], irs_modules="x"), CFG.sps[1]]),
         "sp.1.irs_modules must be at least 1",
     ),
+    # an int key held a float: simulate ended in a TypeError, or drew the channels of int(seed)
+    "a float surface partition": (
+        lambda: replace(CFG, sps=[replace(CFG.sps[0], irs_modules=1.0), CFG.sps[1]]),
+        r"sp\.1\.irs_modules must be an integer",
+    ),
+    "a fractional seed": (lambda: replace(CFG, seed=1.5), r"scenario\.seed must be an integer"),
+    "a fractional population": (lambda: replace(CFG, n_users=100.5), r"scenario\.n_users must be an integer"),
+    "a population grid of floats": (
+        lambda: replace(CFG, grids=SweepGrids(n_users=[50.5, 100.0])),
+        r"grids\.n_users entries must be integers",
+    ),
 }
 
 
@@ -153,13 +162,11 @@ def _check_shares(p):
 def _solvers(mu, n_users, delta, dt, horizon, p0):
     spec = lambda: IntegratorSpec(dt=dt, horizon=horizon)  # noqa: E731
     field = lambda t, p: replicator_field(t, p, UTILITIES, 0.1)  # noqa: E731
-    delayed = lambda t, lookup: delayed_replicator_field(t, lookup, delta, 0.1)  # noqa: E731
     yield lambda: _check_shares(ReplicatorSolution(C, mu, p0).rest)
     yield lambda: _check_trajectory(solve_replicator(C, mu, p0, spec(), UTILITIES))
     yield lambda: _check_trajectory(solve_delayed(make_utilities(NUMER, n_users), mu, p0, delta, spec()))
     yield lambda: _check_trajectory(integrate_ode(field, p0, spec(), UTILITIES))
     yield lambda: _check_trajectory(integrate_ode(field, p0, spec(), UTILITIES, method="forward-euler"))
-    yield lambda: _check_trajectory(integrate_dde(delayed, p0, delta, spec(), UTILITIES))
     yield lambda: _check_shares(picard_solve(field, p0, np.array([0.0, horizon])).states)
 
 

@@ -16,9 +16,7 @@ from irsgame import (
     NumericError,
     ReplicatorSolution,
     UtilityVector,
-    delayed_replicator_field,
     detect_equilibrium,
-    integrate_dde,
     integrate_ode,
     make_utilities,
     picard_solve,
@@ -171,11 +169,31 @@ def test_boundary_clamp_is_absorbing_not_fatal():
     assert abs(float(traj.terminal_state.sum()) - 1.0) < 1e-12
 
 
-def test_history_buffer_lookup():
-    hist = HistoryBuffer(dt=0.5)
+@st.composite
+def history_lookups(draw):
+    """Samples at i * dt, and lookup times on the grid, 1e-12 off it, between samples and before 0."""
+    dt = draw(st.sampled_from([0.5, 0.1, 0.01, 1.0 / 3.0]))
+    n, g = draw(st.integers(1, 6)), draw(st.integers(1, 4))
+    states = np.array(draw(st.lists(st.lists(st.floats(-1.0, 1.0), min_size=g, max_size=g), min_size=n, max_size=n)))
+    k = st.integers(0, n - 1)
+    kinds = [
+        k.map(lambda i: i * dt),  # on the grid
+        st.tuples(k, st.sampled_from([-1e-12, 1e-12])).map(lambda x: x[0] * dt + x[1]),
+        st.floats(-1e3, 0.0),
+    ]
+    if n > 1:  # between two samples
+        fraction = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+        kinds.append(st.tuples(st.integers(0, n - 2), fraction).map(lambda x: (x[0] + x[1]) * dt))
+    times = draw(st.lists(st.one_of(kinds), min_size=1, max_size=8))
+    past = (n - 1 + draw(st.floats(1e-6, 100.0))) * dt
+    return dt, states, times, past
+
+
+@settings(max_examples=300, deadline=None)
+@given(history_lookups())
+def test_history_buffer_lookup(lookups):
     a, b, c = np.array([1.0, 0.0]), np.array([0.5, 0.5]), np.array([0.0, 1.0])
-    for s in (a, b, c):
-        hist.append(s)
+    hist = HistoryBuffer(dt=0.5, states=np.array([a, b, c]))
     assert np.array_equal(hist.lookup(0.0), a)
     assert np.array_equal(hist.lookup(0.5), b)
     assert np.array_equal(hist.lookup(1.0), c)
@@ -187,6 +205,16 @@ def test_history_buffer_lookup():
     assert np.array_equal(hist.lookup(0.5 + 1e-12), b)
     with pytest.raises(ConfigurationError):
         hist.lookup(1.25)
+    # an array of times reads each one as the scalar rule does, bit for bit
+    dt, states, times, past = lookups
+    hist = HistoryBuffer(dt, states)
+    expected = np.array([oracle.history(states, dt, t) for t in times])
+    assert hist.lookup(np.array(times)).tobytes() == expected.tobytes()
+    assert b"".join(hist.lookup(t).tobytes() for t in times) == expected.tobytes()
+    with pytest.raises(ConfigurationError, match="beyond the newest sample"):
+        oracle.history(states, dt, past)
+    with pytest.raises(ConfigurationError, match="beyond the newest sample"):
+        hist.lookup(np.array(times + [past]))
 
 
 def test_dde_zero_delay_matches_euler_exactly(default_cfg, default_utilities):
@@ -197,13 +225,7 @@ def test_dde_zero_delay_matches_euler_exactly(default_cfg, default_utilities):
     ode = integrate_ode(
         lambda t, p: replicator_field(t, p, default_utilities, mu), p0, spec, default_utilities, method="forward-euler"
     )
-    dde = integrate_dde(
-        lambda t, lookup: delayed_replicator_field(t, lookup, 0.0, mu),
-        p0,
-        0.0,
-        spec,
-        default_utilities,
-    )
+    dde = solve_delayed(default_utilities, mu, p0, 0.0, spec)
     assert np.array_equal(ode.times, dde.times)
     assert np.array_equal(ode.states, dde.states)
     assert np.array_equal(ode.utilities, dde.utilities, equal_nan=True)
@@ -217,26 +239,8 @@ def test_dde_small_delay_reaches_known_equilibrium(reduced_cfg, reduced_links):
     gains = group_gains(reduced_cfg, reduced_links)
     p_star = gains / gains.sum()
     spec = IntegratorSpec(dt=0.01, horizon=300.0)
-    traj = integrate_dde(
-        lambda t, lookup: delayed_replicator_field(t, lookup, 5.0, reduced_cfg.mu),
-        reduced_cfg.initial_population(),
-        5.0,
-        spec,
-        utilities,
-    )
+    traj = solve_delayed(utilities, reduced_cfg.mu, reduced_cfg.initial_population(), 5.0, spec)
     assert np.max(np.abs(traj.terminal_state - p_star)) < 1e-6
-
-
-def test_dde_rejects_negative_delay(default_cfg, default_utilities):
-    spec = IntegratorSpec(dt=0.1, horizon=1.0)
-    with pytest.raises(ConfigurationError):
-        integrate_dde(
-            lambda t, lookup: delayed_replicator_field(t, lookup, -1.0, 0.1),
-            default_cfg.initial_population(),
-            -1.0,
-            spec,
-            default_utilities,
-        )
 
 
 def test_simplex_preserved_along_default_run(default_cfg, default_utilities):
@@ -543,7 +547,7 @@ def test_rest_point_is_c_alive_over_c(c, p0, rest):
     assert np.max(np.abs(late - solution.rest)) < 1e-12
 
 
-# --- delayed dynamics one delay window at a time: same samples as integrate_dde
+# --- delayed dynamics one delay window at a time: same samples as the step-by-step oracle
 
 
 @pytest.fixture(scope="module")
@@ -572,28 +576,40 @@ def scenario_utilities(cfg):
         ("ten_group_cfg", 2.505, 0.01, 30.0),
     ],
 )
-def test_solve_delayed_matches_integrate_dde_bit_for_bit(request, monkeypatch, scenario, delta, dt, horizon):
+def test_solve_delayed_matches_oracle_bit_for_bit(request, scenario, delta, dt, horizon):
     cfg = request.getfixturevalue(scenario)
     utilities = scenario_utilities(cfg)
     spec = IntegratorSpec(dt=dt, horizon=horizon)
     p0 = cfg.initial_population()
     fast = solve_delayed(utilities, cfg.mu, p0, delta, spec)
-    ref = integrate_dde(
-        lambda t, lookup: delayed_replicator_field(t, lookup, delta, cfg.mu), p0, delta, spec, utilities
-    )
+    # one field, one scalar history lookup and one projection per step
+    ref = oracle.delayed_euler(utilities, cfg.mu, p0, delta, spec)
     assert np.array_equal(fast.times, ref.times)
     assert np.array_equal(fast.states, ref.states)
+    assert fast.states.tobytes() == ref.states.tobytes()
     assert np.array_equal(fast.utilities, ref.utilities, equal_nan=True)
     assert np.array_equal(fast.u_bar, ref.u_bar)
     assert fast.total_drift == ref.total_drift
     assert fast.total_absorbed == ref.total_absorbed
     if scenario == "reduced_cfg" and delta >= 30.0:
         assert fast.total_absorbed > 0.0  # the run clamps shares at zero
-    # both solvers step through _advance: the projection's own reference is one call per step
-    monkeypatch.setattr("irsgame.dynamics._advance", oracle.advance)
-    slow = solve_delayed(utilities, cfg.mu, p0, delta, spec)
-    assert fast.states.tobytes() == slow.states.tobytes()
-    assert (fast.total_drift, fast.total_absorbed) == (slow.total_drift, slow.total_absorbed)
+
+
+@pytest.mark.parametrize("scenario", ["default_cfg", "reduced_cfg"])
+@pytest.mark.parametrize("delta", [30.0, 60.0, 130.0])
+def test_first_delay_window_is_the_exact_delay_solution(request, scenario, delta):
+    # on [0, delta] every step reads the constant pre-history p0, so the delay equation's
+    # solution is p0 + t * F with F the field at p0, until a share reaches zero
+    cfg = request.getfixturevalue(scenario)
+    utilities = scenario_utilities(cfg)
+    p0 = cfg.initial_population()
+    dt = cfg.integrator.dt
+    traj = solve_delayed(utilities, cfg.mu, p0, delta, IntegratorSpec(dt=dt, horizon=delta))
+    exact = p0 + traj.times[:, None] * replicator_field(0.0, p0, utilities, cfg.mu)
+    alive = np.all(exact > 0.0, axis=1)
+    first = len(alive) if alive.all() else int(np.argmin(alive))  # rows before the first clamp
+    assert first > 1
+    assert np.max(np.abs(traj.states[:first] - exact[:first])) <= 1e-12
 
 
 def test_solve_delayed_rejects_negative_delay(default_cfg, default_utilities):
@@ -602,18 +618,11 @@ def test_solve_delayed_rejects_negative_delay(default_cfg, default_utilities):
 
 
 @pytest.mark.parametrize("delta", [np.nan, np.inf])
-@pytest.mark.parametrize("solver", ["solve_delayed", "integrate_dde"])
-def test_delayed_solvers_reject_a_non_finite_delay(reduced_cfg, solver, delta):
+def test_solve_delayed_rejects_a_non_finite_delay(reduced_cfg, delta):
     utilities = scenario_utilities(reduced_cfg)
     spec = IntegratorSpec(dt=0.1, horizon=2.0)
-    p0 = reduced_cfg.initial_population()
     with pytest.raises(ConfigurationError, match="delay must be non-negative and finite"):
-        if solver == "solve_delayed":
-            solve_delayed(utilities, reduced_cfg.mu, p0, delta, spec)
-        else:
-            integrate_dde(
-                lambda t, lookup: delayed_replicator_field(t, lookup, delta, reduced_cfg.mu), p0, delta, spec, utilities
-            )
+        solve_delayed(utilities, reduced_cfg.mu, reduced_cfg.initial_population(), delta, spec)
 
 
 def test_delayed_simulate_calls_utilities_once_per_delay_window(reduced_cfg, monkeypatch):
@@ -662,20 +671,14 @@ def nan_utilities(p):
         (leaky_utilities(np.array([1.0, 0.0]), 0.0), [0.5, 0.5], "simplex drift 5.000e-03 exceeds"),
     ],
 )
-def test_solve_delayed_guards_match_integrate_dde(monkeypatch, utilities, p0, message):
+def test_solve_delayed_guards_match_oracle(utilities, p0, message):
     spec = IntegratorSpec(dt=0.01, horizon=1.0)
     delta = 0.05
     with np.errstate(all="ignore"), pytest.raises(NumericalDriftError, match=message) as fast:
         solve_delayed(utilities, 1.0, np.array(p0), delta, spec)
     with np.errstate(all="ignore"), pytest.raises(NumericalDriftError) as ref:
-        integrate_dde(
-            lambda t, lookup: delayed_replicator_field(t, lookup, delta, 1.0), np.array(p0), delta, spec, utilities
-        )
+        oracle.delayed_euler(utilities, 1.0, np.array(p0), delta, spec)
     assert str(fast.value) == str(ref.value)
-    monkeypatch.setattr("irsgame.dynamics._advance", oracle.advance)
-    with np.errstate(all="ignore"), pytest.raises(NumericalDriftError) as slow:
-        solve_delayed(utilities, 1.0, np.array(p0), delta, spec)
-    assert str(fast.value) == str(slow.value)
 
 
 @st.composite
