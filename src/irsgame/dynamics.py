@@ -9,25 +9,30 @@ evaluating the field of a whole delay window at once (method of steps).
 picard_solve iterates the integral-equation form on a fixed grid and serves
 as an independent cross-check of the steppers.
 
-All steppers take their steps through one loop on Python floats (_advance),
-which adds each step to the state and projects the sum back onto the
-probability simplex, summing left to right.  Two corrections are
-accounted separately: "drift" is the deviation of the component sum from 1
-(a step-size symptom, bounded by DRIFT_TOL), while "absorbed" mass
-comes from clamping components that cross zero, which is the exact boundary
-behavior of the selection dynamics when a group empties in finite time.
+All steppers take their steps through one loop (_advance), which adds each
+step to the state and projects the sum back onto the probability simplex,
+summing left to right.  It runs on Python floats, except along stretches where
+every step is added unchanged (its total is exactly 1) or leaves the state as
+it was (shares clamped at zero): there it proposes a block of rows with numpy
+and keeps only the rows that carry the step-by-step loop's bits.  Two
+corrections are accounted separately: "drift" is the deviation of the
+component sum from 1 (a step-size symptom, bounded by DRIFT_TOL), while
+"absorbed" mass comes from clamping components that cross zero, which is the
+exact boundary behavior of the selection dynamics when a group empties in
+finite time.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from operator import add
 from typing import Callable, Optional
 
 import numpy as np
 
-from .config import _NON_NEGATIVE, _POSITIVE, MAX_STEPS, IntegratorSpec, _on_simplex, _require
+from .config import _COUNT, _NON_NEGATIVE, _POSITIVE, MAX_STEPS, IntegratorSpec, _on_simplex, _require
 from .errors import ConfigurationError, NonConvergenceError, NumericalDriftError, NumericError
 from .game import selection_rates
 
@@ -62,6 +67,13 @@ def _check_p0(p0) -> np.ndarray:
 
 # Largest |sum(p) - 1| one step may leave before it is projected back
 DRIFT_TOL = 1e-6
+# _advance's block path: the steps in a row that each added the step unchanged, or each left
+# the state unchanged, before the next rows are proposed at once; the rows of a first block;
+# and the most rows that a block doubles to or that the loop holds as Python floats, so that
+# a long delay window does not grow the peak memory
+_STREAK = 32
+_FIRST = 64
+_CAP = 2048
 
 
 def _sum(x: list) -> float:
@@ -72,37 +84,115 @@ def _sum(x: list) -> float:
     return s
 
 
-def _advance(p: list, steps, drift_sum: float, absorbed_sum: float) -> tuple[list, float, float]:
-    """Add each row of steps to the state p in turn, projecting onto the simplex after each.
+def _advance(rows: np.ndarray, steps: np.ndarray, drift_sum: float, absorbed_sum: float) -> tuple[float, float]:
+    """Add each row of steps to the state rows[0] in turn, projecting onto the simplex after each.
 
-    Returns the states one after another in one flat list, and the two running sums with each
-    step's drift |sum - 1| and absorbed (clamped) mass added in step order.  A step's
-    negative entries are clamped to zero and it is rescaled to unit sum.  On Python floats,
-    since numpy's fixed cost per call would dominate vectors a few groups long.  A total of
-    exactly 1 is neither divided nor counted: v / 1.0 == v and x + 0.0 == x.  A raw sum
-    within DRIFT_TOL of 1 has a positive entry, so the clamped sum is positive.
+    Writes the state after step k into rows[k + 1], and returns the two running sums with each
+    step's drift |sum - 1| and absorbed (clamped) mass added in step order.  A step's negative
+    entries are clamped to zero and it is rescaled to unit sum, summing left to right.  Steps
+    run on Python floats, _STREAK rows at a time, since numpy's fixed cost per call would
+    dominate vectors a few groups long.  A total of exactly 1 is neither divided nor counted:
+    v / 1.0 == v and x + 0.0 == x.  A raw sum within DRIFT_TOL of 1 has a positive entry, so
+    the clamped sum is positive.  After _STREAK steps that each added the step unchanged (a
+    running sum) or each left the state unchanged (a share clamped at zero), _block proposes
+    the next rows at once and keeps only what it verifies bit for bit.
     """
+    n = len(steps)
+    p = rows[0].tolist()
+    i = done = 0  # steps taken, and rows written
     flat = []
-    for dp in steps:
-        p = list(map(add, p, dp))
-        total, clamp = 0.0, False
-        for v in p:
-            total += v
-            if v < 0.0:
-                clamp = True
-        if total != 1.0:  # true for a NaN total, which the drift check below rejects
-            drift = abs(total - 1.0)
-            if not drift <= DRIFT_TOL:
-                raise NumericalDriftError("simplex drift %.3e exceeds %.1e in one step; reduce dt" % (drift, DRIFT_TOL))
-            drift_sum += drift
-        if clamp:  # p holds no NaN here: its sum passed the drift check
-            absorbed_sum -= _sum([v for v in p if v < 0.0])
-            p = [0.0 if v < 0.0 else v for v in p]
-            total = _sum(p)
-        if total != 1.0:
-            p = [v / total for v in p]
-        flat += p
-    return flat, drift_sum, absorbed_sum
+    while i < n:
+        chunk = steps[i : i + _STREAK].tolist()
+        slow = held = 0
+        for dp in chunk:
+            q, p = p, list(map(add, p, dp))
+            total, clamp = 0.0, False
+            for v in p:
+                total += v
+                if v < 0.0:
+                    clamp = True
+            if total != 1.0 or clamp:  # true for a NaN total, which the drift check rejects
+                if total != 1.0:
+                    drift = abs(total - 1.0)
+                    if not drift <= DRIFT_TOL:
+                        raise NumericalDriftError(
+                            "simplex drift %.3e exceeds %.1e in one step; reduce dt" % (drift, DRIFT_TOL)
+                        )
+                    drift_sum += drift
+                if clamp:  # p holds no NaN here: its sum passed the drift check
+                    absorbed_sum -= _sum([v for v in p if v < 0.0])
+                    p = [0.0 if v < 0.0 else v for v in p]
+                    total = _sum(p)
+                if total != 1.0:
+                    p = [v / total for v in p]
+                slow += 1
+                held += p == q
+            flat += p
+        i += len(chunk)
+        streak = len(chunk) == _STREAK and held == slow
+        if streak or i == n or i - done >= _CAP:  # the rows as one array, a few thousand at most
+            rows[done + 1 : i + 1] = np.array(flat).reshape(i - done, -1)
+            flat, done = [], i
+        if streak:
+            size = _FIRST
+            while i < n:
+                kept, whole, drift_sum, absorbed_sum = _block(rows, steps, i, size, slow > 0, drift_sum, absorbed_sum)
+                i = done = i + kept
+                if not whole:
+                    break
+                size = min(2 * size, _CAP)
+            p = rows[i].tolist()
+    return drift_sum, absorbed_sum
+
+
+def _column_sums(x: np.ndarray) -> np.ndarray:
+    """Each row's sum from left to right, from 0.0 as _advance's loop starts."""
+    s = np.zeros(len(x))
+    for column in x.T:
+        s = s + column
+    return s
+
+
+@np.errstate(all="ignore")  # rows past the first that fails the drift check are never kept
+def _block(rows, steps, i: int, size: int, hold: bool, drift_sum: float, absorbed_sum: float):
+    """Up to size steps from step i at once, kept where they have the bits of _advance's loop.
+
+    The proposal is the state rows[i] held (hold) or the running sum of the steps from it,
+    added in sequence by cumsum.  Every proposed row is stepped again from the proposed
+    previous state with the loop's arithmetic; the rows up to the first whose result differs
+    from its proposal in any bit (as integers, so -0.0 differs from 0.0) are verified, and so
+    is that row's own result, since its previous state is.  Only rows that pass the drift check
+    are kept: the loop takes the first that fails and raises.  Returns the rows written, whether
+    the whole proposal held, and the two sums with the kept rows' terms added in step order.
+    """
+    dp = steps[i : i + size]
+    p = rows[i]
+    if hold:
+        prev = proposal = np.broadcast_to(p, dp.shape)
+    else:
+        run = np.cumsum(np.vstack((p, dp)), axis=0)  # p + dp[0] + ... + dp[r], added in sequence
+        prev, proposal = run[:-1], run[1:]
+    raw = prev + dp
+    total = _column_sums(raw)
+    negative = raw < 0.0
+    clamped = np.where(negative, 0.0, raw)
+    # unclamped rows sum to total again; v / 1.0 == v, so dividing where the loop does not changes
+    # no bit of a kept row, which holds no NaN
+    result = clamped / _column_sums(clamped)[:, None]
+    same = np.all(result.view(np.int64) == proposal.view(np.int64), axis=1)
+    kept = len(dp) if same.all() else int(np.argmin(same)) + 1
+    drift = np.abs(total - 1.0)
+    failed = np.flatnonzero(~(drift[:kept] <= DRIFT_TOL))
+    if failed.size:
+        kept = int(failed[0])
+    rows[i + 1 : i + 1 + kept] = result[:kept]
+    # x + -0.0 == x for every x: the term of a step whose drift or absorbed mass the loop does not add
+    terms = np.empty((kept + 1, 2))
+    terms[0] = drift_sum, absorbed_sum
+    terms[1:, 0] = np.where(total != 1.0, drift, -0.0)[:kept]
+    terms[1:, 1] = -_column_sums(np.where(negative, raw, 0.0))[:kept]
+    drift_sum, absorbed_sum = np.add.accumulate(terms)[-1].tolist()
+    return kept, kept == len(dp) and bool(same[-1]), drift_sum, absorbed_sum
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails the drift check
@@ -130,7 +220,8 @@ def integrate_ode(
             )
         return dp
 
-    states = [p]
+    states = np.empty((n + 1, p.size))
+    states[0] = p
     drift_sum = absorbed_sum = 0.0
     for i in range(n):
         t = i * dt
@@ -142,10 +233,8 @@ def integrate_ode(
             step = dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
             step = dt * rate(t, p)
-        flat, drift_sum, absorbed_sum = _advance(p.tolist(), [step.tolist()], drift_sum, absorbed_sum)
-        p = np.array(flat)
-        states.append(p)
-    states = np.array(states)
+        drift_sum, absorbed_sum = _advance(states[i : i + 2], step[None], drift_sum, absorbed_sum)
+        p = states[i + 1]
     u, u_bar = _record_utilities(states, utilities)
     return Trajectory(np.arange(n + 1) * dt, states, u, u_bar, drift_sum, absorbed_sum)
 
@@ -349,18 +438,13 @@ def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: Integr
     t_q = np.arange(n) * dt - delta  # the time each step reads
     newest = HistoryBuffer(dt, states)._samples(t_q)[1]  # the newest sample each step reads
     drift_sum = absorbed_sum = 0.0
-    p = p.tolist()
     i = 0
     with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows fails the drift check
         while i < n:
             j = max(int(np.searchsorted(newest, i, "right")), i + 1)  # steps i..j-1 read states[:i + 1]
             p_d = HistoryBuffer(dt, states[: i + 1]).lookup(t_q[i:j])
             step = dt * selection_rates(p_d, utilities(p_d), mu)
-            # the window's states in one list: less memory than a list per row
-            flat, drift_sum, absorbed_sum = _advance(p, step.tolist(), drift_sum, absorbed_sum)
-            states[i + 1 : j + 1] = np.reshape(flat, (j - i, -1))
-            del flat  # freed before the next window's list is built
-            p = states[j].tolist()
+            drift_sum, absorbed_sum = _advance(states[i : j + 1], step, drift_sum, absorbed_sum)
             i = j
     uv = utilities(states)
     return Trajectory(np.arange(n + 1) * dt, states, uv.u, uv.u_bar, drift_sum, absorbed_sum)
@@ -380,9 +464,13 @@ def picard_solve(
     Starts from the constant initial state and applies trapezoidal
     quadrature on the given grid until the sup-norm change between rounds
     drops below tol.  Raises NonConvergenceError when max_rounds pass
-    without reaching tolerance (horizon too long for a contraction).
+    without reaching tolerance (horizon too long for a contraction), and
+    ConfigurationError for a tol that is not positive and finite or a
+    max_rounds that is not a whole number of at least 1.
     An optional diffs list collects the per-round sup-norm changes.
     """
+    _require("tol", tol, _POSITIVE)
+    _require("max_rounds", max_rounds, _COUNT, numbers.Integral)
     p_init = _check_p0(p0)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 2 or not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import _POSITIVE, _USERS, _require
+from .config import _NON_NEGATIVE, _POSITIVE, _USERS, _require
 from .errors import ConfigurationError, NumericError
 
 # equilibrium detection thresholds shared by all presets
@@ -176,8 +176,12 @@ def detect_equilibrium(
     while their history replays an excursion, and only a stretch longer
     than the information delay proves a genuine rest point.  When utilities
     were recorded, reports the relative utility spread over groups with
-    share above eps_mass at the detected sample.
+    share above eps_mass at the detected sample.  Raises ConfigurationError for
+    an eps_field or eps_mass that is not positive and finite, or a negative min_quiet.
     """
+    _require("eps_field", eps_field, _POSITIVE)
+    _require("eps_mass", eps_mass, _POSITIVE)
+    _require("min_quiet", min_quiet, _NON_NEGATIVE)
     if len(traj.times) == 0:
         raise ConfigurationError("cannot detect equilibrium of an empty trajectory")
     if len(traj.times) == 1:

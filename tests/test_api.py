@@ -105,6 +105,35 @@ REGRESSIONS = {
         lambda: ReplicatorSolution(C, 0.1, P0).equilibrium_index(0.01, 0.0),
         "eps must be positive and finite, got 0.0",
     ),
+    # Picard ran every round and then reported "did not reach tol=nan", ended in a TypeError
+    # on a fractional round count, and reported "in -3 rounds"
+    **{
+        "a %s Picard tolerance" % name: (
+            lambda tol=tol: picard_solve(lambda t, p: 0.0 * p, P0, [0.0, 1.0], tol=tol),
+            "tol must be positive and finite, got %s" % tol,
+        )
+        for name, tol in (("negative", -1.0), ("NaN", NAN))
+    },
+    **{
+        "a %s Picard round cap" % name: (
+            lambda n=n: picard_solve(lambda t, p: 0.0 * p, P0, [0.0, 1.0], max_rounds=n),
+            "max_rounds must be at least 1, got %s" % n,
+        )
+        for name, n in (("fractional", 2.5), ("negative", -3))
+    },
+    # on a resting trajectory, these returned None, an equilibrium at t = 0, or passed unread
+    **{
+        "a %s %s of equilibrium detection" % (name, key): (
+            lambda key=key, x=x: detect_equilibrium(_toy_trajectory(), **{key: x}),
+            "%s must be %s, got %r" % (key, wording, x),
+        )
+        for key, wording, values in (
+            ("eps_field", "positive and finite", (("NaN", NAN), ("negative", -1.0))),
+            ("min_quiet", "non-negative and finite", (("NaN", NAN), ("negative", -5.0))),
+            ("eps_mass", "positive and finite", (("string", "x"),)),
+        )
+        for name, x in values
+    },
     # the rules that span keys used to run on mistyped keys
     "a sweep grid that is not a list": (
         lambda: replace(CFG, grids=SweepGrids(mu=0.1)),

@@ -27,6 +27,7 @@ from irsgame import (
     utility_numerators,
     with_scalar_overrides,
 )
+from irsgame import dynamics
 from irsgame.dynamics import DRIFT_TOL, MAX_STEPS, _advance, _sum
 from irsgame.experiments import numerators
 from conftest import group_gains
@@ -559,6 +560,32 @@ def ten_group_cfg(default_cfg):
     return dataclasses.replace(default_cfg, sps=sps)
 
 
+@pytest.fixture(scope="module")
+def three_group_cfg(reduced_cfg):
+    # two power levels at sp.1: three groups, and long stretches that _advance takes in blocks
+    sps = list(reduced_cfg.sps)
+    sps[0] = dataclasses.replace(sps[0], power_levels_dbm=[20.0, 30.0])
+    return dataclasses.replace(reduced_cfg, sps=sps)
+
+
+@pytest.fixture
+def block_rows(monkeypatch):
+    """The first step and the rows of each block that dynamics._advance takes, in order."""
+    taken, block = [], dynamics._block
+
+    def spied(rows, steps, i, *args):
+        out = block(rows, steps, i, *args)
+        taken.append((i, out[0]))
+        return out
+
+    monkeypatch.setattr(dynamics, "_block", spied)
+    return taken
+
+
+# fewest rows that _advance's blocks must take on a case (measured: 2706 of 12 000 steps)
+BLOCK_ROWS = {"three_group_cfg": 2000}
+
+
 def scenario_utilities(cfg):
     return make_utilities(numerators(cfg), cfg.n_users)
 
@@ -574,14 +601,16 @@ def scenario_utilities(cfg):
         ("default_cfg", 7.3, 0.01, 40.0),
         ("ten_group_cfg", 30.0, 0.05, 200.0),
         ("ten_group_cfg", 2.505, 0.01, 30.0),
+        ("three_group_cfg", 130.0, 0.05, 600.0),
     ],
 )
-def test_solve_delayed_matches_oracle_bit_for_bit(request, scenario, delta, dt, horizon):
+def test_solve_delayed_matches_oracle_bit_for_bit(request, scenario, delta, dt, horizon, block_rows):
     cfg = request.getfixturevalue(scenario)
     utilities = scenario_utilities(cfg)
     spec = IntegratorSpec(dt=dt, horizon=horizon)
     p0 = cfg.initial_population()
     fast = solve_delayed(utilities, cfg.mu, p0, delta, spec)
+    assert sum(k for _, k in block_rows) >= BLOCK_ROWS.get(scenario, 0)
     # one field, one scalar history lookup and one projection per step
     ref = oracle.delayed_euler(utilities, cfg.mu, p0, delta, spec)
     assert np.array_equal(fast.times, ref.times)
@@ -696,8 +725,9 @@ def rows_near_the_simplex(draw):
 def test_projection_of_any_admitted_step_lies_on_the_simplex(raw):
     # a sum within DRIFT_TOL of 1 has a positive entry, so no step the drift
     # check admits is clamped away entirely
-    state, drift, absorbed = _advance([0.0] * len(raw), [raw.tolist()], 0.0, 0.0)
-    state = np.array(state)
+    rows = np.zeros((2, len(raw)))
+    drift, absorbed = _advance(rows, raw[None], 0.0, 0.0)
+    state = rows[1]
     assert np.all(state >= 0.0)
     assert abs(float(state.sum()) - 1.0) <= 1e-12
     assert drift <= DRIFT_TOL and absorbed >= 0.0
@@ -726,10 +756,21 @@ def projected_runs(draw):
     return p, steps, draw(st.sampled_from([0.0, 1e-7])), draw(st.sampled_from([0.0, 0.5]))
 
 
-def _projected(advance, p, steps, drift_sum, absorbed_sum):
-    """advance's flat states as bytes (telling -0.0 from 0.0) and sums, or its error message."""
+def _projected(p, steps, drift_sum, absorbed_sum):
+    """_advance's states as bytes (telling -0.0 from 0.0) and sums, or its error message."""
+    rows = np.empty((len(steps) + 1, len(p)))
+    rows[0] = p
     try:
-        flat, drift_sum, absorbed_sum = advance(p, steps, drift_sum, absorbed_sum)
+        drift_sum, absorbed_sum = _advance(rows, np.reshape(steps, (-1, len(p))), drift_sum, absorbed_sum)
+    except NumericalDriftError as exc:
+        return str(exc)
+    return rows[1:].tobytes(), drift_sum, absorbed_sum
+
+
+def _oracle_projected(p, steps, drift_sum, absorbed_sum):
+    """The same of oracle.advance, one projection per step."""
+    try:
+        flat, drift_sum, absorbed_sum = oracle.advance(p, steps, drift_sum, absorbed_sum)
     except NumericalDriftError as exc:
         return str(exc)
     return np.array(flat).tobytes(), drift_sum, absorbed_sum
@@ -744,7 +785,116 @@ def _projected(advance, p, steps, drift_sum, absorbed_sum):
 @example(([0.5, 0.5], [[0.0, 0.0], [2e-6, 0.0]], 0.0, 0.5))  # a sum past DRIFT_TOL
 @example(([0.5, 0.5], [[0.6, 1e-9 - 0.6]], 0.0, 0.0))  # clamped and inexact
 def test_advance_has_the_bits_of_one_projection_per_step(run):
-    assert _projected(_advance, *run) == _projected(oracle.advance, *run)
+    assert _projected(*run) == _oracle_projected(*run)
+
+
+# --- long runs, which _advance takes partly in blocks of verified rows
+
+
+def _dyadic_state(rng, g: int) -> np.ndarray:
+    """Shares that are multiples of 1/64 summing to exactly 1."""
+    cuts = np.sort(rng.integers(0, 65, g - 1))
+    return np.diff(np.concatenate(([0], cuts, [64]))) / 64.0
+
+
+def _exact_steps(rng, g: int, n: int) -> np.ndarray:
+    """n dyadic steps, each moving mass between two groups: a state of multiples of 2**-16 sums to exactly 1."""
+    rows = np.zeros((n, g))
+    if g > 1:
+        a = rng.integers(0, g, n)
+        b = (a + rng.integers(1, g, n)) % g
+        rows[np.arange(n), a] = rng.integers(-8, 9, n) * 2.0**-16
+        rows[np.arange(n), b] -= rows[np.arange(n), a]
+    rows[(rows == 0.0) & (rng.random(rows.shape) < 0.5)] = -0.0  # x + -0.0 == x, and -0.0 + -0.0 is -0.0
+    return rows
+
+
+def _vertex_steps(rng, g: int, n: int) -> np.ndarray:
+    """A step onto a vertex e_j of the simplex, n - 2 steps that the clamp and division hold it at,
+    and a step back to a dyadic state."""
+    j = rng.integers(0, g)
+    others = np.arange(g) != j
+    rows = np.zeros((n, g))
+    rows[0, others], rows[0, j] = -2.0, 2.0 * (g - 1)  # clamped, then x / x == 1.0
+    held = rows[1:-1]
+    held[:, others] = -rng.random((n - 2, g - 1)) * 1e-3 * (rng.random((n - 2, g - 1)) < 0.8)
+    held[:, j] = -np.sum(held[:, others], axis=1) + rng.choice([0.0, 1e-12, -3e-9, 5e-7], n - 2)
+    rows[-1] = _dyadic_state(rng, g)
+    rows[-1, j] -= 1.0  # e_j + rows[-1] is that state, exactly
+    return rows
+
+
+# the first entry of a row that the drift check rejects, by name
+BAD_ROWS = {"NaN": np.nan, "past DRIFT_TOL": 2.0 * DRIFT_TOL}
+
+
+def _stretches(g: int, seed: int, kinds: list, bad: str | None = None):
+    """A dyadic state of g groups and a run of exact and vertex-hold stretches, each 25-500 steps.
+
+    With bad, a row with that entry in its first group follows a long exact stretch.
+    """
+    rng = np.random.default_rng(seed)
+    p = _dyadic_state(rng, g)
+    make = {"exact": _exact_steps, "vertex": _vertex_steps}
+    steps = [make[kind](rng, g, int(rng.integers(25, 501))) for kind in kinds]
+    if bad is not None:
+        row = np.zeros((1, g))
+        row[0, 0] = BAD_ROWS[bad]
+        steps += [_exact_steps(rng, g, 300), row, _exact_steps(rng, g, 10)]
+    return p.tolist(), np.concatenate(steps).tolist(), 0.0, 0.0
+
+
+@st.composite
+def long_runs(draw):
+    """100-2000 steps of 1-6 groups in stretches long enough for blocks."""
+    kinds = draw(st.lists(st.sampled_from(["exact", "vertex"]), min_size=1, max_size=4))
+    g, seed, bad = draw(st.integers(1, 6)), draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from([None, *BAD_ROWS]))
+    run = _stretches(g, seed, kinds, bad)
+    assume(100 <= len(run[1]) <= 2000)
+    return run
+
+
+def _held_negative_zero():
+    # a share of -0.0 held at a vertex, one clamped step that makes it 0.0 (equal, but not in
+    # its bits), and the held steps after it, which add -0.0 to the share: 0.0 + -0.0 is 0.0
+    held = [[-0.0, 2.0**-40]] * 100
+    return [-0.0, 1.0], held + [[-(2.0**-30), 2.0**-30]] + held, 0.0, 0.0
+
+
+def _negative_zero_in_an_exact_run():
+    # an exact running sum over a share of -0.0, which a step of 0.0 turns into 0.0 midway
+    rows = [[-0.0, 2.0**-10, -(2.0**-10)], [-0.0, -(2.0**-10), 2.0**-10]] * 100
+    rows[150] = [0.0, 0.0, 0.0]
+    return [-0.0, 0.5, 0.5], rows, 1e-7, 0.5
+
+
+LONG_RUNS = {
+    "exact dyadic steps": _stretches(3, 1, ["exact", "exact"]),
+    "vertex holds": _stretches(4, 2, ["vertex", "exact", "vertex"]),
+    "one group held": _stretches(1, 3, ["vertex", "exact"]),
+    "a NaN row inside a block": _stretches(2, 4, ["exact"], "NaN"),
+    "a row past DRIFT_TOL inside a block": _stretches(5, 5, ["vertex", "exact"], "past DRIFT_TOL"),
+    "-0.0 held at a vertex": _held_negative_zero(),
+    "-0.0 in an exact run": _negative_zero_in_an_exact_run(),
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_runs())
+def test_advance_in_blocks_has_the_bits_of_one_projection_per_step(run):
+    # blocks start after dynamics._STREAK steps of one kind; the property above draws too few steps
+    assert _projected(*run) == _oracle_projected(*run)
+
+
+@pytest.mark.parametrize("name", list(LONG_RUNS))
+def test_long_runs_have_the_bits_of_one_projection_per_step(name, block_rows):
+    run = LONG_RUNS[name]
+    fast = _projected(*run)
+    assert fast == _oracle_projected(*run)
+    if "inside a block" in name:  # a block took the rows up to the bad row, 11 rows from the end
+        bad = len(run[1]) - 11
+        assert "simplex drift" in fast and any(i < bad == i + k for i, k in block_rows)
+    assert sum(k for _, k in block_rows) >= len(run[1]) // 4  # blocks took a share of the rows
 
 
 def test_sum_adds_from_left_to_right():
