@@ -24,7 +24,6 @@ from .config import (
     load_config,
     parse_config,
     reduced_config,
-    save_config,
     with_scalar_overrides,
 )
 from .dynamics import (
@@ -53,6 +52,6 @@ from .game import (
     utility_numerators,
 )
 from .phy import Beamformer, PhaseShiftVector, ServiceLink, build_all_links, compute_snr, optimize_link
-from .experiments import PRESETS, SimulationResult, emit_csv, run_experiment, simulate
+from .experiments import PRESETS, SimulationResult, run_experiment, simulate
 
 __version__ = "0.1.0"

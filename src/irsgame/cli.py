@@ -4,8 +4,10 @@
     irsgame validate <config>
     irsgame bound <config>
 
-Exit codes: 0 success, 1 configuration error, 2 numeric error.  A run flag
-the preset does not read (experiments.PRESET_TABLE) is a configuration error.
+Exit codes: 0 success, 1 configuration error, 2 numeric error.  A malformed
+command line (an unknown preset, command or flag, a value of the wrong type, a
+missing argument) and a run flag the preset does not read
+(experiments.PRESET_TABLE) are configuration errors.
 """
 
 from __future__ import annotations
@@ -23,8 +25,16 @@ EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a malformed command line exits EXIT_CONFIG: argparse's own 2 is the numeric-error code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, "%s: error: %s\n" % (self.prog, message))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="irsgame", description=__doc__.strip().splitlines()[0])
+    parser = _Parser(prog="irsgame", description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="run an experiment preset and write CSV files")

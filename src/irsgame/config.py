@@ -452,11 +452,6 @@ def config_to_text(cfg: ScenarioConfig) -> str:
     return "".join(out)
 
 
-def save_config(cfg: ScenarioConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config_to_text(cfg))
-
-
 def _sp_number(name: str) -> int:
     try:
         return int(name.split(".", 1)[1])

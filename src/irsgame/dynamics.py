@@ -213,10 +213,10 @@ def integrate_ode(
     shape = p.shape
 
     def rate(t: float, q: np.ndarray) -> np.ndarray:
-        dp = field(t, q)
-        if np.shape(dp) != shape:  # numpy would broadcast a single value, and _advance truncate a longer one
+        dp = np.asarray(field(t, q))  # a list would not scale by dt
+        if dp.shape != shape:  # numpy would broadcast a single value, and _advance truncate a longer one
             raise ConfigurationError(
-                "integrate_ode field returned shape %s for a state of shape %s" % (np.shape(dp), shape)
+                "integrate_ode field returned shape %s for a state of shape %s" % (dp.shape, shape)
             )
         return dp
 

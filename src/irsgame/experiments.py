@@ -7,21 +7,20 @@ through its payoff vector, numerators(cfg), so links are built once per radio
 scenario: sweeps over mu, n_users, delta or a price reuse them.  The undelayed
 sweeps sample no trajectory: they read each point's rest, or the sample where
 it comes to rest, off its exact ReplicatorSolution, so integrator.horizon does
-not enter them.  A preset's runner writes nothing: it yields each file's data,
-and run_experiment names every file after the preset and writes it.
+not enter them.  A preset's runner writes nothing: it yields each file's table,
+and run_experiment, the package's one file writer, names and writes every file.
 """
 
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .channel import generate_channels
-from .config import _COUNT, Position, ScenarioConfig, _finite, _raise, _require
+from .config import Position, ScenarioConfig, _finite, _raise
 from .dynamics import ReplicatorSolution, Trajectory, solve_delayed, solve_replicator
 from .errors import ConfigurationError, NumericError
 from .game import EPS_FIELD, detect_equilibrium, make_utilities, stability_bound, utility_numerators
@@ -83,37 +82,23 @@ def _write_json(path: Path, meta: list, columns: list, rows) -> Path:
     return path
 
 
-def _trajectory_table(traj: Trajectory, stride: int) -> tuple[list, list]:
-    """emit_csv's (columns, rows): every stride-th sample and the last."""
-    if len(traj) == 0:
-        raise ConfigurationError("refusing to write an empty trajectory")
-    _require("stride", stride, _COUNT, numbers.Integral)
+def _trajectory_table(traj: Trajectory) -> tuple[list, list]:
+    """A trajectory file's (columns, rows): t, shares, utilities and u_bar, thinned by TRAJECTORY_STRIDE."""
     g = range(1, traj.states.shape[1] + 1)
     columns = ["t"] + ["p_%d" % k for k in g] + ["u_%d" % k for k in g] + ["u_bar"]
-    idx = np.append(np.arange(0, len(traj) - 1, stride), len(traj) - 1)
-    u = np.full((len(idx), len(g) + 1), np.nan)  # no utilities recorded
-    if traj.utilities is not None:
-        u = np.column_stack([traj.utilities[idx], traj.u_bar[idx]])
-    return columns, np.column_stack([traj.times[idx], traj.states[idx], u]).tolist()
-
-
-def emit_csv(traj: Trajectory, meta: list, path, stride: int = 1) -> Path:
-    """Write a trajectory as CSV: '#' header lines, then t, shares, utilities.
-
-    Columns: t, p_1..p_G, u_1..u_G, u_bar.  Utilities of empty groups are
-    written as nan.  stride thins the samples but always keeps the last one.
-    """
-    return _write_csv(Path(path), meta, *_trajectory_table(traj, stride))
+    idx = np.append(np.arange(0, len(traj) - 1, TRAJECTORY_STRIDE), len(traj) - 1)
+    rows = np.column_stack([traj.times[idx], traj.states[idx], traj.utilities[idx], traj.u_bar[idx]])
+    return columns, rows.tolist()
 
 
 # --- presets -------------------------------------------------------------------
-# A runner yields (file stem suffix, scenario, extra meta lines, data) per file,
-# data a Trajectory or (columns, rows), one at a time: run_experiment writes each
-# before the next is computed.
+# A runner yields (file stem suffix, scenario, extra meta lines, (columns, rows))
+# per file, one at a time: run_experiment writes each table before the next is
+# computed.
 
 
 def _run_utilities_vs_time(cfg: ScenarioConfig):
-    yield "", cfg, [], simulate(cfg).trajectory
+    yield "", cfg, [], _trajectory_table(simulate(cfg).trajectory)
 
 
 def _run_convergence_speed(cfg: ScenarioConfig):
@@ -145,7 +130,7 @@ def _run_delay_sweep(cfg: ScenarioConfig):
         t_eq = "%.17g" % eq.time if eq is not None else "none (tail never rests for a full delay window)"
         # shortest round-trip form, so that distinct delays never share a file
         tag = repr(float(delta)).removesuffix(".0").replace(".", "p").replace("-", "m")
-        yield "_delta" + tag, point, [("stability_bound", bound), ("t_equilibrium", t_eq)], traj
+        yield "_delta" + tag, point, [("stability_bound", bound), ("t_equilibrium", t_eq)], _trajectory_table(traj)
 
 
 def _run_irs_size_sweep(cfg: ScenarioConfig):
@@ -218,16 +203,14 @@ def run_experiment(preset: str, cfg: ScenarioConfig, out_dir, flags=()) -> list:
     paths = []
     try:
         out.mkdir(parents=True, exist_ok=True)
-        for suffix, scenario, extra, data in run(cfg):
+        for suffix, scenario, extra, table in run(cfg):
             path = out / (preset.replace("-", "_") + suffix + ".csv")
             meta = [("preset", preset)] + extra + scenario.flat_items()
-            if isinstance(data, Trajectory):
-                data = _trajectory_table(data, TRAJECTORY_STRIDE)
-            paths.append(_write_csv(path, meta, *data))
+            paths.append(_write_csv(path, meta, *table))
             if "json" in flags:  # only presets of trajectories read it
                 path = path.with_suffix(".json")
-                paths.append(_write_json(path, meta, *data))
-            del data  # a table is not kept while the runner computes the next file's data
+                paths.append(_write_json(path, meta, *table))
+            del table  # a table is not kept while the runner computes the next one
     except OSError as exc:  # path is the directory or the file being written
         raise ConfigurationError("cannot write %s: %s" % (path, exc)) from None
     return paths

@@ -1,7 +1,10 @@
 """Independent oracles: the scalar utility model, one group at a time, of make_utilities; the
-step-by-step simplex projection, one call per step, of dynamics._advance; and the delayed
-replicator dynamics one step and one scalar history lookup at a time, of solve_delayed."""
+step-by-step simplex projection, one call per step, of dynamics._advance; the delayed
+replicator dynamics one step and one scalar history lookup at a time, of solve_delayed; and
+the exact solution of the delay equation that solve_delayed approximates."""
 
+from fractions import Fraction
+from math import factorial
 from operator import add
 
 import numpy as np
@@ -121,3 +124,27 @@ def delayed_euler(utilities, mu: float, p0, delta: float, spec) -> Trajectory:
     rows = [utilities(s) for s in states]
     u, u_bar = np.array([r.u for r in rows]), np.array([r.u_bar for r in rows])
     return Trajectory(np.arange(n + 1) * dt, states, u, u_bar, drift_sum, absorbed_sum)
+
+
+def delay_exact(c, mu: float, p0, delta: float, times) -> np.ndarray:
+    """Exact shares (T, G) of dp_g/dt = mu (c_g - C p_g(t - delta)), p = p0 for t <= 0, C = sum(c).
+
+    This is the delayed replicator dynamics of the utilities c_g / p_g while no share reaches
+    zero.  By the method of steps (Bellman & Cooke, 1963, ch. 3), x = p - c / C solves
+    x' = -a x(t - delta) with a = mu C, and for t > 0
+    x(t) = x0 * sum over k >= 0 with t - (k - 1) delta > 0 of (-a)^k (t - (k - 1) delta)^k / k!.
+    Evaluated in fractions.Fraction from the float inputs, then rounded once per share.
+    """
+    c = [Fraction(float(v)) for v in c]
+    big_c = sum(c)
+    rest = [v / big_c for v in c]
+    x0 = [Fraction(float(v)) - r for v, r in zip(p0, rest)]
+    a, d = Fraction(mu) * big_c, Fraction(delta)
+    rows = []
+    for t in times:
+        t, series, k = Fraction(float(t)), Fraction(1), 1
+        while t - (k - 1) * d > 0:  # finitely many terms, for delta > 0
+            series += (-a * (t - (k - 1) * d)) ** k / factorial(k)
+            k += 1
+        rows.append([float(r + x * series) for r, x in zip(rest, x0)])
+    return np.array(rows)

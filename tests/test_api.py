@@ -19,7 +19,6 @@ from irsgame import (
     compute_snr,
     dbm_to_watt,
     detect_equilibrium,
-    emit_csv,
     generate_channels,
     integrate_ode,
     make_utilities,
@@ -69,10 +68,6 @@ REGRESSIONS = {
     "half a user": (lambda: make_utilities(NUMER, 0.5), r"n_users must be at least 1 and at most 2\*\*53, got 0.5"),
     "a bound without users": (lambda: stability_bound(NUMER, 0.1, 0), "n_users must be at least 1"),
     "a bound with a string mu": (lambda: stability_bound(NUMER, "0.1", 100), "mu must be positive"),
-    "a fractional stride": (
-        lambda: emit_csv(_toy_trajectory(), [], "missing/never.csv", stride=1.5),
-        "stride must be at least 1",
-    ),
     "a dB level past a float": (lambda: dbm_to_watt(1e6), "dBm level must be finite"),
     "a string integration step": (lambda: IntegratorSpec(dt="0.1"), r"integrator\.dt must be positive"),
     "a NaN Picard grid": (lambda: picard_solve(lambda t, p: 0.0 * p, P0, [0.0, NAN]), "picard grid must be finite"),

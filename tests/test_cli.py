@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irsgame import PRESETS, config_to_text, default_config, reduced_config, save_config, with_scalar_overrides
+from irsgame import PRESETS, config_to_text, default_config, reduced_config, with_scalar_overrides
 from irsgame.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from irsgame.dynamics import MAX_STEPS
 from irsgame.experiments import PRESET_TABLE
@@ -22,7 +22,7 @@ from test_config import scenarios
 @pytest.fixture
 def reduced_file(tmp_path):
     path = tmp_path / "reduced.cfg"
-    save_config(reduced_config(), path)
+    path.write_text(config_to_text(reduced_config()))
     return path
 
 
@@ -259,8 +259,38 @@ def test_run_rejects_step_counts_above_the_cap(tmp_path, capsys, reduced_file, o
 
 
 def test_run_rejects_unknown_preset():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["run", "warp-speed"])
+    assert exc.value.code == EXIT_CONFIG
+
+
+# argparse exits 2, the numeric-error code, unless told otherwise
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["run", "utilities-vs-time", "--seed", "abc"], "irsgame run: error: argument --seed: invalid int value: 'abc'"),
+        (["run", "utilities-vs-time", "--n-users", "1e2"], "argument --n-users: invalid int value: '1e2'"),
+        (["run", "warp-speed"], "irsgame run: error: argument preset: invalid choice: 'warp-speed'"),
+        (["run", "utilities-vs-time", "--warp"], "irsgame: error: unrecognized arguments: --warp"),
+        (["validate"], "irsgame validate: error: the following arguments are required: config"),
+        ([], "irsgame: error: the following arguments are required: command"),
+    ],
+)
+def test_a_malformed_command_line_is_a_configuration_error(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: irsgame") and message in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: irsgame run")
 
 
 def test_run_missing_config_file(tmp_path, capsys):
@@ -292,7 +322,7 @@ def test_validate_rejects_coinciding_positions(tmp_path, capsys, reduced_file, k
 
 def test_validate_ok(tmp_path, capsys):
     path = tmp_path / "scenario.cfg"
-    save_config(default_config(), path)
+    path.write_text(config_to_text(default_config()))
     assert main(["validate", str(path)]) == EXIT_OK
     assert capsys.readouterr().out.strip() == "ok: 2 provider(s), 6 service group(s), 100 user(s)"
 
@@ -320,7 +350,7 @@ def test_bound_on_reduced_scenario(capsys, reduced_file):
 
 def test_bound_on_default_scenario(tmp_path, capsys):
     path = tmp_path / "full.cfg"
-    save_config(default_config(), path)
+    path.write_text(config_to_text(default_config()))
     assert main(["bound", str(path)]) == EXIT_OK
     value = float(capsys.readouterr().out.strip())
     assert value == pytest.approx(46.841, rel=1e-4)
@@ -332,7 +362,7 @@ def test_bound_with_ruinous_prices(tmp_path, capsys):
         cfg, sps=[dataclasses.replace(sp, price_irs=10.0) for sp in cfg.sps]
     )
     path = tmp_path / "ruinous.cfg"
-    save_config(cfg, path)
+    path.write_text(config_to_text(cfg))
     assert main(["bound", str(path)]) == EXIT_NUMERIC
     assert "numeric error" in capsys.readouterr().err
 
@@ -341,7 +371,7 @@ def test_convergence_speed_does_not_depend_on_the_horizon(tmp_path, capsys):
     # each point's equilibrium time comes from the exact solution, not from
     # samples up to the horizon; only the meta block records the horizon
     path = tmp_path / "short.cfg"
-    save_config(with_scalar_overrides(default_config(), horizon=1.0), path)
+    path.write_text(config_to_text(with_scalar_overrides(default_config(), horizon=1.0)))
     assert main(["run", "convergence-speed", "--out", str(tmp_path / "a")]) == EXIT_OK
     assert main(["run", "convergence-speed", "--config", str(path), "--out", str(tmp_path / "b")]) == EXIT_OK
     # so the flag is rejected rather than written into the meta block
@@ -368,7 +398,7 @@ def test_undelayed_sweeps_reject_a_delay(tmp_path, capsys, preset):
 def test_convergence_speed_caps_the_equilibrium_index(tmp_path, capsys):
     # horizon / dt is within the cap, but the equilibrium index is not
     path = tmp_path / "fine.cfg"
-    save_config(with_scalar_overrides(default_config(), dt=1e-17, horizon=1e-9), path)
+    path.write_text(config_to_text(with_scalar_overrides(default_config(), dt=1e-17, horizon=1e-9)))
     code = main(["run", "convergence-speed", "--config", str(path), "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
@@ -385,7 +415,7 @@ def test_delay_sweep_with_ruinous_prices(tmp_path):
         grids=dataclasses.replace(cfg.grids, delta=[0.0]),
     )
     path = tmp_path / "ruinous.cfg"
-    save_config(cfg, path)
+    path.write_text(config_to_text(cfg))
     out = tmp_path / "data"
     assert main(["run", "delay-sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
     (csv,) = out.glob("delay_sweep_delta*.csv")
@@ -404,7 +434,7 @@ def test_delay_sweep_states_why_the_bound_is_not_computable(tmp_path):
     cfg = reduced_config()
     cfg = dataclasses.replace(cfg, mu=5e-324, grids=dataclasses.replace(cfg.grids, delta=[0.0]))
     path = tmp_path / "frozen.cfg"
-    save_config(cfg, path)
+    path.write_text(config_to_text(cfg))
     out = tmp_path / "data"
     assert main(["run", "delay-sweep", "--config", str(path), "--out", str(out)]) == EXIT_OK
     lines = (out / "delay_sweep_delta0.csv").read_text().splitlines()

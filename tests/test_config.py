@@ -23,7 +23,6 @@ from irsgame import (
     load_config,
     parse_config,
     reduced_config,
-    save_config,
     with_scalar_overrides,
 )
 from irsgame.config import MAX_CHANNEL_ENTRIES, _keys
@@ -245,7 +244,7 @@ def test_every_key_but_p0_has_a_range():
 def test_save_and_load(tmp_path):
     cfg = default_config()
     path = tmp_path / "scenario.cfg"
-    save_config(cfg, path)
+    path.write_text(config_to_text(cfg))
     back = load_config(path)
     assert back.flat_items() == cfg.flat_items()
 

@@ -116,6 +116,16 @@ def test_zero_field_is_constant():
     assert traj.total_drift == 0.0 and traj.total_absorbed == 0.0
 
 
+@pytest.mark.parametrize("method", ["rk4", "forward-euler"])
+def test_a_field_returning_a_list_steps_as_its_array(method):
+    # dt times a list ended in a TypeError
+    spec = IntegratorSpec(dt=0.1, horizon=2.0)
+    array = integrate_ode(logistic_field, np.array([0.5, 0.5]), spec, method=method)
+    listed = integrate_ode(lambda t, p: logistic_field(t, p).tolist(), np.array([0.5, 0.5]), spec, method=method)
+    assert listed.states.tobytes() == array.states.tobytes()
+    assert (listed.total_drift, listed.total_absorbed) == (array.total_drift, array.total_absorbed)
+
+
 def test_initial_state_validation():
     spec = IntegratorSpec(dt=0.1, horizon=1.0)
     for p0 in ([0.7, 0.7], [0.6, 0.6], [-0.1, 1.1], [[0.5, 0.5]], np.eye(2)):
@@ -639,6 +649,23 @@ def test_first_delay_window_is_the_exact_delay_solution(request, scenario, delta
     first = len(alive) if alive.all() else int(np.argmin(alive))  # rows before the first clamp
     assert first > 1
     assert np.max(np.abs(traj.states[:first] - exact[:first])) <= 1e-12
+
+
+def test_a_run_that_never_clamps_converges_to_the_exact_delay_solution(default_cfg):
+    # default.cfg at delta = 30 (below its bound, 46.8) keeps every share positive, so the
+    # delay equation has the exact method-of-steps solution; forward Euler is first order
+    numer = numerators(default_cfg)
+    utilities = make_utilities(numer, default_cfg.n_users)
+    p0 = default_cfg.initial_population()
+    gaps = []
+    for dt in (0.01, 0.005):
+        traj = solve_delayed(utilities, default_cfg.mu, p0, 30.0, IntegratorSpec(dt=dt, horizon=600.0))
+        assert traj.total_absorbed == 0.0
+        every = round(5.0 / dt)  # t = 0, 5, ..., 600
+        exact = oracle.delay_exact(numer / default_cfg.n_users, default_cfg.mu, p0, 30.0, traj.times[::every])
+        gaps.append(np.max(np.abs(traj.states[::every] - exact)))
+    assert gaps[0] < 3e-5  # measured 2.03e-5
+    assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.05)
 
 
 def test_solve_delayed_rejects_negative_delay(default_cfg, default_utilities):

@@ -11,7 +11,6 @@ from irsgame import (
     SweepGrids,
     Trajectory,
     detect_equilibrium,
-    emit_csv,
     run_experiment,
     simulate,
     with_scalar_overrides,
@@ -40,49 +39,36 @@ def read_csv(path):
     return dict(meta), header, rows
 
 
-def test_emit_csv_layout(tmp_path):
-    traj = toy_trajectory()
-    path = emit_csv(traj, [("preset", "demo"), ("note", "x")], tmp_path / "out.csv")
+def write_toy(traj, cfg, out, monkeypatch, flags=()):
+    """The files run_experiment writes for utilities-vs-time when simulate returns traj."""
+    monkeypatch.setattr(experiments, "simulate", lambda cfg: experiments.SimulationResult(traj))
+    return run_experiment("utilities-vs-time", cfg, out, flags)
+
+
+def test_emit_csv_layout(tmp_path, reduced_cfg, monkeypatch):
+    traj = toy_trajectory(n=25)
+    (path,) = write_toy(traj, reduced_cfg, tmp_path, monkeypatch)
     meta, header, rows = read_csv(path)
-    assert meta["preset"] == "demo" and meta["note"] == "x"
+    assert meta["preset"] == "utilities-vs-time" and meta["scenario.seed"] == str(reduced_cfg.seed)
     assert header == ["t", "p_1", "p_2", "u_1", "u_2", "u_bar"]
-    assert len(rows) == 5
+    assert len(rows) == 4
     assert [float(c) for c in rows[0]] == [0.0, 0.2, 0.8, 2.0, 1.0, 0.2 * 2.0 + 0.8]
     # full precision cells: parse back exactly
-    assert float(rows[3][1]) == traj.states[3, 0]
+    assert float(rows[1][1]) == traj.states[10, 0]
 
 
-def test_emit_csv_stride_keeps_last(tmp_path):
-    traj = toy_trajectory(n=5)
-    _, _, rows = read_csv(emit_csv(traj, [], tmp_path / "a.csv", stride=2))
-    assert [float(r[0]) for r in rows] == [0.0, 2.0, 4.0]
-    traj6 = toy_trajectory(n=6)
-    _, _, rows = read_csv(emit_csv(traj6, [], tmp_path / "b.csv", stride=4))
-    assert [float(r[0]) for r in rows] == [0.0, 4.0, 5.0]
-
-
-def test_emit_csv_rejects_empty_and_bad_stride(tmp_path):
-    empty = Trajectory(times=np.empty(0), states=np.empty((0, 2)))
-    with pytest.raises(ConfigurationError, match="empty"):
-        emit_csv(empty, [], tmp_path / "no.csv")
-    with pytest.raises(ConfigurationError, match="stride"):
-        emit_csv(toy_trajectory(), [], tmp_path / "no.csv", stride=0)
-
-
-def test_emit_csv_without_utilities_writes_nan(tmp_path):
-    traj = toy_trajectory()
-    bare = Trajectory(times=traj.times, states=traj.states)
-    _, header, rows = read_csv(emit_csv(bare, [], tmp_path / "bare.csv"))
-    assert header[-1] == "u_bar"
-    assert rows[0][3] == "nan" and rows[0][-1] == "nan"
+def test_emit_csv_stride_keeps_last(tmp_path, reduced_cfg, monkeypatch):
+    # every TRAJECTORY_STRIDE-th sample, and the last one once
+    for n, times in ((21, [0.0, 10.0, 20.0]), (25, [0.0, 10.0, 20.0, 24.0])):
+        (path,) = write_toy(toy_trajectory(n), reduced_cfg, tmp_path / str(n), monkeypatch)
+        assert [float(r[0]) for r in read_csv(path)[2]] == times
 
 
 def test_trajectory_json_masks_non_finite(tmp_path, reduced_cfg, monkeypatch):
     # the twin holds the CSV's meta block and cells, a non-finite cell as null
     traj = toy_trajectory(n=25)
     traj.utilities[20, 1] = np.nan
-    monkeypatch.setattr(experiments, "simulate", lambda cfg: experiments.SimulationResult(traj))
-    csv, twin = run_experiment("utilities-vs-time", reduced_cfg, tmp_path, flags=["json"])
+    csv, twin = write_toy(traj, reduced_cfg, tmp_path, monkeypatch, flags=["json"])
     d = json.loads(twin.read_text())
     meta, header, rows = read_csv(csv)
     assert list(d) == ["meta"] + header
