@@ -1,12 +1,13 @@
 """Command line entry points.
 
-    irsgame run <preset> [--config FILE] [--seed N] [--out DIR] [overrides]
+    irsgame run <preset> [--config FILE] [--out DIR] [--json] [--KEY VALUE ...]
     irsgame validate <config>
     irsgame bound <config>
 
-Exit codes: 0 success, 1 configuration error, 2 numeric error.  A malformed
-command line (an unknown preset, command or flag, a value of the wrong type, a
-missing argument) and a run flag the preset does not read
+Each run flag --KEY, one per key of config.OVERRIDES, reads VALUE as the key's
+config file line does.  Exit codes: 0 success, 1 configuration error, 2 numeric
+error.  A malformed command line (an unknown preset, command or flag, a missing
+argument), a VALUE the key cannot parse and a run flag the preset does not read
 (experiments.PRESET_TABLE) are configuration errors.
 """
 
@@ -15,7 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import OVERRIDES, default_config, load_config, with_scalar_overrides
+from .config import OVERRIDES, default_config, load_config, parse_override, with_scalar_overrides
 from .errors import ConfigurationError, NumericError
 from .experiments import PRESETS, numerators, run_experiment
 from .game import stability_bound
@@ -40,20 +41,13 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an experiment preset and write CSV files")
     run.add_argument("preset", choices=PRESETS)
     run.add_argument("--config", default=None, help="scenario config file (default: bundled scenario)")
-    run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
     run.add_argument("--out", default=".", help="output directory (default: current)")
-    run.add_argument("--mu", type=float, default=None, help="override the adaptation rate")
-    run.add_argument("--delta", type=float, default=None, help="override the decision delay")
-    run.add_argument("--dt", type=float, default=None, help="override the integration step")
-    run.add_argument("--horizon", type=float, default=None, help="override the integration horizon")
-    run.add_argument("--n-users", type=int, default=None, help="override the population size")
+    for key in OVERRIDES:
+        run.add_argument("--" + key.replace("_", "-"), metavar="X", help="set config key %s, parsed as in a file" % key)
     run.add_argument("--json", action="store_true", help="also write a .json twin of each CSV, cell for cell")
 
-    val = sub.add_parser("validate", help="check a config file and report problems")
-    val.add_argument("config")
-
-    bnd = sub.add_parser("bound", help="print the largest stable decision delay, pi / (2 mu C+)")
-    bnd.add_argument("config")
+    sub.add_parser("validate", help="check a config file and report problems").add_argument("config")
+    sub.add_parser("bound", help="print the largest stable decision delay, pi / (2 mu C+)").add_argument("config")
     return parser
 
 
@@ -62,17 +56,14 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             cfg = default_config() if args.config is None else load_config(args.config)
-            overrides = {name: getattr(args, name) for name in OVERRIDES if getattr(args, name) is not None}
+            overrides = {k: parse_override(k, v) for k, v in vars(args).items() if k in OVERRIDES and v is not None}
             flags = list(overrides) + ["json"] * args.json
             paths = run_experiment(args.preset, with_scalar_overrides(cfg, **overrides), args.out, flags)
             print(*paths, sep="\n")
             return EXIT_OK
         if args.command == "validate":
             cfg = load_config(args.config)
-            print(
-                "ok: %d provider(s), %d service group(s), %d user(s)"
-                % (len(cfg.sps), cfg.n_groups, cfg.n_users)
-            )
+            print("ok: %d provider(s), %d service group(s), %d user(s)" % (len(cfg.sps), cfg.n_groups, cfg.n_users))
             return EXIT_OK
         if args.command == "bound":
             cfg = load_config(args.config)

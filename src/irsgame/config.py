@@ -381,9 +381,10 @@ def _keys(cls) -> list:
     return [f for f in fields(cls) if f.type in _PARSERS]
 
 
-def _parse_section(cp: configparser.ConfigParser, name: str, cls) -> dict:
-    """Parsed values of the keys section [name] sets, by field name, with path-qualified errors."""
-    raw = dict(cp[name]) if cp.has_section(name) else {}
+def _parse_section(cp, name: str, cls) -> dict:
+    """Parsed values of the keys section [name] of cp (a ConfigParser, or a dict of sections of key
+    texts) sets, by field name, with path-qualified errors: the one parse site of files and run flags."""
+    raw = dict(cp[name]) if name in cp else {}
     keys = _keys(cls)
     unknown = set(raw) - {f.name for f in keys}
     if unknown:
@@ -471,6 +472,13 @@ def reduced_config() -> ScenarioConfig:
 
 # the scalar settings a run may override, one CLI flag each
 OVERRIDES = ("mu", "delta", "dt", "horizon", "n_users", "seed")
+_SPEC_KEYS = {f.name for f in fields(IntegratorSpec)}
+
+
+def parse_override(key: str, text: str):
+    """The value of the OVERRIDES key from text, parsed as its line in a config file is."""
+    name, cls = ("integrator", IntegratorSpec) if key in _SPEC_KEYS else ("scenario", ScenarioConfig)
+    return _parse_section({name: {key: text}}, name, cls)[key]
 
 
 def with_scalar_overrides(cfg: ScenarioConfig, **kwargs) -> ScenarioConfig:
@@ -479,8 +487,7 @@ def with_scalar_overrides(cfg: ScenarioConfig, **kwargs) -> ScenarioConfig:
         if key not in OVERRIDES:
             raise ConfigurationError("unknown override %r, expected one of %s" % (key, ", ".join(OVERRIDES)))
     cfg_kwargs = {k: v for k, v in kwargs.items() if v is not None}
-    spec_keys = {f.name for f in fields(IntegratorSpec)}
-    integrator = {k: cfg_kwargs.pop(k) for k in list(cfg_kwargs) if k in spec_keys}
+    integrator = {k: cfg_kwargs.pop(k) for k in list(cfg_kwargs) if k in _SPEC_KEYS}
     if integrator:
         cfg_kwargs["integrator"] = replace(cfg.integrator, **integrator)
     return replace(cfg, **cfg_kwargs) if cfg_kwargs else cfg

@@ -41,7 +41,7 @@ _METHODS = ("rk4", "forward-euler")
 
 @dataclass
 class Trajectory:
-    """Sampled solution: one row per time point."""
+    """Sampled solution: one or more strictly increasing times, one state (utility row, u_bar) per time."""
 
     times: np.ndarray  # (T,)
     states: np.ndarray  # (T, G)
@@ -50,12 +50,16 @@ class Trajectory:
     total_drift: float = 0.0  # accumulated |sum(p) - 1| corrections
     total_absorbed: float = 0.0  # accumulated mass clamped at the zero boundary
 
+    def __post_init__(self):
+        t = np.asarray(self.times, dtype=float)  # compared as views, with no array of differences
+        if not (len(t) and not np.isnan(t[0]) and np.all(t[1:] > t[:-1])):  # a NaN time fails
+            raise ConfigurationError("trajectory times must be strictly increasing, with at least one")
+        for name in ("states", "utilities", "u_bar"):
+            if (rows := getattr(self, name)) is not None and len(rows) != len(self.times):
+                raise ConfigurationError("a trajectory of %d times has %d %s" % (len(self.times), len(rows), name))
+
     def __len__(self) -> int:
         return len(self.times)
-
-    @property
-    def terminal_state(self) -> np.ndarray:
-        return self.states[-1]
 
 
 def _check_p0(p0) -> np.ndarray:
@@ -443,7 +447,11 @@ def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: Integr
         while i < n:
             j = max(int(np.searchsorted(newest, i, "right")), i + 1)  # steps i..j-1 read states[:i + 1]
             p_d = HistoryBuffer(dt, states[: i + 1]).lookup(t_q[i:j])
-            step = dt * selection_rates(p_d, utilities(p_d), mu)
+            uv = utilities(p_d)
+            if (shape := np.shape(uv.u)) != p_d.shape:  # numpy would broadcast a single value, or fail on a longer one
+                raise ConfigurationError("solve_delayed utilities of shape %s for states %s" % (shape, p_d.shape))
+            step = dt * selection_rates(p_d, uv, mu)
+            del uv  # not held through _advance, which would raise the peak memory of a long delay window
             drift_sum, absorbed_sum = _advance(states[i : j + 1], step, drift_sum, absorbed_sum)
             i = j
     uv = utilities(states)

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import _NON_NEGATIVE, _POSITIVE, _USERS, _require
-from .errors import ConfigurationError, NumericError
+from .errors import NumericError
 
 # equilibrium detection thresholds shared by all presets
 EPS_FIELD = 1e-6
@@ -166,32 +166,25 @@ class Equilibrium:
 def detect_equilibrium(
     traj, eps_field: float = EPS_FIELD, eps_mass: float = EPS_MASS, min_quiet: float = 0.0
 ) -> Optional[Equilibrium]:
-    """Earliest time after which the trajectory stops moving.
+    """Earliest time after which the Trajectory traj (its shape checked on construction) stops moving.
 
     Uses finite differences of the stored states: the first sample index i
     such that max_g |p_{i+1,g} - p_{i,g}| / dt < eps_field for every later
-    sample.  Returns None when the tail never settles, or when the quiet
-    tail is shorter than min_quiet time units.  Delayed runs should pass
-    min_quiet >= the delay: they can sit exactly still for shorter spells
-    while their history replays an excursion, and only a stretch longer
-    than the information delay proves a genuine rest point.  When utilities
-    were recorded, reports the relative utility spread over groups with
-    share above eps_mass at the detected sample.  Raises ConfigurationError for
-    an eps_field or eps_mass that is not positive and finite, or a negative min_quiet.
+    sample, so a single sample rests from its own time.  Returns None when the
+    tail never settles, or when the quiet tail is shorter than min_quiet time
+    units.  Delayed runs should pass min_quiet >= the delay: they can sit
+    exactly still for shorter spells while their history replays an excursion,
+    and only a stretch longer than the information delay proves a genuine rest
+    point.  When utilities were recorded, reports the relative utility spread
+    over groups with share above eps_mass at the detected sample.  Raises
+    ConfigurationError for an eps_field or eps_mass that is not positive and finite, or a negative min_quiet.
     """
     _require("eps_field", eps_field, _POSITIVE)
     _require("eps_mass", eps_mass, _POSITIVE)
     _require("min_quiet", min_quiet, _NON_NEGATIVE)
-    if len(traj.times) == 0:
-        raise ConfigurationError("cannot detect equilibrium of an empty trajectory")
-    if len(traj.times) == 1:
-        return Equilibrium(time=float(traj.times[0]), index=0, utility_spread=_spread(traj, 0, eps_mass))
-    dts = np.diff(traj.times)
-    if not np.all(dts > 0.0):  # a NaN time fails too
-        raise ConfigurationError("trajectory times must be strictly increasing to detect an equilibrium")
-    rates = np.max(np.abs(np.diff(traj.states, axis=0)), axis=1) / dts
+    rates = np.max(np.abs(np.diff(traj.states, axis=0)), axis=1) / np.diff(traj.times)
     quiet = rates < eps_field
-    if not quiet[-1]:
+    if not np.all(quiet[-1:]):  # a single sample is quiet
         return None
     # first index from which the tail stays quiet
     moving = np.nonzero(~quiet)[0]

@@ -104,12 +104,12 @@ def test_criterion_02_rate_and_population_monotonicity(tmp_path):
 def test_criterion_03_delay_bracketing(reduced_setup, divergent_run):
     cfg, bound, base = reduced_setup
     assert detect_equilibrium(base.trajectory) is not None
-    target = base.trajectory.terminal_state
+    target = base.trajectory.states[-1]
 
     mild = dataclasses.replace(cfg, delta=0.5 * bound)
     res = simulate(mild)
     assert detect_equilibrium(res.trajectory, min_quiet=mild.delta) is not None
-    assert np.max(np.abs(res.trajectory.terminal_state - target)) < 1e-3
+    assert np.max(np.abs(res.trajectory.states[-1] - target)) < 1e-3
 
     wild = divergent_run
     assert detect_equilibrium(wild.trajectory, min_quiet=2.0 * bound) is None
@@ -126,12 +126,12 @@ def test_delay_bracketing_on_default_scenario(default_run):
     cfg = default_config()
     bound = stability_bound(numerators(cfg), cfg.mu, cfg.n_users)
     assert bound == pytest.approx(46.841, rel=1e-4)
-    target = default_run[0].trajectory.terminal_state
+    target = default_run[0].trajectory.states[-1]
 
     mild = dataclasses.replace(cfg, delta=0.5 * bound)
     res = simulate(mild)
     assert detect_equilibrium(res.trajectory, min_quiet=mild.delta) is not None
-    assert np.max(np.abs(res.trajectory.terminal_state - target)) < 1e-3
+    assert np.max(np.abs(res.trajectory.states[-1] - target)) < 1e-3
 
     wild = dataclasses.replace(
         cfg, delta=2.0 * bound, integrator=dataclasses.replace(cfg.integrator, horizon=3000.0)

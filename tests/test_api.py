@@ -16,6 +16,7 @@ from irsgame import (
     ReplicatorSolution,
     SweepGrids,
     Trajectory,
+    UtilityVector,
     compute_snr,
     dbm_to_watt,
     detect_equilibrium,
@@ -50,6 +51,11 @@ def _toy_trajectory():
     return Trajectory(times=np.arange(3.0), states=np.tile(P0, (3, 1)))
 
 
+def _utilities_of(n):
+    """A utility map of n groups, whatever the number of shares in the stack it is given."""
+    return lambda p: UtilityVector(np.ones((len(p), n)), np.ones(len(p)))
+
+
 # one row per guarded call: each ended in a wrong value or a bare exception before
 REGRESSIONS = {
     "negative mu of the exact solution": (lambda: ReplicatorSolution([1.0, 2.0], -1.0, P0), "mu must be positive"),
@@ -80,9 +86,39 @@ REGRESSIONS = {
         for n in (1, 3)
         for method in ("rk4", "forward-euler")
     },
+    # numpy broadcast a utility map of one group, and ended in a numpy ValueError on a longer one
+    **{
+        "a %d-group utility map for 2 shares of the delayed solver" % n: (
+            lambda n=n: solve_delayed(_utilities_of(n), 0.1, P0, 1.0, SPEC),
+            r"solve_delayed utilities of shape \(10, %d\) for states \(10, 2\)" % n,
+        )
+        for n in (1, 3)
+    },
     "repeated times of a trajectory": (
         lambda: detect_equilibrium(Trajectory(times=np.array([0.0, 1.0, 1.0]), states=np.tile(P0, (3, 1)))),
         "trajectory times must be strictly increasing",
+    ),
+    # a Trajectory checks its own shape: detect_equilibrium answered t = 0 for 3 times with 2 states,
+    # and t = nan for a single NaN time
+    "an empty trajectory": (
+        lambda: Trajectory(times=np.array([]), states=np.zeros((0, 2))),
+        "trajectory times must be strictly increasing, with at least one",
+    ),
+    "a single NaN time": (
+        lambda: detect_equilibrium(Trajectory(times=np.array([NAN]), states=np.array([P0]))),
+        "trajectory times must be strictly increasing, with at least one",
+    ),
+    "3 times with 2 states": (
+        lambda: detect_equilibrium(Trajectory(times=np.arange(3.0), states=np.tile(P0, (2, 1)))),
+        "a trajectory of 3 times has 2 states",
+    ),
+    "utilities of the wrong length": (
+        lambda: Trajectory(times=np.arange(3.0), states=np.tile(P0, (3, 1)), utilities=np.zeros((2, 2))),
+        "a trajectory of 3 times has 2 utilities",
+    ),
+    "u_bar of the wrong length": (
+        lambda: Trajectory(times=np.arange(3.0), states=np.tile(P0, (3, 1)), u_bar=np.zeros(4)),
+        "a trajectory of 3 times has 4 u_bar",
     ),
     "a zero dt of the rest-point index": (
         lambda: ReplicatorSolution(C, 0.1, P0).equilibrium_index(0.0, 1e-6),

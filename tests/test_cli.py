@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from irsgame import PRESETS, config_to_text, default_config, reduced_config, with_scalar_overrides
 from irsgame.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
+from irsgame.config import OVERRIDES
 from irsgame.dynamics import MAX_STEPS
 from irsgame.experiments import PRESET_TABLE
 from test_config import scenarios
@@ -268,8 +269,8 @@ def test_run_rejects_unknown_preset():
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["run", "utilities-vs-time", "--seed", "abc"], "irsgame run: error: argument --seed: invalid int value: 'abc'"),
-        (["run", "utilities-vs-time", "--n-users", "1e2"], "argument --n-users: invalid int value: '1e2'"),
+        (["run", "utilities-vs-time", "--seed"], "irsgame run: error: argument --seed: expected one argument"),
+        (["run", "utilities-vs-time", "--n-users"], "argument --n-users: expected one argument"),
         (["run", "warp-speed"], "irsgame run: error: argument preset: invalid choice: 'warp-speed'"),
         (["run", "utilities-vs-time", "--warp"], "irsgame: error: unrecognized arguments: --warp"),
         (["validate"], "irsgame validate: error: the following arguments are required: config"),
@@ -284,6 +285,51 @@ def test_a_malformed_command_line_is_a_configuration_error(tmp_path, capsys, mon
     err = capsys.readouterr().err
     assert err.startswith("usage: irsgame") and message in err and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--seed", "abc", "bad value for scenario.seed: could not convert string to float: 'abc'"),
+        ("--seed", "1e400", "bad value for scenario.seed: cannot convert float infinity to integer"),
+        ("--n-users", "1.5", "bad value for scenario.n_users: expected an integer, got '1.5'"),
+    ],
+)
+def test_a_flag_value_its_key_cannot_parse_is_a_configuration_error(tmp_path, capsys, monkeypatch, flag, value, message):
+    # a flag reads its value as the key's config file line does, so the message names the key
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "utilities-vs-time", flag, value]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "configuration error: %s\n" % message
+    assert not list(tmp_path.iterdir())
+
+
+# values in config file syntax: spellings of numbers, and texts no key can parse
+TEXTS = ["1e2", "7.0", " 3 ", "+2", "1_0", "0.25", "-1", "0"]
+TEXTS += ["", "nan", "inf", "1e400", "1e-300", "0x10", "abc", "9" * 30]
+
+
+# 100 examples take about 1.2 s on a 2-vCPU machine
+@settings(max_examples=100, deadline=None)
+@given(key=st.sampled_from(OVERRIDES), text=st.sampled_from(TEXTS))
+@example(key="n_users", text="1e2")
+def test_a_flag_reads_its_value_as_the_config_file_line_does(key, text):
+    # the flag on a short reduced run, against the same text as the key's line of the file
+    base = config_to_text(with_scalar_overrides(reduced_config(), dt=0.05, horizon=2.0))
+    edited = re.sub(r"^%s = .*$" % key, "%s = %s" % (key, text), base, count=1, flags=re.M)
+    runs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, cfg, flags in (("flag", base, ["--%s=%s" % (key.replace("_", "-"), text)]), ("file", edited, [])):
+            path = Path(tmp) / (name + ".cfg")
+            path.write_text(cfg)
+            out = Path(tmp) / name
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["run", "utilities-vs-time", "--config", str(path), "--out", str(out)] + flags)
+            files = {f.name: f.read_bytes() for f in out.glob("*")}
+            runs.append((code, err.getvalue(), files))
+    assert runs[0] == runs[1]
+    assert runs[0][0] != EXIT_OK or runs[0][2]
 
 
 def test_help_still_exits_0(capsys):
@@ -510,7 +556,7 @@ def invocations(draw):
         if flag == "json":
             argv.append("--json")
         else:
-            value = steps.get(flag) or draw(st.sampled_from(INT_EXTREMES if flag in ("n_users", "seed") else EXTREMES))
+            value = steps.get(flag) or draw(st.sampled_from(EXTREMES + INT_EXTREMES + TEXTS))
             argv.append("--%s=%s" % (flag.replace("_", "-"), value))
     return "\n".join(lines) + "\n", argv
 

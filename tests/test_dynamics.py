@@ -165,7 +165,7 @@ def test_drift_recorded_under_projection():
     assert traj.total_drift == pytest.approx(10 * 1e-7, rel=1e-6)
     assert traj.total_absorbed == 0.0
     assert np.all(np.abs(traj.states.sum(axis=1) - 1.0) <= 1e-15)
-    assert traj.terminal_state[0] > 0.5
+    assert traj.states[-1, 0] > 0.5
 
 
 def test_boundary_clamp_is_absorbing_not_fatal():
@@ -175,9 +175,9 @@ def test_boundary_clamp_is_absorbing_not_fatal():
     traj = integrate_ode(
         lambda t, p: np.array([-1.0, 1.0]) * (p[0] > 0.0), np.array([0.01, 0.99]), spec, method="forward-euler"
     )
-    assert traj.terminal_state[0] == 0.0
+    assert traj.states[-1, 0] == 0.0
     assert traj.total_absorbed == pytest.approx(0.01, rel=1e-9)
-    assert abs(float(traj.terminal_state.sum()) - 1.0) < 1e-12
+    assert abs(float(traj.states[-1].sum()) - 1.0) < 1e-12
 
 
 @st.composite
@@ -251,7 +251,7 @@ def test_dde_small_delay_reaches_known_equilibrium(reduced_cfg, reduced_links):
     p_star = gains / gains.sum()
     spec = IntegratorSpec(dt=0.01, horizon=300.0)
     traj = solve_delayed(utilities, reduced_cfg.mu, reduced_cfg.initial_population(), 5.0, spec)
-    assert np.max(np.abs(traj.terminal_state - p_star)) < 1e-6
+    assert np.max(np.abs(traj.states[-1] - p_star)) < 1e-6
 
 
 def test_simplex_preserved_along_default_run(default_cfg, default_utilities):
@@ -395,7 +395,7 @@ def test_exact_solution_when_every_group_loses(weights, losses):
     traj = solve_replicator(c, 1.0, p0, IntegratorSpec(dt=1.0, horizon=10000.0))
     assert np.all(np.isfinite(traj.states))
     assert on_simplex(traj.states)
-    end = traj.terminal_state
+    end = traj.states[-1]
     assert np.count_nonzero(end) == 1 and np.max(end) == 1.0
 
 
@@ -666,6 +666,33 @@ def test_a_run_that_never_clamps_converges_to_the_exact_delay_solution(default_c
         gaps.append(np.max(np.abs(traj.states[::every] - exact)))
     assert gaps[0] < 3e-5  # measured 2.03e-5
     assert gaps[0] / gaps[1] == pytest.approx(2.0, abs=0.05)
+
+
+@pytest.mark.parametrize(
+    "scenario, delta, first_clamp",
+    [
+        ("reduced_cfg", 30.0, 200.0),
+        ("reduced_cfg", 60.0, 130.0),
+        ("reduced_cfg", 130.0, 70.0),
+        ("default_cfg", 60.0, 60.0),
+        ("default_cfg", 130.0, 60.0),
+    ],
+)
+def test_every_bundled_delayed_run_is_first_order_before_its_first_clamp(request, scenario, delta, first_clamp):
+    # step-halving gaps at dt = 0.01, 0.005 and 0.0025, every 5 time units up to the first zero share
+    cfg = request.getfixturevalue(scenario)
+    utilities = scenario_utilities(cfg)
+    p0 = cfg.initial_population()
+    samples = []
+    for dt in (0.01, 0.005, 0.0025):
+        traj = solve_delayed(utilities, cfg.mu, p0, delta, IntegratorSpec(dt=dt, horizon=first_clamp))
+        assert traj.total_absorbed == 0.0  # no share reaches zero by first_clamp
+        samples.append(traj.states[:: round(5.0 / dt)])
+    gaps = [np.max(np.abs(a - b)) for a, b in zip(samples, samples[1:])]
+    if first_clamp > delta:  # measured 2.000 on both runs
+        assert 1.9 <= gaps[0] / gaps[1] <= 2.1
+    else:  # in the first delay window every step reads the constant pre-history, so Euler is exact
+        assert max(gaps) <= 1e-12  # measured at most 3.2e-13
 
 
 def test_solve_delayed_rejects_negative_delay(default_cfg, default_utilities):

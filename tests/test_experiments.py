@@ -221,4 +221,4 @@ def test_undelayed_sweeps_match_long_sampled_runs(tmp_path, default_cfg):
         sps = list(base.sps)
         sps[1] = dataclasses.replace(sps[1], irs_elements=int(row[0]))
         run = simulate(with_scalar_overrides(dataclasses.replace(base, sps=sps), horizon=2400.0))
-        assert np.max(np.abs(np.array(row[1:], dtype=float) - run.trajectory.terminal_state)) < 1e-9
+        assert np.max(np.abs(np.array(row[1:], dtype=float) - run.trajectory.states[-1])) < 1e-9
