@@ -30,6 +30,7 @@ from .dynamics import (
     HistoryBuffer,
     ReplicatorSolution,
     Trajectory,
+    delayed_steps,
     integrate_ode,
     picard_solve,
     solve_delayed,

@@ -14,12 +14,9 @@ step to the state and projects the sum back onto the probability simplex,
 summing left to right.  It runs on Python floats, except along stretches where
 every step is added unchanged (its total is exactly 1) or leaves the state as
 it was (shares clamped at zero): there it proposes a block of rows with numpy
-and keeps only the rows that carry the step-by-step loop's bits.  Two
-corrections are accounted separately: "drift" is the deviation of the
-component sum from 1 (a step-size symptom, bounded by DRIFT_TOL), while
-"absorbed" mass comes from clamping components that cross zero, which is the
-exact boundary behavior of the selection dynamics when a group empties in
-finite time.
+and keeps only the rows that carry the step-by-step loop's bits.  It keeps no
+tally: delayed_steps recomputes a delayed run's steps from its stored states,
+and the run's clamps, absorbed mass and drift follow from states[:-1] + steps.
 """
 
 from __future__ import annotations
@@ -47,16 +44,18 @@ class Trajectory:
     states: np.ndarray  # (T, G)
     utilities: Optional[np.ndarray] = None  # (T, G), NaN rows possible for empty groups
     u_bar: Optional[np.ndarray] = None  # (T,)
-    total_drift: float = 0.0  # accumulated |sum(p) - 1| corrections
-    total_absorbed: float = 0.0  # accumulated mass clamped at the zero boundary
 
     def __post_init__(self):
+        for name, ndim in (("times", 1), ("states", 2), ("utilities", 2), ("u_bar", 1)):
+            if (rows := getattr(self, name)) is not None and np.ndim(rows) != ndim:
+                raise ConfigurationError("trajectory %s must be %d-D, got shape %s" % (name, ndim, np.shape(rows)))
+            if rows is not None and len(rows) != len(self.times):
+                raise ConfigurationError("a trajectory of %d times has %d %s" % (len(self.times), len(rows), name))
+        if self.utilities is not None and (shape := np.shape(self.utilities)) != np.shape(self.states):
+            raise ConfigurationError("trajectory utilities of shape %s for states %s" % (shape, np.shape(self.states)))
         t = np.asarray(self.times, dtype=float)  # compared as views, with no array of differences
         if not (len(t) and not np.isnan(t[0]) and np.all(t[1:] > t[:-1])):  # a NaN time fails
             raise ConfigurationError("trajectory times must be strictly increasing, with at least one")
-        for name in ("states", "utilities", "u_bar"):
-            if (rows := getattr(self, name)) is not None and len(rows) != len(self.times):
-                raise ConfigurationError("a trajectory of %d times has %d %s" % (len(self.times), len(rows), name))
 
     def __len__(self) -> int:
         return len(self.times)
@@ -88,18 +87,17 @@ def _sum(x: list) -> float:
     return s
 
 
-def _advance(rows: np.ndarray, steps: np.ndarray, drift_sum: float, absorbed_sum: float) -> tuple[float, float]:
+def _advance(rows: np.ndarray, steps: np.ndarray) -> None:
     """Add each row of steps to the state rows[0] in turn, projecting onto the simplex after each.
 
-    Writes the state after step k into rows[k + 1], and returns the two running sums with each
-    step's drift |sum - 1| and absorbed (clamped) mass added in step order.  A step's negative
-    entries are clamped to zero and it is rescaled to unit sum, summing left to right.  Steps
-    run on Python floats, _STREAK rows at a time, since numpy's fixed cost per call would
-    dominate vectors a few groups long.  A total of exactly 1 is neither divided nor counted:
-    v / 1.0 == v and x + 0.0 == x.  A raw sum within DRIFT_TOL of 1 has a positive entry, so
-    the clamped sum is positive.  After _STREAK steps that each added the step unchanged (a
-    running sum) or each left the state unchanged (a share clamped at zero), _block proposes
-    the next rows at once and keeps only what it verifies bit for bit.
+    Writes the state after step k into rows[k + 1].  A sum whose total is more than DRIFT_TOL
+    from 1 raises NumericalDriftError; otherwise its negative entries are clamped to zero and
+    it is rescaled to unit sum, summing left to right.  Steps run on Python floats, _STREAK
+    rows at a time, since numpy's fixed cost per call would dominate vectors a few groups long.
+    A total of exactly 1 is not divided: v / 1.0 == v.  A raw sum within DRIFT_TOL of 1 has a
+    positive entry, so the clamped sum is positive.  After _STREAK steps that each added the
+    step unchanged (a running sum) or each left the state unchanged (a share clamped at zero),
+    _block proposes the next rows at once and keeps only what it verifies bit for bit.
     """
     n = len(steps)
     p = rows[0].tolist()
@@ -116,15 +114,12 @@ def _advance(rows: np.ndarray, steps: np.ndarray, drift_sum: float, absorbed_sum
                 if v < 0.0:
                     clamp = True
             if total != 1.0 or clamp:  # true for a NaN total, which the drift check rejects
-                if total != 1.0:
-                    drift = abs(total - 1.0)
-                    if not drift <= DRIFT_TOL:
-                        raise NumericalDriftError(
-                            "simplex drift %.3e exceeds %.1e in one step; reduce dt" % (drift, DRIFT_TOL)
-                        )
-                    drift_sum += drift
+                drift = abs(total - 1.0)
+                if not drift <= DRIFT_TOL:
+                    raise NumericalDriftError(
+                        "simplex drift %.3e exceeds %.1e in one step; reduce dt" % (drift, DRIFT_TOL)
+                    )
                 if clamp:  # p holds no NaN here: its sum passed the drift check
-                    absorbed_sum -= _sum([v for v in p if v < 0.0])
                     p = [0.0 if v < 0.0 else v for v in p]
                     total = _sum(p)
                 if total != 1.0:
@@ -140,13 +135,12 @@ def _advance(rows: np.ndarray, steps: np.ndarray, drift_sum: float, absorbed_sum
         if streak:
             size = _FIRST
             while i < n:
-                kept, whole, drift_sum, absorbed_sum = _block(rows, steps, i, size, slow > 0, drift_sum, absorbed_sum)
+                kept, whole = _block(rows, steps, i, size, slow > 0)
                 i = done = i + kept
                 if not whole:
                     break
                 size = min(2 * size, _CAP)
             p = rows[i].tolist()
-    return drift_sum, absorbed_sum
 
 
 def _column_sums(x: np.ndarray) -> np.ndarray:
@@ -158,7 +152,7 @@ def _column_sums(x: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(all="ignore")  # rows past the first that fails the drift check are never kept
-def _block(rows, steps, i: int, size: int, hold: bool, drift_sum: float, absorbed_sum: float):
+def _block(rows, steps, i: int, size: int, hold: bool) -> tuple[int, bool]:
     """Up to size steps from step i at once, kept where they have the bits of _advance's loop.
 
     The proposal is the state rows[i] held (hold) or the running sum of the steps from it,
@@ -166,8 +160,8 @@ def _block(rows, steps, i: int, size: int, hold: bool, drift_sum: float, absorbe
     previous state with the loop's arithmetic; the rows up to the first whose result differs
     from its proposal in any bit (as integers, so -0.0 differs from 0.0) are verified, and so
     is that row's own result, since its previous state is.  Only rows that pass the drift check
-    are kept: the loop takes the first that fails and raises.  Returns the rows written, whether
-    the whole proposal held, and the two sums with the kept rows' terms added in step order.
+    are kept: the loop takes the first that fails and raises.  Returns the rows written, and
+    whether the whole proposal held.
     """
     dp = steps[i : i + size]
     p = rows[i]
@@ -178,25 +172,17 @@ def _block(rows, steps, i: int, size: int, hold: bool, drift_sum: float, absorbe
         prev, proposal = run[:-1], run[1:]
     raw = prev + dp
     total = _column_sums(raw)
-    negative = raw < 0.0
-    clamped = np.where(negative, 0.0, raw)
+    clamped = np.where(raw < 0.0, 0.0, raw)
     # unclamped rows sum to total again; v / 1.0 == v, so dividing where the loop does not changes
     # no bit of a kept row, which holds no NaN
     result = clamped / _column_sums(clamped)[:, None]
     same = np.all(result.view(np.int64) == proposal.view(np.int64), axis=1)
     kept = len(dp) if same.all() else int(np.argmin(same)) + 1
-    drift = np.abs(total - 1.0)
-    failed = np.flatnonzero(~(drift[:kept] <= DRIFT_TOL))
+    failed = np.flatnonzero(~(np.abs(total[:kept] - 1.0) <= DRIFT_TOL))
     if failed.size:
         kept = int(failed[0])
     rows[i + 1 : i + 1 + kept] = result[:kept]
-    # x + -0.0 == x for every x: the term of a step whose drift or absorbed mass the loop does not add
-    terms = np.empty((kept + 1, 2))
-    terms[0] = drift_sum, absorbed_sum
-    terms[1:, 0] = np.where(total != 1.0, drift, -0.0)[:kept]
-    terms[1:, 1] = -_column_sums(np.where(negative, raw, 0.0))[:kept]
-    drift_sum, absorbed_sum = np.add.accumulate(terms)[-1].tolist()
-    return kept, kept == len(dp) and bool(same[-1]), drift_sum, absorbed_sum
+    return kept, kept == len(dp) and bool(same[-1])
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails the drift check
@@ -226,7 +212,6 @@ def integrate_ode(
 
     states = np.empty((n + 1, p.size))
     states[0] = p
-    drift_sum = absorbed_sum = 0.0
     for i in range(n):
         t = i * dt
         if method == "rk4":
@@ -237,10 +222,12 @@ def integrate_ode(
             step = dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         else:
             step = dt * rate(t, p)
-        drift_sum, absorbed_sum = _advance(states[i : i + 2], step[None], drift_sum, absorbed_sum)
+        _advance(states[i : i + 2], step[None])
         p = states[i + 1]
-    u, u_bar = _record_utilities(states, utilities)
-    return Trajectory(np.arange(n + 1) * dt, states, u, u_bar, drift_sum, absorbed_sum)
+    if utilities is None:
+        return Trajectory(np.arange(n + 1) * dt, states)
+    rows = [utilities(s) for s in states]
+    return Trajectory(np.arange(n + 1) * dt, states, np.array([r.u for r in rows]), np.array([r.u_bar for r in rows]))
 
 
 class ReplicatorSolution:
@@ -376,13 +363,6 @@ def _growth(s, mu: float, big_c: float):
         return -np.expm1(-mu * big_c * s) / big_c
 
 
-def _record_utilities(states: np.ndarray, utilities: Callable | None):
-    if utilities is None:
-        return None, None
-    rows = [utilities(s) for s in states]
-    return np.array([r.u for r in rows]), np.array([r.u_bar for r in rows])
-
-
 @dataclass
 class HistoryBuffer:
     """Grid-aligned state history of a delayed integration from t = 0: states[i] is the state at i * dt.
@@ -396,6 +376,9 @@ class HistoryBuffer:
 
     dt: float
     states: np.ndarray  # (N, G)
+
+    def __post_init__(self):
+        _require("dt", self.dt, _POSITIVE)
 
     @np.errstate(over="ignore", invalid="ignore")  # t / dt past a float is pre-history or past the newest sample
     def _samples(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -441,21 +424,37 @@ def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: Integr
     states[0] = p
     t_q = np.arange(n) * dt - delta  # the time each step reads
     newest = HistoryBuffer(dt, states)._samples(t_q)[1]  # the newest sample each step reads
-    drift_sum = absorbed_sum = 0.0
     i = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # a step that overflows fails the drift check
-        while i < n:
-            j = max(int(np.searchsorted(newest, i, "right")), i + 1)  # steps i..j-1 read states[:i + 1]
-            p_d = HistoryBuffer(dt, states[: i + 1]).lookup(t_q[i:j])
-            uv = utilities(p_d)
-            if (shape := np.shape(uv.u)) != p_d.shape:  # numpy would broadcast a single value, or fail on a longer one
-                raise ConfigurationError("solve_delayed utilities of shape %s for states %s" % (shape, p_d.shape))
-            step = dt * selection_rates(p_d, uv, mu)
-            del uv  # not held through _advance, which would raise the peak memory of a long delay window
-            drift_sum, absorbed_sum = _advance(states[i : j + 1], step, drift_sum, absorbed_sum)
-            i = j
+    while i < n:
+        j = max(int(np.searchsorted(newest, i, "right")), i + 1)  # steps i..j-1 read states[:i + 1]
+        _advance(states[i : j + 1], _steps_reading(utilities, mu, HistoryBuffer(dt, states[: i + 1]), t_q[i:j]))
+        i = j
     uv = utilities(states)
-    return Trajectory(np.arange(n + 1) * dt, states, uv.u, uv.u_bar, drift_sum, absorbed_sum)
+    return Trajectory(np.arange(n + 1) * dt, states, uv.u, uv.u_bar)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails the drift check
+def _steps_reading(utilities: Callable, mu: float, history: HistoryBuffer, t: np.ndarray) -> np.ndarray:
+    """The steps (T, G) that read the times t, dt * selection_rates at the looked-up states: the one step rule."""
+    p_d = history.lookup(t)
+    uv = utilities(p_d)
+    if (shape := np.shape(uv.u)) != p_d.shape:  # numpy would broadcast a single value, or fail on a longer one
+        raise ConfigurationError("solve_delayed utilities of shape %s for states %s" % (shape, p_d.shape))
+    return history.dt * selection_rates(p_d, uv, mu)
+
+
+def delayed_steps(traj: Trajectory, utilities: Callable, mu: float, delta: float) -> np.ndarray:
+    """The steps (N - 1, G) of the solve_delayed run traj, recomputed from its states in one stacked call.
+
+    traj.states[:-1] + steps are the sums that _advance projected.  Raises ConfigurationError
+    for what solve_delayed rejects, or a trajectory of fewer than 2 samples.
+    """
+    _require("delay", delta, _NON_NEGATIVE)
+    _require("mu", mu, _POSITIVE)
+    if len(traj) < 2:
+        raise ConfigurationError("delayed_steps needs a trajectory of at least 2 samples, got %d" % len(traj))
+    dt = float(traj.times[1] - traj.times[0])  # the grid t_i = i * dt
+    return _steps_reading(utilities, mu, HistoryBuffer(dt, traj.states), np.arange(len(traj) - 1) * dt - delta)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a round that overflows never reaches tol

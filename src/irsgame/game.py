@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import _NON_NEGATIVE, _POSITIVE, _USERS, _require
-from .errors import NumericError
+from .errors import ConfigurationError, NumericError
 
 # equilibrium detection thresholds shared by all presets
 EPS_FIELD = 1e-6
@@ -86,6 +86,14 @@ def utility_numerators(links: list, cfg) -> np.ndarray:
     return numer
 
 
+def _check_numer(numer) -> np.ndarray:
+    """numer as a float vector, or a ConfigurationError unless it is a 1-D vector of finite reals."""
+    x = np.asarray(numer)
+    if not (x.ndim == 1 and x.dtype.kind in "iuf" and np.all(np.isfinite(x))):
+        raise ConfigurationError("numer must be a 1-D vector of finite reals, got %r" % (numer,))
+    return x.astype(float, copy=False)
+
+
 def make_utilities(numer: np.ndarray, n_users: int) -> Callable[[np.ndarray], UtilityVector]:
     """Build the state -> UtilityVector map u_g = numer_g / (p_g * n_users).
 
@@ -93,8 +101,10 @@ def make_utilities(numer: np.ndarray, n_users: int) -> Callable[[np.ndarray], Ut
     division by the group share happens per call.  The map takes one state
     (G,) or a stack of states (T, G); for a stack, u is (T, G) and u_bar is
     (T,), each row equal to the single-state result.  Raises NumericError when
-    a utility overflows a float.
+    a utility overflows a float, and ConfigurationError for a numer that is not
+    a 1-D vector of finite reals or an n_users out of range.
     """
+    numer = _check_numer(numer)
     n = float(_require("n_users", n_users, _USERS))
     n_nan = np.full(len(numer), np.nan)
 
@@ -140,8 +150,10 @@ def stability_bound(numer: np.ndarray, mu: float, n_users: int) -> float:
     dp_g/dt = mu (c_g - C+ p_g(t - delta)), where C+ is the sum of the
     positive c_g.  That is stable iff mu C+ delta < pi / 2 (Hayes, 1950), so
     the bound is pi / (2 mu C+).  Raises NumericError when no c_g is positive
-    or when 2 mu C+ or the bound is not a positive finite number.
+    or when 2 mu C+ or the bound is not a positive finite number, and
+    ConfigurationError for arguments out of range, as make_utilities does.
     """
+    numer = _check_numer(numer)
     _require("mu", mu, _POSITIVE)
     _require("n_users", n_users, _USERS)
     with np.errstate(over="ignore"):  # an infinite C+ is reported below

@@ -70,15 +70,19 @@ def _project(raw: list) -> tuple[list, float, float]:
     return [v / total for v in raw], drift, absorbed
 
 
-def advance(p: list, steps, drift_sum: float, absorbed_sum: float) -> tuple[list, float, float]:
-    """dynamics._advance by one _project call per step: every step divided and counted."""
+def advance(p: list, steps, drift_sum: float, absorbed_sum: float, clamped: int) -> tuple[list, float, float, int]:
+    """dynamics._advance by one _project call per step: every step divided and counted.
+
+    Returns the states, and the running sums of drift, absorbed mass and clamped steps.
+    """
     flat = []
     for dp in steps:
         p, drift, absorbed = _project(list(map(add, p, dp)))
         drift_sum += drift
         absorbed_sum += absorbed
+        clamped += absorbed > 0.0  # a step with a negative entry absorbs a positive mass
         flat += p
-    return flat, drift_sum, absorbed_sum
+    return flat, drift_sum, absorbed_sum, clamped
 
 
 def history(states, dt: float, t: float) -> np.ndarray:
@@ -104,26 +108,27 @@ def history(states, dt: float, t: float) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails the drift check
-def delayed_euler(utilities, mu: float, p0, delta: float, spec) -> Trajectory:
+def delayed_euler(utilities, mu: float, p0, delta: float, spec) -> tuple[Trajectory, float, float, int]:
     """dynamics.solve_delayed one forward-Euler step at a time.
 
     Step i reads the state at i * dt - delta through history(), evaluates the replicator
     field mu * p_g * (u_g - u_bar) there (empty groups zero) and is projected by advance;
-    the utilities of the samples are recorded one state at a time.
+    the utilities of the samples are recorded one state at a time.  Returns the trajectory
+    and advance's sums over the run: drift, absorbed mass and clamped steps.
     """
     n, dt = spec.n_steps(), spec.dt
     states = [np.array(p0, dtype=float)]
-    drift_sum = absorbed_sum = 0.0
+    sums = 0.0, 0.0, 0
     for i in range(n):
         p_d = history(states, dt, i * dt - delta)
         uv = utilities(p_d)
         step = dt * (mu * np.where(p_d > 0.0, p_d * (uv.u - uv.u_bar), 0.0))
-        flat, drift_sum, absorbed_sum = advance(states[-1].tolist(), [step.tolist()], drift_sum, absorbed_sum)
+        flat, *sums = advance(states[-1].tolist(), [step.tolist()], *sums)
         states.append(np.array(flat))
     states = np.array(states)
     rows = [utilities(s) for s in states]
     u, u_bar = np.array([r.u for r in rows]), np.array([r.u_bar for r in rows])
-    return Trajectory(np.arange(n + 1) * dt, states, u, u_bar, drift_sum, absorbed_sum)
+    return Trajectory(np.arange(n + 1) * dt, states, u, u_bar), *sums
 
 
 def delay_exact(c, mu: float, p0, delta: float, times) -> np.ndarray:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from irsgame import (
     Beamformer,
     ConfigurationError,
+    HistoryBuffer,
     IntegratorSpec,
     PhaseShiftVector,
     ReplicatorSolution,
@@ -19,6 +20,7 @@ from irsgame import (
     UtilityVector,
     compute_snr,
     dbm_to_watt,
+    delayed_steps,
     detect_equilibrium,
     generate_channels,
     integrate_ode,
@@ -49,6 +51,10 @@ NO_PHASES = PhaseShiftVector(np.zeros(0))
 
 def _toy_trajectory():
     return Trajectory(times=np.arange(3.0), states=np.tile(P0, (3, 1)))
+
+
+def _delayed_run():
+    return solve_delayed(UTILITIES, 0.1, P0, 0.3, SPEC)
 
 
 def _utilities_of(n):
@@ -120,6 +126,67 @@ REGRESSIONS = {
         lambda: Trajectory(times=np.arange(3.0), states=np.tile(P0, (3, 1)), u_bar=np.zeros(4)),
         "a trajectory of 3 times has 4 u_bar",
     ),
+    # these ended in numpy's TypeError or ValueError, or in an AxisError in detect_equilibrium
+    "a scalar time": (
+        lambda: Trajectory(times=np.float64(0.0), states=np.array([P0])),
+        r"trajectory times must be 1-D, got shape \(\)",
+    ),
+    "2-D times": (
+        lambda: Trajectory(times=np.zeros((3, 1)), states=np.tile(P0, (3, 1))),
+        r"trajectory times must be 1-D, got shape \(3, 1\)",
+    ),
+    "1-D states": (
+        lambda: detect_equilibrium(Trajectory(times=np.arange(2.0), states=np.array(P0))),
+        r"trajectory states must be 2-D, got shape \(2,\)",
+    ),
+    "utilities of another group count": (
+        lambda: Trajectory(times=np.arange(3.0), states=np.tile(P0, (3, 1)), utilities=np.zeros((3, 3))),
+        r"trajectory utilities of shape \(3, 3\) for states \(3, 2\)",
+    ),
+    "2-D u_bar": (
+        lambda: Trajectory(times=np.arange(3.0), states=np.tile(P0, (3, 1)), u_bar=np.zeros((3, 1))),
+        r"trajectory u_bar must be 1-D, got shape \(3, 1\)",
+    ),
+    # delayed_steps checks what solve_delayed checks, and needs one step
+    "a negative delay of the recomputed steps": (
+        lambda: delayed_steps(_delayed_run(), UTILITIES, 0.1, -1.0),
+        "delay must be non-negative and finite, got -1.0",
+    ),
+    "a NaN mu of the recomputed steps": (
+        lambda: delayed_steps(_delayed_run(), UTILITIES, NAN, 0.3),
+        "mu must be positive and finite, got nan",
+    ),
+    "a 3-group utility map of the recomputed steps": (
+        lambda: delayed_steps(_delayed_run(), _utilities_of(3), 0.1, 0.3),
+        r"solve_delayed utilities of shape \(10, 3\) for states \(10, 2\)",
+    ),
+    "a one-sample trajectory of the recomputed steps": (
+        lambda: delayed_steps(Trajectory(times=np.zeros(1), states=np.array([P0])), UTILITIES, 0.1, 0.3),
+        "delayed_steps needs a trajectory of at least 2 samples, got 1",
+    ),
+    # a NaN payoff gave NaN utilities, or a bound that left it out; a list of strings ended in a TypeError
+    **{
+        "%s of %s" % (name, call.__name__): (
+            lambda call=call, numer=numer, args=args: call(numer, *args),
+            "numer must be a 1-D vector of finite reals",
+        )
+        for call, args in ((make_utilities, (CFG.n_users,)), (stability_bound, (0.1, CFG.n_users)))
+        for name, numer in (
+            ("a NaN payoff", np.array([NAN, 1.0])),
+            ("an infinite payoff", np.array([1.0, INF])),
+            ("a payoff matrix", np.ones((2, 2))),
+            ("string payoffs", ["1.0", "2.0"]),
+            ("a scalar payoff", 1.0),
+        )
+    },
+    # a zero dt divided by zero with a RuntimeWarning
+    **{
+        "a %s dt of the history" % name: (
+            lambda dt=dt: HistoryBuffer(dt, np.array([P0])),
+            "dt must be positive and finite, got %r" % dt,
+        )
+        for name, dt in (("zero", 0.0), ("negative", -0.1), ("NaN", NAN), ("string", "0.1"))
+    },
     "a zero dt of the rest-point index": (
         lambda: ReplicatorSolution(C, 0.1, P0).equilibrium_index(0.0, 1e-6),
         "dt must be positive and finite, got 0.0",
@@ -193,6 +260,12 @@ def test_an_out_of_range_argument_is_a_configuration_error_naming_it(name):
     call, message = REGRESSIONS[name]
     with pytest.raises(ConfigurationError, match=message):
         call()
+
+
+def test_payoffs_given_as_a_list_act_as_their_array():
+    assert stability_bound(NUMER.tolist(), 0.1, CFG.n_users) == stability_bound(NUMER, 0.1, CFG.n_users)
+    listed, array = make_utilities(NUMER.tolist(), CFG.n_users)(P0), UTILITIES(P0)
+    assert listed.u.tobytes() == array.u.tobytes() and listed.u_bar == array.u_bar
 
 
 # the CLI fuzz's extreme values, and values of the wrong type

@@ -28,7 +28,7 @@ from irsgame import (
     with_scalar_overrides,
 )
 from irsgame import dynamics
-from irsgame.dynamics import DRIFT_TOL, MAX_STEPS, _advance, _sum
+from irsgame.dynamics import DRIFT_TOL, MAX_STEPS, _advance, _sum, delayed_steps
 from irsgame.experiments import numerators
 from conftest import group_gains
 import oracle
@@ -113,7 +113,6 @@ def test_zero_field_is_constant():
     p0 = np.array([0.25, 0.75])
     traj = integrate_ode(lambda t, p: np.zeros_like(p), p0, spec)
     assert np.array_equal(traj.states, np.tile(p0, (len(traj), 1)))
-    assert traj.total_drift == 0.0 and traj.total_absorbed == 0.0
 
 
 @pytest.mark.parametrize("method", ["rk4", "forward-euler"])
@@ -123,7 +122,6 @@ def test_a_field_returning_a_list_steps_as_its_array(method):
     array = integrate_ode(logistic_field, np.array([0.5, 0.5]), spec, method=method)
     listed = integrate_ode(lambda t, p: logistic_field(t, p).tolist(), np.array([0.5, 0.5]), spec, method=method)
     assert listed.states.tobytes() == array.states.tobytes()
-    assert (listed.total_drift, listed.total_absorbed) == (array.total_drift, array.total_absorbed)
 
 
 def test_initial_state_validation():
@@ -158,25 +156,22 @@ def test_drift_error_on_nan_step():
 
 
 def test_drift_recorded_under_projection():
-    # a leak of 1e-7 per step stays below DRIFT_TOL: every step is recorded
-    # as drift and projected back onto the simplex
+    # a leak of 1e-7 per step stays below DRIFT_TOL: every step is projected
+    # back onto the simplex
     spec = IntegratorSpec(dt=0.1, horizon=1.0)
     traj = integrate_ode(lambda t, p: np.array([1e-6, 0.0]), np.array([0.5, 0.5]), spec, method="forward-euler")
-    assert traj.total_drift == pytest.approx(10 * 1e-7, rel=1e-6)
-    assert traj.total_absorbed == 0.0
     assert np.all(np.abs(traj.states.sum(axis=1) - 1.0) <= 1e-15)
     assert traj.states[-1, 0] > 0.5
 
 
 def test_boundary_clamp_is_absorbing_not_fatal():
-    # outflow pushes the small group through zero; the overshoot is clamped,
-    # recorded as absorbed mass, and the run continues
+    # outflow pushes the small group through zero; the overshoot is clamped
+    # and the run continues
     spec = IntegratorSpec(dt=0.02, horizon=1.0)
     traj = integrate_ode(
         lambda t, p: np.array([-1.0, 1.0]) * (p[0] > 0.0), np.array([0.01, 0.99]), spec, method="forward-euler"
     )
     assert traj.states[-1, 0] == 0.0
-    assert traj.total_absorbed == pytest.approx(0.01, rel=1e-9)
     assert abs(float(traj.states[-1].sum()) - 1.0) < 1e-12
 
 
@@ -241,8 +236,6 @@ def test_dde_zero_delay_matches_euler_exactly(default_cfg, default_utilities):
     assert np.array_equal(ode.states, dde.states)
     assert np.array_equal(ode.utilities, dde.utilities, equal_nan=True)
     assert np.array_equal(ode.u_bar, dde.u_bar)
-    assert ode.total_drift == dde.total_drift
-    assert ode.total_absorbed == dde.total_absorbed
 
 
 def test_dde_small_delay_reaches_known_equilibrium(reduced_cfg, reduced_links):
@@ -345,7 +338,7 @@ def test_exact_solution_matches_rk4_when_every_group_is_profitable(weights, gain
     assert np.array_equal(exact.times, rk4_times)
     assert np.max(np.abs(exact.states - rk4_states)) < 1e-9
     assert np.all(exact.states[:, p0 == 0.0] == 0.0)
-    assert exact.total_drift == 0.0 and exact.total_absorbed == 0.0
+    assert np.all(exact.states[:, p0 > 0.0] > 0.0)  # no group empties
 
 
 def test_exact_solution_with_unprofitable_groups(default_cfg):
@@ -357,7 +350,6 @@ def test_exact_solution_with_unprofitable_groups(default_cfg):
     c = numerators(cfg) / cfg.n_users
     assert np.count_nonzero(c < 0.0) == 2
     assert on_simplex(traj.states)
-    assert traj.total_absorbed == 0.0
     # extinction times from p(t) = p* + (q - p*) exp(-mu C (t - t_k)), one group at a time
     q, t_k, alive = cfg.initial_population(), 0.0, np.ones(len(c), dtype=bool)
     for _ in range(2):
@@ -377,7 +369,7 @@ def test_exact_solution_with_unprofitable_groups(default_cfg):
     rk4 = integrate_ode(
         lambda t, p: replicator_field(t, p, utilities, cfg.mu), cfg.initial_population(), cfg.integrator
     )
-    assert rk4.total_absorbed > 0.0
+    assert np.any(rk4.states == 0.0)  # rk4 steps through zero, and the share is clamped
     assert np.max(np.abs(traj.states - rk4.states)) < 1e-4
 
 
@@ -600,6 +592,12 @@ def scenario_utilities(cfg):
     return make_utilities(numerators(cfg), cfg.n_users)
 
 
+def clamp_facts(traj, steps):
+    """The clamped steps and the absorbed mass of a delayed run, from the sums _advance projected."""
+    raw = traj.states[:-1] + steps
+    return int(np.count_nonzero(np.any(raw < 0.0, axis=1))), float(-np.sum(np.where(raw < 0.0, raw, 0.0)))
+
+
 @pytest.mark.parametrize(
     "scenario, delta, dt, horizon",
     [
@@ -622,16 +620,18 @@ def test_solve_delayed_matches_oracle_bit_for_bit(request, scenario, delta, dt, 
     fast = solve_delayed(utilities, cfg.mu, p0, delta, spec)
     assert sum(k for _, k in block_rows) >= BLOCK_ROWS.get(scenario, 0)
     # one field, one scalar history lookup and one projection per step
-    ref = oracle.delayed_euler(utilities, cfg.mu, p0, delta, spec)
+    ref, _, absorbed, clamped = oracle.delayed_euler(utilities, cfg.mu, p0, delta, spec)
     assert np.array_equal(fast.times, ref.times)
     assert np.array_equal(fast.states, ref.states)
     assert fast.states.tobytes() == ref.states.tobytes()
     assert np.array_equal(fast.utilities, ref.utilities, equal_nan=True)
     assert np.array_equal(fast.u_bar, ref.u_bar)
-    assert fast.total_drift == ref.total_drift
-    assert fast.total_absorbed == ref.total_absorbed
+    # the facts recomputed from the stored states are the ones the oracle counts step by step
+    facts = clamp_facts(fast, delayed_steps(fast, utilities, cfg.mu, delta))
+    assert facts[0] == clamped
+    assert abs(facts[1] - absorbed) <= 1e-12
     if scenario == "reduced_cfg" and delta >= 30.0:
-        assert fast.total_absorbed > 0.0  # the run clamps shares at zero
+        assert clamped > 0  # the run clamps shares at zero
 
 
 @pytest.mark.parametrize("scenario", ["default_cfg", "reduced_cfg"])
@@ -660,7 +660,7 @@ def test_a_run_that_never_clamps_converges_to_the_exact_delay_solution(default_c
     gaps = []
     for dt in (0.01, 0.005):
         traj = solve_delayed(utilities, default_cfg.mu, p0, 30.0, IntegratorSpec(dt=dt, horizon=600.0))
-        assert traj.total_absorbed == 0.0
+        assert np.all(traj.states > 0.0)
         every = round(5.0 / dt)  # t = 0, 5, ..., 600
         exact = oracle.delay_exact(numer / default_cfg.n_users, default_cfg.mu, p0, 30.0, traj.times[::every])
         gaps.append(np.max(np.abs(traj.states[::every] - exact)))
@@ -686,13 +686,40 @@ def test_every_bundled_delayed_run_is_first_order_before_its_first_clamp(request
     samples = []
     for dt in (0.01, 0.005, 0.0025):
         traj = solve_delayed(utilities, cfg.mu, p0, delta, IntegratorSpec(dt=dt, horizon=first_clamp))
-        assert traj.total_absorbed == 0.0  # no share reaches zero by first_clamp
+        assert np.all(traj.states > 0.0)  # no share reaches zero by first_clamp
         samples.append(traj.states[:: round(5.0 / dt)])
     gaps = [np.max(np.abs(a - b)) for a, b in zip(samples, samples[1:])]
     if first_clamp > delta:  # measured 2.000 on both runs
         assert 1.9 <= gaps[0] / gaps[1] <= 2.1
     else:  # in the first delay window every step reads the constant pre-history, so Euler is exact
         assert max(gaps) <= 1e-12  # measured at most 3.2e-13
+
+
+@pytest.mark.parametrize(
+    "scenario, delta, clamped",
+    [
+        ("reduced_cfg", 30.0, 6219),
+        ("reduced_cfg", 60.0, 13712),
+        ("reduced_cfg", 130.0, 18945),
+        ("default_cfg", 30.0, 0),
+        ("default_cfg", 60.0, 13757),
+        ("default_cfg", 130.0, 27098),
+    ],
+)
+def test_every_bundled_delayed_run_replays_from_its_recomputed_steps(request, scenario, delta, clamped):
+    # delay-sweep's delayed points: the steps recomputed from the stored states, fed to _advance,
+    # take the run again bit for bit, so the facts read from them are the run's own
+    cfg = request.getfixturevalue(scenario)
+    assert delta in cfg.grids.delta
+    utilities = scenario_utilities(cfg)
+    traj = solve_delayed(utilities, cfg.mu, cfg.initial_population(), delta, cfg.integrator)
+    steps = delayed_steps(traj, utilities, cfg.mu, delta)
+    assert steps.shape == (len(traj) - 1, cfg.n_groups)
+    rows = np.empty_like(traj.states)
+    rows[0] = traj.states[0]
+    _advance(rows, steps)
+    assert rows.tobytes() == traj.states.tobytes()
+    assert clamp_facts(traj, steps)[0] == clamped
 
 
 def test_solve_delayed_rejects_negative_delay(default_cfg, default_utilities):
@@ -780,15 +807,12 @@ def test_projection_of_any_admitted_step_lies_on_the_simplex(raw):
     # a sum within DRIFT_TOL of 1 has a positive entry, so no step the drift
     # check admits is clamped away entirely
     rows = np.zeros((2, len(raw)))
-    drift, absorbed = _advance(rows, raw[None], 0.0, 0.0)
+    _advance(rows, raw[None])
     state = rows[1]
     assert np.all(state >= 0.0)
     assert abs(float(state.sum()) - 1.0) <= 1e-12
-    assert drift <= DRIFT_TOL and absorbed >= 0.0
     clamped = np.maximum(raw, 0.0)
     assert np.allclose(state, clamped / clamped.sum(), rtol=0.0, atol=1e-12)
-    assert abs(drift - abs(raw.sum() - 1.0)) <= 1e-12
-    assert abs(absorbed - (clamped - raw).sum()) <= 1e-12
 
 
 # rows that sum to 0 exactly or nearly, with the values that take _advance's other branches
@@ -807,37 +831,37 @@ def projected_runs(draw):
     for _ in range(draw(st.integers(0, 8))):
         row = draw(st.lists(entries, min_size=g - 1, max_size=g - 1))
         steps.append(row + [draw(st.sampled_from(NEAR_ZERO)) - _sum(row)] if draw(st.booleans()) else row + [0.0])
-    return p, steps, draw(st.sampled_from([0.0, 1e-7])), draw(st.sampled_from([0.0, 0.5]))
+    return p, steps
 
 
-def _projected(p, steps, drift_sum, absorbed_sum):
-    """_advance's states as bytes (telling -0.0 from 0.0) and sums, or its error message."""
+def _projected(p, steps):
+    """_advance's states as bytes (telling -0.0 from 0.0), or its error message."""
     rows = np.empty((len(steps) + 1, len(p)))
     rows[0] = p
     try:
-        drift_sum, absorbed_sum = _advance(rows, np.reshape(steps, (-1, len(p))), drift_sum, absorbed_sum)
+        _advance(rows, np.reshape(steps, (-1, len(p))))
     except NumericalDriftError as exc:
         return str(exc)
-    return rows[1:].tobytes(), drift_sum, absorbed_sum
+    return rows[1:].tobytes()
 
 
-def _oracle_projected(p, steps, drift_sum, absorbed_sum):
+def _oracle_projected(p, steps):
     """The same of oracle.advance, one projection per step."""
     try:
-        flat, drift_sum, absorbed_sum = oracle.advance(p, steps, drift_sum, absorbed_sum)
+        flat = oracle.advance(p, steps, 0.0, 0.0, 0)[0]
     except NumericalDriftError as exc:
         return str(exc)
-    return np.array(flat).tobytes(), drift_sum, absorbed_sum
+    return np.array(flat).tobytes()
 
 
 @settings(max_examples=500, deadline=None)
 @given(projected_runs())
-@example(([0.5, 0.5], [[0.25, -0.25], [-0.5, 0.5]], 0.0, 0.0))  # totals of exactly 1.0
-@example(([0.5, 0.5], [[-0.75, 0.75], [0.125, -0.125]], 0.0, 0.0))  # a negative entry clamped
-@example(([-0.0, 1.0], [[-0.0, 0.0], [0.5, -0.5]], 0.0, 0.0))  # -0.0 kept
-@example(([0.5, 0.5], [[1e-9, 0.0], [np.nan, 0.0]], 1e-7, 0.0))  # NaN after an inexact total
-@example(([0.5, 0.5], [[0.0, 0.0], [2e-6, 0.0]], 0.0, 0.5))  # a sum past DRIFT_TOL
-@example(([0.5, 0.5], [[0.6, 1e-9 - 0.6]], 0.0, 0.0))  # clamped and inexact
+@example(([0.5, 0.5], [[0.25, -0.25], [-0.5, 0.5]]))  # totals of exactly 1.0
+@example(([0.5, 0.5], [[-0.75, 0.75], [0.125, -0.125]]))  # a negative entry clamped
+@example(([-0.0, 1.0], [[-0.0, 0.0], [0.5, -0.5]]))  # -0.0 kept
+@example(([0.5, 0.5], [[1e-9, 0.0], [np.nan, 0.0]]))  # NaN after an inexact total
+@example(([0.5, 0.5], [[0.0, 0.0], [2e-6, 0.0]]))  # a sum past DRIFT_TOL
+@example(([0.5, 0.5], [[0.6, 1e-9 - 0.6]]))  # clamped and inexact
 def test_advance_has_the_bits_of_one_projection_per_step(run):
     assert _projected(*run) == _oracle_projected(*run)
 
@@ -895,7 +919,7 @@ def _stretches(g: int, seed: int, kinds: list, bad: str | None = None):
         row = np.zeros((1, g))
         row[0, 0] = BAD_ROWS[bad]
         steps += [_exact_steps(rng, g, 300), row, _exact_steps(rng, g, 10)]
-    return p.tolist(), np.concatenate(steps).tolist(), 0.0, 0.0
+    return p.tolist(), np.concatenate(steps).tolist()
 
 
 @st.composite
@@ -912,14 +936,14 @@ def _held_negative_zero():
     # a share of -0.0 held at a vertex, one clamped step that makes it 0.0 (equal, but not in
     # its bits), and the held steps after it, which add -0.0 to the share: 0.0 + -0.0 is 0.0
     held = [[-0.0, 2.0**-40]] * 100
-    return [-0.0, 1.0], held + [[-(2.0**-30), 2.0**-30]] + held, 0.0, 0.0
+    return [-0.0, 1.0], held + [[-(2.0**-30), 2.0**-30]] + held
 
 
 def _negative_zero_in_an_exact_run():
     # an exact running sum over a share of -0.0, which a step of 0.0 turns into 0.0 midway
     rows = [[-0.0, 2.0**-10, -(2.0**-10)], [-0.0, -(2.0**-10), 2.0**-10]] * 100
     rows[150] = [0.0, 0.0, 0.0]
-    return [-0.0, 0.5, 0.5], rows, 1e-7, 0.5
+    return [-0.0, 0.5, 0.5], rows
 
 
 LONG_RUNS = {
