@@ -62,8 +62,8 @@ _FINITE = {"range": (_finite, "finite")}
 _DB = {"range": (lambda x: abs(x) < 3000, "finite and below 3000 in magnitude")}
 
 # Largest horizon / dt of a run: far above the longest run any preset or test
-# makes (criterion 03's 600 000 steps), yet a run at the cap keeps 3.2 GB of
-# samples (time, share, utility, mean utility; one group), so a mistyped dt
+# makes (criterion 03's 600 000 steps), yet a run at the cap keeps 1.6 GB of
+# samples (time and share; one group), so a mistyped dt
 # or horizon ends as a configuration error before the sample grid is built.
 MAX_STEPS = 10**8
 

@@ -15,7 +15,7 @@ summing left to right.  It runs on Python floats, except along stretches where
 every step is added unchanged (its total is exactly 1) or leaves the state as
 it was (shares clamped at zero): there it proposes a block of rows with numpy
 and keeps only the rows that carry the step-by-step loop's bits.  It keeps no
-tally: delayed_steps recomputes a delayed run's steps from its stored states,
+tally: delayed_steps recomputes a delayed run's steps from its stored states and map,
 and the run's clamps, absorbed mass and drift follow from states[:-1] + steps.
 """
 
@@ -38,21 +38,20 @@ _METHODS = ("rk4", "forward-euler")
 
 @dataclass
 class Trajectory:
-    """Sampled solution: one or more strictly increasing times, one state (utility row, u_bar) per time."""
+    """Sampled solution: increasing times, one state per time, and the run's utility map, applied to the rows read."""
 
     times: np.ndarray  # (T,)
     states: np.ndarray  # (T, G)
-    utilities: Optional[np.ndarray] = None  # (T, G), NaN rows possible for empty groups
-    u_bar: Optional[np.ndarray] = None  # (T,)
+    utilities: Optional[Callable] = None
 
     def __post_init__(self):
-        for name, ndim in (("times", 1), ("states", 2), ("utilities", 2), ("u_bar", 1)):
-            if (rows := getattr(self, name)) is not None and np.ndim(rows) != ndim:
+        for name, ndim in (("times", 1), ("states", 2)):
+            if np.ndim(rows := getattr(self, name)) != ndim:
                 raise ConfigurationError("trajectory %s must be %d-D, got shape %s" % (name, ndim, np.shape(rows)))
-            if rows is not None and len(rows) != len(self.times):
-                raise ConfigurationError("a trajectory of %d times has %d %s" % (len(self.times), len(rows), name))
-        if self.utilities is not None and (shape := np.shape(self.utilities)) != np.shape(self.states):
-            raise ConfigurationError("trajectory utilities of shape %s for states %s" % (shape, np.shape(self.states)))
+        if len(self.states) != len(self.times):
+            raise ConfigurationError("a trajectory of %d times has %d states" % (len(self.times), len(self.states)))
+        if not (self.utilities is None or callable(self.utilities)):
+            raise ConfigurationError("trajectory utilities must be a state -> UtilityVector map, got %r" % (self.utilities,))
         t = np.asarray(self.times, dtype=float)  # compared as views, with no array of differences
         if not (len(t) and not np.isnan(t[0]) and np.all(t[1:] > t[:-1])):  # a NaN time fails
             raise ConfigurationError("trajectory times must be strictly increasing, with at least one")
@@ -192,8 +191,7 @@ def integrate_ode(
     """Integrate dp/dt = field(t, p) on the fixed grid t_i = i * dt.
 
     field(t, p) -> dp, stepped with method "rk4" (classic Runge-Kutta) or
-    "forward-euler".  When a utilities callback is supplied, the utility
-    vector of every stored state is recorded alongside it.
+    "forward-euler".  utilities, when given, is kept as the trajectory's utility map.
     """
     if method not in _METHODS:
         raise ConfigurationError("integrate_ode method must be one of %s, got %r" % (_METHODS, method))
@@ -224,10 +222,7 @@ def integrate_ode(
             step = dt * rate(t, p)
         _advance(states[i : i + 2], step[None])
         p = states[i + 1]
-    if utilities is None:
-        return Trajectory(np.arange(n + 1) * dt, states)
-    rows = [utilities(s) for s in states]
-    return Trajectory(np.arange(n + 1) * dt, states, np.array([r.u for r in rows]), np.array([r.u_bar for r in rows]))
+    return Trajectory(np.arange(n + 1) * dt, states, utilities)
 
 
 class ReplicatorSolution:
@@ -343,14 +338,10 @@ class ReplicatorSolution:
 def solve_replicator(c, mu: float, p0, spec: IntegratorSpec, utilities: Callable | None = None) -> Trajectory:
     """ReplicatorSolution(c, mu, p0) sampled on the grid t_i = i * dt, i = 0..spec.n_steps().
 
-    utilities, when given, maps the whole (T, G) state array to one row of utilities per state.
+    utilities, when given, is kept as the trajectory's utility map.
     """
     times = np.arange(spec.n_steps() + 1) * spec.dt
-    states = ReplicatorSolution(c, mu, p0).at(times)
-    if utilities is None:
-        return Trajectory(times, states)
-    uv = utilities(states)
-    return Trajectory(times, states, uv.u, uv.u_bar)
+    return Trajectory(times, ReplicatorSolution(c, mu, p0).at(times), utilities)
 
 
 def _growth(s, mu: float, big_c: float):
@@ -412,8 +403,8 @@ def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: Integr
     (up to floor(delta / dt) + 1 steps) gets its field from one stacked utilities call (method
     of steps); only the projection onto the simplex runs step by step.  A delay below dt gives
     windows of one step, and delta = 0 is forward-Euler integrate_ode of replicator_field.
-    utilities must accept a (T, G) stack of states, as make_utilities' map does; the utilities
-    of the samples are recorded with one more stacked call.
+    utilities must accept a (T, G) stack of states, as make_utilities' map does; it is kept as
+    the trajectory's utility map.
     """
     _require("delay", delta, _NON_NEGATIVE)
     _require("mu", mu, _POSITIVE)
@@ -429,8 +420,7 @@ def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: Integr
         j = max(int(np.searchsorted(newest, i, "right")), i + 1)  # steps i..j-1 read states[:i + 1]
         _advance(states[i : j + 1], _steps_reading(utilities, mu, HistoryBuffer(dt, states[: i + 1]), t_q[i:j]))
         i = j
-    uv = utilities(states)
-    return Trajectory(np.arange(n + 1) * dt, states, uv.u, uv.u_bar)
+    return Trajectory(np.arange(n + 1) * dt, states, utilities)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails the drift check
@@ -443,18 +433,21 @@ def _steps_reading(utilities: Callable, mu: float, history: HistoryBuffer, t: np
     return history.dt * selection_rates(p_d, uv, mu)
 
 
-def delayed_steps(traj: Trajectory, utilities: Callable, mu: float, delta: float) -> np.ndarray:
-    """The steps (N - 1, G) of the solve_delayed run traj, recomputed from its states in one stacked call.
+def delayed_steps(traj: Trajectory, mu: float, delta: float) -> np.ndarray:
+    """The steps (N - 1, G) of the solve_delayed run traj, recomputed from its states and map in one stacked call.
 
     traj.states[:-1] + steps are the sums that _advance projected.  Raises ConfigurationError
-    for what solve_delayed rejects, or a trajectory of fewer than 2 samples.
+    for what solve_delayed rejects, a trajectory without a utility map or of fewer than 2
+    samples, or times off the grid t_i = i * dt that solve_delayed samples.
     """
     _require("delay", delta, _NON_NEGATIVE)
     _require("mu", mu, _POSITIVE)
-    if len(traj) < 2:
-        raise ConfigurationError("delayed_steps needs a trajectory of at least 2 samples, got %d" % len(traj))
-    dt = float(traj.times[1] - traj.times[0])  # the grid t_i = i * dt
-    return _steps_reading(utilities, mu, HistoryBuffer(dt, traj.states), np.arange(len(traj) - 1) * dt - delta)
+    if traj.utilities is None or len(traj) < 2:
+        raise ConfigurationError("delayed_steps needs a trajectory of at least 2 samples that keeps its utility map")
+    grid = np.arange(len(traj)) * float(traj.times[1] - traj.times[0])
+    if not np.array_equal(traj.times, grid):
+        raise ConfigurationError("delayed_steps needs the times t_i = i * dt of a solve_delayed run")
+    return _steps_reading(traj.utilities, mu, HistoryBuffer(grid[1], traj.states), grid[:-1] - delta)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a round that overflows never reaches tol

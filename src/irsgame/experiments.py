@@ -87,7 +87,8 @@ def _trajectory_table(traj: Trajectory) -> tuple[list, list]:
     g = range(1, traj.states.shape[1] + 1)
     columns = ["t"] + ["p_%d" % k for k in g] + ["u_%d" % k for k in g] + ["u_bar"]
     idx = np.append(np.arange(0, len(traj) - 1, TRAJECTORY_STRIDE), len(traj) - 1)
-    rows = np.column_stack([traj.times[idx], traj.states[idx], traj.utilities[idx], traj.u_bar[idx]])
+    uv = traj.utilities(traj.states[idx])  # the map of the written rows only
+    rows = np.column_stack([traj.times[idx], traj.states[idx], uv.u, uv.u_bar])
     return columns, rows.tolist()
 
 

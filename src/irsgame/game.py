@@ -8,6 +8,7 @@ the dynamics settle where all surviving groups earn the same utility.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -102,14 +103,17 @@ def make_utilities(numer: np.ndarray, n_users: int) -> Callable[[np.ndarray], Ut
     (G,) or a stack of states (T, G); for a stack, u is (T, G) and u_bar is
     (T,), each row equal to the single-state result.  Raises NumericError when
     a utility overflows a float, and ConfigurationError for a numer that is not
-    a 1-D vector of finite reals or an n_users out of range.
+    a 1-D vector of finite reals, an n_users that is not a whole number in
+    range, or a state whose length is not numer's.
     """
     numer = _check_numer(numer)
-    n = float(_require("n_users", n_users, _USERS))
+    n = float(_require("n_users", n_users, _USERS, numbers.Integral))
     n_nan = np.full(len(numer), np.nan)
 
     def utilities(p: np.ndarray) -> UtilityVector:
         p = np.asarray(p, dtype=float)
+        if p.shape[-1:] != numer.shape:  # numpy would broadcast a single share, or fail on another length
+            raise ConfigurationError("a utility map of %d groups got a state of shape %s" % (len(numer), p.shape))
         alive = p > 0.0
         empty = n_nan.copy() if p.ndim == 1 else np.full(p.shape, np.nan)
         try:
@@ -155,7 +159,7 @@ def stability_bound(numer: np.ndarray, mu: float, n_users: int) -> float:
     """
     numer = _check_numer(numer)
     _require("mu", mu, _POSITIVE)
-    _require("n_users", n_users, _USERS)
+    _require("n_users", n_users, _USERS, numbers.Integral)
     with np.errstate(over="ignore"):  # an infinite C+ is reported below
         total = float(numer[numer > 0.0].sum())
     if total <= 0.0:
@@ -172,7 +176,7 @@ class Equilibrium:
 
     time: float
     index: int
-    utility_spread: Optional[float]  # relative spread among surviving groups, None if no utilities
+    utility_spread: Optional[float]  # relative spread among surviving groups, None without a utility map
 
 
 def detect_equilibrium(
@@ -187,8 +191,8 @@ def detect_equilibrium(
     units.  Delayed runs should pass min_quiet >= the delay: they can sit
     exactly still for shorter spells while their history replays an excursion,
     and only a stretch longer than the information delay proves a genuine rest
-    point.  When utilities were recorded, reports the relative utility spread
-    over groups with share above eps_mass at the detected sample.  Raises
+    point.  When the trajectory keeps its utility map, reports the relative utility
+    spread over groups with share above eps_mass at the detected sample.  Raises
     ConfigurationError for an eps_field or eps_mass that is not positive and finite, or a negative min_quiet.
     """
     _require("eps_field", eps_field, _POSITIVE)
@@ -210,7 +214,7 @@ def _spread(traj, idx: int, eps_mass: float) -> Optional[float]:
     if traj.utilities is None:
         return None
     p = traj.states[idx]
-    u = traj.utilities[idx][p > eps_mass]
+    u = traj.utilities(p).u[p > eps_mass]
     if u.size == 0:
         return None
     scale = float(np.max(np.abs(u)))

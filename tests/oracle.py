@@ -1,7 +1,8 @@
 """Independent oracles: the scalar utility model, one group at a time, of make_utilities; the
 step-by-step simplex projection, one call per step, of dynamics._advance; the delayed
-replicator dynamics one step and one scalar history lookup at a time, of solve_delayed; and
-the exact solution of the delay equation that solve_delayed approximates."""
+replicator dynamics one step and one scalar history lookup at a time, of solve_delayed; the
+exact solution of the delay equation that solve_delayed approximates; and the semidefinite
+relaxation bound that certifies phy.optimize_link."""
 
 from fractions import Fraction
 from math import factorial
@@ -112,9 +113,9 @@ def delayed_euler(utilities, mu: float, p0, delta: float, spec) -> tuple[Traject
     """dynamics.solve_delayed one forward-Euler step at a time.
 
     Step i reads the state at i * dt - delta through history(), evaluates the replicator
-    field mu * p_g * (u_g - u_bar) there (empty groups zero) and is projected by advance;
-    the utilities of the samples are recorded one state at a time.  Returns the trajectory
-    and advance's sums over the run: drift, absorbed mass and clamped steps.
+    field mu * p_g * (u_g - u_bar) there (empty groups zero) and is projected by advance.
+    Returns the trajectory, which keeps the utility map, and advance's sums over the run:
+    drift, absorbed mass and clamped steps.
     """
     n, dt = spec.n_steps(), spec.dt
     states = [np.array(p0, dtype=float)]
@@ -125,10 +126,7 @@ def delayed_euler(utilities, mu: float, p0, delta: float, spec) -> tuple[Traject
         step = dt * (mu * np.where(p_d > 0.0, p_d * (uv.u - uv.u_bar), 0.0))
         flat, *sums = advance(states[-1].tolist(), [step.tolist()], *sums)
         states.append(np.array(flat))
-    states = np.array(states)
-    rows = [utilities(s) for s in states]
-    u, u_bar = np.array([r.u for r in rows]), np.array([r.u_bar for r in rows])
-    return Trajectory(np.arange(n + 1) * dt, states, u, u_bar), *sums
+    return Trajectory(np.arange(n + 1) * dt, np.array(states), utilities), *sums
 
 
 def delay_exact(c, mu: float, p0, delta: float, times) -> np.ndarray:
@@ -153,3 +151,29 @@ def delay_exact(c, mu: float, p0, delta: float, times) -> np.ndarray:
             k += 1
         rows.append([float(r + x * series) for r, x in zip(rest, x0)])
     return np.array(rows)
+
+
+def sdr_bound(ch, rank: int = 4, iters: int = 200) -> float:
+    """Upper bound on max ||h_d^H + sum_k e^{-j alpha_k} phi_k||^2 over the surface phases alpha.
+
+    phi_k is row k of Phi = diag(h_r^H) G.  With x = [e^{-j alpha}; 1] and M = [Phi; h_d^H],
+    the norm is x^H R x, R = conj(M M^H), so with V = x x^H it is at most the relaxation
+    max tr(R V) over V >= 0 with unit diagonal (Wu & Zhang, 2019).  Its optimum is sought by a
+    rank-r Burer-Monteiro ascent V = U U^H (Burer & Monteiro, 2003), from a seeded start: each
+    row of U becomes its row of R U scaled to unit norm, which never lowers tr(R V) for R >= 0.
+    y = diag(R V) is then a dual point, and every y gives the weak-duality bound
+    sum(y) + n max(0, -lambda_min(Diag(y) - R)): shifted by that margin, Diag(y) - R >= 0.
+    The SNR of a link at transmit power P is at most P * bound / (bandwidth * noise_var).
+    """
+    phi = np.conj(ch.h_irs_user)[:, None] * ch.g_bs_irs
+    m = np.vstack([phi, np.conj(ch.h_direct)[None, :]])
+    r = np.conj(m @ m.conj().T)
+    n = len(r)
+    rng = np.random.default_rng(0)
+    u = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    for _ in range(iters):
+        u = r @ u
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+    y = np.sum((r @ u) * np.conj(u), axis=1).real
+    margin = -np.linalg.eigvalsh(np.diag(y) - r)[0]
+    return float(np.sum(y) + n * max(0.0, margin))

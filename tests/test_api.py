@@ -79,6 +79,15 @@ REGRESSIONS = {
     "a zero population": (lambda: make_utilities(NUMER, 0), "n_users must be at least 1"),
     "half a user": (lambda: make_utilities(NUMER, 0.5), r"n_users must be at least 1 and at most 2\*\*53, got 0.5"),
     "a bound without users": (lambda: stability_bound(NUMER, 0.1, 0), "n_users must be at least 1"),
+    # a whole number, as scenario.n_users is in a file
+    "a fractional population of the utility map": (
+        lambda: make_utilities(NUMER, 100.5),
+        r"n_users must be at least 1 and at most 2\*\*53, got 100.5",
+    ),
+    "a fractional population of the bound": (
+        lambda: stability_bound(NUMER, 0.1, 100.5),
+        r"n_users must be at least 1 and at most 2\*\*53, got 100.5",
+    ),
     "a bound with a string mu": (lambda: stability_bound(NUMER, "0.1", 100), "mu must be positive"),
     "a dB level past a float": (lambda: dbm_to_watt(1e6), "dBm level must be finite"),
     "a string integration step": (lambda: IntegratorSpec(dt="0.1"), r"integrator\.dt must be positive"),
@@ -118,13 +127,10 @@ REGRESSIONS = {
         lambda: detect_equilibrium(Trajectory(times=np.arange(3.0), states=np.tile(P0, (2, 1)))),
         "a trajectory of 3 times has 2 states",
     ),
-    "utilities of the wrong length": (
-        lambda: Trajectory(times=np.arange(3.0), states=np.tile(P0, (3, 1)), utilities=np.zeros((2, 2))),
-        "a trajectory of 3 times has 2 utilities",
-    ),
-    "u_bar of the wrong length": (
-        lambda: Trajectory(times=np.arange(3.0), states=np.tile(P0, (3, 1)), u_bar=np.zeros(4)),
-        "a trajectory of 3 times has 4 u_bar",
+    # a trajectory keeps its utility map, not a utility row per sample
+    "utilities that are not a map": (
+        lambda: Trajectory(times=np.arange(3.0), states=np.tile(P0, (3, 1)), utilities=np.zeros((3, 2))),
+        "trajectory utilities must be a state -> UtilityVector map",
     ),
     # these ended in numpy's TypeError or ValueError, or in an AxisError in detect_equilibrium
     "a scalar time": (
@@ -139,30 +145,40 @@ REGRESSIONS = {
         lambda: detect_equilibrium(Trajectory(times=np.arange(2.0), states=np.array(P0))),
         r"trajectory states must be 2-D, got shape \(2,\)",
     ),
-    "utilities of another group count": (
-        lambda: Trajectory(times=np.arange(3.0), states=np.tile(P0, (3, 1)), utilities=np.zeros((3, 3))),
-        r"trajectory utilities of shape \(3, 3\) for states \(3, 2\)",
-    ),
-    "2-D u_bar": (
-        lambda: Trajectory(times=np.arange(3.0), states=np.tile(P0, (3, 1)), u_bar=np.zeros((3, 1))),
-        r"trajectory u_bar must be 1-D, got shape \(3, 1\)",
-    ),
-    # delayed_steps checks what solve_delayed checks, and needs one step
+    # delayed_steps checks what solve_delayed checks, and needs the map and the grid of a run
     "a negative delay of the recomputed steps": (
-        lambda: delayed_steps(_delayed_run(), UTILITIES, 0.1, -1.0),
+        lambda: delayed_steps(_delayed_run(), 0.1, -1.0),
         "delay must be non-negative and finite, got -1.0",
     ),
     "a NaN mu of the recomputed steps": (
-        lambda: delayed_steps(_delayed_run(), UTILITIES, NAN, 0.3),
+        lambda: delayed_steps(_delayed_run(), NAN, 0.3),
         "mu must be positive and finite, got nan",
     ),
     "a 3-group utility map of the recomputed steps": (
-        lambda: delayed_steps(_delayed_run(), _utilities_of(3), 0.1, 0.3),
+        lambda: delayed_steps(replace(_delayed_run(), utilities=_utilities_of(3)), 0.1, 0.3),
         r"solve_delayed utilities of shape \(10, 3\) for states \(10, 2\)",
     ),
     "a one-sample trajectory of the recomputed steps": (
-        lambda: delayed_steps(Trajectory(times=np.zeros(1), states=np.array([P0])), UTILITIES, 0.1, 0.3),
-        "delayed_steps needs a trajectory of at least 2 samples, got 1",
+        lambda: delayed_steps(Trajectory(times=np.zeros(1), states=np.array([P0]), utilities=UTILITIES), 0.1, 0.3),
+        "delayed_steps needs a trajectory of at least 2 samples that keeps its utility map",
+    ),
+    "a trajectory without a utility map of the recomputed steps": (
+        lambda: delayed_steps(replace(_delayed_run(), utilities=None), 0.1, 0.3),
+        "delayed_steps needs a trajectory of at least 2 samples that keeps its utility map",
+    ),
+    # read as if dt were 0.1 throughout
+    "times off the grid of the recomputed steps": (
+        lambda: delayed_steps(Trajectory(np.array([0.0, 0.1, 0.3]), np.tile(P0, (3, 1)), UTILITIES), 0.1, 0.3),
+        r"delayed_steps needs the times t_i = i \* dt of a solve_delayed run",
+    ),
+    # numpy broadcast a single share and ended in its ValueError on another length, now from any reader
+    "a state of 3 shares for a 2-group utility map": (
+        lambda: UTILITIES(np.array([0.2, 0.3, 0.5])),
+        r"a utility map of 2 groups got a state of shape \(3,\)",
+    ),
+    "a stack of 3-share states for a 2-group utility map": (
+        lambda: solve_delayed(make_utilities(np.array([1.0, 2.0]), 100), 0.1, [0.2, 0.3, 0.5], 1.0, SPEC),
+        r"a utility map of 2 groups got a state of shape \(10, 3\)",
     ),
     # a NaN payoff gave NaN utilities, or a bound that left it out; a list of strings ended in a TypeError
     **{
@@ -266,6 +282,8 @@ def test_payoffs_given_as_a_list_act_as_their_array():
     assert stability_bound(NUMER.tolist(), 0.1, CFG.n_users) == stability_bound(NUMER, 0.1, CFG.n_users)
     listed, array = make_utilities(NUMER.tolist(), CFG.n_users)(P0), UTILITIES(P0)
     assert listed.u.tobytes() == array.u.tobytes() and listed.u_bar == array.u_bar
+    # numpy's integers are whole numbers too
+    assert make_utilities(NUMER, np.int64(CFG.n_users))(P0).u.tobytes() == array.u.tobytes()
 
 
 # the CLI fuzz's extreme values, and values of the wrong type
@@ -283,8 +301,9 @@ def _check_trajectory(traj):
     assert np.isfinite(traj.times).all()
     _check_shares(traj.states)
     if traj.utilities is not None:
+        uv = traj.utilities(traj.states)
         alive = traj.states > 0.0  # an empty group has no utility: NaN by design
-        assert np.isfinite(traj.utilities[alive]).all() and np.isfinite(traj.u_bar).all()
+        assert np.isfinite(uv.u[alive]).all() and np.isfinite(uv.u_bar).all()
 
 
 def _check_shares(p):

@@ -21,6 +21,7 @@ from irsgame import (
     make_utilities,
     picard_solve,
     replicator_field,
+    run_experiment,
     simulate,
     solve_delayed,
     solve_replicator,
@@ -234,8 +235,7 @@ def test_dde_zero_delay_matches_euler_exactly(default_cfg, default_utilities):
     dde = solve_delayed(default_utilities, mu, p0, 0.0, spec)
     assert np.array_equal(ode.times, dde.times)
     assert np.array_equal(ode.states, dde.states)
-    assert np.array_equal(ode.utilities, dde.utilities, equal_nan=True)
-    assert np.array_equal(ode.u_bar, dde.u_bar)
+    assert ode.utilities is dde.utilities is default_utilities
 
 
 def test_dde_small_delay_reaches_known_equilibrium(reduced_cfg, reduced_links):
@@ -422,7 +422,7 @@ def test_exact_solution_with_zero_aggregate_payoff():
     assert np.allclose(traj.states[~before, 2], 0.4 * np.exp(-0.5 * 0.2 * after), atol=1e-15)
 
 
-def test_exact_solution_records_utilities_in_one_call(default_cfg, default_utilities):
+def test_exact_solution_keeps_its_map_and_a_file_calls_it_once(default_cfg, default_utilities, tmp_path, monkeypatch):
     calls = []
 
     def counted(p):
@@ -432,10 +432,15 @@ def test_exact_solution_records_utilities_in_one_call(default_cfg, default_utili
     spec = IntegratorSpec(dt=0.1, horizon=3.0)
     c = np.linspace(0.01, 0.06, default_cfg.n_groups)
     traj = solve_replicator(c, default_cfg.mu, default_cfg.initial_population(), spec, counted)
-    assert calls == [(31, default_cfg.n_groups)]
-    assert traj.utilities.shape == (31, default_cfg.n_groups) and traj.u_bar.shape == (31,)
+    assert calls == [] and traj.utilities is counted
     with pytest.raises(ConfigurationError):
         solve_replicator(c[:-1], default_cfg.mu, default_cfg.initial_population(), spec)
+    # a trajectory file applies the map once, to the stack of its written rows: 31 samples keep 4
+    monkeypatch.setattr("irsgame.experiments.make_utilities", lambda *args: counted)
+    cfg = with_scalar_overrides(default_cfg, dt=0.1, horizon=3.0)
+    (path,) = run_experiment("utilities-vs-time", cfg, tmp_path)
+    assert calls == [(4, default_cfg.n_groups)]
+    assert len(path.read_text().splitlines()) == 4 + 1 + len(cfg.flat_items()) + 1
 
 
 # payoffs well away from zero, so that the rate of every moving piece changes
@@ -624,10 +629,13 @@ def test_solve_delayed_matches_oracle_bit_for_bit(request, scenario, delta, dt, 
     assert np.array_equal(fast.times, ref.times)
     assert np.array_equal(fast.states, ref.states)
     assert fast.states.tobytes() == ref.states.tobytes()
-    assert np.array_equal(fast.utilities, ref.utilities, equal_nan=True)
-    assert np.array_equal(fast.u_bar, ref.u_bar)
+    # the stacked map of the stored states has the bits of one call per state
+    assert fast.utilities is ref.utilities is utilities
+    stacked, rows = utilities(fast.states), [utilities(s) for s in ref.states]
+    assert np.array_equal(stacked.u, np.array([r.u for r in rows]), equal_nan=True)
+    assert np.array_equal(stacked.u_bar, np.array([r.u_bar for r in rows]))
     # the facts recomputed from the stored states are the ones the oracle counts step by step
-    facts = clamp_facts(fast, delayed_steps(fast, utilities, cfg.mu, delta))
+    facts = clamp_facts(fast, delayed_steps(fast, cfg.mu, delta))
     assert facts[0] == clamped
     assert abs(facts[1] - absorbed) <= 1e-12
     if scenario == "reduced_cfg" and delta >= 30.0:
@@ -713,7 +721,7 @@ def test_every_bundled_delayed_run_replays_from_its_recomputed_steps(request, sc
     assert delta in cfg.grids.delta
     utilities = scenario_utilities(cfg)
     traj = solve_delayed(utilities, cfg.mu, cfg.initial_population(), delta, cfg.integrator)
-    steps = delayed_steps(traj, utilities, cfg.mu, delta)
+    steps = delayed_steps(traj, cfg.mu, delta)
     assert steps.shape == (len(traj) - 1, cfg.n_groups)
     rows = np.empty_like(traj.states)
     rows[0] = traj.states[0]

@@ -10,6 +10,7 @@ from irsgame import (
     ConfigurationError,
     SweepGrids,
     Trajectory,
+    UtilityVector,
     detect_equilibrium,
     run_experiment,
     simulate,
@@ -18,12 +19,17 @@ from irsgame import (
 from irsgame import experiments
 
 
-def toy_trajectory(n=5, groups=2):
+def toy_utilities(p):
+    """Utilities 2 and 1, NaN for an empty group, as make_utilities marks it."""
+    alive = p > 0.0
+    u = np.where(alive, np.array([2.0, 1.0]), np.nan)
+    return UtilityVector(u, np.sum(np.where(alive, p * u, 0.0), axis=-1))
+
+
+def toy_trajectory(n=5):
     times = np.arange(n, dtype=float)
     states = np.column_stack([np.linspace(0.2, 0.4, n), np.linspace(0.8, 0.6, n)])
-    utilities = np.column_stack([np.full(n, 2.0), np.full(n, 1.0)])
-    u_bar = states[:, 0] * 2.0 + states[:, 1] * 1.0
-    return Trajectory(times=times, states=states, utilities=utilities, u_bar=u_bar)
+    return Trajectory(times=times, states=states, utilities=toy_utilities)
 
 
 def read_csv(path):
@@ -67,7 +73,7 @@ def test_emit_csv_stride_keeps_last(tmp_path, reduced_cfg, monkeypatch):
 def test_trajectory_json_masks_non_finite(tmp_path, reduced_cfg, monkeypatch):
     # the twin holds the CSV's meta block and cells, a non-finite cell as null
     traj = toy_trajectory(n=25)
-    traj.utilities[20, 1] = np.nan
+    traj.states[20] = [1.0, 0.0]  # group 2 empties: its utility is NaN
     csv, twin = write_toy(traj, reduced_cfg, tmp_path, monkeypatch, flags=["json"])
     d = json.loads(twin.read_text())
     meta, header, rows = read_csv(csv)

@@ -12,6 +12,7 @@ from irsgame import (
     UtilityParams,
     UtilityVector,
     detect_equilibrium,
+    make_utilities,
     replicator_field,
     simulate,
     stability_bound,
@@ -202,8 +203,7 @@ def test_detect_equilibrium_min_quiet():
 def test_detect_equilibrium_reports_spread():
     p = np.array([0.6, 0.395, 0.005])
     traj = constant_trajectory(p, n=4)
-    traj.utilities = np.tile(np.array([2.0, 1.0, 50.0]), (4, 1))
-    traj.u_bar = np.full(4, 1.5)
+    traj.utilities = make_utilities(np.array([2.0, 1.0, 50.0]) * p, 1)  # utilities 2, 1 and 50
     eq = detect_equilibrium(traj, eps_mass=1e-2)
     # the 0.5% group is below the mass cutoff; spread is (2-1)/2 of the rest
     assert eq.utility_spread == pytest.approx(0.5, rel=1e-12)
