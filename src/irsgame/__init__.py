@@ -3,9 +3,9 @@
 Pipeline: static Rayleigh channels per provider geometry (channel), SNR
 maximization by alternating beamforming and surface phase alignment (phy),
 population utilities and replicator dynamics over service groups (game),
-the exact undelayed solution, fixed-step ODE integration, the delayed
-replicator dynamics stepped one delay window at a time over a state history,
-and a Picard cross-check (dynamics), and
+the exact undelayed solution, the delayed replicator dynamics stepped one
+delay window at a time over a state history, and RK4 and Picard
+cross-checks (dynamics), and
 reproducible experiment presets with CSV output (experiments, cli).
 """
 

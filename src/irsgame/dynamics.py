@@ -1,13 +1,13 @@
 """Solvers for the selection dynamics.
 
 ReplicatorSolution is the exact undelayed replicator dynamics of the built-in
-utility model and its rest point; solve_replicator samples it.  integrate_ode steps
-any ordinary field with forward Euler or classic rk4.  solve_delayed takes
-forward-Euler steps of the delayed replicator field, reading past states through
-HistoryBuffer (linear interpolation between samples, constant pre-history) and
-evaluating the field of a whole delay window at once (method of steps).
-picard_solve iterates the integral-equation form on a fixed grid and serves
-as an independent cross-check of the steppers.
+utility model and its rest point; solve_replicator samples it.  solve_delayed,
+the package's one forward-Euler stepper, steps the delayed replicator field, reading
+past states through HistoryBuffer (linear interpolation between samples, constant
+pre-history) and evaluating the field of a whole delay window at once (method of steps).
+Two reference solvers take no settings and read any ordinary field through one
+checked rule (_rate): integrate_ode takes classic RK4 steps, and picard_solve
+iterates the integral-equation form on a fixed grid until PICARD_TOL.
 
 All steppers take their steps through one loop (_advance), which adds each
 step to the state and projects the sum back onto the probability simplex,
@@ -22,18 +22,15 @@ and the run's clamps, absorbed mass and drift follow from states[:-1] + steps.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from operator import add
 from typing import Callable, Optional
 
 import numpy as np
 
-from .config import _COUNT, _NON_NEGATIVE, _POSITIVE, MAX_STEPS, IntegratorSpec, _on_simplex, _require
+from .config import _NON_NEGATIVE, _POSITIVE, MAX_STEPS, IntegratorSpec, _on_simplex, _require
 from .errors import ConfigurationError, NonConvergenceError, NumericalDriftError, NumericError
 from .game import selection_rates
-
-_METHODS = ("rk4", "forward-euler")
 
 
 @dataclass
@@ -69,6 +66,9 @@ def _check_p0(p0) -> np.ndarray:
 
 # Largest |sum(p) - 1| one step may leave before it is projected back
 DRIFT_TOL = 1e-6
+# picard_solve's stopping rule: the sup-norm change between rounds that ends it, and the most rounds
+PICARD_TOL = 1e-10
+PICARD_ROUNDS = 200
 # _advance's block path: the steps in a row that each added the step unchanged, or each left
 # the state unchanged, before the next rows are proposed at once; the rows of a first block;
 # and the most rows that a block doubles to or that the loop holds as Python floats, so that
@@ -184,43 +184,32 @@ def _block(rows, steps, i: int, size: int, hold: bool) -> tuple[int, bool]:
     return kept, kept == len(dp) and bool(same[-1])
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails the drift check
-def integrate_ode(
-    field: Callable, p0, spec: IntegratorSpec, utilities: Callable | None = None, method: str = "rk4"
-) -> Trajectory:
-    """Integrate dp/dt = field(t, p) on the fixed grid t_i = i * dt.
+def _rate(field: Callable, t: float, p: np.ndarray) -> np.ndarray:
+    """field(t, p) as an array of the state's shape, the one rule by which both reference solvers read a field."""
+    dp = np.asarray(field(t, p))  # a list would not scale by dt
+    if dp.shape != p.shape:  # numpy would broadcast a single value, and _advance truncate a longer one
+        raise ConfigurationError("the field returned shape %s for a state of shape %s" % (dp.shape, p.shape))
+    return dp
 
-    field(t, p) -> dp, stepped with method "rk4" (classic Runge-Kutta) or
-    "forward-euler".  utilities, when given, is kept as the trajectory's utility map.
+
+@np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails the drift check
+def integrate_ode(field: Callable, p0, spec: IntegratorSpec, utilities: Callable | None = None) -> Trajectory:
+    """Integrate dp/dt = field(t, p) with one classic RK4 step per sample of the grid t_i = i * dt.
+
+    utilities, when given, is kept as the trajectory's utility map.
     """
-    if method not in _METHODS:
-        raise ConfigurationError("integrate_ode method must be one of %s, got %r" % (_METHODS, method))
     p = _check_p0(p0)
     n = spec.n_steps()
     dt = spec.dt
-    shape = p.shape
-
-    def rate(t: float, q: np.ndarray) -> np.ndarray:
-        dp = np.asarray(field(t, q))  # a list would not scale by dt
-        if dp.shape != shape:  # numpy would broadcast a single value, and _advance truncate a longer one
-            raise ConfigurationError(
-                "integrate_ode field returned shape %s for a state of shape %s" % (dp.shape, shape)
-            )
-        return dp
-
     states = np.empty((n + 1, p.size))
     states[0] = p
     for i in range(n):
         t = i * dt
-        if method == "rk4":
-            k1 = rate(t, p)
-            k2 = rate(t + 0.5 * dt, p + 0.5 * dt * k1)
-            k3 = rate(t + 0.5 * dt, p + 0.5 * dt * k2)
-            k4 = rate(t + dt, p + dt * k3)
-            step = dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            step = dt * rate(t, p)
-        _advance(states[i : i + 2], step[None])
+        k1 = _rate(field, t, p)
+        k2 = _rate(field, t + 0.5 * dt, p + 0.5 * dt * k1)
+        k3 = _rate(field, t + 0.5 * dt, p + 0.5 * dt * k2)
+        k4 = _rate(field, t + dt, p + dt * k3)
+        _advance(states[i : i + 2], (dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))[None])
         p = states[i + 1]
     return Trajectory(np.arange(n + 1) * dt, states, utilities)
 
@@ -291,7 +280,16 @@ class ReplicatorSolution:
         self.rest = c_alive / big_c if slope.any() else p
 
     def at(self, times: np.ndarray) -> np.ndarray:
-        """States (T, G) at the sorted non-negative times."""
+        """States (T, G) at the 1-D times, which must be finite, non-negative and non-decreasing.
+
+        The pieces cover [0, inf) and each writes the rows of the times it holds, so any other
+        time would leave its row unwritten: such times are a ConfigurationError.
+        """
+        times = np.asarray(times, dtype=float)
+        with np.errstate(invalid="ignore"):  # 0 <= t_0 <= ... <= t_last < inf; a NaN time, or inf - inf, fails
+            ordered = times.ndim == 1 and np.all(np.diff(times, prepend=0.0, append=np.inf) >= 0.0)
+        if not ordered:
+            raise ConfigurationError("sample times must be 1-D, finite, non-negative and non-decreasing")
         states = np.empty((len(times), len(self.rest)))
         for t_k, t_end, q, big_c, slope in self.pieces:
             i, j = np.searchsorted(times, [t_k, t_end])
@@ -370,6 +368,8 @@ class HistoryBuffer:
 
     def __post_init__(self):
         _require("dt", self.dt, _POSITIVE)
+        if np.ndim(self.states) != 2:  # a lookup would read one share as a state
+            raise ConfigurationError("history states must be 2-D, got shape %s" % (np.shape(self.states),))
 
     @np.errstate(over="ignore", invalid="ignore")  # t / dt past a float is pre-history or past the newest sample
     def _samples(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -402,7 +402,7 @@ def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: Integr
     from the samples so far by HistoryBuffer.lookup.  Every step whose history is already known
     (up to floor(delta / dt) + 1 steps) gets its field from one stacked utilities call (method
     of steps); only the projection onto the simplex runs step by step.  A delay below dt gives
-    windows of one step, and delta = 0 is forward-Euler integrate_ode of replicator_field.
+    windows of one step, and delta = 0 is forward Euler of the undelayed replicator field.
     utilities must accept a (T, G) stack of states, as make_utilities' map does; it is kept as
     the trajectory's utility map.
     """
@@ -450,35 +450,24 @@ def delayed_steps(traj: Trajectory, mu: float, delta: float) -> np.ndarray:
     return _steps_reading(traj.utilities, mu, HistoryBuffer(grid[1], traj.states), grid[:-1] - delta)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a round that overflows never reaches tol
-def picard_solve(
-    field: Callable,
-    p0,
-    times: np.ndarray,
-    tol: float = 1e-10,
-    max_rounds: int = 200,
-    diffs: list | None = None,
-) -> Trajectory:
+@np.errstate(over="ignore", invalid="ignore")  # a round that overflows never reaches PICARD_TOL
+def picard_solve(field: Callable, p0, times: np.ndarray, diffs: list | None = None) -> Trajectory:
     """Solve p(t) = p0 + integral of field by fixed-point iteration.
 
     Starts from the constant initial state and applies trapezoidal
     quadrature on the given grid until the sup-norm change between rounds
-    drops below tol.  Raises NonConvergenceError when max_rounds pass
-    without reaching tolerance (horizon too long for a contraction), and
-    ConfigurationError for a tol that is not positive and finite or a
-    max_rounds that is not a whole number of at least 1.
+    drops below PICARD_TOL.  Raises NonConvergenceError when PICARD_ROUNDS
+    pass without reaching it (horizon too long for a contraction).
     An optional diffs list collects the per-round sup-norm changes.
     """
-    _require("tol", tol, _POSITIVE)
-    _require("max_rounds", max_rounds, _COUNT, numbers.Integral)
     p_init = _check_p0(p0)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 2 or not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
         raise ConfigurationError("picard grid must be finite, strictly increasing, with at least 2 points")
     t_count = len(times)
     current = np.tile(p_init, (t_count, 1))
-    for _ in range(max_rounds):
-        f = np.array([field(times[i], current[i]) for i in range(t_count)])
+    for _ in range(PICARD_ROUNDS):
+        f = np.array([_rate(field, times[i], current[i]) for i in range(t_count)])
         seg = 0.5 * np.diff(times)[:, None] * (f[1:] + f[:-1])
         nxt = np.empty_like(current)
         nxt[0] = p_init
@@ -487,8 +476,8 @@ def picard_solve(
         if diffs is not None:
             diffs.append(change)
         current = nxt
-        if change < tol:
+        if change < PICARD_TOL:
             return Trajectory(times.copy(), current)
     raise NonConvergenceError(
-        "picard iteration did not reach tol=%.1e in %d rounds" % (tol, max_rounds)
+        "picard iteration did not reach tol=%.1e in %d rounds" % (PICARD_TOL, PICARD_ROUNDS)
     )

@@ -87,16 +87,14 @@ def compute_snr(
 ) -> float:
     """SNR of the combined direct plus reflected link.
 
-    snr = |(h^H + h_iu^H Theta^H G) w|^2 / (bandwidth * noise_var).  The
-    phase vector may cover a leading subset of the surface; elements beyond
-    it do not reflect.
+    snr = |(h^H + h_iu^H Theta^H G) w|^2 / (bandwidth * noise_var), with
+    one phase per surface element (ChannelSet.subset takes fewer elements).
     """
     _require("bandwidth", bandwidth, _POSITIVE)
     _require("noise_var", noise_var, _POSITIVE)
-    k = len(phases)
-    if k > ch.n_elements:
+    if len(phases) != ch.n_elements:
         raise ConfigurationError(
-            "phase vector covers %d elements but the surface has %d" % (k, ch.n_elements)
+            "phase vector has %d entries but the surface has %d elements" % (len(phases), ch.n_elements)
         )
     if len(beam.w) != ch.n_antennas:
         raise ConfigurationError(
@@ -108,11 +106,10 @@ def compute_snr(
 
 
 def _effective_channel(ch: ChannelSet, phases: PhaseShiftVector) -> np.ndarray:
-    """The row h^H + h_iu^H Theta^H G, the phases on the leading len(phases) surface elements."""
-    k = len(phases)
+    """The row h^H + h_iu^H Theta^H G, one phase per surface element."""
     eff = np.conj(ch.h_direct)
-    if k:
-        eff = eff + (np.conj(ch.h_irs_user[:k]) * np.conj(phases.coefficients)) @ ch.g_bs_irs[:k]
+    if len(phases):
+        eff = eff + (np.conj(ch.h_irs_user) * np.conj(phases.coefficients)) @ ch.g_bs_irs
     return eff
 
 
@@ -167,13 +164,12 @@ def optimize_link(
         new_snr = compute_snr(ch, beam, phases, bandwidth, noise_var)
         if trace is not None:
             trace.append(new_snr)
-        if (new_snr == 0.0 and snr <= 0.0) or not np.isfinite(new_snr):  # inf - inf below is nan
-            snr = new_snr
-            break
-        if snr > -np.inf and new_snr - snr <= TOL * abs(snr):
-            snr = max(new_snr, snr)
-            break
+        # a zero or non-finite SNR ends the climb before inf - inf gives nan
+        stop = (new_snr == 0.0 and snr <= 0.0) or not np.isfinite(new_snr)
+        stop = stop or (snr > -np.inf and new_snr - snr <= TOL * abs(snr))
         snr = new_snr
+        if stop:
+            break
     return ServiceLink(beam=beam, phases=PhaseShiftVector(alphas), snr=snr)
 
 

@@ -178,7 +178,7 @@ def test_criterion_06_fixed_point_solver_matches_rk4(default_cfg, default_utilit
     field = lambda t, p: replicator_field(t, p, default_utilities, default_cfg.mu)
     p0 = default_cfg.initial_population()
     spec = IntegratorSpec(dt=0.01, horizon=1.0)
-    traj = integrate_ode(field, p0, spec, default_utilities, method="rk4")
+    traj = integrate_ode(field, p0, spec, default_utilities)
     sol = picard_solve(field, p0, traj.times)
     assert np.max(np.abs(sol.states - traj.states)) < 1e-4
 
@@ -187,7 +187,7 @@ def test_criterion_07_two_strategy_closed_form():
     utilities = lambda p: UtilityVector(np.array([1.0, 0.0]), float(p[0]))
     field = lambda t, p: replicator_field(t, p, utilities, 1.0)
     spec = IntegratorSpec(dt=0.01, horizon=10.0)
-    traj = integrate_ode(field, np.array([0.5, 0.5]), spec, utilities, method="rk4")
+    traj = integrate_ode(field, np.array([0.5, 0.5]), spec, utilities)
     exact = 1.0 / (1.0 + np.exp(-traj.times))
     assert np.max(np.abs(traj.states[:, 0] - exact)) < 1e-6
 

@@ -257,7 +257,7 @@ def test_load_missing_file():
 def test_unknown_key_and_section_rejected():
     with pytest.raises(ConfigurationError, match=r"unknown key.*sp\.1"):
         parse_config(MINIMAL + "beams = 3\n")
-    # integrate_ode takes the stepping method; it is not a config key
+    # the reference integrate_ode is rk4 only; the stepping method is not a config key
     with pytest.raises(ConfigurationError, match=r"unknown key\(s\) in \[integrator\]: method"):
         parse_config(MINIMAL + "[integrator]\nmethod = rk4\n")
     # every step is projected onto the simplex; there is no key to turn that off
