@@ -295,8 +295,10 @@ class ReplicatorSolution:
             i, j = np.searchsorted(times, [t_k, t_end])
             if not slope.any():
                 states[i:j] = q
-            else:  # rounding can put a share a hair below zero just before it empties
-                states[i:j] = np.maximum(q + _growth(times[i:j] - t_k, self.mu, big_c)[:, None] * slope, 0.0)
+            else:  # in place, as q + g * slope (addition commutes); rounding can put a share a hair below zero
+                rows = np.multiply(_growth(times[i:j] - t_k, self.mu, big_c)[:, None], slope, out=states[i:j])
+                rows += q
+                np.maximum(rows, 0.0, out=rows)
         return states
 
     def equilibrium_index(self, dt: float, eps: float) -> int:
@@ -414,10 +416,12 @@ def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: Integr
     states = np.empty((n + 1, p.size))
     states[0] = p
     t_q = np.arange(n) * dt - delta  # the time each step reads
-    newest = HistoryBuffer(dt, states)._samples(t_q)[1]  # the newest sample each step reads
+    history = HistoryBuffer(dt, states)
+    reach = math.floor(min(delta / dt, n)) + 3  # step i + reach reads past sample i + 1: a window ends before it
     i = 0
     while i < n:
-        j = max(int(np.searchsorted(newest, i, "right")), i + 1)  # steps i..j-1 read states[:i + 1]
+        newest = history._samples(t_q[i : i + reach])[1]  # the newest sample each step of the window reads
+        j = i + max(int(np.searchsorted(newest, i, "right")), 1)  # steps i..j-1 read states[:i + 1]
         _advance(states[i : j + 1], _steps_reading(utilities, mu, HistoryBuffer(dt, states[: i + 1]), t_q[i:j]))
         i = j
     return Trajectory(np.arange(n + 1) * dt, states, utilities)

@@ -28,6 +28,8 @@ from .phy import build_all_links
 
 # trajectory CSVs keep every TRAJECTORY_STRIDE-th sample (plus the last)
 TRAJECTORY_STRIDE = 10
+# _write_csv turns a table into Python floats CHUNK_ROWS rows at a time
+CHUNK_ROWS = 512
 
 
 @dataclass
@@ -66,30 +68,33 @@ def _dynamics(cfg: ScenarioConfig, numer: np.ndarray) -> Trajectory:
 
 
 def _write_csv(path: Path, meta: list, columns: list, rows) -> Path:
-    # %.17g reads back to the same float and prints integers below 10**17 exactly
-    row = ",".join(["%.17g"] * len(columns))
-    lines = ["# %s = %s" % (k, v) for k, v in meta]
-    lines.append(",".join(columns))
-    lines.extend(row % tuple(r) for r in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """The meta block, the header, then the rows, read as one float array and written CHUNK_ROWS at a time."""
+    # %.17g reads back to the same float and prints integers below 10**17 exactly: a sweep's ints print as their floats
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    rows = np.asarray(rows, dtype=float)
+    with path.open("w", encoding="utf-8") as f:
+        f.writelines("# %s = %s\n" % (k, v) for k, v in meta)
+        f.write(",".join(columns) + "\n")
+        for i in range(0, len(rows), CHUNK_ROWS):
+            f.writelines(row % tuple(r) for r in rows[i : i + CHUNK_ROWS].tolist())
     return path
 
 
 def _write_json(path: Path, meta: list, columns: list, rows) -> Path:
     """The twin of _write_csv: the meta block, then one array per column, a non-finite cell as null."""
-    cols = {name: [v if _finite(v) else None for v in col] for name, col in zip(columns, zip(*rows))}
+    by_column = np.asarray(rows, dtype=float).T.tolist()
+    cols = {name: [v if _finite(v) else None for v in col] for name, col in zip(columns, by_column)}
     path.write_text(json.dumps({"meta": dict(meta), **cols}) + "\n", encoding="utf-8")
     return path
 
 
-def _trajectory_table(traj: Trajectory) -> tuple[list, list]:
+def _trajectory_table(traj: Trajectory) -> tuple[list, np.ndarray]:
     """A trajectory file's (columns, rows): t, shares, utilities and u_bar, thinned by TRAJECTORY_STRIDE."""
     g = range(1, traj.states.shape[1] + 1)
     columns = ["t"] + ["p_%d" % k for k in g] + ["u_%d" % k for k in g] + ["u_bar"]
     idx = np.append(np.arange(0, len(traj) - 1, TRAJECTORY_STRIDE), len(traj) - 1)
     uv = traj.utilities(traj.states[idx])  # the map of the written rows only
-    rows = np.column_stack([traj.times[idx], traj.states[idx], uv.u, uv.u_bar])
-    return columns, rows.tolist()
+    return columns, np.column_stack([traj.times[idx], traj.states[idx], uv.u, uv.u_bar])
 
 
 # --- presets -------------------------------------------------------------------
@@ -126,12 +131,17 @@ def _run_delay_sweep(cfg: ScenarioConfig):
         bound = "not computable (%s)" % exc
     for delta in cfg.grids.delta:
         point = replace(cfg, delta=delta)
-        traj = _dynamics(point, numer)
-        eq = detect_equilibrium(traj, min_quiet=delta)
-        t_eq = "%.17g" % eq.time if eq is not None else "none (tail never rests for a full delay window)"
         # shortest round-trip form, so that distinct delays never share a file
         tag = repr(float(delta)).removesuffix(".0").replace(".", "p").replace("-", "m")
-        yield "_delta" + tag, point, [("stability_bound", bound), ("t_equilibrium", t_eq)], _trajectory_table(traj)
+        yield ("_delta" + tag, point, *_delay_point(point, numer, bound))
+
+
+def _delay_point(point: ScenarioConfig, numer: np.ndarray, bound: str) -> tuple[list, tuple]:
+    """A delay point's meta lines and table; its trajectory is freed on return, before the table is written."""
+    traj = _dynamics(point, numer)
+    eq = detect_equilibrium(traj, min_quiet=point.delta)
+    t_eq = "%.17g" % eq.time if eq is not None else "none (tail never rests for a full delay window)"
+    return [("stability_bound", bound), ("t_equilibrium", t_eq)], _trajectory_table(traj)
 
 
 def _run_irs_size_sweep(cfg: ScenarioConfig):

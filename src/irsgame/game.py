@@ -198,7 +198,8 @@ def detect_equilibrium(
     _require("eps_field", eps_field, _POSITIVE)
     _require("eps_mass", eps_mass, _POSITIVE)
     _require("min_quiet", min_quiet, _NON_NEGATIVE)
-    rates = np.max(np.abs(np.diff(traj.states, axis=0)), axis=1) / np.diff(traj.times)
+    diffs = np.diff(traj.states, axis=0)
+    rates = np.max(np.abs(diffs, out=diffs), axis=1) / np.diff(traj.times)
     quiet = rates < eps_field
     if not np.all(quiet[-1:]):  # a single sample is quiet
         return None

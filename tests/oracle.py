@@ -1,9 +1,12 @@
 """Independent oracles: the scalar utility model, one group at a time, of make_utilities; the
 step-by-step simplex projection, one call per step, of dynamics._advance; the delayed
 replicator dynamics one step and one scalar history lookup at a time, of solve_delayed; the
-exact solution of the delay equation that solve_delayed approximates; and the semidefinite
-relaxation bound that certifies phy.optimize_link."""
+exact solution of the delay equation that solve_delayed approximates; the semidefinite
+relaxation bound that certifies phy.optimize_link; ReplicatorSolution.at with a new array per
+expression; and the CSV and JSON writers that build a whole file's text at once."""
 
+import json
+import math
 from fractions import Fraction
 from math import factorial
 from operator import add
@@ -11,7 +14,7 @@ from operator import add
 import numpy as np
 
 from irsgame import ConfigurationError, NumericalDriftError, Trajectory
-from irsgame.dynamics import DRIFT_TOL
+from irsgame.dynamics import DRIFT_TOL, _growth
 
 
 def expected_rate(link, p_g: float, bandwidth: float, n_users: int) -> float:
@@ -177,3 +180,34 @@ def sdr_bound(ch, rank: int = 4, iters: int = 200) -> float:
     y = np.sum((r @ u) * np.conj(u), axis=1).real
     margin = -np.linalg.eigvalsh(np.diag(y) - r)[0]
     return float(np.sum(y) + n * max(0.0, margin))
+
+
+def replicator_at(solution, times) -> np.ndarray:
+    """ReplicatorSolution.at as q + g * slope, clamped at zero, in new arrays: the sampler its in-place rows match."""
+    times = np.asarray(times, dtype=float)
+    states = np.empty((len(times), len(solution.rest)))
+    for t_k, t_end, q, big_c, slope in solution.pieces:
+        i, j = np.searchsorted(times, [t_k, t_end])
+        if not slope.any():
+            states[i:j] = q
+        else:  # rounding can put a share a hair below zero just before it empties
+            states[i:j] = np.maximum(q + _growth(times[i:j] - t_k, solution.mu, big_c)[:, None] * slope, 0.0)
+    return states
+
+
+def write_csv(path, meta: list, columns: list, rows):
+    """experiments._write_csv as one string: every line formatted, joined, then written at once."""
+    # %.17g reads back to the same float and prints integers below 10**17 exactly
+    row = ",".join(["%.17g"] * len(columns))
+    lines = ["# %s = %s" % (k, v) for k, v in meta]
+    lines.append(",".join(columns))
+    lines.extend(row % tuple(r) for r in rows)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+def write_json(path, meta: list, columns: list, rows):
+    """experiments._write_json of a table of Python rows: one array per column, a non-finite cell as null."""
+    cols = {name: [v if -math.inf < v < math.inf else None for v in col] for name, col in zip(columns, zip(*rows))}
+    path.write_text(json.dumps({"meta": dict(meta), **cols}) + "\n", encoding="utf-8")
+    return path

@@ -961,3 +961,24 @@ def test_long_runs_have_the_bits_of_one_projection_per_step(name, block_rows):
 def test_sum_adds_from_left_to_right():
     # a compensated sum (builtin sum from Python 3.12, math.fsum) gives 1.0
     assert _sum([1e16, 1.0, -1e16]) == 0.0
+
+
+@pytest.mark.parametrize("case", ["default", "reduced", "unprofitable", "every group loses", "zero aggregate payoff"])
+def test_exact_sampler_has_the_bits_of_new_arrays(case, default_cfg, reduced_cfg):
+    # at() fills its rows in place; each sample keeps the bits of q + g * slope clamped at zero
+    if case == "every group loses":  # C < 0: the groups empty one by one
+        c, mu, p0 = -np.array([0.3, 0.7, 0.5, 0.2]), 1.0, np.array([0.1, 0.2, 0.3, 0.4])
+        times, pieces, sign = np.arange(10001.0), 4, -1.0
+    elif case == "zero aggregate payoff":  # C = 0 until group 2 empties at t = 3
+        c, mu, p0 = np.array([0.2, -0.2, 0.0]), 0.5, np.array([0.3, 0.3, 0.4])
+        times, pieces, sign = np.arange(61) * 0.1, 2, 0.0
+    else:
+        cfg = {"default": default_cfg, "reduced": reduced_cfg, "unprofitable": default_cfg}[case]
+        if case == "unprofitable":  # sp.1's two groups lose and empty one after the other
+            cfg = dataclasses.replace(cfg, sps=[dataclasses.replace(cfg.sps[0], price_power=100.0), *cfg.sps[1:]])
+        c, mu, p0 = numerators(cfg) / cfg.n_users, cfg.mu, cfg.initial_population()
+        times = np.arange(cfg.integrator.n_steps() + 1) * cfg.integrator.dt
+        pieces, sign = (3 if case == "unprofitable" else 1), 1.0
+    solution = ReplicatorSolution(c, mu, p0)
+    assert len(solution.pieces) == pieces and sign in {np.sign(piece[3]) for piece in solution.pieces}
+    assert np.array_equal(solution.at(times).view(np.int64), oracle.replicator_at(solution, times).view(np.int64))

@@ -2,6 +2,8 @@
 
 import dataclasses
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from irsgame import (
     with_scalar_overrides,
 )
 from irsgame import experiments
+import oracle
 
 
 def toy_utilities(p):
@@ -228,3 +231,46 @@ def test_undelayed_sweeps_match_long_sampled_runs(tmp_path, default_cfg):
         sps[1] = dataclasses.replace(sps[1], irs_elements=int(row[0]))
         run = simulate(with_scalar_overrides(dataclasses.replace(base, sps=sps), horizon=2400.0))
         assert np.max(np.abs(np.array(row[1:], dtype=float) - run.trajectory.states[-1])) < 1e-9
+
+
+def sweep_rows(n_rows):
+    """A table as a sweep preset yields it: Python rows of ints up to 2**53 and floats, non-finite ones too."""
+    ints = [0, 1, 7, 10**6, 2**53 - 1, 2**53, -(2**53)]
+    cells = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1, 1.0]
+    draws = np.random.default_rng(n_rows).random(n_rows).tolist()
+    return [(ints[i % 7], cells[i % 7], cells[(i + 3) % 7], x, -x * 1e-300) for i, x in enumerate(draws)]
+
+
+@pytest.mark.parametrize(
+    "n_rows", [1, experiments.CHUNK_ROWS - 1, experiments.CHUNK_ROWS, experiments.CHUNK_ROWS + 1, 6001]
+)
+def test_chunked_writer_has_the_bytes_of_the_whole_file_writer(tmp_path, n_rows):
+    meta = [("preset", "delay-sweep"), ("t_equilibrium", "none (tail never rests for a full delay window)")]
+    columns = ["n", "a", "b", "x", "y"]
+    rows = sweep_rows(n_rows)
+    want = oracle.write_csv(tmp_path / "want.csv", meta, columns, rows).read_bytes()
+    assert len(want.splitlines()) == len(meta) + 1 + n_rows
+    for table in (rows, np.array(rows, dtype=float)):
+        assert experiments._write_csv(tmp_path / "got.csv", meta, columns, table).read_bytes() == want
+    # a trajectory's JSON twin, from its array, is the twin of its Python rows
+    floats = np.array(rows, dtype=float)
+    want = oracle.write_json(tmp_path / "want.json", meta, columns, floats.tolist()).read_bytes()
+    assert experiments._write_json(tmp_path / "got.json", meta, columns, floats).read_bytes() == want
+
+
+@pytest.mark.parametrize("preset, bound_mib", [("utilities-vs-time", 6.0), ("delay-sweep", 9.5)])
+def test_run_peak_memory_is_bounded(tmp_path, default_cfg, preset, bound_mib):
+    # a run holds one chunk of a table as Python floats, and no full-length array it does not
+    # return; a first run imports numpy.random, which would count, so a short run goes first
+    run_experiment(preset, with_scalar_overrides(default_cfg, horizon=1.0), tmp_path)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_experiment(preset, default_cfg, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < bound_mib * 2**20, "peak %.2f MiB" % (peak / 2**20)
