@@ -28,7 +28,7 @@ from .phy import build_all_links
 
 # trajectory CSVs keep every TRAJECTORY_STRIDE-th sample (plus the last)
 TRAJECTORY_STRIDE = 10
-# _write_csv turns a table into Python floats CHUNK_ROWS rows at a time
+# _write_csv formats a table CHUNK_ROWS rows at a time
 CHUNK_ROWS = 512
 
 
@@ -67,24 +67,126 @@ def _dynamics(cfg: ScenarioConfig, numer: np.ndarray) -> Trajectory:
 # --- CSV emission --------------------------------------------------------------
 
 
+# A cell is written as "%.17g" prints it, which reads back to the same float and
+# prints integers below 10**17 exactly: a sweep's ints print as their floats.
+# %.17g rounds |x| half to even to 17 significant digits, D * 10**(X - 16) with
+# D in [10**16, 10**17), and prints fixed notation when X is in [-4, 16].
+# _format_rows makes the text of those cells in numpy, from exact digits, and
+# takes Python's own text for every other cell: zeros, inf, NaN, exponent form.
+#
+# X is the least k with rint(|x| * 10**(16 - k)) < 10**17, that is with
+# |x| < (10**17 - 1/2) * 10**(k - 16).  _X_EDGES holds those bounds for k = -5 ... 16;
+# int / int rounds correctly, and each of them rounds up, so X = (the number of
+# edges <= |x|) - 5, and the cells with 1 to 21 edges below them print in fixed notation.
+_X_EDGES = np.array([(2 * 10**17 - 1) / (2 * 10 ** (16 - k)) for k in range(-5, 17)])
+# 10**e for e = 16 - X in [0, 20], exact in a float, and its halves for Dekker's product
+_POW10 = np.array([float(10**e) for e in range(21)])
+_SPLITTER = 2.0**27 + 1
+_POW10_HI = _SPLITTER * _POW10 - (_SPLITTER * _POW10 - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# the text of 0 ... 9999, 4 digits each, as one uint32 per word
+_DIGIT = np.frombuffer(b"0123456789", dtype=np.uint8)
+_DIGITS4 = np.stack(
+    np.broadcast_arrays(_DIGIT[:, None, None, None], _DIGIT[:, None, None], _DIGIT[:, None], _DIGIT), axis=-1
+).view(np.uint32).ravel()
+# A cell's slot: its sign, "0.000", D's 17 digits, the point, D's last 16 digits, ",".  A fixed
+# cell prints some of its bytes, and each byte has a place that does not depend on the cell:
+# X < 0 prints "0." and -X - 1 zeros before the first copy of the digits, X >= 0 prints
+# digits 0 ... X of the first copy and the fraction from the second.  A cell printed as
+# Python's text holds that text at the start of its slot.
+_SLOT = 41
+_TEMPLATE = np.frombuffer(b"-0.000" + b"0" * 17 + b"." + b"0" * 16 + b",", dtype=np.uint8)
+
+
+def _keep_table() -> np.ndarray:
+    """The bytes of a slot that a cell prints, one row per kind of cell.
+
+    Row ((X + 4) * 17 + zeros) * 2 + negative is a fixed cell of exponent X whose D
+    ends in that many zeros; the last 25 rows are Python's text of 0 ... 24 bytes.
+    """
+    at = np.arange(_SLOT)
+    X = np.arange(-4, 17)[:, None, None, None]
+    zeros = np.arange(17)[:, None, None]
+    negative = np.arange(2)[:, None]
+    fraction = np.where(X < 0, 0, np.maximum(16 - X - zeros, 0))  # digits after the point when X >= 0
+    fixed = (
+        ((at == 0) & (negative == 1))
+        | ((1 <= at) & (at < np.where(X < 0, 2 - X, 1)))
+        | ((6 <= at) & (at < np.where(X < 0, 23 - zeros, 7 + X)))
+        | ((at == 23) & (fraction > 0))
+        | ((24 + X <= at) & (at < 24 + X + fraction))
+    )
+    text = at < np.arange(25)[:, None]
+    return np.concatenate([fixed.reshape(-1, _SLOT), text]) | (at == _SLOT - 1)
+
+
+_KEEP = _keep_table()
+
+
+def _digits(a: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """The text of D = rint(a * 10**e), which lies in [10**16, 10**17): 20 bytes a row, "000" and D's digits."""
+    # hi + lo = a * 10**e exactly (Dekker's product), and hi >= 2**53 is an even integer,
+    # so hi + rint(lo) rounds half to even as the exact product would
+    hi = a * _POW10[e]
+    a_hi = _SPLITTER * a
+    a_hi -= a_hi - a
+    a_lo = a - a_hi
+    lo = a_lo * _POW10_LO[e] - (((hi - a_hi * _POW10_HI[e]) - a_lo * _POW10_HI[e]) - a_hi * _POW10_LO[e])
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    high = d // 10**8
+    low = d - high * 10**8
+    hh, lh = high // 10**4, low // 10**4
+    words = np.stack([hh // 10**4, hh % 10**4, high - hh * 10**4, lh, low - lh * 10**4], axis=1)
+    return _DIGITS4[words].view(np.uint8)
+
+
+def _format_rows(chunk: np.ndarray) -> bytes:
+    """The rows of a 2-D float array as "%.17g" prints each cell, joined by "," and ended by "\\n"."""
+    x = chunk.reshape(-1)
+    a = np.abs(x)
+    X = np.searchsorted(_X_EDGES, a, side="right") - 5
+    other = np.flatnonzero((X < -4) | (X > 16))
+    a[other] = 1.0  # a fixed cell, so that _digits sees finite numbers only
+    X[other] = 0
+    text = _digits(a, 16 - X)
+    zeros = (text[:, :2:-1] == ord("0")).argmin(axis=1)  # D's trailing zeros
+    kind = ((X + 4) * 17 + zeros) * 2 + (x < 0)
+    slots = np.empty((len(x), _SLOT), dtype=np.uint8)
+    slots[:] = _TEMPLATE
+    slots[:, 6:23] = text[:, 3:]
+    slots[:, 24:40] = text[:, 4:]
+    slots.reshape(chunk.shape + (_SLOT,))[:, -1, -1] = ord("\n")
+    if len(other):  # Python's text, once per bit pattern
+        bits, which = np.unique(x[other].view(np.int64), return_inverse=True)
+        texts = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+        slots[other, :24] = np.array(texts, dtype="S24").view(np.uint8).reshape(-1, 24)[which]
+        kind[other] = len(_KEEP) - 25 + np.array([len(t) for t in texts])[which]
+    return slots[np.take(_KEEP, kind, axis=0)].tobytes()
+
+
 def _write_csv(path: Path, meta: list, columns: list, rows) -> Path:
-    """The meta block, the header, then the rows, read as one float array and written CHUNK_ROWS at a time."""
-    # %.17g reads back to the same float and prints integers below 10**17 exactly: a sweep's ints print as their floats
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    """The meta block, the header, then the rows, read as one float array and formatted CHUNK_ROWS at a time."""
     rows = np.asarray(rows, dtype=float)
-    with path.open("w", encoding="utf-8") as f:
-        f.writelines("# %s = %s\n" % (k, v) for k, v in meta)
-        f.write(",".join(columns) + "\n")
+    with path.open("wb") as f:
+        f.write("".join("# %s = %s\n" % (k, v) for k, v in meta).encode("utf-8"))
+        f.write((",".join(columns) + "\n").encode("utf-8"))
         for i in range(0, len(rows), CHUNK_ROWS):
-            f.writelines(row % tuple(r) for r in rows[i : i + CHUNK_ROWS].tolist())
+            f.write(_format_rows(rows[i : i + CHUNK_ROWS]))
     return path
 
 
 def _write_json(path: Path, meta: list, columns: list, rows) -> Path:
-    """The twin of _write_csv: the meta block, then one array per column, a non-finite cell as null."""
-    by_column = np.asarray(rows, dtype=float).T.tolist()
-    cols = {name: [v if _finite(v) else None for v in col] for name, col in zip(columns, by_column)}
-    path.write_text(json.dumps({"meta": dict(meta), **cols}) + "\n", encoding="utf-8")
+    """The twin of _write_csv: the meta block, then one array per column, a non-finite cell as null.
+
+    The text is json.dumps({"meta": dict(meta), **columns}), written one column at a time.
+    """
+    rows = np.asarray(rows, dtype=float)
+    with path.open("w", encoding="utf-8") as f:
+        f.write('{"meta": ' + json.dumps(dict(meta)))
+        for j, name in enumerate(columns):
+            cells = [v if _finite(v) else None for v in rows[:, j].tolist()]
+            f.write(", %s: %s" % (json.dumps(name), json.dumps(cells)))
+        f.write("}\n")
     return path
 
 

@@ -196,7 +196,7 @@ def replicator_at(solution, times) -> np.ndarray:
 
 
 def write_csv(path, meta: list, columns: list, rows):
-    """experiments._write_csv as one string: every line formatted, joined, then written at once."""
+    """experiments._write_csv by Python's own "%.17g": every line formatted, joined, then written at once."""
     # %.17g reads back to the same float and prints integers below 10**17 exactly
     row = ",".join(["%.17g"] * len(columns))
     lines = ["# %s = %s" % (k, v) for k, v in meta]
@@ -207,7 +207,7 @@ def write_csv(path, meta: list, columns: list, rows):
 
 
 def write_json(path, meta: list, columns: list, rows):
-    """experiments._write_json of a table of Python rows: one array per column, a non-finite cell as null."""
+    """experiments._write_json as one json.dumps of Python rows: one array per column, a non-finite cell as null."""
     cols = {name: [v if -math.inf < v < math.inf else None for v in col] for name, col in zip(columns, zip(*rows))}
     path.write_text(json.dumps({"meta": dict(meta), **cols}) + "\n", encoding="utf-8")
     return path

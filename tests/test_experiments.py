@@ -19,6 +19,7 @@ from irsgame import (
     with_scalar_overrides,
 )
 from irsgame import experiments
+from irsgame.experiments import CHUNK_ROWS
 import oracle
 
 
@@ -241,15 +242,47 @@ def sweep_rows(n_rows):
     return [(ints[i % 7], cells[i % 7], cells[(i + 3) % 7], x, -x * 1e-300) for i, x in enumerate(draws)]
 
 
+def random_bit_rows():
+    """Random 64-bit patterns: column 0 runs through every exponent field (zeros, subnormals,
+    infinities, NaN payloads), the others keep near the exponents %.17g prints in fixed notation."""
+    rng = np.random.default_rng(26)
+    shape = (4096, 6)
+    exponent = rng.integers(1023 - 15, 1023 + 58, size=shape, dtype=np.uint64)
+    exponent[:, 0] = np.arange(shape[0]) % 2048
+    sign = rng.integers(0, 2, size=shape, dtype=np.uint64)
+    bits = sign << np.uint64(63) | exponent << np.uint64(52) | rng.integers(0, 2**52, size=shape, dtype=np.uint64)
+    return bits.view(np.float64).tolist()
+
+
+def power_of_ten_rows():
+    """10**j for j = -6 ... 18 and the floats on both sides of it, where the exponent of %.17g changes."""
+    tens = np.array([float("1e%d" % j) for j in range(-6, 19)])
+    cells = np.concatenate([np.nextafter(tens, 0.0), tens, np.nextafter(tens, np.inf)])
+    return np.column_stack([cells, -cells]).tolist()
+
+
+def half_way_rows():
+    """Odd multiples of 1/4 in [2**49, 2**51): from 10**15 on, each one is an exact tie at the 17th digit."""
+    odd = 2 * np.random.default_rng(27).integers(2**50, 2**52, size=2048) + 1
+    return np.column_stack([odd / 4, -odd / 4]).tolist()
+
+
 @pytest.mark.parametrize(
-    "n_rows", [1, experiments.CHUNK_ROWS - 1, experiments.CHUNK_ROWS, experiments.CHUNK_ROWS + 1, 6001]
+    "rows",
+    [pytest.param(sweep_rows(n), id=str(n)) for n in (1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 6001)]
+    + [
+        pytest.param(random_bit_rows(), id="random-bits"),
+        pytest.param(power_of_ten_rows(), id="powers-of-ten"),
+        pytest.param(half_way_rows(), id="half-way"),
+        pytest.param([row[:1] for row in random_bit_rows()], id="one-column"),
+        pytest.param([sum(power_of_ten_rows(), [])], id="one-row"),
+    ],
 )
-def test_chunked_writer_has_the_bytes_of_the_whole_file_writer(tmp_path, n_rows):
+def test_chunked_writer_has_the_bytes_of_the_whole_file_writer(tmp_path, rows):
     meta = [("preset", "delay-sweep"), ("t_equilibrium", "none (tail never rests for a full delay window)")]
-    columns = ["n", "a", "b", "x", "y"]
-    rows = sweep_rows(n_rows)
+    columns = ["c%d" % j for j in range(len(rows[0]))]
     want = oracle.write_csv(tmp_path / "want.csv", meta, columns, rows).read_bytes()
-    assert len(want.splitlines()) == len(meta) + 1 + n_rows
+    assert len(want.splitlines()) == len(meta) + 1 + len(rows)
     for table in (rows, np.array(rows, dtype=float)):
         assert experiments._write_csv(tmp_path / "got.csv", meta, columns, table).read_bytes() == want
     # a trajectory's JSON twin, from its array, is the twin of its Python rows
@@ -258,17 +291,25 @@ def test_chunked_writer_has_the_bytes_of_the_whole_file_writer(tmp_path, n_rows)
     assert experiments._write_json(tmp_path / "got.json", meta, columns, floats).read_bytes() == want
 
 
-@pytest.mark.parametrize("preset, bound_mib", [("utilities-vs-time", 6.0), ("delay-sweep", 9.5)])
-def test_run_peak_memory_is_bounded(tmp_path, default_cfg, preset, bound_mib):
-    # a run holds one chunk of a table as Python floats, and no full-length array it does not
-    # return; a first run imports numpy.random, which would count, so a short run goes first
-    run_experiment(preset, with_scalar_overrides(default_cfg, horizon=1.0), tmp_path)
+@pytest.mark.parametrize(
+    "preset, flags, bound_mib",
+    [
+        pytest.param("utilities-vs-time", (), 6.0, id="utilities-vs-time-6.0"),
+        pytest.param("delay-sweep", (), 9.5, id="delay-sweep-9.5"),
+        pytest.param("utilities-vs-time", ("json",), 6.0, id="utilities-vs-time-json-6.0"),
+    ],
+)
+def test_run_peak_memory_is_bounded(tmp_path, default_cfg, preset, flags, bound_mib):
+    # a run formats one chunk of a table at a time, writes a JSON twin one column at a time, and
+    # holds no full-length array it does not return; a first run imports numpy.random, which
+    # would count, so a short run goes first
+    run_experiment(preset, with_scalar_overrides(default_cfg, horizon=1.0), tmp_path, flags)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        run_experiment(preset, default_cfg, tmp_path)
+        run_experiment(preset, default_cfg, tmp_path, flags)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         if not tracing:
