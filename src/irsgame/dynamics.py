@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import _NON_NEGATIVE, _POSITIVE, MAX_STEPS, IntegratorSpec, _on_simplex, _require
 from .errors import ConfigurationError, NonConvergenceError, NumericalDriftError, NumericError
-from .game import selection_rates
+from .game import EPS_FIELD, _check_numer, quiet_steps, selection_rates
 
 
 @dataclass
@@ -42,14 +42,16 @@ class Trajectory:
     utilities: Optional[Callable] = None
 
     def __post_init__(self):
+        self.times = np.asarray(self.times, dtype=float)  # a float array is kept, not copied
+        self.states = np.asarray(self.states, dtype=float)
         for name, ndim in (("times", 1), ("states", 2)):
-            if np.ndim(rows := getattr(self, name)) != ndim:
-                raise ConfigurationError("trajectory %s must be %d-D, got shape %s" % (name, ndim, np.shape(rows)))
+            if (rows := getattr(self, name)).ndim != ndim:
+                raise ConfigurationError("trajectory %s must be %d-D, got shape %s" % (name, ndim, rows.shape))
         if len(self.states) != len(self.times):
             raise ConfigurationError("a trajectory of %d times has %d states" % (len(self.times), len(self.states)))
         if not (self.utilities is None or callable(self.utilities)):
             raise ConfigurationError("trajectory utilities must be a state -> UtilityVector map, got %r" % (self.utilities,))
-        t = np.asarray(self.times, dtype=float)  # compared as views, with no array of differences
+        t = self.times  # compared as views, with no array of differences
         if not (len(t) and not np.isnan(t[0]) and np.all(t[1:] > t[:-1])):  # a NaN time fails
             raise ConfigurationError("trajectory times must be strictly increasing, with at least one")
 
@@ -225,13 +227,14 @@ class ReplicatorSolution:
     An extinction time past the largest float (mu * C underflows) makes the current piece the
     last; mu only rescales time, so rest comes from the extinctions in mu-free time.  Raises
     NumericError when a piece's rate mu * C is not a finite float, or when a mu-free extinction
-    time is past the largest float.
+    time is past the largest float, and ConfigurationError for a c that is not a 1-D vector of
+    finite reals, of p0's length.
     """
 
     def __init__(self, c, mu: float, p0):
         _require("mu", mu, _POSITIVE)
         p = _check_p0(p0)
-        c = np.asarray(c, dtype=float)
+        c = _check_numer(c, "c")
         if c.shape != p.shape:
             raise ConfigurationError("payoff vector and initial state differ in length")
         self.mu = mu
@@ -301,25 +304,24 @@ class ReplicatorSolution:
                 np.maximum(rows, 0.0, out=rows)
         return states
 
-    def equilibrium_index(self, dt: float, eps: float) -> int:
+    def equilibrium_index(self, dt: float) -> int:
         """detect_equilibrium's index on the grid t_i = i * dt, however long the grid.
 
         Within a piece the rate max_g |p_{i+1,g} - p_{i,g}| / dt is k0 * exp(-a * (t - t_k)),
         a = mu * C, k0 = max|slope| * (1 - exp(-a * dt)) / (C * dt): with C > 0 it falls below
-        eps for good after t_k + ln(k0 / eps) / a, else it peaks at t_end.  Going back from the
-        last piece, only samples near those times and near t_k are checked, with
-        detect_equilibrium's arithmetic.  Raises ConfigurationError for a dt or eps that is not
-        positive and finite, past MAX_STEPS samples, or when those samples' times pass the
-        largest float.
+        EPS_FIELD for good after t_k + ln(k0 / EPS_FIELD) / a, else it peaks at t_end.  Going
+        back from the last piece, only samples near those times and near t_k are checked, by
+        quiet_steps as detect_equilibrium checks them.  Raises ConfigurationError for a dt that
+        is not positive and finite, past MAX_STEPS samples, or when those samples' times pass
+        the largest float.
         """
         _require("dt", dt, _POSITIVE)
-        _require("eps", eps, _POSITIVE)
         for t_k, t_end, _, big_c, slope in reversed(self.pieces):
             near = [t_k, t_end] if t_end < np.inf else [t_k]
             if slope.any() and big_c > 0.0:
                 k0 = float(np.max(np.abs(slope))) * -math.expm1(-self.mu * big_c * dt) / (big_c * dt)
-                if k0 > eps:
-                    near.append(min(t_end, t_k + math.log(k0 / eps) / (self.mu * big_c)))
+                if k0 > EPS_FIELD:
+                    near.append(min(t_end, t_k + math.log(k0 / EPS_FIELD) / (self.mu * big_c)))
             last = max(near) / dt
             if not last <= MAX_STEPS:
                 raise ConfigurationError(
@@ -328,8 +330,7 @@ class ReplicatorSolution:
             if not (last + 4) * dt < np.inf:  # the samples checked below go up to ceil(last) + 3
                 raise ConfigurationError("the samples near the rest point are past the largest float for dt = %r" % dt)
             i = np.unique(np.maximum(0, [math.ceil(t / dt) + k for t in near for k in range(-9, 3)]))
-            rates = np.max(np.abs(self.at((i + 1) * dt) - self.at(i * dt)), axis=1) / ((i + 1) * dt - i * dt)
-            moving = i[~(rates < eps)]
+            moving = i[~quiet_steps(self.at((i + 1) * dt) - self.at(i * dt), (i + 1) * dt - i * dt)]
             if moving.size:
                 return int(moving[-1]) + 1
         return 0
@@ -370,8 +371,9 @@ class HistoryBuffer:
 
     def __post_init__(self):
         _require("dt", self.dt, _POSITIVE)
-        if np.ndim(self.states) != 2:  # a lookup would read one share as a state
-            raise ConfigurationError("history states must be 2-D, got shape %s" % (np.shape(self.states),))
+        self.states = np.asarray(self.states, dtype=float)  # not a copy: solve_delayed writes rows after it
+        if self.states.ndim != 2:  # a lookup would read one share as a state
+            raise ConfigurationError("history states must be 2-D, got shape %s" % (self.states.shape,))
 
     @np.errstate(over="ignore", invalid="ignore")  # t / dt past a float is pre-history or past the newest sample
     def _samples(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -23,7 +23,7 @@ from .channel import generate_channels
 from .config import Position, ScenarioConfig, _finite, _raise
 from .dynamics import ReplicatorSolution, Trajectory, solve_delayed, solve_replicator
 from .errors import ConfigurationError, NumericError
-from .game import EPS_FIELD, detect_equilibrium, make_utilities, stability_bound, utility_numerators
+from .game import detect_equilibrium, make_utilities, stability_bound, utility_numerators
 from .phy import build_all_links
 
 # trajectory CSVs keep every TRAJECTORY_STRIDE-th sample (plus the last)
@@ -218,7 +218,7 @@ def _run_convergence_speed(cfg: ScenarioConfig):
         for n in cfg.grids.n_users:
             solution = ReplicatorSolution(numer / n, mu, p0)
             try:
-                index = solution.equilibrium_index(dt, EPS_FIELD)
+                index = solution.equilibrium_index(dt)
             except ConfigurationError as exc:
                 raise ConfigurationError("grid point mu=%g n_users=%d: %s" % (mu, n, exc)) from None
             rows.append((mu, n, index * dt))

@@ -17,9 +17,14 @@ import numpy as np
 from .config import _NON_NEGATIVE, _POSITIVE, _USERS, _require
 from .errors import ConfigurationError, NumericError
 
-# equilibrium detection thresholds shared by all presets
+# equilibrium detection: the rate below which a step rests, and the share above which a group counts in the spread
 EPS_FIELD = 1e-6
 EPS_MASS = 1e-2
+
+
+def quiet_steps(diffs: np.ndarray, dt: np.ndarray) -> np.ndarray:
+    """The one test of a resting step: max_g |diffs_g| / dt < EPS_FIELD per row, taking abs of diffs (T, G) in place."""
+    return np.max(np.abs(diffs, out=diffs), axis=1) / dt < EPS_FIELD
 
 
 @dataclass
@@ -58,16 +63,19 @@ def utility_numerators(links: list, cfg) -> np.ndarray:
     links are the scenario's optimized links in group order.  The utility of
     group g is numer_g / (p_g * n_users), so p_g * u_g = numer_g / n_users
     does not depend on the shares.  Raises NumericError, naming the group,
-    when an entry or their sum is not finite.
+    when an entry or their sum is not finite, and ConfigurationError when
+    there is not one link per group.
     """
     params = UtilityParams.from_config(cfg)
     n_groups = cfg.n_groups
+    if len(links) != n_groups:
+        raise ConfigurationError("%d links for a scenario of %d groups" % (len(links), n_groups))
     snr = np.empty(n_groups)
     bw = np.empty(n_groups)
     cost = np.empty(n_groups)
     services = cfg.service_indices()
     with np.errstate(all="ignore"):  # a non-finite payoff or sum is reported below
-        for g, (svc, link) in enumerate(zip(services, links, strict=True)):
+        for g, (svc, link) in enumerate(zip(services, links)):
             m = svc.sp - 1
             snr[g] = link.snr
             bw[g] = cfg.sps[m].bandwidth_mhz
@@ -87,11 +95,11 @@ def utility_numerators(links: list, cfg) -> np.ndarray:
     return numer
 
 
-def _check_numer(numer) -> np.ndarray:
-    """numer as a float vector, or a ConfigurationError unless it is a 1-D vector of finite reals."""
+def _check_numer(numer, name: str = "numer") -> np.ndarray:
+    """numer as a float vector, or a ConfigurationError naming it unless it is a 1-D vector of finite reals."""
     x = np.asarray(numer)
     if not (x.ndim == 1 and x.dtype.kind in "iuf" and np.all(np.isfinite(x))):
-        raise ConfigurationError("numer must be a 1-D vector of finite reals, got %r" % (numer,))
+        raise ConfigurationError("%s must be a 1-D vector of finite reals, got %r" % (name, numer))
     return x.astype(float, copy=False)
 
 
@@ -179,28 +187,21 @@ class Equilibrium:
     utility_spread: Optional[float]  # relative spread among surviving groups, None without a utility map
 
 
-def detect_equilibrium(
-    traj, eps_field: float = EPS_FIELD, eps_mass: float = EPS_MASS, min_quiet: float = 0.0
-) -> Optional[Equilibrium]:
+def detect_equilibrium(traj, min_quiet: float = 0.0) -> Optional[Equilibrium]:
     """Earliest time after which the Trajectory traj (its shape checked on construction) stops moving.
 
-    Uses finite differences of the stored states: the first sample index i
-    such that max_g |p_{i+1,g} - p_{i,g}| / dt < eps_field for every later
-    sample, so a single sample rests from its own time.  Returns None when the
-    tail never settles, or when the quiet tail is shorter than min_quiet time
-    units.  Delayed runs should pass min_quiet >= the delay: they can sit
-    exactly still for shorter spells while their history replays an excursion,
-    and only a stretch longer than the information delay proves a genuine rest
-    point.  When the trajectory keeps its utility map, reports the relative utility
-    spread over groups with share above eps_mass at the detected sample.  Raises
-    ConfigurationError for an eps_field or eps_mass that is not positive and finite, or a negative min_quiet.
+    Uses finite differences of the stored states: the first sample index i from which
+    max_g |p_{i+1,g} - p_{i,g}| / dt < EPS_FIELD for every later step (quiet_steps), so a single
+    sample rests from its own time.  Returns None when the tail never settles, or when the
+    quiet tail is shorter than min_quiet time units.  Delayed runs should pass min_quiet >=
+    the delay: they can sit exactly still for shorter spells while their history replays an
+    excursion, and only a stretch longer than the information delay proves a genuine rest
+    point.  When the trajectory keeps its utility map, reports the relative utility spread
+    over groups with share above EPS_MASS at the detected sample.  Raises ConfigurationError
+    for a negative min_quiet.
     """
-    _require("eps_field", eps_field, _POSITIVE)
-    _require("eps_mass", eps_mass, _POSITIVE)
     _require("min_quiet", min_quiet, _NON_NEGATIVE)
-    diffs = np.diff(traj.states, axis=0)
-    rates = np.max(np.abs(diffs, out=diffs), axis=1) / np.diff(traj.times)
-    quiet = rates < eps_field
+    quiet = quiet_steps(np.diff(traj.states, axis=0), np.diff(traj.times))
     if not np.all(quiet[-1:]):  # a single sample is quiet
         return None
     # first index from which the tail stays quiet
@@ -208,14 +209,14 @@ def detect_equilibrium(
     idx = 0 if moving.size == 0 else int(moving[-1]) + 1
     if float(traj.times[-1] - traj.times[idx]) < min_quiet:
         return None
-    return Equilibrium(time=float(traj.times[idx]), index=idx, utility_spread=_spread(traj, idx, eps_mass))
+    return Equilibrium(time=float(traj.times[idx]), index=idx, utility_spread=_spread(traj, idx))
 
 
-def _spread(traj, idx: int, eps_mass: float) -> Optional[float]:
+def _spread(traj, idx: int) -> Optional[float]:
     if traj.utilities is None:
         return None
     p = traj.states[idx]
-    u = traj.utilities(p).u[p > eps_mass]
+    u = traj.utilities(p).u[p > EPS_MASS]
     if u.size == 0:
         return None
     scale = float(np.max(np.abs(u)))

@@ -178,7 +178,10 @@ def build_all_links(cfg, channels: list[ChannelSet]) -> list[ServiceLink]:
 
     Group (sp, subset k, power j) uses the first k * elements_per_module
     surface elements of its provider's channel set and the j-th power level.
+    Raises ConfigurationError unless there is one channel set per provider.
     """
+    if len(channels) != len(cfg.sps):
+        raise ConfigurationError("%d channel sets for a scenario of %d providers" % (len(channels), len(cfg.sps)))
     links = []
     for svc in cfg.service_indices():
         sp = cfg.sps[svc.sp - 1]

@@ -18,6 +18,7 @@ from irsgame import (
     SweepGrids,
     Trajectory,
     UtilityVector,
+    build_all_links,
     compute_snr,
     dbm_to_watt,
     delayed_steps,
@@ -208,13 +209,19 @@ REGRESSIONS = {
         lambda: solve_delayed(make_utilities(np.array([1.0, 2.0]), 100), 0.1, [0.2, 0.3, 0.5], 1.0, SPEC),
         r"a utility map of 2 groups got a state of shape \(10, 3\)",
     ),
-    # a NaN payoff gave NaN utilities, or a bound that left it out; a list of strings ended in a TypeError
+    # a NaN payoff gave NaN utilities, or a bound that left it out; a list of strings ended in a TypeError.
+    # The exact solution read strings as numbers, took a non-finite payoff for a NumericError, and
+    # named a matrix or a scalar a length mismatch
     **{
         "%s of %s" % (name, call.__name__): (
             lambda call=call, numer=numer, args=args: call(numer, *args),
-            "numer must be a 1-D vector of finite reals",
+            "%s must be a 1-D vector of finite reals" % arg_name,
         )
-        for call, args in ((make_utilities, (CFG.n_users,)), (stability_bound, (0.1, CFG.n_users)))
+        for call, args, arg_name in (
+            (make_utilities, (CFG.n_users,), "numer"),
+            (stability_bound, (0.1, CFG.n_users), "numer"),
+            (ReplicatorSolution, (0.1, P0), "c"),
+        )
         for name, numer in (
             ("a NaN payoff", np.array([NAN, 1.0])),
             ("an infinite payoff", np.array([1.0, INF])),
@@ -232,34 +239,34 @@ REGRESSIONS = {
         for name, dt in (("zero", 0.0), ("negative", -0.1), ("NaN", NAN), ("string", "0.1"))
     },
     "a zero dt of the rest-point index": (
-        lambda: ReplicatorSolution(C, 0.1, P0).equilibrium_index(0.0, 1e-6),
+        lambda: ReplicatorSolution(C, 0.1, P0).equilibrium_index(0.0),
         "dt must be positive and finite, got 0.0",
     ),
     "a negative dt of the rest-point index": (
-        lambda: ReplicatorSolution(C, 0.1, P0).equilibrium_index(-0.01, 1e-6),
+        lambda: ReplicatorSolution(C, 0.1, P0).equilibrium_index(-0.01),
         "dt must be positive and finite, got -0.01",
     ),
     "a string dt of the rest-point index": (
-        lambda: ReplicatorSolution(C, 0.1, P0).equilibrium_index("x", 1e-6),
+        lambda: ReplicatorSolution(C, 0.1, P0).equilibrium_index("x"),
         "dt must be positive and finite, got 'x'",
     ),
-    "a zero eps of the rest-point index": (
-        lambda: ReplicatorSolution(C, 0.1, P0).equilibrium_index(0.01, 0.0),
-        "eps must be positive and finite, got 0.0",
-    ),
-    # on a resting trajectory, these returned None, an equilibrium at t = 0, or passed unread
+    # on a resting trajectory, these returned None or an equilibrium at t = 0
     **{
-        "a %s %s of equilibrium detection" % (name, key): (
-            lambda key=key, x=x: detect_equilibrium(_toy_trajectory(), **{key: x}),
-            "%s must be %s, got %r" % (key, wording, x),
+        "a %s min_quiet of equilibrium detection" % name: (
+            lambda x=x: detect_equilibrium(_toy_trajectory(), min_quiet=x),
+            "min_quiet must be non-negative and finite, got %r" % x,
         )
-        for key, wording, values in (
-            ("eps_field", "positive and finite", (("NaN", NAN), ("negative", -1.0))),
-            ("min_quiet", "non-negative and finite", (("NaN", NAN), ("negative", -5.0))),
-            ("eps_mass", "positive and finite", (("string", "x"),)),
-        )
-        for name, x in values
+        for name, x in (("NaN", NAN), ("negative", -5.0))
     },
+    # a count that does not match the scenario ended in zip's ValueError or an IndexError
+    "one link fewer than the groups of the payoffs": (
+        lambda: utility_numerators([optimize_link(CHANNEL, 1.0, 1.0, 1e-3)] * (CFG.n_groups - 1), CFG),
+        "%d links for a scenario of %d groups" % (CFG.n_groups - 1, CFG.n_groups),
+    ),
+    "fewer channel sets than providers": (
+        lambda: build_all_links(CFG, [CHANNEL] * (len(CFG.sps) - 1)),
+        "%d channel sets for a scenario of %d providers" % (len(CFG.sps) - 1, len(CFG.sps)),
+    ),
     # the rules that span keys used to run on mistyped keys
     "a sweep grid that is not a list": (
         lambda: replace(CFG, grids=SweepGrids(mu=0.1)),
@@ -296,6 +303,23 @@ def test_payoffs_given_as_a_list_act_as_their_array():
     assert listed.u.tobytes() == array.u.tobytes() and listed.u_bar == array.u_bar
     # numpy's integers are whole numbers too
     assert make_utilities(NUMER, np.int64(CFG.n_users))(P0).u.tobytes() == array.u.tobytes()
+
+
+def test_trajectories_and_histories_given_as_lists_act_as_their_arrays():
+    # lists passed the shape checks and were kept: detect_equilibrium compared a list with a
+    # float, and delayed_steps and HistoryBuffer.lookup indexed a list with an array
+    resting = detect_equilibrium(Trajectory([0.0, 1.0], [P0, P0], UTILITIES))
+    assert resting.utility_spread is not None
+    assert resting == detect_equilibrium(Trajectory(np.arange(2.0), np.array([P0, P0]), UTILITIES))
+    run = _delayed_run()
+    listed = Trajectory(run.times.tolist(), run.states.tolist(), UTILITIES)
+    assert delayed_steps(listed, 0.1, 0.3).tobytes() == delayed_steps(run, 0.1, 0.3).tobytes()
+    times = np.array([0.05, 0.1, 0.75])
+    history = HistoryBuffer(0.1, run.states.tolist())
+    assert history.lookup(times).tobytes() == HistoryBuffer(0.1, run.states).lookup(times).tobytes()
+    # a float array is kept as it is: solve_delayed's history reads rows written after it is built
+    assert Trajectory(run.times, run.states).states is run.states
+    assert HistoryBuffer(0.1, run.states).states is run.states
 
 
 # the CLI fuzz's extreme values, and values of the wrong type

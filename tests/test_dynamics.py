@@ -430,30 +430,33 @@ payoffs = st.one_of(st.just(0.0), st.floats(0.01, 1.0), st.floats(-1.0, -0.01))
     c=st.lists(payoffs, min_size=7, max_size=7),
     mu=st.floats(0.05, 1.0),
     dt=st.floats(0.003, 0.1),
-    eps=st.sampled_from([1e-6, 1e-4]),
+    scale=st.sampled_from([1.0, 1e-2]),
 )
-def test_equilibrium_index_matches_detect_equilibrium(weights, c, mu, dt, eps):
+def test_equilibrium_index_matches_detect_equilibrium(weights, c, mu, dt, scale):
     # extinctions, C <= 0 (all losing, or the sum of mixed signs), zero
-    # payoffs and empty groups all occur among the draws
+    # payoffs and empty groups all occur among the draws.  The run of scale * c
+    # sampled at step dt / scale is the run of c sampled at step dt, every rate
+    # times scale: scale = 1e-2 checks the rates of c against 100 * EPS_FIELD
     p0 = np.array(weights) / sum(weights)
-    c = np.array(c[: len(p0)])
+    c = scale * np.array(c[: len(p0)])
+    dt = dt / scale
     try:
-        index = ReplicatorSolution(c, mu, p0).equilibrium_index(dt, eps)
+        index = ReplicatorSolution(c, mu, p0).equilibrium_index(dt)
     except ConfigurationError:  # beyond MAX_STEPS samples
         assume(False)
     assume(index <= 100_000)
     # every rate past the last sample must be quiet for detect_equilibrium
     # to find the index, so the tail only needs a margin
     traj = solve_replicator(c, mu, p0, IntegratorSpec(dt=dt, horizon=(index + 64) * dt))
-    eq = detect_equilibrium(traj, eps)
+    eq = detect_equilibrium(traj)
     assert eq is not None and eq.index == index
 
 
 def test_equilibrium_index_is_capped():
     solution = ReplicatorSolution(np.array([0.3, 0.1]), 0.1, np.array([0.5, 0.5]))
-    assert solution.equilibrium_index(0.01, 1e-6) > 0
+    assert solution.equilibrium_index(0.01) > 0
     with pytest.raises(ConfigurationError, match="cap of %d" % MAX_STEPS):
-        solution.equilibrium_index(1e-10, 1e-6)
+        solution.equilibrium_index(1e-10)
 
 
 @pytest.mark.filterwarnings("error")
@@ -487,7 +490,7 @@ def test_an_extinction_time_past_a_float_keeps_the_rest_point():
 def test_equilibrium_index_rejects_sample_times_past_a_float():
     solution = ReplicatorSolution(np.array([0.3, 0.1]), 0.1, np.array([0.5, 0.5]))
     with pytest.raises(ConfigurationError, match="past the largest float for dt = 1.7e"):
-        solution.equilibrium_index(1.7e308, 1e-6)
+        solution.equilibrium_index(1.7e308)
 
 
 @pytest.mark.filterwarnings("error")

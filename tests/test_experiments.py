@@ -220,7 +220,7 @@ def test_undelayed_sweeps_match_long_sampled_runs(tmp_path, default_cfg):
     _, _, rows = read_csv(path)
     for mu, n, t_eq in rows:
         run = simulate(with_scalar_overrides(cfg, mu=float(mu), n_users=int(n), horizon=2400.0))
-        assert detect_equilibrium(run.trajectory, experiments.EPS_FIELD).time == float(t_eq)
+        assert detect_equilibrium(run.trajectory).time == float(t_eq)
     (path,) = run_experiment("irs-size-sweep", cfg, tmp_path)
     _, _, rows = read_csv(path)
     # the sweep's own surface price cap

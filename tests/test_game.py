@@ -189,7 +189,7 @@ def test_detect_equilibrium_moving_tail_returns_none():
 def test_detect_equilibrium_finds_earliest_quiet_index():
     states = np.array([[0.5, 0.5], [0.4, 0.6], [0.3, 0.7], [0.3, 0.7], [0.3, 0.7]])
     traj = Trajectory(times=np.arange(5) * 1.0, states=states)
-    eq = detect_equilibrium(traj, eps_field=1e-3)
+    eq = detect_equilibrium(traj)
     assert eq.index == 2 and eq.time == 2.0
 
 
@@ -204,7 +204,7 @@ def test_detect_equilibrium_reports_spread():
     p = np.array([0.6, 0.395, 0.005])
     traj = constant_trajectory(p, n=4)
     traj.utilities = make_utilities(np.array([2.0, 1.0, 50.0]) * p, 1)  # utilities 2, 1 and 50
-    eq = detect_equilibrium(traj, eps_mass=1e-2)
+    eq = detect_equilibrium(traj)
     # the 0.5% group is below the mass cutoff; spread is (2-1)/2 of the rest
     assert eq.utility_spread == pytest.approx(0.5, rel=1e-12)
 
