@@ -319,7 +319,8 @@ class ReplicatorSolution:
         for t_k, t_end, _, big_c, slope in reversed(self.pieces):
             near = [t_k, t_end] if t_end < np.inf else [t_k]
             if slope.any() and big_c > 0.0:
-                k0 = float(np.max(np.abs(slope))) * -math.expm1(-self.mu * big_c * dt) / (big_c * dt)
+                top = float(np.max(np.abs(slope)))  # -expm1(-mu C dt) / (C dt) tends to mu as C dt underflows to 0
+                k0 = top * -math.expm1(-self.mu * big_c * dt) / (big_c * dt) if big_c * dt > 0.0 else top * self.mu
                 if k0 > EPS_FIELD:
                     near.append(min(t_end, t_k + math.log(k0 / EPS_FIELD) / (self.mu * big_c)))
             last = max(near) / dt

@@ -1,11 +1,10 @@
 """Beamforming, phase shifts and SNR for one provider/service link.
 
 The received signal combines the direct path with the surface-reflected
-path, y = (h^H + h_iu^H Theta^H G) w.  SNR is maximized by alternating two
-closed-form steps: maximum ratio transmission on the effective channel for a
-fixed surface configuration, then per-element phase alignment of every
-reflected term with the direct term for a fixed beam.  Both steps never
-decrease the SNR, so the iteration climbs monotonically.
+path, y = (h^H + h_iu^H Theta^H G) w.  optimize_link checks its scalars, then
+alternates, on plain arrays, maximum ratio transmission with per-element
+alignment of each reflected term to the direct term; neither lowers the SNR.
+compute_snr and the ServiceLink it returns are the checked boundary.
 """
 
 from __future__ import annotations
@@ -100,16 +99,21 @@ def compute_snr(
         raise ConfigurationError(
             "beam has %d entries but the BS has %d antennas" % (len(beam.w), ch.n_antennas)
         )
-    amp = _effective_channel(ch, phases) @ beam.w
+    return _snr(_effective_channel(ch, phases.alphas), beam.w, bandwidth, noise_var)
+
+
+def _snr(eff: np.ndarray, w: np.ndarray, bandwidth: float, noise_var: float) -> float:
+    """|eff @ w|^2 / (bandwidth * noise_var) for an effective row eff and a beam w."""
+    amp = eff @ w
     with np.errstate(all="ignore"):  # utility_numerators reports a non-finite SNR
         return float(abs(amp) ** 2 / (bandwidth * noise_var))
 
 
-def _effective_channel(ch: ChannelSet, phases: PhaseShiftVector) -> np.ndarray:
+def _effective_channel(ch: ChannelSet, alphas: np.ndarray) -> np.ndarray:
     """The row h^H + h_iu^H Theta^H G, one phase per surface element."""
     eff = np.conj(ch.h_direct)
-    if len(phases):
-        eff = eff + (np.conj(ch.h_irs_user) * np.conj(phases.coefficients)) @ ch.g_bs_irs
+    if len(alphas):
+        eff = eff + (np.conj(ch.h_irs_user) * np.conj(np.exp(1j * alphas))) @ ch.g_bs_irs
     return eff
 
 
@@ -140,28 +144,28 @@ def optimize_link(
     or after MAX_ITERS rounds.  An optional trace list collects the SNR after
     every half step (beam update, then phase update) for monotonicity checks.
 
-    Returns a ServiceLink whose cached snr field equals compute_snr for the
-    returned beam and phases.
+    Checks its scalars at entry.  Returns a checked ServiceLink whose cached
+    snr field equals compute_snr for the returned beam and phases.
     """
     _require("transmit power", power_w, _POSITIVE)
+    _require("bandwidth", bandwidth, _POSITIVE)
+    _require("noise_var", noise_var, _POSITIVE)
     alphas = np.zeros(ch.n_elements)
+    eff = _effective_channel(ch, alphas)
     snr = -np.inf
-    beam = None
     for _ in range(MAX_ITERS):
-        phases = PhaseShiftVector(alphas)
-        beam = Beamformer(_mrt(_effective_channel(ch, phases), power_w), power_w)
+        w = _mrt(eff, power_w)
         if trace is not None:
-            trace.append(compute_snr(ch, beam, phases, bandwidth, noise_var))
+            trace.append(_snr(eff, w, bandwidth, noise_var))
         # align every reflected term with the direct term's phase
-        if len(alphas):
-            a0 = np.conj(ch.h_direct) @ beam.w
-            b = np.conj(ch.h_irs_user) * (ch.g_bs_irs @ beam.w)
-            ref = np.angle(a0) if abs(a0) > 0.0 else 0.0
-            alphas = np.mod(np.angle(b) - ref, TWO_PI)
-            # mod can return the period itself when the argument is a tiny negative
-            alphas[alphas >= TWO_PI] = 0.0
-        phases = PhaseShiftVector(alphas)
-        new_snr = compute_snr(ch, beam, phases, bandwidth, noise_var)
+        a0 = np.conj(ch.h_direct) @ w
+        b = np.conj(ch.h_irs_user) * (ch.g_bs_irs @ w)
+        ref = np.angle(a0) if abs(a0) > 0.0 else 0.0
+        alphas = np.mod(np.angle(b) - ref, TWO_PI)
+        # mod can return the period itself when the argument is a tiny negative
+        alphas[alphas >= TWO_PI] = 0.0
+        eff = _effective_channel(ch, alphas)
+        new_snr = _snr(eff, w, bandwidth, noise_var)
         if trace is not None:
             trace.append(new_snr)
         # a zero or non-finite SNR ends the climb before inf - inf gives nan
@@ -170,7 +174,7 @@ def optimize_link(
         snr = new_snr
         if stop:
             break
-    return ServiceLink(beam=beam, phases=PhaseShiftVector(alphas), snr=snr)
+    return ServiceLink(beam=Beamformer(w, power_w), phases=PhaseShiftVector(alphas), snr=snr)
 
 
 def build_all_links(cfg, channels: list[ChannelSet]) -> list[ServiceLink]:

@@ -2,8 +2,9 @@
 step-by-step simplex projection, one call per step, of dynamics._advance; the delayed
 replicator dynamics one step and one scalar history lookup at a time, of solve_delayed; the
 exact solution of the delay equation that solve_delayed approximates; the semidefinite
-relaxation bound that certifies phy.optimize_link; ReplicatorSolution.at with a new array per
-expression; and the CSV and JSON writers that build a whole file's text at once."""
+relaxation bound that certifies phy.optimize_link; optimize_link with checked beam, phase and SNR
+objects every round; ReplicatorSolution.at with a new array per expression; and the CSV and JSON
+writers that build a whole file's text at once."""
 
 import json
 import math
@@ -13,8 +14,18 @@ from operator import add
 
 import numpy as np
 
-from irsgame import ConfigurationError, NumericalDriftError, Trajectory
+from irsgame import (
+    Beamformer,
+    ConfigurationError,
+    NumericalDriftError,
+    PhaseShiftVector,
+    ServiceLink,
+    Trajectory,
+    compute_snr,
+)
+from irsgame.config import _POSITIVE, _require
 from irsgame.dynamics import DRIFT_TOL, _growth
+from irsgame.phy import MAX_ITERS, TOL, TWO_PI, _mrt
 
 
 def expected_rate(link, p_g: float, bandwidth: float, n_users: int) -> float:
@@ -180,6 +191,47 @@ def sdr_bound(ch, rank: int = 4, iters: int = 200) -> float:
     y = np.sum((r @ u) * np.conj(u), axis=1).real
     margin = -np.linalg.eigvalsh(np.diag(y) - r)[0]
     return float(np.sum(y) + n * max(0.0, margin))
+
+
+def _effective_channel(ch, phases) -> np.ndarray:
+    """The row h^H + h_iu^H Theta^H G of a checked PhaseShiftVector."""
+    eff = np.conj(ch.h_direct)
+    if len(phases):
+        eff = eff + (np.conj(ch.h_irs_user) * np.conj(phases.coefficients)) @ ch.g_bs_irs
+    return eff
+
+
+def optimize_link(ch, power_w: float, bandwidth: float, noise_var: float, trace: list | None = None):
+    """phy.optimize_link as checked objects: a new PhaseShiftVector and Beamformer every round, every SNR
+    by compute_snr, and the effective channel built again for the next round's beam."""
+    _require("transmit power", power_w, _POSITIVE)
+    alphas = np.zeros(ch.n_elements)
+    snr = -np.inf
+    beam = None
+    for _ in range(MAX_ITERS):
+        phases = PhaseShiftVector(alphas)
+        beam = Beamformer(_mrt(_effective_channel(ch, phases), power_w), power_w)
+        if trace is not None:
+            trace.append(compute_snr(ch, beam, phases, bandwidth, noise_var))
+        # align every reflected term with the direct term's phase
+        if len(alphas):
+            a0 = np.conj(ch.h_direct) @ beam.w
+            b = np.conj(ch.h_irs_user) * (ch.g_bs_irs @ beam.w)
+            ref = np.angle(a0) if abs(a0) > 0.0 else 0.0
+            alphas = np.mod(np.angle(b) - ref, TWO_PI)
+            # mod can return the period itself when the argument is a tiny negative
+            alphas[alphas >= TWO_PI] = 0.0
+        phases = PhaseShiftVector(alphas)
+        new_snr = compute_snr(ch, beam, phases, bandwidth, noise_var)
+        if trace is not None:
+            trace.append(new_snr)
+        # a zero or non-finite SNR ends the climb before inf - inf gives nan
+        stop = (new_snr == 0.0 and snr <= 0.0) or not np.isfinite(new_snr)
+        stop = stop or (snr > -np.inf and new_snr - snr <= TOL * abs(snr))
+        snr = new_snr
+        if stop:
+            break
+    return ServiceLink(beam=beam, phases=PhaseShiftVector(alphas), snr=snr)
 
 
 def replicator_at(solution, times) -> np.ndarray:

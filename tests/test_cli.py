@@ -226,6 +226,17 @@ def test_non_finite_payoffs_are_numeric_errors(tmp_path, capsys, reduced_file, c
 
 
 @pytest.mark.filterwarnings("error")
+def test_payoffs_so_small_that_c_dt_underflows_run(tmp_path, capsys, reduced_file):
+    # the payoffs are about 1e-300 and dt 1e-30: their product underflows in equilibrium_index
+    text = re.sub(r"^(price_irs|price_power) = .*$", r"\1 = 0.0", reduced_file.read_text(), flags=re.M)
+    reduced_file.write_text(text)
+    path = _edited(reduced_file, tmp_path, valuation="1e-300", horizon="1e-22")
+    out = tmp_path / "data"
+    assert main(["run", "convergence-speed", "--config", str(path), "--out", str(out), "--dt", "1e-30"]) == EXIT_OK
+    assert (out / "convergence_speed.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
 def test_payoffs_whose_sum_overflows_are_numeric_errors(tmp_path, capsys, reduced_file, reduced_cfg, reduced_links):
     # each group earns about 1e308, a finite payoff; the two together do not
     rates = [sp.bandwidth_mhz * np.log2(1.0 + link.snr) for sp, link in zip(reduced_cfg.sps, reduced_links)]

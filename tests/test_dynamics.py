@@ -494,6 +494,12 @@ def test_equilibrium_index_rejects_sample_times_past_a_float():
 
 
 @pytest.mark.filterwarnings("error")
+def test_equilibrium_index_where_c_dt_underflows():
+    # C * dt underflows to 0: the rate bound k0 takes its limit mu * max|slope|, far below EPS_FIELD
+    assert ReplicatorSolution(np.array([1e-300, 2e-300]), 0.1, np.array([0.5, 0.5])).equilibrium_index(1e-30) == 0
+
+
+@pytest.mark.filterwarnings("error")
 def test_a_state_on_the_repelling_rest_point_holds():
     # p = c / C, but p * C rounds so that every slope is a hair below zero: no group may
     # empty, or all three would at once and leave nan shares

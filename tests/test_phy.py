@@ -19,6 +19,7 @@ from irsgame import (
     optimize_link,
     reduced_config,
 )
+from irsgame import phy
 from irsgame.phy import _effective_channel, _mrt
 import oracle
 
@@ -243,7 +244,7 @@ def test_sdr_bound_holds_for_random_phases_and_the_optimized_link():
         bound = power * oracle.sdr_bound(ch) / (BW * NOISE)
         for _ in range(50):
             phases = PhaseShiftVector(rng.uniform(0.0, 2.0 * np.pi, ch.n_elements))
-            beam = Beamformer(_mrt(_effective_channel(ch, phases), power), power)
+            beam = Beamformer(_mrt(_effective_channel(ch, phases.alphas), power), power)
             assert compute_snr(ch, beam, phases, BW, NOISE) <= bound * (1.0 + 1e-12), "seed %d" % seed
         assert optimize_link(ch, power, BW, NOISE).snr <= bound * (1.0 + 1e-12), "seed %d" % seed
 
@@ -270,3 +271,82 @@ def test_optimize_link_reaches_097_of_the_sdr_bound_on_every_bundled_link(reques
             power = dbm_to_watt(sp.power_levels_dbm[svc.power_level - 1])
             bound = power * oracle.sdr_bound(ch) / (sp.bandwidth_mhz * cfg.noise_var)
             assert 0.97 * bound <= link.snr <= bound * (1.0 + 1e-12), "seed %d, %s" % (seed, svc)
+
+
+def _same_link(got, want, got_trace, want_trace):
+    return (
+        np.array_equal(got.beam.w, want.beam.w)
+        and np.array_equal(got.phases.alphas, want.phases.alphas)
+        and (got.snr == want.snr or np.isnan(got.snr) and np.isnan(want.snr))
+        and got_trace == want_trace
+    )
+
+
+@pytest.mark.parametrize("scenario", ["default_cfg", "reduced_cfg"])
+def test_optimize_link_is_the_checked_oracle_bit_for_bit_on_every_bundled_link(request, scenario):
+    # seeds 0-19: 120 links of default.cfg and 40 of reduced.cfg, trace lists included
+    base = request.getfixturevalue(scenario)
+    for seed in range(20):
+        cfg = replace(base, seed=seed)
+        channels = generate_channels(cfg)
+        for svc, built in zip(cfg.service_indices(), build_all_links(cfg, channels), strict=True):
+            sp = cfg.sps[svc.sp - 1]
+            ch = channels[svc.sp - 1].subset(svc.subset * sp.irs_elements_per_module)
+            args = (ch, dbm_to_watt(sp.power_levels_dbm[svc.power_level - 1]), sp.bandwidth_mhz, cfg.noise_var)
+            got_trace, want_trace = [], []
+            got = optimize_link(*args, trace=got_trace)
+            want = oracle.optimize_link(*args, trace=want_trace)
+            assert _same_link(got, want, got_trace, want_trace), "seed %d, %s" % (seed, svc)
+            assert _same_link(built, want, [], []), "seed %d, %s" % (seed, svc)
+
+
+def test_optimize_link_is_the_checked_oracle_bit_for_bit_on_random_channels():
+    # 1-5 antennas, 0-11 elements, fading scales 1e-8 to 1 per channel, 1 mW to 10 W
+    for seed in range(300):
+        rng = np.random.default_rng(4000 + seed)
+        ch = random_channels(rng, n_antennas=int(rng.integers(1, 6)), n_elements=int(rng.integers(0, 12)))
+        scale = 10.0 ** rng.uniform(-8.0, 0.0, 3)
+        ch = ChannelSet(scale[0] * ch.h_direct, scale[1] * ch.g_bs_irs, scale[2] * ch.h_irs_user)
+        power = 10.0 ** rng.uniform(-3.0, 1.0)
+        got_trace, want_trace = [], []
+        got = optimize_link(ch, power, BW, NOISE, trace=got_trace)
+        want = oracle.optimize_link(ch, power, BW, NOISE, trace=want_trace)
+        assert _same_link(got, want, got_trace, want_trace), "seed %d" % seed
+        assert _same_link(optimize_link(ch, power, BW, NOISE), want, [], []), "seed %d" % seed
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_the_climb_builds_one_effective_channel_per_round_and_checks_each_link_once(default_cfg, monkeypatch, traced):
+    # default.cfg's 6 links take 58 rounds: 64 effective channels, one checked beam and phase vector each
+    channels = generate_channels(default_cfg)
+    traces = []
+
+    def climb(*args, **kwargs):  # rounds read from the trace, as perfbench/probe.py reads them
+        traces.append([])
+        return optimize_link(*args, trace=traces[-1], **kwargs)
+
+    monkeypatch.setattr(phy, "optimize_link", climb)
+    build_all_links(default_cfg, channels)
+    rounds = sum(len(trace) // 2 for trace in traces)
+    if not traced:
+        monkeypatch.setattr(phy, "optimize_link", optimize_link)
+    calls = dict.fromkeys(["_effective_channel", "Beamformer", "PhaseShiftVector", "compute_snr"], 0)
+
+    def counted(name):
+        fn = getattr(phy, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(phy, name, counted(name))
+    links = build_all_links(default_cfg, channels)
+    assert calls == {
+        "_effective_channel": rounds + len(links),
+        "Beamformer": len(links),
+        "PhaseShiftVector": len(links),
+        "compute_snr": 0,
+    }
