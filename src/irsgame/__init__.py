@@ -23,7 +23,6 @@ from .config import (
     default_config,
     load_config,
     parse_config,
-    reduced_config,
     with_scalar_overrides,
 )
 from .dynamics import (

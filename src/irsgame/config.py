@@ -465,11 +465,6 @@ def default_config() -> ScenarioConfig:
     return parse_config(resources.files("irsgame").joinpath("data/default.cfg").read_text())
 
 
-def reduced_config() -> ScenarioConfig:
-    """The bundled reduced scenario: one service per provider (two groups)."""
-    return parse_config(resources.files("irsgame").joinpath("data/reduced.cfg").read_text())
-
-
 # the scalar settings a run may override, one CLI flag each
 OVERRIDES = ("mu", "delta", "dt", "horizon", "n_users", "seed")
 _SPEC_KEYS = {f.name for f in fields(IntegratorSpec)}

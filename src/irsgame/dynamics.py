@@ -1,7 +1,7 @@
 """Solvers for the selection dynamics.
 
-ReplicatorSolution is the exact undelayed replicator dynamics of the built-in
-utility model and its rest point; solve_replicator samples it.  solve_delayed,
+ReplicatorSolution is the exact undelayed replicator dynamics of the payoff pair
+(numer, n_users) and its rest point; solve_replicator samples it.  solve_delayed,
 the package's one forward-Euler stepper, steps the delayed replicator field, reading
 past states through HistoryBuffer (linear interpolation between samples, constant
 pre-history) and evaluating the field of a whole delay window at once (method of steps).
@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import _NON_NEGATIVE, _POSITIVE, MAX_STEPS, IntegratorSpec, _on_simplex, _require
 from .errors import ConfigurationError, NonConvergenceError, NumericalDriftError, NumericError
-from .game import EPS_FIELD, _check_numer, quiet_steps, selection_rates
+from .game import EPS_FIELD, _check_payoff, make_utilities, quiet_steps, selection_rates
 
 
 @dataclass
@@ -217,26 +217,28 @@ def integrate_ode(field: Callable, p0, spec: IntegratorSpec, utilities: Callable
 
 
 class ReplicatorSolution:
-    """Exact replicator dynamics from p0 at t = 0 when p_g * u_g = c_g does not depend on the shares.
+    """Exact replicator dynamics from p0 at t = 0 of the payoff pair (numer, n_users).
 
-    Then dp/dt = mu * (c - p * C), C the sum of c over the non-empty groups, so from q at t_k
-    p(t) = q + slope * g(t - t_k), slope = c - q * C, g(s) the integral of mu * exp(-mu * C * r)
-    over [0, s].  A group with c_g < 0 may empty at a closed-form t_end: it is set to exactly
-    zero, the others are rescaled and the next piece starts.  pieces holds (t_k, t_end, q, C,
-    slope); a zero slope holds q.  The last piece decays with C > 0 to rest = c / C, or holds.
-    An extinction time past the largest float (mu * C underflows) makes the current piece the
-    last; mu only rescales time, so rest comes from the extinctions in mu-free time.  Raises
-    NumericError when a piece's rate mu * C is not a finite float, or when a mu-free extinction
-    time is past the largest float, and ConfigurationError for a c that is not a 1-D vector of
-    finite reals, of p0's length.
+    The utility map make_utilities(numer, n_users) gives p_g * u_g = c_g = numer_g / n_users
+    in every state, so dp/dt = mu * (c - p * C), C the sum of c over the non-empty groups, and
+    from q at t_k p(t) = q + slope * g(t - t_k), slope = c - q * C, g(s) the integral of
+    mu * exp(-mu * C * r) over [0, s].  A group with c_g < 0 may empty at a closed-form t_end: it
+    is set to exactly zero, the others are rescaled and the next piece starts.  pieces holds
+    (t_k, t_end, q, C, slope); a zero slope holds q.  The last piece decays with C > 0 to
+    rest = c / C, or holds.  An extinction time past the largest float (mu * C underflows) makes
+    the current piece the last; mu only rescales time, so rest comes from the extinctions in
+    mu-free time.  Raises NumericError when a piece's rate mu * C is not a finite float, or when a
+    mu-free extinction time is past the largest float, and ConfigurationError for a pair that
+    make_utilities rejects or a numer not of p0's length.
     """
 
-    def __init__(self, c, mu: float, p0):
+    def __init__(self, numer, n_users: int, mu: float, p0):
         _require("mu", mu, _POSITIVE)
         p = _check_p0(p0)
-        c = _check_numer(c, "c")
-        if c.shape != p.shape:
+        numer, n = _check_payoff(numer, n_users)
+        if numer.shape != p.shape:
             raise ConfigurationError("payoff vector and initial state differ in length")
+        c = numer / n
         self.mu = mu
         self.pieces = []
         t_k, rate = 0.0, mu  # rate becomes 1 once an extinction time is past the largest float
@@ -337,13 +339,13 @@ class ReplicatorSolution:
         return 0
 
 
-def solve_replicator(c, mu: float, p0, spec: IntegratorSpec, utilities: Callable | None = None) -> Trajectory:
-    """ReplicatorSolution(c, mu, p0) sampled on the grid t_i = i * dt, i = 0..spec.n_steps().
+def solve_replicator(numer, n_users: int, mu: float, p0, spec: IntegratorSpec) -> Trajectory:
+    """ReplicatorSolution(numer, n_users, mu, p0) sampled on the grid t_i = i * dt, i = 0..spec.n_steps().
 
-    utilities, when given, is kept as the trajectory's utility map.
+    The trajectory keeps make_utilities(numer, n_users) as its utility map.
     """
     times = np.arange(spec.n_steps() + 1) * spec.dt
-    return Trajectory(times, ReplicatorSolution(c, mu, p0).at(times), utilities)
+    return Trajectory(times, ReplicatorSolution(numer, n_users, mu, p0).at(times), make_utilities(numer, n_users))
 
 
 def _growth(s, mu: float, big_c: float):

@@ -57,11 +57,10 @@ def _dynamics(cfg: ScenarioConfig, numer: np.ndarray) -> Trajectory:
     delay steps the delayed field with forward Euler, one delay window at a
     time (solve_delayed).
     """
-    utilities = make_utilities(numer, cfg.n_users)
     p0 = cfg.initial_population()
     if cfg.delta > 0:
-        return solve_delayed(utilities, cfg.mu, p0, cfg.delta, cfg.integrator)
-    return solve_replicator(numer / cfg.n_users, cfg.mu, p0, cfg.integrator, utilities)
+        return solve_delayed(make_utilities(numer, cfg.n_users), cfg.mu, p0, cfg.delta, cfg.integrator)
+    return solve_replicator(numer, cfg.n_users, cfg.mu, p0, cfg.integrator)
 
 
 # --- CSV emission --------------------------------------------------------------
@@ -216,7 +215,7 @@ def _run_convergence_speed(cfg: ScenarioConfig):
     dt = cfg.integrator.dt
     for mu in cfg.grids.mu:
         for n in cfg.grids.n_users:
-            solution = ReplicatorSolution(numer / n, mu, p0)
+            solution = ReplicatorSolution(numer, n, mu, p0)
             try:
                 index = solution.equilibrium_index(dt)
             except ConfigurationError as exc:
@@ -258,7 +257,7 @@ def _run_irs_size_sweep(cfg: ScenarioConfig):
         sps = list(base.sps)
         sps[1] = replace(sps[1], irs_elements=int(k2))
         numer = numerators(replace(base, sps=sps))
-        rows.append((int(k2), *ReplicatorSolution(numer / base.n_users, base.mu, p0).rest))
+        rows.append((int(k2), *ReplicatorSolution(numer, base.n_users, base.mu, p0).rest))
     yield "", base, [], (["irs_elements_sp2"] + ["p_%d" % (g + 1) for g in range(base.n_groups)], rows)
 
 
@@ -281,7 +280,7 @@ def _run_distance_price_sweep(cfg: ScenarioConfig):
     for price in cfg.grids.price_irs_sp1:
         for dist, point, links in placed:
             priced = replace(point, sps=[replace(point.sps[0], price_irs=price)] + point.sps[1:])
-            rest = ReplicatorSolution(utility_numerators(links, priced) / cfg.n_users, cfg.mu, p0).rest
+            rest = ReplicatorSolution(utility_numerators(links, priced), cfg.n_users, cfg.mu, p0).rest
             rows.append((dist, price, float(rest[sp1_groups].sum()), float(rest[sp2_groups].sum())))
     yield "", cfg, [], (["distance", "price_irs_sp1", "share_sp1", "share_sp2"], rows)
 

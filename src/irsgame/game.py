@@ -95,12 +95,13 @@ def utility_numerators(links: list, cfg) -> np.ndarray:
     return numer
 
 
-def _check_numer(numer, name: str = "numer") -> np.ndarray:
-    """numer as a float vector, or a ConfigurationError naming it unless it is a 1-D vector of finite reals."""
+def _check_payoff(numer, n_users) -> tuple[np.ndarray, float]:
+    """The payoff pair as floats, or a ConfigurationError unless numer is a 1-D vector of finite reals
+    and n_users a whole number in range."""
     x = np.asarray(numer)
     if not (x.ndim == 1 and x.dtype.kind in "iuf" and np.all(np.isfinite(x))):
-        raise ConfigurationError("%s must be a 1-D vector of finite reals, got %r" % (name, numer))
-    return x.astype(float, copy=False)
+        raise ConfigurationError("numer must be a 1-D vector of finite reals, got %r" % (numer,))
+    return x.astype(float, copy=False), float(_require("n_users", n_users, _USERS, numbers.Integral))
 
 
 def make_utilities(numer: np.ndarray, n_users: int) -> Callable[[np.ndarray], UtilityVector]:
@@ -114,8 +115,7 @@ def make_utilities(numer: np.ndarray, n_users: int) -> Callable[[np.ndarray], Ut
     a 1-D vector of finite reals, an n_users that is not a whole number in
     range, or a state whose length is not numer's.
     """
-    numer = _check_numer(numer)
-    n = float(_require("n_users", n_users, _USERS, numbers.Integral))
+    numer, n = _check_payoff(numer, n_users)
     n_nan = np.full(len(numer), np.nan)
 
     def utilities(p: np.ndarray) -> UtilityVector:
@@ -165,16 +165,15 @@ def stability_bound(numer: np.ndarray, mu: float, n_users: int) -> float:
     or when 2 mu C+ or the bound is not a positive finite number, and
     ConfigurationError for arguments out of range, as make_utilities does.
     """
-    numer = _check_numer(numer)
+    numer, n = _check_payoff(numer, n_users)
     _require("mu", mu, _POSITIVE)
-    _require("n_users", n_users, _USERS, numbers.Integral)
     with np.errstate(over="ignore"):  # an infinite C+ is reported below
         total = float(numer[numer > 0.0].sum())
     if total <= 0.0:
         raise NumericError("aggregate utility term is not positive")
-    rate = 2.0 * mu * total / n_users
+    rate = 2.0 * mu * total / n
     if not (0.0 < rate < np.inf and np.pi / rate < np.inf):
-        raise NumericError("no positive finite delay bound pi / (2 mu C+) for mu = %r, C+ = %r" % (mu, total / n_users))
+        raise NumericError("no positive finite delay bound pi / (2 mu C+) for mu = %r, C+ = %r" % (mu, total / n))
     return float(np.pi / rate)
 
 

@@ -127,6 +127,9 @@ def _mrt(eff_conj: np.ndarray, power_w: float) -> np.ndarray:
         w = np.zeros(len(eff_conj), dtype=complex)
         w[0] = 1.0
         return np.sqrt(power_w) * w
+    if norm < 1e-150:  # the squares of entries this small lose bits: scale the row up first
+        eff_conj = eff_conj / np.max(np.abs(eff_conj))
+        norm = np.linalg.norm(eff_conj)
     return np.sqrt(power_w) * np.conj(eff_conj) / norm
 
 

@@ -1,10 +1,12 @@
 """Shared fixtures: the two bundled scenarios, simulated once per session."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import irsgame
 from irsgame import (
     Beamformer,
     PhaseShiftVector,
@@ -15,10 +17,14 @@ from irsgame import (
     build_all_links,
     default_config,
     generate_channels,
+    load_config,
     make_utilities,
-    reduced_config,
     utility_numerators,
 )
+
+
+# the bundled reduced scenario (one service per provider), read as a run reads its config file
+REDUCED_CFG = Path(irsgame.__file__).parent / "data" / "reduced.cfg"
 
 
 @pytest.fixture(scope="session")
@@ -38,7 +44,7 @@ def default_utilities(default_cfg, default_links):
 
 @pytest.fixture(scope="session")
 def reduced_cfg():
-    return reduced_config()
+    return load_config(REDUCED_CFG)
 
 
 @pytest.fixture(scope="session")

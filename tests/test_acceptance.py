@@ -25,7 +25,6 @@ from irsgame import (
     integrate_ode,
     optimize_link,
     picard_solve,
-    reduced_config,
     replicator_field,
     run_experiment,
     simulate,
@@ -58,9 +57,9 @@ def default_run():
 
 
 @pytest.fixture(scope="module")
-def reduced_setup():
+def reduced_setup(reduced_cfg):
     """Reduced scenario (one service per provider), its delay bound, delta=0 run."""
-    cfg = reduced_config()
+    cfg = reduced_cfg
     bound = stability_bound(numerators(cfg), cfg.mu, cfg.n_users)
     return cfg, bound, simulate(cfg)
 

@@ -25,10 +25,10 @@ from irsgame import (
     detect_equilibrium,
     generate_channels,
     integrate_ode,
+    load_config,
     make_utilities,
     optimize_link,
     picard_solve,
-    reduced_config,
     replicator_field,
     solve_delayed,
     solve_replicator,
@@ -37,12 +37,12 @@ from irsgame import (
 )
 from irsgame.errors import NonConvergenceError, NumericError
 from irsgame.experiments import numerators
+from conftest import REDUCED_CFG
 
 NAN, INF = math.nan, math.inf
-CFG = reduced_config()
+CFG = load_config(REDUCED_CFG)
 NUMER = numerators(CFG)  # the two groups' payoffs of the reduced scenario
 UTILITIES = make_utilities(NUMER, CFG.n_users)
-C = NUMER / CFG.n_users
 CHANNEL = generate_channels(CFG)[0]
 P0 = [0.5, 0.5]
 SPEC = IntegratorSpec(dt=0.1, horizon=1.0)
@@ -65,9 +65,9 @@ def _utilities_of(n):
 
 # one row per guarded call: each ended in a wrong value or a bare exception before
 REGRESSIONS = {
-    "negative mu of the exact solution": (lambda: ReplicatorSolution([1.0, 2.0], -1.0, P0), "mu must be positive"),
+    "negative mu of the exact solution": (lambda: ReplicatorSolution([1.0, 2.0], 100, -1.0, P0), "mu must be positive"),
     # the wording is the config key's range
-    "a NaN mu": (lambda: ReplicatorSolution([1.0, 2.0], NAN, P0), "mu must be positive and finite, got nan"),
+    "a NaN mu": (lambda: ReplicatorSolution([1.0, 2.0], 100, NAN, P0), "mu must be positive and finite, got nan"),
     "negative mu of the delayed solver": (lambda: solve_delayed(UTILITIES, -1.0, P0, 1.0, SPEC), "mu must be positive"),
     "a NaN initial share": (lambda: solve_delayed(UTILITIES, 0.1, [NAN, 0.5], 1.0, SPEC), "p0 must be"),
     "a NaN transmit power": (lambda: optimize_link(CHANNEL, NAN, 1.0, 1e-3), "transmit power must be positive"),
@@ -80,6 +80,7 @@ REGRESSIONS = {
     "a zero population": (lambda: make_utilities(NUMER, 0), "n_users must be at least 1"),
     "half a user": (lambda: make_utilities(NUMER, 0.5), r"n_users must be at least 1 and at most 2\*\*53, got 0.5"),
     "a bound without users": (lambda: stability_bound(NUMER, 0.1, 0), "n_users must be at least 1"),
+    "an exact solution without users": (lambda: ReplicatorSolution(NUMER, 0, 0.1, P0), "n_users must be at least 1"),
     # a whole number, as scenario.n_users is in a file
     "a fractional population of the utility map": (
         lambda: make_utilities(NUMER, 100.5),
@@ -115,7 +116,7 @@ REGRESSIONS = {
     # returned memory that was never written
     **{
         "%s sample time of the exact solution" % name: (
-            lambda t=t: ReplicatorSolution([1.0, 2.0], 0.1, P0).at(np.array(t)),
+            lambda t=t: ReplicatorSolution([1.0, 2.0], 100, 0.1, P0).at(np.array(t)),
             "sample times must be 1-D, finite, non-negative and non-decreasing",
         )
         for name, t in (("a NaN", [NAN]), ("a negative", [-1.0]), ("an infinite", [INF]), ("a decreasing", [2.0, 1.0]))
@@ -215,12 +216,12 @@ REGRESSIONS = {
     **{
         "%s of %s" % (name, call.__name__): (
             lambda call=call, numer=numer, args=args: call(numer, *args),
-            "%s must be a 1-D vector of finite reals" % arg_name,
+            "numer must be a 1-D vector of finite reals",
         )
-        for call, args, arg_name in (
-            (make_utilities, (CFG.n_users,), "numer"),
-            (stability_bound, (0.1, CFG.n_users), "numer"),
-            (ReplicatorSolution, (0.1, P0), "c"),
+        for call, args in (
+            (make_utilities, (CFG.n_users,)),
+            (stability_bound, (0.1, CFG.n_users)),
+            (ReplicatorSolution, (CFG.n_users, 0.1, P0)),
         )
         for name, numer in (
             ("a NaN payoff", np.array([NAN, 1.0])),
@@ -239,15 +240,15 @@ REGRESSIONS = {
         for name, dt in (("zero", 0.0), ("negative", -0.1), ("NaN", NAN), ("string", "0.1"))
     },
     "a zero dt of the rest-point index": (
-        lambda: ReplicatorSolution(C, 0.1, P0).equilibrium_index(0.0),
+        lambda: ReplicatorSolution(NUMER, CFG.n_users, 0.1, P0).equilibrium_index(0.0),
         "dt must be positive and finite, got 0.0",
     ),
     "a negative dt of the rest-point index": (
-        lambda: ReplicatorSolution(C, 0.1, P0).equilibrium_index(-0.01),
+        lambda: ReplicatorSolution(NUMER, CFG.n_users, 0.1, P0).equilibrium_index(-0.01),
         "dt must be positive and finite, got -0.01",
     ),
     "a string dt of the rest-point index": (
-        lambda: ReplicatorSolution(C, 0.1, P0).equilibrium_index("x"),
+        lambda: ReplicatorSolution(NUMER, CFG.n_users, 0.1, P0).equilibrium_index("x"),
         "dt must be positive and finite, got 'x'",
     ),
     # on a resting trajectory, these returned None or an equilibrium at t = 0
@@ -350,8 +351,8 @@ def _check_shares(p):
 def _solvers(mu, n_users, delta, dt, horizon, p0):
     spec = lambda: IntegratorSpec(dt=dt, horizon=horizon)  # noqa: E731
     field = lambda t, p: replicator_field(t, p, UTILITIES, 0.1)  # noqa: E731
-    yield lambda: _check_shares(ReplicatorSolution(C, mu, p0).rest)
-    yield lambda: _check_trajectory(solve_replicator(C, mu, p0, spec(), UTILITIES))
+    yield lambda: _check_shares(ReplicatorSolution(NUMER, n_users, mu, p0).rest)
+    yield lambda: _check_trajectory(solve_replicator(NUMER, n_users, mu, p0, spec()))
     yield lambda: _check_trajectory(solve_delayed(make_utilities(NUMER, n_users), mu, p0, delta, spec()))
     yield lambda: _check_trajectory(integrate_ode(field, p0, spec(), UTILITIES))
     yield lambda: _check_shares(picard_solve(field, p0, np.array([0.0, horizon])).states)

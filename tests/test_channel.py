@@ -107,6 +107,18 @@ def test_channel_set_shape_validation():
         ChannelSet(np.ones(4, dtype=complex), np.ones((8, 4), dtype=complex), np.ones(7, dtype=complex))
 
 
+def test_channel_set_rejects_arrays_of_the_wrong_rank():
+    # a (4, 1) direct channel has the length the (8, 4) surface channel expects
+    with pytest.raises(ConfigurationError, match="channel arrays have wrong rank"):
+        ChannelSet(np.ones((4, 1), dtype=complex), np.ones((8, 4), dtype=complex), np.ones(8, dtype=complex))
+
+
+def test_channel_set_rejects_non_finite_entries():
+    h_direct = np.array([1.0, np.nan, 1.0, 1.0], dtype=complex)
+    with pytest.raises(NumericError, match="non-finite entries in h_direct"):
+        ChannelSet(h_direct, np.ones((8, 4), dtype=complex), np.ones(8, dtype=complex))
+
+
 def test_channel_set_subset():
     rng = np.random.default_rng(3)
     ch = ChannelSet(

@@ -12,18 +12,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irsgame import PRESETS, config_to_text, default_config, reduced_config, with_scalar_overrides
+from irsgame import PRESETS, config_to_text, default_config, load_config, with_scalar_overrides
 from irsgame.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from irsgame.config import OVERRIDES
 from irsgame.dynamics import MAX_STEPS
 from irsgame.experiments import PRESET_TABLE
+from conftest import REDUCED_CFG
 from test_config import scenarios
 
 
 @pytest.fixture
 def reduced_file(tmp_path):
     path = tmp_path / "reduced.cfg"
-    path.write_text(config_to_text(reduced_config()))
+    path.write_text(config_to_text(load_config(REDUCED_CFG)))
     return path
 
 
@@ -326,7 +327,7 @@ TEXTS += ["", "nan", "inf", "1e400", "1e-300", "0x10", "abc", "9" * 30]
 @example(key="n_users", text="1e2")
 def test_a_flag_reads_its_value_as_the_config_file_line_does(key, text):
     # the flag on a short reduced run, against the same text as the key's line of the file
-    base = config_to_text(with_scalar_overrides(reduced_config(), dt=0.05, horizon=2.0))
+    base = config_to_text(with_scalar_overrides(load_config(REDUCED_CFG), dt=0.05, horizon=2.0))
     edited = re.sub(r"^%s = .*$" % key, "%s = %s" % (key, text), base, count=1, flags=re.M)
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -377,6 +378,27 @@ def test_validate_rejects_coinciding_positions(tmp_path, capsys, reduced_file, k
     assert "%s must be distinct points" % pair in capsys.readouterr().err
 
 
+def test_validate_rejects_an_empty_list_value(tmp_path, capsys, reduced_file):
+    assert main(["validate", str(_edited(reduced_file, tmp_path, power_levels_dbm=""))]) == EXIT_CONFIG
+    assert "bad value for sp.1.power_levels_dbm: empty list" in capsys.readouterr().err
+
+
+def test_validate_rejects_a_provider_section_without_a_number(tmp_path, capsys, reduced_file):
+    path = tmp_path / "sp_x.cfg"
+    path.write_text(reduced_file.read_text().replace("[sp.2]", "[sp.x]"))
+    assert main(["validate", str(path)]) == EXIT_CONFIG
+    assert "bad provider section name [sp.x], expected [sp.N]" in capsys.readouterr().err
+
+
+def test_distance_price_sweep_with_a_bs_to_surface_distance_past_a_float(tmp_path, capsys, reduced_file):
+    # each position is a finite float, so validate passes; their distance is not
+    path = _edited(reduced_file, tmp_path, bs_position="-1e308, 0.0", irs_position="1e308, 0.0")
+    assert main(["validate", str(path)]) == EXIT_OK
+    code = main(["run", "distance-price-sweep", "--config", str(path), "--out", str(tmp_path / "data")])
+    assert code == EXIT_NUMERIC
+    assert "sp.1 BS to surface distance inf m is not finite" in capsys.readouterr().err
+
+
 def test_validate_ok(tmp_path, capsys):
     path = tmp_path / "scenario.cfg"
     path.write_text(config_to_text(default_config()))
@@ -405,6 +427,13 @@ def test_bound_on_reduced_scenario(capsys, reduced_file):
     assert value == pytest.approx(21.095, rel=1e-3)
 
 
+def test_bound_with_a_user_so_far_that_the_channel_entries_are_near_1e_160(tmp_path, capsys, reduced_file):
+    # sp.1's effective channel has entries whose squares are subnormal; its MRT beam keeps the power budget
+    assert main(["bound", str(_edited(reduced_file, tmp_path, user_position="1e155, 0.0"))]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert float(out) == pytest.approx(51.710261199935452, rel=1e-12) and err == ""
+
+
 def test_bound_on_default_scenario(tmp_path, capsys):
     path = tmp_path / "full.cfg"
     path.write_text(config_to_text(default_config()))
@@ -414,7 +443,7 @@ def test_bound_on_default_scenario(tmp_path, capsys):
 
 
 def test_bound_with_ruinous_prices(tmp_path, capsys):
-    cfg = reduced_config()
+    cfg = load_config(REDUCED_CFG)
     cfg = dataclasses.replace(
         cfg, sps=[dataclasses.replace(sp, price_irs=10.0) for sp in cfg.sps]
     )
@@ -465,7 +494,7 @@ def test_convergence_speed_caps_the_equilibrium_index(tmp_path, capsys):
 def test_delay_sweep_with_ruinous_prices(tmp_path):
     # every group loses money: no delay bound, and the undelayed run still
     # ends on the simplex with a single surviving group
-    cfg = reduced_config()
+    cfg = load_config(REDUCED_CFG)
     cfg = dataclasses.replace(
         cfg,
         sps=[dataclasses.replace(sp, price_irs=10.0) for sp in cfg.sps],
@@ -488,7 +517,7 @@ def test_delay_sweep_with_ruinous_prices(tmp_path):
 
 
 def test_delay_sweep_states_why_the_bound_is_not_computable(tmp_path):
-    cfg = reduced_config()
+    cfg = load_config(REDUCED_CFG)
     cfg = dataclasses.replace(cfg, mu=5e-324, grids=dataclasses.replace(cfg.grids, delta=[0.0]))
     path = tmp_path / "frozen.cfg"
     path.write_text(config_to_text(cfg))
@@ -545,7 +574,7 @@ SMALL_ENTRIES, SMALL_STEPS = 16, 40
 @st.composite
 def invocations(draw):
     """argv of one `irsgame` call on a fuzzed scenario text, written to a file named {cfg}."""
-    cfg = draw(st.sampled_from([reduced_config(), default_config()]) | scenarios(max_entries=SMALL_ENTRIES))
+    cfg = draw(st.sampled_from([load_config(REDUCED_CFG), default_config()]) | scenarios(max_entries=SMALL_ENTRIES))
     horizon = cfg.integrator.horizon
     if draw(st.integers(0, 3)) == 3:  # a step count beyond the cap
         dt = horizon / (10.0 * MAX_STEPS)

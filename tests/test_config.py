@@ -22,7 +22,6 @@ from irsgame import (
     default_config,
     load_config,
     parse_config,
-    reduced_config,
     with_scalar_overrides,
 )
 from irsgame.config import MAX_CHANNEL_ENTRIES, _keys
@@ -76,8 +75,8 @@ def test_default_grids():
     assert len(g.delta) >= 3 and g.delta[0] == 0.0
 
 
-def test_reduced_scenario_shape():
-    cfg = reduced_config()
+def test_reduced_scenario_shape(reduced_cfg):
+    cfg = reduced_cfg
     assert cfg.n_groups == 2
     for sp in cfg.sps:
         assert sp.irs_modules == 1
@@ -353,6 +352,12 @@ def test_valuation_forms():
 def test_grid_validation():
     with pytest.raises(ConfigurationError, match=r"grids\.mu"):
         parse_config(MINIMAL + "[grids]\nmu = 0.4, 0.2\n")
+
+
+def test_an_empty_list_key_through_the_api_is_rejected(default_cfg):
+    # a file cannot give an empty list (the parser rejects it), but a SweepGrids built in code can
+    with pytest.raises(ConfigurationError, match=r"grids\.mu must not be empty"):
+        dataclasses.replace(default_cfg, grids=SweepGrids(mu=[]))
 
 
 def test_config_syntax_error():

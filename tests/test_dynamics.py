@@ -301,7 +301,7 @@ def test_exact_solution_matches_rk4_when_every_group_is_profitable(weights, gain
     p0 = np.array(weights) / sum(weights)
     c = np.array(gains[: len(p0)])
     spec = IntegratorSpec(dt=0.01, horizon=5.0)
-    exact = solve_replicator(c, mu, p0, spec)
+    exact = solve_replicator(c, 1, mu, p0, spec)
     # rk4 at dt / 8, sampled on the dt grid: at dt its own truncation error
     # passes 1e-9 once mu * C nears 3; dividing the step by 8 cuts it ~4000-fold
     # (a power-of-two step keeps the sample times bit-identical)
@@ -358,7 +358,7 @@ def test_exact_solution_when_every_group_loses(weights, losses):
     # ratios never tie and the state never comes to rest on some c / C
     ratios = np.sort(p0[p0 > 0.0] / c[p0 > 0.0])
     assume(np.all(np.diff(ratios) > 1e-3 * np.abs(ratios[1:])))
-    traj = solve_replicator(c, 1.0, p0, IntegratorSpec(dt=1.0, horizon=10000.0))
+    traj = solve_replicator(c, 1, 1.0, p0, IntegratorSpec(dt=1.0, horizon=10000.0))
     assert np.all(np.isfinite(traj.states))
     assert on_simplex(traj.states)
     end = traj.states[-1]
@@ -371,21 +371,21 @@ def test_exact_solution_sample_one_ulp_before_extinction():
     c = np.array([-0.27460628588430325, 0.5215775691669651, -0.9470309021920553])
     p0 = np.array([0.04596755754020723, 0.21214003137166407, 0.7418924110881288])
     dt = 1.0397308807795254
-    traj = solve_replicator(c, 0.17123965217126613, p0, IntegratorSpec(dt=dt, horizon=1.5 * dt))
+    traj = solve_replicator(c, 1, 0.17123965217126613, p0, IntegratorSpec(dt=dt, horizon=1.5 * dt))
     assert on_simplex(traj.states)
 
 
 def test_exact_solution_keeps_the_last_group():
     # a lone losing group never empties, even when its share is a hair below 1
     p0 = np.array([1.0 - 5e-10, 0.0])
-    traj = solve_replicator(np.array([-1.0, 1.0]), 1.0, p0, IntegratorSpec(dt=1.0, horizon=100.0))
+    traj = solve_replicator(np.array([-1.0, 1.0]), 1, 1.0, p0, IntegratorSpec(dt=1.0, horizon=100.0))
     assert np.array_equal(traj.states, np.tile(p0, (len(traj), 1)))
 
 
 def test_exact_solution_with_zero_aggregate_payoff():
     c = np.array([0.2, -0.2, 0.0])
     p0 = np.array([0.3, 0.3, 0.4])
-    traj = solve_replicator(c, 0.5, p0, IntegratorSpec(dt=0.1, horizon=6.0))
+    traj = solve_replicator(c, 1, 0.5, p0, IntegratorSpec(dt=0.1, horizon=6.0))
     # C = 0: shares move linearly, p = p0 + mu * c * t, until group 2 empties at t = 3
     before = traj.times < 3.0 - 1e-9
     assert np.allclose(traj.states[before], p0 + 0.5 * np.outer(traj.times[before], c), atol=1e-15)
@@ -396,6 +396,27 @@ def test_exact_solution_with_zero_aggregate_payoff():
     assert np.allclose(traj.states[~before, 2], 0.4 * np.exp(-0.5 * 0.2 * after), atol=1e-15)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    weights=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1.0)), min_size=1, max_size=7).filter(
+        lambda w: max(w) > 0.0
+    ),
+    # zero, or far enough from it that every utility is a normal float: a subnormal loses relative bits
+    numer=st.lists(st.one_of(st.just(0.0), st.floats(1e-290, 1e3), st.floats(-1e3, -1e-290)), min_size=7, max_size=7),
+    n_users=st.integers(1, 10**6),
+    mu=st.floats(0.05, 1.0),
+)
+def test_every_exact_sample_splits_each_payoff_over_its_users(weights, numer, n_users, mu):
+    # through the trajectory's own map, p_g * u_g * n_users is numer_g in every non-empty group,
+    # whatever the shares: the pair fixes both the dynamics and the utilities that are written
+    p0 = np.array(weights) / sum(weights)
+    numer = np.array(numer[: len(p0)])
+    traj = solve_replicator(numer, n_users, mu, p0, IntegratorSpec(dt=0.1, horizon=20.0))
+    alive = traj.states > 0.0
+    earned = traj.states * traj.utilities(traj.states).u * n_users
+    assert np.allclose(earned[alive], np.broadcast_to(numer, alive.shape)[alive], rtol=1e-13, atol=0.0)
+
+
 def test_exact_solution_keeps_its_map_and_a_file_calls_it_once(default_cfg, default_utilities, tmp_path, monkeypatch):
     calls = []
 
@@ -403,14 +424,16 @@ def test_exact_solution_keeps_its_map_and_a_file_calls_it_once(default_cfg, defa
         calls.append(np.shape(p))
         return default_utilities(p)
 
+    made = []
+    monkeypatch.setattr("irsgame.dynamics.make_utilities", lambda *args: made.append(args) or counted)
     spec = IntegratorSpec(dt=0.1, horizon=3.0)
-    c = np.linspace(0.01, 0.06, default_cfg.n_groups)
-    traj = solve_replicator(c, default_cfg.mu, default_cfg.initial_population(), spec, counted)
+    numer, n = np.linspace(0.01, 0.06, default_cfg.n_groups), default_cfg.n_users
+    traj = solve_replicator(numer, n, default_cfg.mu, default_cfg.initial_population(), spec)
     assert calls == [] and traj.utilities is counted
+    assert len(made) == 1 and made[0][0] is numer and made[0][1] == n  # the map of the pair it was given
     with pytest.raises(ConfigurationError):
-        solve_replicator(c[:-1], default_cfg.mu, default_cfg.initial_population(), spec)
+        solve_replicator(numer[:-1], n, default_cfg.mu, default_cfg.initial_population(), spec)
     # a trajectory file applies the map once, to the stack of its written rows: 31 samples keep 4
-    monkeypatch.setattr("irsgame.experiments.make_utilities", lambda *args: counted)
     cfg = with_scalar_overrides(default_cfg, dt=0.1, horizon=3.0)
     (path,) = run_experiment("utilities-vs-time", cfg, tmp_path)
     assert calls == [(4, default_cfg.n_groups)]
@@ -441,19 +464,19 @@ def test_equilibrium_index_matches_detect_equilibrium(weights, c, mu, dt, scale)
     c = scale * np.array(c[: len(p0)])
     dt = dt / scale
     try:
-        index = ReplicatorSolution(c, mu, p0).equilibrium_index(dt)
+        index = ReplicatorSolution(c, 1, mu, p0).equilibrium_index(dt)
     except ConfigurationError:  # beyond MAX_STEPS samples
         assume(False)
     assume(index <= 100_000)
     # every rate past the last sample must be quiet for detect_equilibrium
     # to find the index, so the tail only needs a margin
-    traj = solve_replicator(c, mu, p0, IntegratorSpec(dt=dt, horizon=(index + 64) * dt))
+    traj = solve_replicator(c, 1, mu, p0, IntegratorSpec(dt=dt, horizon=(index + 64) * dt))
     eq = detect_equilibrium(traj)
     assert eq is not None and eq.index == index
 
 
 def test_equilibrium_index_is_capped():
-    solution = ReplicatorSolution(np.array([0.3, 0.1]), 0.1, np.array([0.5, 0.5]))
+    solution = ReplicatorSolution(np.array([0.3, 0.1]), 1, 0.1, np.array([0.5, 0.5]))
     assert solution.equilibrium_index(0.01) > 0
     with pytest.raises(ConfigurationError, match="cap of %d" % MAX_STEPS):
         solution.equilibrium_index(1e-10)
@@ -469,7 +492,7 @@ def test_equilibrium_index_is_capped():
 )
 def test_a_rate_beyond_a_float_is_a_numeric_error(c, mu):
     with pytest.raises(NumericError, match="replicator rate mu"):
-        ReplicatorSolution(np.array(c), mu, np.full(len(c), 1.0 / len(c)))
+        ReplicatorSolution(np.array(c), 1, mu, np.full(len(c), 1.0 / len(c)))
 
 
 @pytest.mark.filterwarnings("error")
@@ -477,18 +500,18 @@ def test_an_extinction_time_past_a_float_keeps_the_rest_point():
     # mu * C underflows, so group 3 empties after a time past the largest float: the
     # state does not move, and mu, which only rescales time, leaves the rest point as it is
     c, p0 = np.array([1.0, 0.5, -0.2]), np.array([0.2, 0.3, 0.5])
-    frozen = ReplicatorSolution(c, 5e-324, p0)
+    frozen = ReplicatorSolution(c, 1, 5e-324, p0)
     assert np.all(frozen.rest >= 0.0)
-    assert np.allclose(frozen.rest, ReplicatorSolution(c, 0.1, p0).rest, rtol=0.0, atol=1e-12)
+    assert np.allclose(frozen.rest, ReplicatorSolution(c, 1, 0.1, p0).rest, rtol=0.0, atol=1e-12)
     assert len(frozen.pieces) == 1 and frozen.pieces[0][1] == np.inf
     assert np.array_equal(frozen.at(np.array([0.0, 1e6])), np.tile(p0, (2, 1)))
     # payoffs so small that even the mu-free extinction time overflows
     with pytest.raises(NumericError, match="mu-free time past the largest float"):
-        ReplicatorSolution(np.array([2e-320, -1e-320]), 0.1, np.array([0.5, 0.5]))
+        ReplicatorSolution(np.array([2e-320, -1e-320]), 1, 0.1, np.array([0.5, 0.5]))
 
 
 def test_equilibrium_index_rejects_sample_times_past_a_float():
-    solution = ReplicatorSolution(np.array([0.3, 0.1]), 0.1, np.array([0.5, 0.5]))
+    solution = ReplicatorSolution(np.array([0.3, 0.1]), 1, 0.1, np.array([0.5, 0.5]))
     with pytest.raises(ConfigurationError, match="past the largest float for dt = 1.7e"):
         solution.equilibrium_index(1.7e308)
 
@@ -496,7 +519,7 @@ def test_equilibrium_index_rejects_sample_times_past_a_float():
 @pytest.mark.filterwarnings("error")
 def test_equilibrium_index_where_c_dt_underflows():
     # C * dt underflows to 0: the rate bound k0 takes its limit mu * max|slope|, far below EPS_FIELD
-    assert ReplicatorSolution(np.array([1e-300, 2e-300]), 0.1, np.array([0.5, 0.5])).equilibrium_index(1e-30) == 0
+    assert ReplicatorSolution(np.array([1e-300, 2e-300]), 1, 0.1, np.array([0.5, 0.5])).equilibrium_index(1e-30) == 0
 
 
 @pytest.mark.filterwarnings("error")
@@ -504,7 +527,7 @@ def test_a_state_on_the_repelling_rest_point_holds():
     # p = c / C, but p * C rounds so that every slope is a hair below zero: no group may
     # empty, or all three would at once and leave nan shares
     p0 = np.full(3, 1.0 / 3.0)
-    solution = ReplicatorSolution(np.full(3, -4.743286880619196e13), 1.0, p0)
+    solution = ReplicatorSolution(np.full(3, -4.743286880619196e13), 1, 1.0, p0)
     assert len(solution.pieces) == 1 and not solution.pieces[0][4].any()
     assert np.array_equal(solution.rest, p0)
     assert np.array_equal(solution.at(np.array([0.0, 1.0, 1e6])), np.tile(p0, (3, 1)))
@@ -526,7 +549,7 @@ def test_a_state_on_the_repelling_rest_point_holds():
     ],
 )
 def test_rest_point_is_c_alive_over_c(c, p0, rest):
-    solution = ReplicatorSolution(np.array(c), 0.5, np.array(p0))
+    solution = ReplicatorSolution(np.array(c), 1, 0.5, np.array(p0))
     assert np.allclose(solution.rest, rest, rtol=0.0, atol=1e-15)
     t_l, _, q, big_c, slope = solution.pieces[-1]
     if slope.any():
@@ -976,18 +999,18 @@ def test_sum_adds_from_left_to_right():
 def test_exact_sampler_has_the_bits_of_new_arrays(case, default_cfg, reduced_cfg):
     # at() fills its rows in place; each sample keeps the bits of q + g * slope clamped at zero
     if case == "every group loses":  # C < 0: the groups empty one by one
-        c, mu, p0 = -np.array([0.3, 0.7, 0.5, 0.2]), 1.0, np.array([0.1, 0.2, 0.3, 0.4])
+        numer, n, mu, p0 = -np.array([0.3, 0.7, 0.5, 0.2]), 1, 1.0, np.array([0.1, 0.2, 0.3, 0.4])
         times, pieces, sign = np.arange(10001.0), 4, -1.0
     elif case == "zero aggregate payoff":  # C = 0 until group 2 empties at t = 3
-        c, mu, p0 = np.array([0.2, -0.2, 0.0]), 0.5, np.array([0.3, 0.3, 0.4])
+        numer, n, mu, p0 = np.array([0.2, -0.2, 0.0]), 1, 0.5, np.array([0.3, 0.3, 0.4])
         times, pieces, sign = np.arange(61) * 0.1, 2, 0.0
     else:
         cfg = {"default": default_cfg, "reduced": reduced_cfg, "unprofitable": default_cfg}[case]
         if case == "unprofitable":  # sp.1's two groups lose and empty one after the other
             cfg = dataclasses.replace(cfg, sps=[dataclasses.replace(cfg.sps[0], price_power=100.0), *cfg.sps[1:]])
-        c, mu, p0 = numerators(cfg) / cfg.n_users, cfg.mu, cfg.initial_population()
+        numer, n, mu, p0 = numerators(cfg), cfg.n_users, cfg.mu, cfg.initial_population()
         times = np.arange(cfg.integrator.n_steps() + 1) * cfg.integrator.dt
         pieces, sign = (3 if case == "unprofitable" else 1), 1.0
-    solution = ReplicatorSolution(c, mu, p0)
+    solution = ReplicatorSolution(numer, n, mu, p0)
     assert len(solution.pieces) == pieces and sign in {np.sign(piece[3]) for piece in solution.pieces}
     assert np.array_equal(solution.at(times).view(np.int64), oracle.replicator_at(solution, times).view(np.int64))

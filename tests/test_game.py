@@ -209,6 +209,22 @@ def test_detect_equilibrium_reports_spread():
     assert eq.utility_spread == pytest.approx(0.5, rel=1e-12)
 
 
+def test_detect_equilibrium_without_a_group_above_the_mass_cutoff_has_no_spread():
+    # 100 groups of share 0.01 each: none is above EPS_MASS = 0.01
+    traj = constant_trajectory(np.full(100, 0.01))
+    traj.utilities = make_utilities(np.linspace(1.0, 2.0, 100), 1)
+    eq = detect_equilibrium(traj)
+    assert eq is not None and eq.utility_spread is None
+
+
+def test_detect_equilibrium_spread_of_zero_utilities_is_zero():
+    # every surviving utility is 0: the spread is 0.0, not 0 / 0
+    traj = constant_trajectory(np.array([0.3, 0.7]))
+    traj.utilities = make_utilities(np.zeros(2), 1)
+    eq = detect_equilibrium(traj)
+    assert eq is not None and eq.utility_spread == 0.0
+
+
 def test_detect_equilibrium_empty_and_single():
     with pytest.raises(ConfigurationError):
         detect_equilibrium(Trajectory(times=np.array([]), states=np.zeros((0, 2))))

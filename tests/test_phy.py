@@ -17,7 +17,6 @@ from irsgame import (
     dbm_to_watt,
     generate_channels,
     optimize_link,
-    reduced_config,
 )
 from irsgame import phy
 from irsgame.phy import _effective_channel, _mrt
@@ -189,6 +188,23 @@ def test_zero_surface_equals_direct_mrt():
     assert len(link.phases) == 0
 
 
+def test_a_two_dimensional_beam_is_rejected():
+    # its four entries hold the power budget: only the rank check rejects it
+    with pytest.raises(ConfigurationError, match="beamforming vector must be one-dimensional"):
+        Beamformer(np.full((2, 2), 0.5 + 0j), 1.0)
+
+
+def test_a_channel_with_entries_near_1e_160_gives_a_beam_of_full_power():
+    # the squares of such entries are subnormal and lose bits: the beam is normalized after a rescale
+    ch = random_channels(np.random.default_rng(8))
+    tiny = ChannelSet(1e-160 * ch.h_direct, 1e-160 * ch.g_bs_irs, 1e-160 * ch.h_irs_user)
+    w = optimize_link(tiny, 2.0, BW, NOISE).beam.w
+    assert abs(float(np.vdot(w, w).real) - 2.0) <= 1e-9 * 2.0
+    # a row whose norm is not that small keeps the bits of the plain formula
+    eff = _effective_channel(ch, np.zeros(ch.n_elements))
+    assert np.array_equal(_mrt(eff, 2.0), np.sqrt(2.0) * np.conj(eff) / np.linalg.norm(eff))
+
+
 def test_optimize_link_argument_validation():
     rng = np.random.default_rng(2)
     ch = random_channels(rng)
@@ -196,10 +212,10 @@ def test_optimize_link_argument_validation():
         optimize_link(ch, power_w=0.0, bandwidth=BW, noise_var=NOISE)
 
 
-def test_optimize_link_stops_at_an_infinite_snr():
+def test_optimize_link_stops_at_an_infinite_snr(reduced_cfg):
     # inf - inf is nan, which no relative-improvement test passes: stop after the first round
     trace = []
-    link = optimize_link(generate_channels(reduced_config())[0], 1.0, 1.0, 1e-320, trace=trace)
+    link = optimize_link(generate_channels(reduced_cfg)[0], 1.0, 1.0, 1e-320, trace=trace)
     assert len(trace) // 2 == 1
     assert link.snr == np.inf
 
