@@ -47,6 +47,8 @@ class Trajectory:
         for name, ndim in (("times", 1), ("states", 2)):
             if (rows := getattr(self, name)).ndim != ndim:
                 raise ConfigurationError("trajectory %s must be %d-D, got shape %s" % (name, ndim, rows.shape))
+        if not self.states.shape[1]:  # quiet_steps takes its row max column by column
+            raise ConfigurationError("trajectory states need at least one group, got shape %s" % (self.states.shape,))
         if len(self.states) != len(self.times):
             raise ConfigurationError("a trajectory of %d times has %d states" % (len(self.times), len(self.states)))
         if not (self.utilities is None or callable(self.utilities)):
@@ -177,7 +179,9 @@ def _block(rows, steps, i: int, size: int, hold: bool) -> tuple[int, bool]:
     # unclamped rows sum to total again; v / 1.0 == v, so dividing where the loop does not changes
     # no bit of a kept row, which holds no NaN
     result = clamped / _column_sums(clamped)[:, None]
-    same = np.all(result.view(np.int64) == proposal.view(np.int64), axis=1)
+    same = np.ones(len(dp), dtype=bool)
+    for r, q in zip(result.view(np.int64).T, proposal.view(np.int64).T):  # numpy's cost per row dominates short rows
+        same &= r == q
     kept = len(dp) if same.all() else int(np.argmin(same)) + 1
     failed = np.flatnonzero(~(np.abs(total[:kept] - 1.0) <= DRIFT_TOL))
     if failed.size:
@@ -377,6 +381,8 @@ class HistoryBuffer:
         self.states = np.asarray(self.states, dtype=float)  # not a copy: solve_delayed writes rows after it
         if self.states.ndim != 2:  # a lookup would read one share as a state
             raise ConfigurationError("history states must be 2-D, got shape %s" % (self.states.shape,))
+        if not self.states.shape[1]:  # a lookup would return empty states
+            raise ConfigurationError("history states need at least one group, got shape %s" % (self.states.shape,))
 
     @np.errstate(over="ignore", invalid="ignore")  # t / dt past a float is pre-history or past the newest sample
     def _samples(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -398,8 +404,10 @@ class HistoryBuffer:
         lo, hi, frac = self._samples(t)
         if not np.all(hi < len(self.states)):
             raise ConfigurationError("history lookup at t=%r is beyond the newest sample" % (float(np.max(t)),))
-        a, b, f = self.states[lo.astype(np.intp)], self.states[hi.astype(np.intp)], frac[..., None]
-        return np.where(f > 0.0, (1.0 - f) * a + f * b, a)
+        a, between = self.states[lo.astype(np.intp)], frac > 0.0  # a is a copy, even for a 0-d t
+        f = frac[between][:, None]  # only the times between two samples read hi
+        a[between] = (1.0 - f) * a[between] + f * self.states[hi[between].astype(np.intp)]
+        return a
 
 
 def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: IntegratorSpec) -> Trajectory:

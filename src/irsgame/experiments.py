@@ -314,8 +314,8 @@ def run_experiment(preset: str, cfg: ScenarioConfig, out_dir, flags=()) -> list:
     path = out = Path(out_dir)
     paths = []
     try:
-        out.mkdir(parents=True, exist_ok=True)
         for suffix, scenario, extra, table in run(cfg):
+            out.mkdir(parents=True, exist_ok=True)  # once a table is ready: a run that fails first leaves no directory
             path = out / (preset.replace("-", "_") + suffix + ".csv")
             meta = [("preset", preset)] + extra + scenario.flat_items()
             paths.append(_write_csv(path, meta, *table))

@@ -1,10 +1,10 @@
 """Independent oracles: the scalar utility model, one group at a time, of make_utilities; the
-step-by-step simplex projection, one call per step, of dynamics._advance; the delayed
-replicator dynamics one step and one scalar history lookup at a time, of solve_delayed; the
-exact solution of the delay equation that solve_delayed approximates; the semidefinite
-relaxation bound that certifies phy.optimize_link; optimize_link with checked beam, phase and SNR
-objects every round; ReplicatorSolution.at with a new array per expression; and the CSV and JSON
-writers that build a whole file's text at once."""
+row max of game.quiet_steps by np.max along each row; the step-by-step simplex projection, one
+call per step, of dynamics._advance; the delayed replicator dynamics one step and one scalar
+history lookup at a time, of solve_delayed; the exact solution of the delay equation that
+solve_delayed approximates; the semidefinite relaxation bound that certifies phy.optimize_link;
+optimize_link with checked beam, phase and SNR objects every round; ReplicatorSolution.at with a
+new array per expression; and the CSV and JSON writers that build a whole file's text at once."""
 
 import json
 import math
@@ -25,6 +25,7 @@ from irsgame import (
 )
 from irsgame.config import _POSITIVE, _require
 from irsgame.dynamics import DRIFT_TOL, _growth
+from irsgame.game import EPS_FIELD
 from irsgame.phy import MAX_ITERS, TOL, TWO_PI, _mrt
 
 
@@ -98,6 +99,11 @@ def advance(p: list, steps, drift_sum: float, absorbed_sum: float, clamped: int)
         clamped += absorbed > 0.0  # a step with a negative entry absorbs a positive mass
         flat += p
     return flat, drift_sum, absorbed_sum, clamped
+
+
+def quiet_steps(diffs, dt) -> np.ndarray:
+    """game.quiet_steps as the row form: np.max of |diffs| along each row, on a copy of diffs."""
+    return np.max(np.abs(diffs), axis=1) / dt < EPS_FIELD
 
 
 def history(states, dt: float, t: float) -> np.ndarray:

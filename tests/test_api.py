@@ -126,6 +126,16 @@ REGRESSIONS = {
         lambda: HistoryBuffer(0.1, np.array(P0)),
         r"history states must be 2-D, got shape \(2,\)",
     ),
+    # a state of no groups: detect_equilibrium ended in numpy's ValueError for a max over no
+    # entries, and a lookup returned empty states
+    "a trajectory of no groups": (
+        lambda: detect_equilibrium(Trajectory([0.0, 1.0], np.zeros((2, 0)))),
+        r"trajectory states need at least one group, got shape \(2, 0\)",
+    ),
+    "a history of no groups": (
+        lambda: HistoryBuffer(0.1, np.zeros((3, 0))).lookup([0.05]),
+        r"history states need at least one group, got shape \(3, 0\)",
+    ),
     # elements beyond a short phase vector did not reflect; ChannelSet.subset says that
     "a phase vector shorter than the surface": (
         lambda: compute_snr(CHANNEL, BEAM, NO_PHASES, 1.0, 1e-3),

@@ -399,6 +399,18 @@ def test_distance_price_sweep_with_a_bs_to_surface_distance_past_a_float(tmp_pat
     assert "sp.1 BS to surface distance inf m is not finite" in capsys.readouterr().err
 
 
+def test_a_run_that_fails_before_its_first_table_leaves_no_out_directory(tmp_path, capsys, reduced_file):
+    # the directory is made when the first table is written, so a failed run leaves nothing
+    path = _edited(reduced_file, tmp_path, bs_position="-1e308, 0.0", irs_position="1e308, 0.0")
+    out = tmp_path / "wide" / "out"
+    assert main(["run", "distance-price-sweep", "--config", str(path), "--out", str(out)]) == EXIT_NUMERIC
+    assert "is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "wide").exists()
+    # a run that succeeds makes the directory, parents included
+    assert main(["run", "convergence-speed", "--config", str(reduced_file), "--out", str(out)]) == EXIT_OK
+    assert sorted(f.name for f in out.iterdir()) == ["convergence_speed.csv"]
+
+
 def test_validate_ok(tmp_path, capsys):
     path = tmp_path / "scenario.cfg"
     path.write_text(config_to_text(default_config()))

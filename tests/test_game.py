@@ -1,9 +1,12 @@
 """Utilities, replicator fields, the delay bound and equilibrium detection."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from irsgame import (
     ConfigurationError,
@@ -19,7 +22,9 @@ from irsgame import (
     utility_numerators,
 )
 from irsgame.experiments import numerators
+from irsgame.game import EPS_FIELD, quiet_steps
 from conftest import group_gains, one_service_cfg, one_service_links
+import oracle
 from oracle import average_utility, utility
 
 
@@ -223,6 +228,37 @@ def test_detect_equilibrium_spread_of_zero_utilities_is_zero():
     traj.utilities = make_utilities(np.zeros(2), 1)
     eq = detect_equilibrium(traj)
     assert eq is not None and eq.utility_spread == 0.0
+
+
+# the diffs whose rows the column-wise max must read as np.max does: NaN, infinities, signed
+# zeros, subnormals, and the values either side of the threshold EPS_FIELD at dt = 1
+SPECIAL_DIFFS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-6, -1e-6]
+
+
+@st.composite
+def step_diffs(draw):
+    """Differences (T, G) of 1 to 12 groups, mixing special values with values near the threshold, and steps dt (T,)."""
+    g, t = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    # finite diffs up to 1e300, so that no quotient by dt overflows
+    cell = st.one_of(st.sampled_from(SPECIAL_DIFFS), st.floats(-3e-6, 3e-6), st.floats(-1e300, 1e300))
+    diffs = draw(st.lists(st.lists(cell, min_size=g, max_size=g), min_size=t, max_size=t))
+    dt = draw(st.lists(st.sampled_from([1.0, 0.5, 0.01, 2.0]), min_size=t, max_size=t))
+    return np.array(diffs, dtype=float).reshape(t, g), np.array(dt)
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_diffs())
+@example((np.array([[0.0, 2e-6], [2e-6, 0.0], [0.0, math.nan]]), np.ones(3)))  # each column decides a row
+@example((np.array([[2e-6], [5e-7], [-math.inf]]), np.ones(3)))  # a single group
+def test_quiet_steps_reads_each_row_as_np_max_does(case):
+    diffs, dt = case
+    expected = oracle.quiet_steps(diffs, dt)
+    assert np.array_equal(quiet_steps(diffs.copy(), dt), expected)
+    # each column can decide a row: a quiet row turns moving where any one of its cells does
+    for g in range(diffs.shape[1]):
+        loud = diffs.copy()
+        loud[:, g] = 2.0 * EPS_FIELD * dt
+        assert not quiet_steps(loud, dt).any()
 
 
 def test_detect_equilibrium_empty_and_single():
