@@ -11,19 +11,22 @@ iterates the integral-equation form on a fixed grid until PICARD_TOL.
 
 All steppers take their steps through one loop (_advance), which adds each
 step to the state and projects the sum back onto the probability simplex,
-summing left to right.  It runs on Python floats, except along stretches where
-every step is added unchanged (its total is exactly 1) or leaves the state as
-it was (shares clamped at zero): there it proposes a block of rows with numpy
-and keeps only the rows that carry the step-by-step loop's bits.  It keeps no
-tally: delayed_steps recomputes a delayed run's steps from its stored states and map,
-and the run's clamps, absorbed mass and drift follow from states[:-1] + steps.
+summing left to right.  It steps on Python floats in straight-line code that
+_kernel generates for the group count (one statement per share and operation,
+in the order of a loop over the shares), compiled on the first call for that
+count and cached; except along stretches where every step is added unchanged
+(its total is exactly 1) or leaves the state as it was (shares clamped at
+zero): there it proposes a block of rows with numpy and keeps only the rows
+that carry the step-by-step bits.  It keeps no tally: delayed_steps recomputes
+a delayed run's steps from its stored states and map, and the run's clamps,
+absorbed mass and drift follow from states[:-1] + steps.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from operator import add
 from typing import Callable, Optional
 
 import numpy as np
@@ -82,12 +85,48 @@ _FIRST = 64
 _CAP = 2048
 
 
-def _sum(x: list) -> float:
-    """Sum from left to right: builtin sum compensates from Python 3.12, so its bits depend on the version."""
-    s = 0.0
-    for v in x:
-        s += v
-    return s
+# _advance's step loop for G groups, with v0.. (state), d0.. (step) and x0.. (sum) filled in: the total
+# takes one statement per share, since one nested sum of a few thousand terms overflows the compiler
+_KERNEL = """
+def step(p, chunk, flat):
+    {v} = p
+    slow = held = 0
+    for {d} in chunk:
+        {add}
+        total = 0.0; {total}
+        clamp = {negative}
+        if total != 1.0 or clamp:  # true for a NaN total, which the drift check rejects
+            drift = abs(total - 1.0)
+            if not drift <= DRIFT_TOL:
+                raise NumericalDriftError("simplex drift %.3e exceeds %.1e in one step; reduce dt" % (drift, DRIFT_TOL))
+            if clamp:  # no sum is NaN here: their total passed the drift check
+                {clamped}
+                total = 0.0; {total}
+            if total != 1.0:
+                {divided}
+            slow += 1
+            held += {same}
+        {moved}
+        flat += ({x})
+    return ({v}), slow, held
+"""
+
+
+@functools.lru_cache(maxsize=16)
+def _kernel(g: int) -> Callable:
+    """_advance's compiled step loop for g groups: step(p, chunk, flat) -> (p, slow, held), extending flat."""
+
+    def each(form: str, sep: str = "; ") -> str:  # form for the shares 0..g-1, # standing for the share
+        return sep.join(form.replace("#", str(j)) for j in range(g))
+
+    source = _KERNEL.format(
+        v=each("v#, ", ""), d=each("d#, ", ""), x=each("x#, ", ""), add=each("x# = v# + d#"),
+        total=each("total += x#"), negative=each("x# < 0.0", " or "), clamped=each("x# = 0.0 if x# < 0.0 else x#"),
+        divided=each("x# = x# / total"), same=each("x# == v#", " and "), moved=each("v# = x#"),
+    )
+    scope = {}  # the function reads DRIFT_TOL and NumericalDriftError from this module
+    exec(compile(source, "<irsgame.dynamics._kernel(%d)>" % g, "exec"), globals(), scope)
+    return scope["step"]
 
 
 def _advance(rows: np.ndarray, steps: np.ndarray) -> None:
@@ -96,40 +135,21 @@ def _advance(rows: np.ndarray, steps: np.ndarray) -> None:
     Writes the state after step k into rows[k + 1].  A sum whose total is more than DRIFT_TOL
     from 1 raises NumericalDriftError; otherwise its negative entries are clamped to zero and
     it is rescaled to unit sum, summing left to right.  Steps run on Python floats, _STREAK
-    rows at a time, since numpy's fixed cost per call would dominate vectors a few groups long.
+    rows at a time, since numpy's fixed cost per call would dominate vectors a few groups long,
+    through _kernel(G): the loop over the G shares unrolled, built on the first call for G.
     A total of exactly 1 is not divided: v / 1.0 == v.  A raw sum within DRIFT_TOL of 1 has a
     positive entry, so the clamped sum is positive.  After _STREAK steps that each added the
     step unchanged (a running sum) or each left the state unchanged (a share clamped at zero),
     _block proposes the next rows at once and keeps only what it verifies bit for bit.
     """
     n = len(steps)
+    step = _kernel(rows.shape[1])
     p = rows[0].tolist()
     i = done = 0  # steps taken, and rows written
     flat = []
     while i < n:
         chunk = steps[i : i + _STREAK].tolist()
-        slow = held = 0
-        for dp in chunk:
-            q, p = p, list(map(add, p, dp))
-            total, clamp = 0.0, False
-            for v in p:
-                total += v
-                if v < 0.0:
-                    clamp = True
-            if total != 1.0 or clamp:  # true for a NaN total, which the drift check rejects
-                drift = abs(total - 1.0)
-                if not drift <= DRIFT_TOL:
-                    raise NumericalDriftError(
-                        "simplex drift %.3e exceeds %.1e in one step; reduce dt" % (drift, DRIFT_TOL)
-                    )
-                if clamp:  # p holds no NaN here: its sum passed the drift check
-                    p = [0.0 if v < 0.0 else v for v in p]
-                    total = _sum(p)
-                if total != 1.0:
-                    p = [v / total for v in p]
-                slow += 1
-                held += p == q
-            flat += p
+        p, slow, held = step(p, chunk, flat)
         i += len(chunk)
         streak = len(chunk) == _STREAK and held == slow
         if streak or i == n or i - done >= _CAP:  # the rows as one array, a few thousand at most

@@ -23,6 +23,7 @@ EPS_FIELD = 1e-6
 EPS_MASS = 1e-2
 
 
+@np.errstate(over="ignore")  # a rate past the largest float is infinite: a moving step
 def quiet_steps(diffs: np.ndarray, dt: np.ndarray) -> np.ndarray:
     """The one test of a resting step: max_g |diffs_g| / dt < EPS_FIELD per row, taking abs of diffs (T, G) in place.
 
@@ -203,7 +204,8 @@ def detect_equilibrium(traj, min_quiet: float = 0.0) -> Optional[Equilibrium]:
     for a negative min_quiet.
     """
     _require("min_quiet", min_quiet, _NON_NEGATIVE)
-    quiet = quiet_steps(np.diff(traj.states, axis=0), np.diff(traj.times))
+    with np.errstate(over="ignore"):  # an infinite difference is a moving step
+        quiet = quiet_steps(np.diff(traj.states, axis=0), np.diff(traj.times))
     if not np.all(quiet[-1:]):  # a single sample is quiet
         return None
     # first index from which the tail stays quiet

@@ -29,10 +29,11 @@ from irsgame import (
     with_scalar_overrides,
 )
 from irsgame import dynamics
-from irsgame.dynamics import DRIFT_TOL, MAX_STEPS, _advance, _sum, delayed_steps
+from irsgame.dynamics import DRIFT_TOL, MAX_STEPS, _advance, delayed_steps
 from irsgame.experiments import numerators
 from conftest import group_gains
 import oracle
+from oracle import _sum
 
 
 def logistic_utilities(p):
@@ -1031,6 +1032,46 @@ def test_long_runs_have_the_bits_of_one_projection_per_step(name, block_rows):
         bad = len(run[1]) - 11
         assert "simplex drift" in fast and any(i < bad == i + k for i, k in block_rows)
     assert sum(k for _, k in block_rows) >= len(run[1]) // 4  # blocks took a share of the rows
+
+
+def _wide_run(g: int, seed: int, bad: str | None = None):
+    """A run of g groups through each branch of _advance's step: exact totals, a clamp, divided
+    totals, and a first share of -0.0 throughout; with bad, a row of BAD_ROWS ends it."""
+    rng = np.random.default_rng(seed)
+    p = np.concatenate(([-0.0], _dyadic_state(rng, g - 1)))
+    clamp = np.zeros((1, g - 1))
+    clamp[0, 0], clamp[0, 1] = -(p[1] + 0.25), p[1] + 0.25  # a share below zero: clamped, then divided
+    noisy = rng.normal(0.0, 1e-3, (4, g - 1))
+    noisy[:, -1] = -noisy[:, :-1].sum(axis=1)  # totals within rounding of 1, divided
+    inexact = np.zeros((1, g - 1))
+    inexact[0, -1] = 1e-9
+    steps = [_exact_steps(rng, g - 1, 3), np.zeros((2, g - 1)), clamp, noisy, inexact, _exact_steps(rng, g - 1, 2)]
+    if bad is not None:
+        row = np.zeros((1, g - 1))
+        row[0, -1] = BAD_ROWS[bad]
+        steps += [row, _exact_steps(rng, g - 1, 2)]
+    steps = np.concatenate(steps)
+    return p.tolist(), np.hstack((np.full((len(steps), 1), -0.0), steps)).tolist()  # -0.0 + -0.0 is -0.0
+
+
+@pytest.mark.parametrize("bad", [None, *BAD_ROWS])
+@pytest.mark.parametrize("g", [7, 12, 40])
+def test_advance_of_many_groups_has_the_bits_of_one_projection_per_step(g, bad):
+    # the step code is generated per group count; the properties above draw 1-6 groups
+    p, steps = _wide_run(g, g, bad)
+    fast = _projected(p, steps)
+    assert fast == _oracle_projected(p, steps)
+    if bad is None:
+        assert oracle.advance(p, steps, 0.0, 0.0, 0)[3] >= 1  # a clamped step
+        assert np.signbit(np.frombuffer(fast)[::g]).all()  # the first share stays -0.0
+    else:
+        assert fast.startswith("simplex drift")
+
+
+def test_advance_of_thousands_of_groups_has_the_bits_of_one_projection_per_step():
+    # a sum of 3000 terms written as one nested expression overflows the compiler's recursion limit
+    p, steps = _wide_run(3000, 1)
+    assert _projected(p, steps) == _oracle_projected(p, steps)
 
 
 def test_sum_adds_from_left_to_right():

@@ -230,6 +230,13 @@ def test_detect_equilibrium_spread_of_zero_utilities_is_zero():
     assert eq is not None and eq.utility_spread == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("states", [[[-1e308, 1e308], [1e308, -1e308]], [[0.0, 1e308], [1e308, 0.0]]])
+def test_detect_equilibrium_reads_a_difference_past_the_largest_float_as_moving(states):
+    # the first difference overflows in the subtraction, the second in the division by dt = 0.5
+    assert detect_equilibrium(Trajectory([0.0, 0.5], states)) is None
+
+
 # the diffs whose rows the column-wise max must read as np.max does: NaN, infinities, signed
 # zeros, subnormals, and the values either side of the threshold EPS_FIELD at dt = 1
 SPECIAL_DIFFS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e-6, -1e-6]
