@@ -3,9 +3,8 @@
 Pipeline: static Rayleigh channels per provider geometry (channel), SNR
 maximization by alternating beamforming and surface phase alignment (phy),
 population utilities and replicator dynamics over service groups (game),
-the exact undelayed solution, the delayed replicator dynamics stepped one
-delay window at a time over a state history, and RK4 and Picard
-cross-checks (dynamics), and
+the exact undelayed solution and the delayed replicator dynamics stepped
+one delay window at a time over a state history (dynamics), and
 reproducible experiment presets with CSV output (experiments, cli).
 """
 
@@ -18,7 +17,6 @@ from .config import (
     ServiceIndex,
     SpConfig,
     SweepGrids,
-    config_to_text,
     dbm_to_watt,
     default_config,
     load_config,
@@ -30,14 +28,11 @@ from .dynamics import (
     ReplicatorSolution,
     Trajectory,
     delayed_steps,
-    integrate_ode,
-    picard_solve,
     solve_delayed,
     solve_replicator,
 )
 from .errors import (
     ConfigurationError,
-    NonConvergenceError,
     NumericalDriftError,
     NumericError,
 )
@@ -47,7 +42,6 @@ from .game import (
     UtilityVector,
     detect_equilibrium,
     make_utilities,
-    replicator_field,
     stability_bound,
     utility_numerators,
 )

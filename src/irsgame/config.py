@@ -22,7 +22,7 @@ import math
 import numbers
 from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
-from itertools import combinations, groupby
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -437,20 +437,6 @@ def load_config(path) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigurationError("cannot read config %s: %s" % (path, exc)) from None
     return parse_config(text)
-
-
-def config_to_text(cfg: ScenarioConfig) -> str:
-    """Serialize the fully resolved scenario back to config text: flat_items by section.
-
-    parse_config(config_to_text(cfg)) reproduces cfg exactly: floats are
-    written with round-trip precision and defaults are materialized.
-    """
-    out = []
-    for name, items in groupby(cfg.flat_items(), key=lambda item: item[0].rpartition(".")[0]):
-        out.append("[%s]\n" % name)
-        out += ["%s = %s\n" % (key.rpartition(".")[2], value) for key, value in items]
-        out.append("\n")
-    return "".join(out)
 
 
 def _sp_number(name: str) -> int:

@@ -5,11 +5,8 @@ ReplicatorSolution is the exact undelayed replicator dynamics of the payoff pair
 the package's one forward-Euler stepper, steps the delayed replicator field, reading
 past states through HistoryBuffer (linear interpolation between samples, constant
 pre-history) and evaluating the field of a whole delay window at once (method of steps).
-Two reference solvers take no settings and read any ordinary field through one
-checked rule (_rate): integrate_ode takes classic RK4 steps, and picard_solve
-iterates the integral-equation form on a fixed grid until PICARD_TOL.
 
-All steppers take their steps through one loop (_advance), which adds each
+solve_delayed takes its steps through one loop (_advance), which adds each
 step to the state and projects the sum back onto the probability simplex,
 summing left to right.  It steps on Python floats in straight-line code that
 _kernel generates for the group count (one statement per share and operation,
@@ -32,13 +29,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .config import _NON_NEGATIVE, _POSITIVE, MAX_STEPS, IntegratorSpec, _on_simplex, _require
-from .errors import ConfigurationError, NonConvergenceError, NumericalDriftError, NumericError
+from .errors import ConfigurationError, NumericalDriftError, NumericError
 from .game import EPS_FIELD, _check_payoff, make_utilities, quiet_steps, selection_rates
 
 
 @dataclass
 class Trajectory:
-    """Sampled solution: increasing times, one state per time, and the run's utility map, applied to the rows read."""
+    """Sampled solution: increasing times, one finite state per time, and the run's utility map, applied to the rows read."""
 
     times: np.ndarray  # (T,)
     states: np.ndarray  # (T, G)
@@ -52,6 +49,8 @@ class Trajectory:
                 raise ConfigurationError("trajectory %s must be %d-D, got shape %s" % (name, ndim, rows.shape))
         if not self.states.shape[1]:  # quiet_steps takes its row max column by column
             raise ConfigurationError("trajectory states need at least one group, got shape %s" % (self.states.shape,))
+        if not np.all(np.isfinite(self.states)):  # detect_equilibrium's differences would be NaN
+            raise ConfigurationError("trajectory states must be finite")
         if len(self.states) != len(self.times):
             raise ConfigurationError("a trajectory of %d times has %d states" % (len(self.times), len(self.states)))
         if not (self.utilities is None or callable(self.utilities)):
@@ -73,9 +72,6 @@ def _check_p0(p0) -> np.ndarray:
 
 # Largest |sum(p) - 1| one step may leave before it is projected back
 DRIFT_TOL = 1e-6
-# picard_solve's stopping rule: the sup-norm change between rounds that ends it, and the most rounds
-PICARD_TOL = 1e-10
-PICARD_ROUNDS = 200
 # _advance's block path: the steps in a row that each added the step unchanged, or each left
 # the state unchanged, before the next rows are proposed at once; the rows of a first block;
 # and the most rows that a block doubles to or that the loop holds as Python floats, so that
@@ -208,36 +204,6 @@ def _block(rows, steps, i: int, size: int, hold: bool) -> tuple[int, bool]:
         kept = int(failed[0])
     rows[i + 1 : i + 1 + kept] = result[:kept]
     return kept, kept == len(dp) and bool(same[-1])
-
-
-def _rate(field: Callable, t: float, p: np.ndarray) -> np.ndarray:
-    """field(t, p) as an array of the state's shape, the one rule by which both reference solvers read a field."""
-    dp = np.asarray(field(t, p))  # a list would not scale by dt
-    if dp.shape != p.shape:  # numpy would broadcast a single value, and _advance truncate a longer one
-        raise ConfigurationError("the field returned shape %s for a state of shape %s" % (dp.shape, p.shape))
-    return dp
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails the drift check
-def integrate_ode(field: Callable, p0, spec: IntegratorSpec, utilities: Callable | None = None) -> Trajectory:
-    """Integrate dp/dt = field(t, p) with one classic RK4 step per sample of the grid t_i = i * dt.
-
-    utilities, when given, is kept as the trajectory's utility map.
-    """
-    p = _check_p0(p0)
-    n = spec.n_steps()
-    dt = spec.dt
-    states = np.empty((n + 1, p.size))
-    states[0] = p
-    for i in range(n):
-        t = i * dt
-        k1 = _rate(field, t, p)
-        k2 = _rate(field, t + 0.5 * dt, p + 0.5 * dt * k1)
-        k3 = _rate(field, t + 0.5 * dt, p + 0.5 * dt * k2)
-        k4 = _rate(field, t + dt, p + dt * k3)
-        _advance(states[i : i + 2], (dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))[None])
-        p = states[i + 1]
-    return Trajectory(np.arange(n + 1) * dt, states, utilities)
 
 
 class ReplicatorSolution:
@@ -485,36 +451,3 @@ def delayed_steps(traj: Trajectory, mu: float, delta: float) -> np.ndarray:
     if not np.array_equal(traj.times, grid):
         raise ConfigurationError("delayed_steps needs the times t_i = i * dt of a solve_delayed run")
     return _steps_reading(traj.utilities, mu, HistoryBuffer(grid[1], traj.states), grid[:-1] - delta)
-
-
-@np.errstate(over="ignore", invalid="ignore")  # a round that overflows never reaches PICARD_TOL
-def picard_solve(field: Callable, p0, times: np.ndarray, diffs: list | None = None) -> Trajectory:
-    """Solve p(t) = p0 + integral of field by fixed-point iteration.
-
-    Starts from the constant initial state and applies trapezoidal
-    quadrature on the given grid until the sup-norm change between rounds
-    drops below PICARD_TOL.  Raises NonConvergenceError when PICARD_ROUNDS
-    pass without reaching it (horizon too long for a contraction).
-    An optional diffs list collects the per-round sup-norm changes.
-    """
-    p_init = _check_p0(p0)
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) < 2 or not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
-        raise ConfigurationError("picard grid must be finite, strictly increasing, with at least 2 points")
-    t_count = len(times)
-    current = np.tile(p_init, (t_count, 1))
-    for _ in range(PICARD_ROUNDS):
-        f = np.array([_rate(field, times[i], current[i]) for i in range(t_count)])
-        seg = 0.5 * np.diff(times)[:, None] * (f[1:] + f[:-1])
-        nxt = np.empty_like(current)
-        nxt[0] = p_init
-        nxt[1:] = p_init + np.cumsum(seg, axis=0)
-        change = float(np.max(np.abs(nxt - current)))
-        if diffs is not None:
-            diffs.append(change)
-        current = nxt
-        if change < PICARD_TOL:
-            return Trajectory(times.copy(), current)
-    raise NonConvergenceError(
-        "picard iteration did not reach tol=%.1e in %d rounds" % (PICARD_TOL, PICARD_ROUNDS)
-    )

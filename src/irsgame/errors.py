@@ -1,7 +1,6 @@
 """Exception types shared across the package.
 
-The CLI maps configuration problems to exit code 1 and numeric failures to
-2; non-convergence comes only from picard_solve, which no command runs.
+The CLI maps configuration problems to exit code 1 and numeric failures to 2.
 """
 
 
@@ -20,6 +19,3 @@ class NumericalDriftError(NumericError):
     which indicates the step size is too large for the dynamics.
     """
 
-
-class NonConvergenceError(RuntimeError):
-    """An iterative solver exhausted its budget without reaching tolerance."""

@@ -139,16 +139,6 @@ def make_utilities(numer: np.ndarray, n_users: int) -> Callable[[np.ndarray], Ut
     return utilities
 
 
-def replicator_field(t: float, state: np.ndarray, utilities: Callable, mu: float) -> np.ndarray:
-    """Replicator vector field dp_g = mu * p_g * (u_g - u_bar).
-
-    Empty groups stay empty: their component is exactly zero without
-    evaluating the (undefined) utility.
-    """
-    p = np.asarray(state, dtype=float)
-    return selection_rates(p, utilities(p), mu)
-
-
 def selection_rates(p: np.ndarray, uv: UtilityVector, mu: float) -> np.ndarray:
     """mu * p_g * (u_g - u_bar) for a state (G,) or row by row for a stack (T, G).
 

@@ -4,28 +4,38 @@ call per step, of dynamics._advance; the delayed replicator dynamics one step an
 history lookup at a time, of solve_delayed; the exact solution of the delay equation that
 solve_delayed approximates; the semidefinite relaxation bound that certifies phy.optimize_link;
 optimize_link with checked beam, phase and SNR objects every round; ReplicatorSolution.at with a
-new array per expression; and the CSV and JSON writers that build a whole file's text at once."""
+new array per expression; and the CSV and JSON writers that build a whole file's text at once.
+
+Also the reference solvers that no run executes: the replicator field of any utility map
+(replicator_field), classic RK4 steps of any ordinary field (integrate_ode, which projects
+each step through dynamics._advance) and the Picard iteration of its integral form
+(picard_solve, which raises NonConvergenceError), both reading the field by one checked rule
+(_rate); and config_to_text, the config writer that parse_config reads back."""
 
 import json
 import math
 from fractions import Fraction
+from itertools import groupby
 from math import factorial
 from operator import add
+from typing import Callable
 
 import numpy as np
 
 from irsgame import (
     Beamformer,
     ConfigurationError,
+    IntegratorSpec,
     NumericalDriftError,
     PhaseShiftVector,
+    ScenarioConfig,
     ServiceLink,
     Trajectory,
     compute_snr,
 )
 from irsgame.config import _POSITIVE, _require
-from irsgame.dynamics import DRIFT_TOL, _growth
-from irsgame.game import EPS_FIELD
+from irsgame.dynamics import DRIFT_TOL, _advance, _check_p0, _growth
+from irsgame.game import EPS_FIELD, selection_rates
 from irsgame.phy import MAX_ITERS, TOL, TWO_PI, _mrt
 
 
@@ -269,3 +279,99 @@ def write_json(path, meta: list, columns: list, rows):
     cols = {name: [v if -math.inf < v < math.inf else None for v in col] for name, col in zip(columns, zip(*rows))}
     path.write_text(json.dumps({"meta": dict(meta), **cols}) + "\n", encoding="utf-8")
     return path
+
+
+class NonConvergenceError(RuntimeError):
+    """An iterative solver exhausted its budget without reaching tolerance."""
+
+
+# picard_solve's stopping rule: the sup-norm change between rounds that ends it, and the most rounds
+PICARD_TOL = 1e-10
+PICARD_ROUNDS = 200
+
+
+def replicator_field(t: float, state: np.ndarray, utilities: Callable, mu: float) -> np.ndarray:
+    """Replicator vector field dp_g = mu * p_g * (u_g - u_bar).
+
+    Empty groups stay empty: their component is exactly zero without
+    evaluating the (undefined) utility.
+    """
+    p = np.asarray(state, dtype=float)
+    return selection_rates(p, utilities(p), mu)
+
+
+def _rate(field: Callable, t: float, p: np.ndarray) -> np.ndarray:
+    """field(t, p) as an array of the state's shape, the one rule by which both reference solvers read a field."""
+    dp = np.asarray(field(t, p))  # a list would not scale by dt
+    if dp.shape != p.shape:  # numpy would broadcast a single value, and _advance truncate a longer one
+        raise ConfigurationError("the field returned shape %s for a state of shape %s" % (dp.shape, p.shape))
+    return dp
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails the drift check
+def integrate_ode(field: Callable, p0, spec: IntegratorSpec, utilities: Callable | None = None) -> Trajectory:
+    """Integrate dp/dt = field(t, p) with one classic RK4 step per sample of the grid t_i = i * dt.
+
+    utilities, when given, is kept as the trajectory's utility map.
+    """
+    p = _check_p0(p0)
+    n = spec.n_steps()
+    dt = spec.dt
+    states = np.empty((n + 1, p.size))
+    states[0] = p
+    for i in range(n):
+        t = i * dt
+        k1 = _rate(field, t, p)
+        k2 = _rate(field, t + 0.5 * dt, p + 0.5 * dt * k1)
+        k3 = _rate(field, t + 0.5 * dt, p + 0.5 * dt * k2)
+        k4 = _rate(field, t + dt, p + dt * k3)
+        _advance(states[i : i + 2], (dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))[None])
+        p = states[i + 1]
+    return Trajectory(np.arange(n + 1) * dt, states, utilities)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # a round that overflows never reaches PICARD_TOL
+def picard_solve(field: Callable, p0, times: np.ndarray, diffs: list | None = None) -> Trajectory:
+    """Solve p(t) = p0 + integral of field by fixed-point iteration.
+
+    Starts from the constant initial state and applies trapezoidal
+    quadrature on the given grid until the sup-norm change between rounds
+    drops below PICARD_TOL.  Raises NonConvergenceError when PICARD_ROUNDS
+    pass without reaching it (horizon too long for a contraction).
+    An optional diffs list collects the per-round sup-norm changes.
+    """
+    p_init = _check_p0(p0)
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or len(times) < 2 or not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
+        raise ConfigurationError("picard grid must be finite, strictly increasing, with at least 2 points")
+    t_count = len(times)
+    current = np.tile(p_init, (t_count, 1))
+    for _ in range(PICARD_ROUNDS):
+        f = np.array([_rate(field, times[i], current[i]) for i in range(t_count)])
+        seg = 0.5 * np.diff(times)[:, None] * (f[1:] + f[:-1])
+        nxt = np.empty_like(current)
+        nxt[0] = p_init
+        nxt[1:] = p_init + np.cumsum(seg, axis=0)
+        change = float(np.max(np.abs(nxt - current)))
+        if diffs is not None:
+            diffs.append(change)
+        current = nxt
+        if change < PICARD_TOL:
+            return Trajectory(times.copy(), current)
+    raise NonConvergenceError(
+        "picard iteration did not reach tol=%.1e in %d rounds" % (PICARD_TOL, PICARD_ROUNDS)
+    )
+
+
+def config_to_text(cfg: ScenarioConfig) -> str:
+    """Serialize the fully resolved scenario back to config text: flat_items by section.
+
+    parse_config(config_to_text(cfg)) reproduces cfg exactly: floats are
+    written with round-trip precision and defaults are materialized.
+    """
+    out = []
+    for name, items in groupby(cfg.flat_items(), key=lambda item: item[0].rpartition(".")[0]):
+        out.append("[%s]\n" % name)
+        out += ["%s = %s\n" % (key.rpartition(".")[2], value) for key, value in items]
+        out.append("\n")
+    return "".join(out)

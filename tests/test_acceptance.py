@@ -22,15 +22,13 @@ from irsgame import (
     compute_snr,
     default_config,
     detect_equilibrium,
-    integrate_ode,
     optimize_link,
-    picard_solve,
-    replicator_field,
     run_experiment,
     simulate,
     stability_bound,
 )
 from irsgame.experiments import numerators
+from oracle import integrate_ode, picard_solve, replicator_field
 
 
 def read_rows(path):

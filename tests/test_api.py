@@ -1,7 +1,10 @@
 """The Python API checks its arguments with the config key ranges, as the CLI does."""
 
+import ast
+import importlib
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,20 +27,18 @@ from irsgame import (
     delayed_steps,
     detect_equilibrium,
     generate_channels,
-    integrate_ode,
     load_config,
     make_utilities,
     optimize_link,
-    picard_solve,
-    replicator_field,
     solve_delayed,
     solve_replicator,
     stability_bound,
     utility_numerators,
 )
-from irsgame.errors import NonConvergenceError, NumericError
+from irsgame.errors import NumericError
 from irsgame.experiments import numerators
 from conftest import REDUCED_CFG
+from oracle import NonConvergenceError, integrate_ode, picard_solve, replicator_field
 
 NAN, INF = math.nan, math.inf
 CFG = load_config(REDUCED_CFG)
@@ -163,6 +164,15 @@ REGRESSIONS = {
         lambda: detect_equilibrium(Trajectory(times=np.array([NAN]), states=np.array([P0]))),
         "trajectory times must be strictly increasing, with at least one",
     ),
+    # an infinite share ended detect_equilibrium in numpy's "invalid value encountered in
+    # subtract", and a NaN share returned None
+    **{
+        "%s share of a trajectory" % name: (
+            lambda x=x: detect_equilibrium(Trajectory([0.0, 0.5], [[x, 0.0], [x, 0.0]])),
+            "trajectory states must be finite",
+        )
+        for name, x in (("an infinite", INF), ("a negative infinite", -INF), ("a NaN", NAN))
+    },
     "3 times with 2 states": (
         lambda: detect_equilibrium(Trajectory(times=np.arange(3.0), states=np.tile(P0, (2, 1)))),
         "a trajectory of 3 times has 2 states",
@@ -306,6 +316,22 @@ def test_an_out_of_range_argument_is_a_configuration_error_naming_it(name):
     call, message = REGRESSIONS[name]
     with pytest.raises(ConfigurationError, match=message):
         call()
+
+
+def test_every_name_that_perfbench_imports_from_irsgame_exists():
+    # the benchmark runs each commit's package: a name it imports and the package no longer has
+    # fails here, in the tests, and not only when the benchmark runs
+    perfbench = Path(__file__).resolve().parent.parent / "perfbench"
+    imported = [
+        (path.name, node.module, alias.name)
+        for path in sorted(perfbench.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "irsgame"
+        for alias in node.names
+    ]
+    assert imported
+    missing = [(f, module, name) for f, module, name in imported if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
 
 
 def test_payoffs_given_as_a_list_act_as_their_array():

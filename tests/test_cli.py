@@ -12,12 +12,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from irsgame import PRESETS, config_to_text, default_config, load_config, with_scalar_overrides
+from irsgame import PRESETS, default_config, load_config, with_scalar_overrides
 from irsgame.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from irsgame.config import OVERRIDES
 from irsgame.dynamics import MAX_STEPS
 from irsgame.experiments import PRESET_TABLE
 from conftest import REDUCED_CFG
+from oracle import config_to_text
 from test_config import scenarios
 
 

@@ -17,7 +17,6 @@ from irsgame import (
     ServiceIndex,
     SpConfig,
     SweepGrids,
-    config_to_text,
     dbm_to_watt,
     default_config,
     load_config,
@@ -26,6 +25,7 @@ from irsgame import (
 )
 from irsgame.config import MAX_CHANNEL_ENTRIES, _keys
 from irsgame.dynamics import MAX_STEPS
+from oracle import config_to_text
 
 MINIMAL = """
 [sp.1]

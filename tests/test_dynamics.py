@@ -11,16 +11,12 @@ from irsgame import (
     ConfigurationError,
     HistoryBuffer,
     IntegratorSpec,
-    NonConvergenceError,
     NumericalDriftError,
     NumericError,
     ReplicatorSolution,
     UtilityVector,
     detect_equilibrium,
-    integrate_ode,
     make_utilities,
-    picard_solve,
-    replicator_field,
     run_experiment,
     simulate,
     solve_delayed,
@@ -33,7 +29,7 @@ from irsgame.dynamics import DRIFT_TOL, MAX_STEPS, _advance, delayed_steps
 from irsgame.experiments import numerators
 from conftest import group_gains
 import oracle
-from oracle import _sum
+from oracle import NonConvergenceError, _sum, integrate_ode, picard_solve, replicator_field
 
 
 def logistic_utilities(p):

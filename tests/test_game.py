@@ -16,7 +16,6 @@ from irsgame import (
     UtilityVector,
     detect_equilibrium,
     make_utilities,
-    replicator_field,
     simulate,
     stability_bound,
     utility_numerators,
@@ -25,7 +24,7 @@ from irsgame.experiments import numerators
 from irsgame.game import EPS_FIELD, quiet_steps
 from conftest import group_gains, one_service_cfg, one_service_links
 import oracle
-from oracle import average_utility, utility
+from oracle import average_utility, replicator_field, utility
 
 
 def test_make_utilities_matches_scalar_utility(default_cfg, default_links, default_utilities):
