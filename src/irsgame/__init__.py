@@ -2,9 +2,9 @@
 
 Pipeline: static Rayleigh channels per provider geometry (channel), SNR
 maximization by alternating beamforming and surface phase alignment (phy),
-population utilities and replicator dynamics over service groups (game),
-the exact undelayed solution and the delayed replicator dynamics stepped
-one delay window at a time over a state history (dynamics), and
+population payoffs and utilities over service groups (game), the exact
+replicator dynamics and the delayed ones stepped one delay window at a
+time over a state history, both of the payoff pair (dynamics), and
 reproducible experiment presets with CSV output (experiments, cli).
 """
 

@@ -463,12 +463,11 @@ def parse_override(key: str, text: str):
 
 
 def with_scalar_overrides(cfg: ScenarioConfig, **kwargs) -> ScenarioConfig:
-    """Copy cfg with scalar overrides named in OVERRIDES; a value of None keeps the setting."""
+    """Copy cfg with scalar overrides named in OVERRIDES, each checked by its key's range."""
     for key in kwargs:
         if key not in OVERRIDES:
             raise ConfigurationError("unknown override %r, expected one of %s" % (key, ", ".join(OVERRIDES)))
-    cfg_kwargs = {k: v for k, v in kwargs.items() if v is not None}
-    integrator = {k: cfg_kwargs.pop(k) for k in list(cfg_kwargs) if k in _SPEC_KEYS}
+    integrator = {k: kwargs.pop(k) for k in list(kwargs) if k in _SPEC_KEYS}
     if integrator:
-        cfg_kwargs["integrator"] = replace(cfg.integrator, **integrator)
-    return replace(cfg, **cfg_kwargs) if cfg_kwargs else cfg
+        kwargs["integrator"] = replace(cfg.integrator, **integrator)
+    return replace(cfg, **kwargs) if kwargs else cfg

@@ -15,8 +15,8 @@ count and cached; except along stretches where every step is added unchanged
 (its total is exactly 1) or leaves the state as it was (shares clamped at
 zero): there it proposes a block of rows with numpy and keeps only the rows
 that carry the step-by-step bits.  It keeps no tally: delayed_steps recomputes
-a delayed run's steps from its stored states and map, and the run's clamps,
-absorbed mass and drift follow from states[:-1] + steps.
+a delayed run's steps from its stored states and payoff pair, and the run's
+clamps, absorbed mass and drift follow from states[:-1] + steps.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .config import _NON_NEGATIVE, _POSITIVE, MAX_STEPS, IntegratorSpec, _on_simplex, _require
 from .errors import ConfigurationError, NumericalDriftError, NumericError
-from .game import EPS_FIELD, _check_payoff, make_utilities, quiet_steps, selection_rates
+from .game import EPS_FIELD, _check_payoff, make_utilities, quiet_steps
 
 
 @dataclass
@@ -396,20 +396,20 @@ class HistoryBuffer:
         return a
 
 
-def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: IntegratorSpec) -> Trajectory:
-    """Forward-Euler steps of the delayed replicator field, one delay window at a time.
+def solve_delayed(numer, n_users: int, mu: float, p0, delta: float, spec: IntegratorSpec) -> Trajectory:
+    """Forward-Euler steps of the delayed replicator field of the payoff pair, one delay window at a time.
 
     Step i adds dt * mu * p_g * (u_g - u_bar) with state and utilities at i * dt - delta, read
     from the samples so far by HistoryBuffer.lookup.  Every step whose history is already known
-    (up to floor(delta / dt) + 1 steps) gets its field from one stacked utilities call (method
-    of steps); only the projection onto the simplex runs step by step.  A delay below dt gives
-    windows of one step, and delta = 0 is forward Euler of the undelayed replicator field.
-    utilities must accept a (T, G) stack of states, as make_utilities' map does; it is kept as
-    the trajectory's utility map.
+    (up to floor(delta / dt) + 1 steps) gets its field from one stacked call of
+    make_utilities(numer, n_users) (method of steps), which the trajectory keeps as its map;
+    only the projection onto the simplex runs step by step.  A delay below dt gives windows of
+    one step, and delta = 0 is forward Euler of the undelayed replicator field.
     """
     _require("delay", delta, _NON_NEGATIVE)
     _require("mu", mu, _POSITIVE)
     p = _check_p0(p0)
+    utilities = make_utilities(numer, n_users)
     n = spec.n_steps()
     dt = spec.dt
     states = np.empty((n + 1, p.size))
@@ -428,26 +428,25 @@ def solve_delayed(utilities: Callable, mu: float, p0, delta: float, spec: Integr
 
 @np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails the drift check
 def _steps_reading(utilities: Callable, mu: float, history: HistoryBuffer, t: np.ndarray) -> np.ndarray:
-    """The steps (T, G) that read the times t, dt * selection_rates at the looked-up states: the one step rule."""
+    """The steps (T, G) that read the times t, dt * mu * p_g * (u_g - u_bar) at the looked-up states
+    under make_utilities' map, empty groups exactly zero: the one step rule and replicator field."""
     p_d = history.lookup(t)
     uv = utilities(p_d)
-    if (shape := np.shape(uv.u)) != p_d.shape:  # numpy would broadcast a single value, or fail on a longer one
-        raise ConfigurationError("solve_delayed utilities of shape %s for states %s" % (shape, p_d.shape))
-    return history.dt * selection_rates(p_d, uv, mu)
+    return history.dt * (mu * np.where(p_d > 0.0, p_d * (uv.u - uv.u_bar[:, None]), 0.0))
 
 
-def delayed_steps(traj: Trajectory, mu: float, delta: float) -> np.ndarray:
-    """The steps (N - 1, G) of the solve_delayed run traj, recomputed from its states and map in one stacked call.
+def delayed_steps(traj: Trajectory, numer, n_users: int, mu: float, delta: float) -> np.ndarray:
+    """The steps (N - 1, G) of the solve_delayed run traj of the payoff pair, recomputed in one stacked call.
 
     traj.states[:-1] + steps are the sums that _advance projected.  Raises ConfigurationError
-    for what solve_delayed rejects, a trajectory without a utility map or of fewer than 2
-    samples, or times off the grid t_i = i * dt that solve_delayed samples.
+    for what solve_delayed rejects, a trajectory of fewer than 2 samples, or times off the grid
+    t_i = i * dt that solve_delayed samples.
     """
     _require("delay", delta, _NON_NEGATIVE)
     _require("mu", mu, _POSITIVE)
-    if traj.utilities is None or len(traj) < 2:
-        raise ConfigurationError("delayed_steps needs a trajectory of at least 2 samples that keeps its utility map")
+    if len(traj) < 2:
+        raise ConfigurationError("delayed_steps needs a trajectory of at least 2 samples")
     grid = np.arange(len(traj)) * float(traj.times[1] - traj.times[0])
     if not np.array_equal(traj.times, grid):
         raise ConfigurationError("delayed_steps needs the times t_i = i * dt of a solve_delayed run")
-    return _steps_reading(traj.utilities, mu, HistoryBuffer(grid[1], traj.states), grid[:-1] - delta)
+    return _steps_reading(make_utilities(numer, n_users), mu, HistoryBuffer(grid[1], traj.states), grid[:-1] - delta)

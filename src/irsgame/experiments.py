@@ -23,7 +23,7 @@ from .channel import generate_channels
 from .config import Position, ScenarioConfig, _finite, _raise
 from .dynamics import ReplicatorSolution, Trajectory, solve_delayed, solve_replicator
 from .errors import ConfigurationError, NumericError
-from .game import detect_equilibrium, make_utilities, stability_bound, utility_numerators
+from .game import detect_equilibrium, stability_bound, utility_numerators
 from .phy import build_all_links
 
 # trajectory CSVs keep every TRAJECTORY_STRIDE-th sample (plus the last)
@@ -59,7 +59,7 @@ def _dynamics(cfg: ScenarioConfig, numer: np.ndarray) -> Trajectory:
     """
     p0 = cfg.initial_population()
     if cfg.delta > 0:
-        return solve_delayed(make_utilities(numer, cfg.n_users), cfg.mu, p0, cfg.delta, cfg.integrator)
+        return solve_delayed(numer, cfg.n_users, cfg.mu, p0, cfg.delta, cfg.integrator)
     return solve_replicator(numer, cfg.n_users, cfg.mu, p0, cfg.integrator)
 
 

@@ -1,9 +1,10 @@
-"""Population game over provider/service groups and its replicator dynamics.
+"""Population game over provider/service groups: payoffs, utilities, stability and rest points.
 
 Users are partitioned into G groups, one per (provider, surface subset,
 transmit power) service triple.  The group utility is the valued expected
 per-user rate minus per-user prices; utilities fall with the group share, so
-the dynamics settle where all surviving groups earn the same utility.
+the replicator dynamics (in dynamics) settle where all surviving groups earn
+the same utility.
 """
 
 from __future__ import annotations
@@ -36,12 +37,12 @@ class UtilityVector:
     """Per-group utilities plus their population average.
 
     Entries for empty groups (share exactly zero) are NaN: the utility of a
-    service nobody uses is not applicable.  For a stack of states, u has one
-    row and u_bar one entry per state.
+    service nobody uses is not applicable.  u has the state's shape, and u_bar
+    one entry per state: a numpy float for one state.
     """
 
     u: np.ndarray
-    u_bar: float | np.ndarray
+    u_bar: np.floating | np.ndarray
 
 
 @dataclass
@@ -113,39 +114,28 @@ def make_utilities(numer: np.ndarray, n_users: int) -> Callable[[np.ndarray], Ut
 
     numer is utility_numerators of the scenario's optimized links; only the
     division by the group share happens per call.  The map takes one state
-    (G,) or a stack of states (T, G); for a stack, u is (T, G) and u_bar is
-    (T,), each row equal to the single-state result.  Raises NumericError when
-    a utility overflows a float, and ConfigurationError for a numer that is not
-    a 1-D vector of finite reals, an n_users that is not a whole number in
-    range, or a state whose length is not numer's.
+    (G,) or a stack of states (T, G) by one code path: u has the state's
+    shape and u_bar drops its last axis, each row of a stack equal to the
+    single-state result.  Raises NumericError when a utility overflows a
+    float, and ConfigurationError for a numer that is not a 1-D vector of
+    finite reals, an n_users that is not a whole number in range, or a state
+    whose length is not numer's.
     """
     numer, n = _check_payoff(numer, n_users)
-    n_nan = np.full(len(numer), np.nan)
 
     def utilities(p: np.ndarray) -> UtilityVector:
         p = np.asarray(p, dtype=float)
         if p.shape[-1:] != numer.shape:  # numpy would broadcast a single share, or fail on another length
             raise ConfigurationError("a utility map of %d groups got a state of shape %s" % (len(numer), p.shape))
         alive = p > 0.0
-        empty = n_nan.copy() if p.ndim == 1 else np.full(p.shape, np.nan)
         try:
             with np.errstate(over="raise"):  # an infinite u_g would make u_bar infinite too
-                u = np.divide(numer, p * n, out=empty, where=alive)
+                u = np.divide(numer, p * n, out=np.full(p.shape, np.nan), where=alive)
         except FloatingPointError:
             raise NumericError("a utility numer_g / (p_g * n_users) overflows a float") from None
-        u_bar = np.sum(np.where(alive, p * u, 0.0), axis=-1)
-        return UtilityVector(u=u, u_bar=float(u_bar) if p.ndim == 1 else u_bar)
+        return UtilityVector(u=u, u_bar=np.sum(np.where(alive, p * u, 0.0), axis=-1))
 
     return utilities
-
-
-def selection_rates(p: np.ndarray, uv: UtilityVector, mu: float) -> np.ndarray:
-    """mu * p_g * (u_g - u_bar) for a state (G,) or row by row for a stack (T, G).
-
-    Empty groups get exactly zero without reading their (NaN) utility.
-    """
-    u_bar = uv.u_bar if p.ndim == 1 else uv.u_bar[:, None]
-    return mu * np.where(p > 0.0, p * (uv.u - u_bar), 0.0)
 
 
 def stability_bound(numer: np.ndarray, mu: float, n_users: int) -> float:

@@ -41,10 +41,6 @@ class PhaseShiftVector:
         if not np.all((self.alphas >= 0.0) & (self.alphas < TWO_PI)):  # a NaN phase fails too
             raise ConfigurationError("phases must lie in [0, 2*pi)")
 
-    @property
-    def coefficients(self) -> np.ndarray:
-        return np.exp(1j * self.alphas)
-
     def __len__(self) -> int:
         return len(self.alphas)
 

@@ -6,11 +6,12 @@ solve_delayed approximates; the semidefinite relaxation bound that certifies phy
 optimize_link with checked beam, phase and SNR objects every round; ReplicatorSolution.at with a
 new array per expression; and the CSV and JSON writers that build a whole file's text at once.
 
-Also the reference solvers that no run executes: the replicator field of any utility map
-(replicator_field), classic RK4 steps of any ordinary field (integrate_ode, which projects
-each step through dynamics._advance) and the Picard iteration of its integral form
-(picard_solve, which raises NonConvergenceError), both reading the field by one checked rule
-(_rate); and config_to_text, the config writer that parse_config reads back."""
+Also the reference solvers that no run executes: the replicator field of any utility map at
+one state (replicator_field; the package writes its field only in dynamics._steps_reading),
+classic RK4 steps of any ordinary field (integrate_ode, which projects each step through
+dynamics._advance) and the Picard iteration of its integral form (picard_solve, which raises
+NonConvergenceError), both reading the field by one checked rule (_rate); and config_to_text,
+the config writer that parse_config reads back."""
 
 import json
 import math
@@ -35,7 +36,7 @@ from irsgame import (
 )
 from irsgame.config import _POSITIVE, _require
 from irsgame.dynamics import DRIFT_TOL, _advance, _check_p0, _growth
-from irsgame.game import EPS_FIELD, selection_rates
+from irsgame.game import EPS_FIELD
 from irsgame.phy import MAX_ITERS, TOL, TWO_PI, _mrt
 
 
@@ -213,7 +214,7 @@ def _effective_channel(ch, phases) -> np.ndarray:
     """The row h^H + h_iu^H Theta^H G of a checked PhaseShiftVector."""
     eff = np.conj(ch.h_direct)
     if len(phases):
-        eff = eff + (np.conj(ch.h_irs_user) * np.conj(phases.coefficients)) @ ch.g_bs_irs
+        eff = eff + (np.conj(ch.h_irs_user) * np.conj(np.exp(1j * phases.alphas))) @ ch.g_bs_irs
     return eff
 
 
@@ -291,13 +292,15 @@ PICARD_ROUNDS = 200
 
 
 def replicator_field(t: float, state: np.ndarray, utilities: Callable, mu: float) -> np.ndarray:
-    """Replicator vector field dp_g = mu * p_g * (u_g - u_bar).
+    """Replicator vector field dp_g = mu * p_g * (u_g - u_bar) at one state, written apart from
+    dynamics._steps_reading, as delayed_euler's step is.
 
     Empty groups stay empty: their component is exactly zero without
     evaluating the (undefined) utility.
     """
     p = np.asarray(state, dtype=float)
-    return selection_rates(p, utilities(p), mu)
+    uv = utilities(p)
+    return mu * np.where(p > 0.0, p * (uv.u - uv.u_bar), 0.0)
 
 
 def _rate(field: Callable, t: float, p: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ from irsgame import (
     ReplicatorSolution,
     SweepGrids,
     Trajectory,
-    UtilityVector,
     build_all_links,
     compute_snr,
     dbm_to_watt,
@@ -34,6 +33,7 @@ from irsgame import (
     solve_replicator,
     stability_bound,
     utility_numerators,
+    with_scalar_overrides,
 )
 from irsgame.errors import NumericError
 from irsgame.experiments import numerators
@@ -43,7 +43,8 @@ from oracle import NonConvergenceError, integrate_ode, picard_solve, replicator_
 NAN, INF = math.nan, math.inf
 CFG = load_config(REDUCED_CFG)
 NUMER = numerators(CFG)  # the two groups' payoffs of the reduced scenario
-UTILITIES = make_utilities(NUMER, CFG.n_users)
+PAIR = NUMER, CFG.n_users  # the payoff pair of the dynamics
+UTILITIES = make_utilities(*PAIR)
 CHANNEL = generate_channels(CFG)[0]
 P0 = [0.5, 0.5]
 SPEC = IntegratorSpec(dt=0.1, horizon=1.0)
@@ -56,12 +57,7 @@ def _toy_trajectory():
 
 
 def _delayed_run():
-    return solve_delayed(UTILITIES, 0.1, P0, 0.3, SPEC)
-
-
-def _utilities_of(n):
-    """A utility map of n groups, whatever the number of shares in the stack it is given."""
-    return lambda p: UtilityVector(np.ones((len(p), n)), np.ones(len(p)))
+    return solve_delayed(*PAIR, 0.1, P0, 0.3, SPEC)
 
 
 # one row per guarded call: each ended in a wrong value or a bare exception before
@@ -69,8 +65,8 @@ REGRESSIONS = {
     "negative mu of the exact solution": (lambda: ReplicatorSolution([1.0, 2.0], 100, -1.0, P0), "mu must be positive"),
     # the wording is the config key's range
     "a NaN mu": (lambda: ReplicatorSolution([1.0, 2.0], 100, NAN, P0), "mu must be positive and finite, got nan"),
-    "negative mu of the delayed solver": (lambda: solve_delayed(UTILITIES, -1.0, P0, 1.0, SPEC), "mu must be positive"),
-    "a NaN initial share": (lambda: solve_delayed(UTILITIES, 0.1, [NAN, 0.5], 1.0, SPEC), "p0 must be"),
+    "negative mu of the delayed solver": (lambda: solve_delayed(*PAIR, -1.0, P0, 1.0, SPEC), "mu must be positive"),
+    "a NaN initial share": (lambda: solve_delayed(*PAIR, 0.1, [NAN, 0.5], 1.0, SPEC), "p0 must be"),
     "a NaN transmit power": (lambda: optimize_link(CHANNEL, NAN, 1.0, 1e-3), "transmit power must be positive"),
     "a NaN noise of the link": (lambda: optimize_link(CHANNEL, 1.0, 1.0, NAN), "noise_var must be positive"),
     "a NaN beam power": (lambda: Beamformer(BEAM.w, NAN), "transmit power must be positive"),
@@ -142,14 +138,6 @@ REGRESSIONS = {
         lambda: compute_snr(CHANNEL, BEAM, NO_PHASES, 1.0, 1e-3),
         "phase vector has 0 entries but the surface has %d elements" % CHANNEL.n_elements,
     ),
-    # numpy broadcast a utility map of one group, and ended in a numpy ValueError on a longer one
-    **{
-        "a %d-group utility map for 2 shares of the delayed solver" % n: (
-            lambda n=n: solve_delayed(_utilities_of(n), 0.1, P0, 1.0, SPEC),
-            r"solve_delayed utilities of shape \(10, %d\) for states \(10, 2\)" % n,
-        )
-        for n in (1, 3)
-    },
     "repeated times of a trajectory": (
         lambda: detect_equilibrium(Trajectory(times=np.array([0.0, 1.0, 1.0]), states=np.tile(P0, (3, 1)))),
         "trajectory times must be strictly increasing",
@@ -195,30 +183,22 @@ REGRESSIONS = {
         lambda: detect_equilibrium(Trajectory(times=np.arange(2.0), states=np.array(P0))),
         r"trajectory states must be 2-D, got shape \(2,\)",
     ),
-    # delayed_steps checks what solve_delayed checks, and needs the map and the grid of a run
+    # delayed_steps checks what solve_delayed checks, and needs the grid of a run
     "a negative delay of the recomputed steps": (
-        lambda: delayed_steps(_delayed_run(), 0.1, -1.0),
+        lambda: delayed_steps(_delayed_run(), *PAIR, 0.1, -1.0),
         "delay must be non-negative and finite, got -1.0",
     ),
     "a NaN mu of the recomputed steps": (
-        lambda: delayed_steps(_delayed_run(), NAN, 0.3),
+        lambda: delayed_steps(_delayed_run(), *PAIR, NAN, 0.3),
         "mu must be positive and finite, got nan",
     ),
-    "a 3-group utility map of the recomputed steps": (
-        lambda: delayed_steps(replace(_delayed_run(), utilities=_utilities_of(3)), 0.1, 0.3),
-        r"solve_delayed utilities of shape \(10, 3\) for states \(10, 2\)",
-    ),
     "a one-sample trajectory of the recomputed steps": (
-        lambda: delayed_steps(Trajectory(times=np.zeros(1), states=np.array([P0]), utilities=UTILITIES), 0.1, 0.3),
-        "delayed_steps needs a trajectory of at least 2 samples that keeps its utility map",
-    ),
-    "a trajectory without a utility map of the recomputed steps": (
-        lambda: delayed_steps(replace(_delayed_run(), utilities=None), 0.1, 0.3),
-        "delayed_steps needs a trajectory of at least 2 samples that keeps its utility map",
+        lambda: delayed_steps(Trajectory(times=np.zeros(1), states=np.array([P0])), *PAIR, 0.1, 0.3),
+        "delayed_steps needs a trajectory of at least 2 samples",
     ),
     # read as if dt were 0.1 throughout
     "times off the grid of the recomputed steps": (
-        lambda: delayed_steps(Trajectory(np.array([0.0, 0.1, 0.3]), np.tile(P0, (3, 1)), UTILITIES), 0.1, 0.3),
+        lambda: delayed_steps(Trajectory(np.array([0.0, 0.1, 0.3]), np.tile(P0, (3, 1))), *PAIR, 0.1, 0.3),
         r"delayed_steps needs the times t_i = i \* dt of a solve_delayed run",
     ),
     # numpy broadcast a single share and ended in its ValueError on another length, now from any reader
@@ -227,7 +207,7 @@ REGRESSIONS = {
         r"a utility map of 2 groups got a state of shape \(3,\)",
     ),
     "a stack of 3-share states for a 2-group utility map": (
-        lambda: solve_delayed(make_utilities(np.array([1.0, 2.0]), 100), 0.1, [0.2, 0.3, 0.5], 1.0, SPEC),
+        lambda: solve_delayed(np.array([1.0, 2.0]), 100, 0.1, [0.2, 0.3, 0.5], 1.0, SPEC),
         r"a utility map of 2 groups got a state of shape \(10, 3\)",
     ),
     # a NaN payoff gave NaN utilities, or a bound that left it out; a list of strings ended in a TypeError.
@@ -242,6 +222,7 @@ REGRESSIONS = {
             (make_utilities, (CFG.n_users,)),
             (stability_bound, (0.1, CFG.n_users)),
             (ReplicatorSolution, (CFG.n_users, 0.1, P0)),
+            (solve_delayed, (CFG.n_users, 0.1, P0, 1.0, SPEC)),
         )
         for name, numer in (
             ("a NaN payoff", np.array([NAN, 1.0])),
@@ -302,6 +283,8 @@ REGRESSIONS = {
         lambda: replace(CFG, sps=[replace(CFG.sps[0], irs_modules=1.0), CFG.sps[1]]),
         r"sp\.1\.irs_modules must be an integer",
     ),
+    # a None override kept the setting; the CLI passes only the flags that were set
+    "a None override": (lambda: with_scalar_overrides(CFG, mu=None), r"scenario\.mu must be positive and finite"),
     "a fractional seed": (lambda: replace(CFG, seed=1.5), r"scenario\.seed must be an integer"),
     "a fractional population": (lambda: replace(CFG, n_users=100.5), r"scenario\.n_users must be an integer"),
     "a population grid of floats": (
@@ -332,6 +315,39 @@ def test_every_name_that_perfbench_imports_from_irsgame_exists():
     assert imported
     missing = [(f, module, name) for f, module, name in imported if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+    # it also reads names by attribute, as irsgame.dynamics.HistoryBuffer: each chain must resolve
+    read = {
+        (path.name, _dotted(node))
+        for path in sorted(perfbench.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (_dotted(node) or "").startswith("irsgame.")
+    }
+    assert ("probe.py", "irsgame.dynamics.HistoryBuffer") in read
+    assert sorted((f, name) for f, name in read if not _resolves(name)) == []
+
+
+def _dotted(node):
+    """The dotted name of an attribute chain a.b.c rooted at a name, or None for any other node."""
+    names = []
+    while isinstance(node, ast.Attribute):
+        names.append(node.attr)
+        node = node.value
+    return ".".join([node.id] + names[::-1]) if names and isinstance(node, ast.Name) else None
+
+
+def _resolves(dotted):
+    """Whether each name of irsgame.a.b resolves, as an attribute or else as a submodule to import."""
+    path, *names = dotted.split(".")
+    obj = importlib.import_module(path)
+    for name in names:
+        path += "." + name
+        if not hasattr(obj, name):
+            try:
+                importlib.import_module(path)
+            except ImportError:
+                return False
+        obj = getattr(obj, name)
+    return True
 
 
 def test_payoffs_given_as_a_list_act_as_their_array():
@@ -350,7 +366,7 @@ def test_trajectories_and_histories_given_as_lists_act_as_their_arrays():
     assert resting == detect_equilibrium(Trajectory(np.arange(2.0), np.array([P0, P0]), UTILITIES))
     run = _delayed_run()
     listed = Trajectory(run.times.tolist(), run.states.tolist(), UTILITIES)
-    assert delayed_steps(listed, 0.1, 0.3).tobytes() == delayed_steps(run, 0.1, 0.3).tobytes()
+    assert delayed_steps(listed, *PAIR, 0.1, 0.3).tobytes() == delayed_steps(run, *PAIR, 0.1, 0.3).tobytes()
     times = np.array([0.05, 0.1, 0.75])
     history = HistoryBuffer(0.1, run.states.tolist())
     assert history.lookup(times).tobytes() == HistoryBuffer(0.1, run.states).lookup(times).tobytes()
@@ -389,7 +405,7 @@ def _solvers(mu, n_users, delta, dt, horizon, p0):
     field = lambda t, p: replicator_field(t, p, UTILITIES, 0.1)  # noqa: E731
     yield lambda: _check_shares(ReplicatorSolution(NUMER, n_users, mu, p0).rest)
     yield lambda: _check_trajectory(solve_replicator(NUMER, n_users, mu, p0, spec()))
-    yield lambda: _check_trajectory(solve_delayed(make_utilities(NUMER, n_users), mu, p0, delta, spec()))
+    yield lambda: _check_trajectory(solve_delayed(NUMER, n_users, mu, p0, delta, spec()))
     yield lambda: _check_trajectory(integrate_ode(field, p0, spec(), UTILITIES))
     yield lambda: _check_shares(picard_solve(field, p0, np.array([0.0, horizon])).states)
 

@@ -215,11 +215,11 @@ def test_history_buffer_lookup(lookups):
 
 
 def test_dde_small_delay_reaches_known_equilibrium(reduced_cfg, reduced_links):
-    utilities = make_utilities(utility_numerators(reduced_links, reduced_cfg), reduced_cfg.n_users)
+    numer = utility_numerators(reduced_links, reduced_cfg)
     gains = group_gains(reduced_cfg, reduced_links)
     p_star = gains / gains.sum()
     spec = IntegratorSpec(dt=0.01, horizon=300.0)
-    traj = solve_delayed(utilities, reduced_cfg.mu, reduced_cfg.initial_population(), 5.0, spec)
+    traj = solve_delayed(numer, reduced_cfg.n_users, reduced_cfg.mu, reduced_cfg.initial_population(), 5.0, spec)
     assert np.max(np.abs(traj.states[-1] - p_star)) < 1e-6
 
 
@@ -602,8 +602,8 @@ def block_rows(monkeypatch):
 BLOCK_ROWS = {"three_group_cfg": 2000}
 
 
-def scenario_utilities(cfg):
-    return make_utilities(numerators(cfg), cfg.n_users)
+def payoff_pair(cfg):
+    return numerators(cfg), cfg.n_users
 
 
 def clamp_facts(traj, steps):
@@ -629,23 +629,22 @@ def clamp_facts(traj, steps):
 )
 def test_solve_delayed_matches_oracle_bit_for_bit(request, scenario, delta, dt, horizon, block_rows):
     cfg = request.getfixturevalue(scenario)
-    utilities = scenario_utilities(cfg)
+    pair = payoff_pair(cfg)
     spec = IntegratorSpec(dt=dt, horizon=horizon)
     p0 = cfg.initial_population()
-    fast = solve_delayed(utilities, cfg.mu, p0, delta, spec)
+    fast = solve_delayed(*pair, cfg.mu, p0, delta, spec)
     assert sum(k for _, k in block_rows) >= BLOCK_ROWS.get(scenario, 0)
     # one field, one scalar history lookup and one projection per step
-    ref, _, absorbed, clamped = oracle.delayed_euler(utilities, cfg.mu, p0, delta, spec)
+    ref, _, absorbed, clamped = oracle.delayed_euler(make_utilities(*pair), cfg.mu, p0, delta, spec)
     assert np.array_equal(fast.times, ref.times)
     assert np.array_equal(fast.states, ref.states)
     assert fast.states.tobytes() == ref.states.tobytes()
-    # the stacked map of the stored states has the bits of one call per state
-    assert fast.utilities is ref.utilities is utilities
-    stacked, rows = utilities(fast.states), [utilities(s) for s in ref.states]
+    # the run keeps the pair's map: on the stored states, stacked, it has the bits of one call per state
+    stacked, rows = fast.utilities(fast.states), [ref.utilities(s) for s in ref.states]
     assert np.array_equal(stacked.u, np.array([r.u for r in rows]), equal_nan=True)
     assert np.array_equal(stacked.u_bar, np.array([r.u_bar for r in rows]))
     # the facts recomputed from the stored states are the ones the oracle counts step by step
-    facts = clamp_facts(fast, delayed_steps(fast, cfg.mu, delta))
+    facts = clamp_facts(fast, delayed_steps(fast, *pair, cfg.mu, delta))
     assert facts[0] == clamped
     assert abs(facts[1] - absorbed) <= 1e-12
     if scenario == "reduced_cfg" and delta >= 30.0:
@@ -658,11 +657,11 @@ def test_first_delay_window_is_the_exact_delay_solution(request, scenario, delta
     # on [0, delta] every step reads the constant pre-history p0, so the delay equation's
     # solution is p0 + t * F with F the field at p0, until a share reaches zero
     cfg = request.getfixturevalue(scenario)
-    utilities = scenario_utilities(cfg)
+    pair = payoff_pair(cfg)
     p0 = cfg.initial_population()
     dt = cfg.integrator.dt
-    traj = solve_delayed(utilities, cfg.mu, p0, delta, IntegratorSpec(dt=dt, horizon=delta))
-    exact = p0 + traj.times[:, None] * replicator_field(0.0, p0, utilities, cfg.mu)
+    traj = solve_delayed(*pair, cfg.mu, p0, delta, IntegratorSpec(dt=dt, horizon=delta))
+    exact = p0 + traj.times[:, None] * replicator_field(0.0, p0, make_utilities(*pair), cfg.mu)
     alive = np.all(exact > 0.0, axis=1)
     first = len(alive) if alive.all() else int(np.argmin(alive))  # rows before the first clamp
     assert first > 1
@@ -673,11 +672,10 @@ def test_a_run_that_never_clamps_converges_to_the_exact_delay_solution(default_c
     # default.cfg at delta = 30 (below its bound, 46.8) keeps every share positive, so the
     # delay equation has the exact method-of-steps solution; forward Euler is first order
     numer = numerators(default_cfg)
-    utilities = make_utilities(numer, default_cfg.n_users)
     p0 = default_cfg.initial_population()
     gaps = []
     for dt in (0.01, 0.005):
-        traj = solve_delayed(utilities, default_cfg.mu, p0, 30.0, IntegratorSpec(dt=dt, horizon=600.0))
+        traj = solve_delayed(numer, default_cfg.n_users, default_cfg.mu, p0, 30.0, IntegratorSpec(dt=dt, horizon=600.0))
         assert np.all(traj.states > 0.0)
         every = round(5.0 / dt)  # t = 0, 5, ..., 600
         exact = oracle.delay_exact(numer / default_cfg.n_users, default_cfg.mu, p0, 30.0, traj.times[::every])
@@ -699,11 +697,11 @@ def test_a_run_that_never_clamps_converges_to_the_exact_delay_solution(default_c
 def test_every_bundled_delayed_run_is_first_order_before_its_first_clamp(request, scenario, delta, first_clamp):
     # step-halving gaps at dt = 0.01, 0.005 and 0.0025, every 5 time units up to the first zero share
     cfg = request.getfixturevalue(scenario)
-    utilities = scenario_utilities(cfg)
+    pair = payoff_pair(cfg)
     p0 = cfg.initial_population()
     samples = []
     for dt in (0.01, 0.005, 0.0025):
-        traj = solve_delayed(utilities, cfg.mu, p0, delta, IntegratorSpec(dt=dt, horizon=first_clamp))
+        traj = solve_delayed(*pair, cfg.mu, p0, delta, IntegratorSpec(dt=dt, horizon=first_clamp))
         assert np.all(traj.states > 0.0)  # no share reaches zero by first_clamp
         samples.append(traj.states[:: round(5.0 / dt)])
     gaps = [np.max(np.abs(a - b)) for a, b in zip(samples, samples[1:])]
@@ -731,10 +729,10 @@ def test_every_clamping_bundled_delayed_run_keeps_its_step_halving_gap_past_the_
     # ratio of successive gaps (against dt / 4) measured 1.31 to 3.36 over these runs
     cfg = request.getfixturevalue(scenario)
     assert delta in cfg.grids.delta
-    utilities = scenario_utilities(cfg)
+    pair = payoff_pair(cfg)
     p0 = cfg.initial_population()
     dt, horizon = cfg.integrator.dt, cfg.integrator.horizon
-    runs = [solve_delayed(utilities, cfg.mu, p0, delta, IntegratorSpec(dt=d, horizon=horizon)) for d in (dt, dt / 2)]
+    runs = [solve_delayed(*pair, cfg.mu, p0, delta, IntegratorSpec(dt=d, horizon=horizon)) for d in (dt, dt / 2)]
     first = int(np.flatnonzero(np.any(runs[0].states == 0.0, axis=1))[0])
     assert runs[0].times[first] == pytest.approx(first_zero, abs=0.01)
     gap = np.max(np.abs(runs[0].states[first:] - runs[1].states[2 * first :: 2]))
@@ -757,9 +755,9 @@ def test_every_bundled_delayed_run_replays_from_its_recomputed_steps(request, sc
     # take the run again bit for bit, so the facts read from them are the run's own
     cfg = request.getfixturevalue(scenario)
     assert delta in cfg.grids.delta
-    utilities = scenario_utilities(cfg)
-    traj = solve_delayed(utilities, cfg.mu, cfg.initial_population(), delta, cfg.integrator)
-    steps = delayed_steps(traj, cfg.mu, delta)
+    pair = payoff_pair(cfg)
+    traj = solve_delayed(*pair, cfg.mu, cfg.initial_population(), delta, cfg.integrator)
+    steps = delayed_steps(traj, *pair, cfg.mu, delta)
     assert steps.shape == (len(traj) - 1, cfg.n_groups)
     rows = np.empty_like(traj.states)
     rows[0] = traj.states[0]
@@ -768,21 +766,21 @@ def test_every_bundled_delayed_run_replays_from_its_recomputed_steps(request, sc
     assert clamp_facts(traj, steps)[0] == clamped
 
 
-def test_solve_delayed_rejects_negative_delay(default_cfg, default_utilities):
+def test_solve_delayed_rejects_negative_delay(default_cfg, default_links):
+    pair = utility_numerators(default_links, default_cfg), default_cfg.n_users
     with pytest.raises(ConfigurationError):
-        solve_delayed(default_utilities, 0.1, default_cfg.initial_population(), -1.0, IntegratorSpec(dt=0.1, horizon=1.0))
+        solve_delayed(*pair, 0.1, default_cfg.initial_population(), -1.0, IntegratorSpec(dt=0.1, horizon=1.0))
 
 
 @pytest.mark.parametrize("delta", [np.nan, np.inf])
 def test_solve_delayed_rejects_a_non_finite_delay(reduced_cfg, delta):
-    utilities = scenario_utilities(reduced_cfg)
     spec = IntegratorSpec(dt=0.1, horizon=2.0)
     with pytest.raises(ConfigurationError, match="delay must be non-negative and finite"):
-        solve_delayed(utilities, reduced_cfg.mu, reduced_cfg.initial_population(), delta, spec)
+        solve_delayed(*payoff_pair(reduced_cfg), reduced_cfg.mu, reduced_cfg.initial_population(), delta, spec)
 
 
 def test_delayed_simulate_calls_utilities_once_per_delay_window(reduced_cfg, monkeypatch):
-    calls = []
+    calls, made = [], []
 
     def counted_make_utilities(*args):
         utilities = make_utilities(*args)
@@ -791,50 +789,29 @@ def test_delayed_simulate_calls_utilities_once_per_delay_window(reduced_cfg, mon
             calls.append(np.shape(p))
             return utilities(p)
 
+        made.append(counted)
         return counted
 
-    monkeypatch.setattr("irsgame.experiments.make_utilities", counted_make_utilities)
+    monkeypatch.setattr("irsgame.dynamics.make_utilities", counted_make_utilities)
     cfg = with_scalar_overrides(reduced_cfg, delta=30.0, dt=0.05, horizon=250.0)
     traj = simulate(cfg).trajectory
     n = cfg.integrator.n_steps()
     assert len(traj) == n + 1
+    assert made == [traj.utilities]  # the run makes the pair's map once and keeps it
     assert len(calls) <= int(np.ceil(n / np.floor(cfg.delta / cfg.integrator.dt))) + 2
 
 
-def leaky_utilities(u, u_bar):
-    """Constant utilities whose u_bar is not the population average, so the field does not conserve mass."""
-
-    def utilities(p):
-        p = np.asarray(p, dtype=float)
-        return UtilityVector(np.broadcast_to(u, p.shape), u_bar if p.ndim == 1 else np.full(len(p), u_bar))
-
-    return utilities
-
-
-def nan_utilities(p):
-    # u = c / p overflows for a subnormal share, as in test_drift_error_on_nan_step
-    p = np.asarray(p, dtype=float)
-    alive = p > 0.0
-    u = np.divide(1.0, p, out=np.full(p.shape, np.nan), where=alive)
-    u_bar = np.sum(np.where(alive, p * u, 0.0), axis=-1)
-    return UtilityVector(u, float(u_bar) if p.ndim == 1 else u_bar)
-
-
-@pytest.mark.parametrize(
-    "utilities, p0, message",
-    [
-        (nan_utilities, [1.0, 2.2e-309], "simplex drift nan"),
-        (leaky_utilities(np.array([1.0, 0.0]), 0.0), [0.5, 0.5], "simplex drift 5.000e-03 exceeds"),
-    ],
-)
-def test_solve_delayed_guards_match_oracle(utilities, p0, message):
+def test_solve_delayed_guards_match_oracle():
+    # payoffs of opposite sign near the largest float: the first step's sum is 1 + 1, far off the simplex
+    pair, p0 = ([8e307, -8e307], 1), [0.5, 0.5]
     spec = IntegratorSpec(dt=0.01, horizon=1.0)
     delta = 0.05
-    with np.errstate(all="ignore"), pytest.raises(NumericalDriftError, match=message) as fast:
-        solve_delayed(utilities, 1.0, np.array(p0), delta, spec)
+    message = "simplex drift 1.000e+00 exceeds 1.0e-06 in one step; reduce dt"
+    with np.errstate(all="ignore"), pytest.raises(NumericalDriftError) as fast:
+        solve_delayed(*pair, 1.0, p0, delta, spec)
     with np.errstate(all="ignore"), pytest.raises(NumericalDriftError) as ref:
-        oracle.delayed_euler(utilities, 1.0, np.array(p0), delta, spec)
-    assert str(fast.value) == str(ref.value)
+        oracle.delayed_euler(make_utilities(*pair), 1.0, p0, delta, spec)
+    assert str(fast.value) == str(ref.value) == message
 
 
 @st.composite

@@ -45,13 +45,6 @@ def test_phase_vector_validation():
         PhaseShiftVector(np.zeros((2, 2)))
 
 
-def test_phase_coefficients_unit_modulus():
-    rng = np.random.default_rng(0)
-    alphas = rng.uniform(0.0, 2.0 * np.pi, size=64)
-    coeff = PhaseShiftVector(alphas).coefficients
-    assert np.allclose(np.abs(coeff), 1.0, atol=1e-14)
-
-
 def test_beamformer_power_validation():
     Beamformer(np.array([1.0 + 0j, 1.0j]), 2.0)
     with pytest.raises(ConfigurationError):
