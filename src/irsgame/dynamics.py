@@ -3,8 +3,10 @@
 ReplicatorSolution is the exact undelayed replicator dynamics of the payoff pair
 (numer, n_users) and its rest point; solve_replicator samples it.  solve_delayed,
 the package's one forward-Euler stepper, steps the delayed replicator field, reading
-past states through HistoryBuffer (linear interpolation between samples, constant
-pre-history) and evaluating the field of a whole delay window at once (method of steps).
+past states by one history rule (_samples, then _read: linear interpolation between
+samples, constant pre-history), once per delay window, and evaluating the field of a
+whole window at once (method of steps).  HistoryBuffer.lookup reads a stored history by
+the same rule.
 
 solve_delayed takes its steps through one loop (_advance), which adds each
 step to the state and projects the sum back onto the probability simplex,
@@ -42,25 +44,37 @@ class Trajectory:
     utilities: Optional[Callable] = None
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)  # a float array is kept, not copied
-        self.states = np.asarray(self.states, dtype=float)
-        for name, ndim in (("times", 1), ("states", 2)):
-            if (rows := getattr(self, name)).ndim != ndim:
-                raise ConfigurationError("trajectory %s must be %d-D, got shape %s" % (name, ndim, rows.shape))
-        if not self.states.shape[1]:  # quiet_steps takes its row max column by column
-            raise ConfigurationError("trajectory states need at least one group, got shape %s" % (self.states.shape,))
-        if not np.all(np.isfinite(self.states)):  # detect_equilibrium's differences would be NaN
-            raise ConfigurationError("trajectory states must be finite")
+        t = self.times = np.asarray(self.times, dtype=float)  # a float array is kept, not copied
+        if t.ndim != 1:
+            raise ConfigurationError("trajectory times must be 1-D, got shape %s" % (t.shape,))
+        self.states = _checked_states(self.states, "trajectory")
         if len(self.states) != len(self.times):
             raise ConfigurationError("a trajectory of %d times has %d states" % (len(self.times), len(self.states)))
         if not (self.utilities is None or callable(self.utilities)):
             raise ConfigurationError("trajectory utilities must be a state -> UtilityVector map, got %r" % (self.utilities,))
-        t = self.times  # compared as views, with no array of differences
-        if not (len(t) and not np.isnan(t[0]) and np.all(t[1:] > t[:-1])):  # a NaN time fails
+        # compared as views, with no array of differences; a NaN time fails
+        if not (len(t) and not np.isnan(t[0]) and np.all(t[1:] > t[:-1])):
             raise ConfigurationError("trajectory times must be strictly increasing, with at least one")
 
     def __len__(self) -> int:
         return len(self.times)
+
+
+def _checked_states(states, owner: str) -> np.ndarray:
+    """states as a float array (a float array is kept, not copied), 2-D, of at least one group and finite.
+
+    A lookup would read one share of a 1-D history as a state, and return empty states of zero
+    groups; quiet_steps takes its row max column by column; and a non-finite state would make
+    detect_equilibrium's differences NaN.  The messages name the owner, "trajectory" or "history".
+    """
+    states = np.asarray(states, dtype=float)
+    if states.ndim != 2:
+        raise ConfigurationError("%s states must be 2-D, got shape %s" % (owner, states.shape))
+    if not states.shape[1]:
+        raise ConfigurationError("%s states need at least one group, got shape %s" % (owner, states.shape))
+    if not np.all(np.isfinite(states)):
+        raise ConfigurationError("%s states must be finite" % owner)
+    return states
 
 
 def _check_p0(p0) -> np.ndarray:
@@ -348,15 +362,44 @@ def _growth(s, mu: float, big_c: float):
         return -np.expm1(-mu * big_c * s) / big_c
 
 
+@np.errstate(over="ignore", invalid="ignore")  # t / dt past a float is pre-history or past the newest sample
+def _samples(t: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The samples lo <= hi of the grid i * dt that each time t reads, and the weight frac of hi (0 when hi = lo).
+
+    The one history rule of the delayed dynamics: a time within 1e-9 steps of a sample is that
+    sample, a time between two samples is their linear interpolation, and a time t <= 0 is the
+    initial state (constant pre-history).
+    """
+    x = t / dt
+    near = np.round(x)
+    snap = np.abs(x - near) < 1e-9
+    pre = t <= 0.0
+    lo = np.where(pre, 0.0, np.where(snap, near, np.floor(x)))
+    frac = np.where(snap | pre, 0.0, x - lo)
+    return lo, lo + (frac > 0.0), frac
+
+
+def _read(states: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, frac: np.ndarray) -> np.ndarray:
+    """The states at the times t that read the samples (lo, hi, frac) = _samples(t, dt) of the rows states.
+
+    Returns a new array; only the times between two samples read hi.  Raises ConfigurationError
+    when a time is past the newest row, or NaN.
+    """
+    if not np.all(hi < len(states)):
+        raise ConfigurationError("history lookup at t=%r is beyond the newest sample" % (float(np.max(t)),))
+    a, between = states[lo.astype(np.intp)], frac > 0.0  # a is a copy, even for a 0-d time
+    f = frac[between][:, None]
+    a[between] = (1.0 - f) * a[between] + f * states[hi[between].astype(np.intp)]
+    return a
+
+
 @dataclass
 class HistoryBuffer:
     """Grid-aligned state history of a delayed integration from t = 0: states[i] is the state at i * dt.
 
-    The one history rule of the delayed dynamics: a time within 1e-9 steps of a sample is that
-    sample, a time between two samples is their linear interpolation, and a time t <= 0 is the
-    initial state (constant pre-history).  Only states are stored; callers derive utilities from
-    the looked-up state, which keeps identities of the utility map (such as the population
-    average being the mass-weighted mean) exact even between grid points.
+    lookup reads it by the history rule of _samples and _read.  Only states are stored; callers derive
+    utilities from the looked-up state, which keeps identities of the utility map (such as the
+    population average being the mass-weighted mean) exact even between grid points.
     """
 
     dt: float
@@ -364,44 +407,22 @@ class HistoryBuffer:
 
     def __post_init__(self):
         _require("dt", self.dt, _POSITIVE)
-        self.states = np.asarray(self.states, dtype=float)  # not a copy: solve_delayed writes rows after it
-        if self.states.ndim != 2:  # a lookup would read one share as a state
-            raise ConfigurationError("history states must be 2-D, got shape %s" % (self.states.shape,))
-        if not self.states.shape[1]:  # a lookup would return empty states
-            raise ConfigurationError("history states need at least one group, got shape %s" % (self.states.shape,))
-
-    @np.errstate(over="ignore", invalid="ignore")  # t / dt past a float is pre-history or past the newest sample
-    def _samples(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The samples lo <= hi that each time reads, and the weight frac of hi (0 when hi = lo)."""
-        x = t / self.dt
-        near = np.round(x)
-        snap = np.abs(x - near) < 1e-9
-        pre = t <= 0.0
-        lo = np.where(pre, 0.0, np.where(snap, near, np.floor(x)))
-        frac = np.where(snap | pre, 0.0, x - lo)
-        return lo, lo + (frac > 0.0), frac
+        self.states = _checked_states(self.states, "history")
 
     def lookup(self, t) -> np.ndarray:
         """States at the time t (G,) or at each of the times t (T, G).
 
         Raises ConfigurationError when a time is past the newest sample, or NaN.
         """
-        t = np.asarray(t, dtype=float)
-        lo, hi, frac = self._samples(t)
-        if not np.all(hi < len(self.states)):
-            raise ConfigurationError("history lookup at t=%r is beyond the newest sample" % (float(np.max(t)),))
-        a, between = self.states[lo.astype(np.intp)], frac > 0.0  # a is a copy, even for a 0-d t
-        f = frac[between][:, None]  # only the times between two samples read hi
-        a[between] = (1.0 - f) * a[between] + f * self.states[hi[between].astype(np.intp)]
-        return a
+        return _read(self.states, t, *_samples(np.asarray(t, dtype=float), self.dt))
 
 
 def solve_delayed(numer, n_users: int, mu: float, p0, delta: float, spec: IntegratorSpec) -> Trajectory:
     """Forward-Euler steps of the delayed replicator field of the payoff pair, one delay window at a time.
 
     Step i adds dt * mu * p_g * (u_g - u_bar) with state and utilities at i * dt - delta, read
-    from the samples so far by HistoryBuffer.lookup.  Every step whose history is already known
-    (up to floor(delta / dt) + 1 steps) gets its field from one stacked call of
+    from the rows written so far by the history rule, sampled once per window.  Every step whose
+    history is already known (up to floor(delta / dt) + 1 steps) gets its field from one stacked call of
     make_utilities(numer, n_users) (method of steps), which the trajectory keeps as its map;
     only the projection onto the simplex runs step by step.  A delay below dt gives windows of
     one step, and delta = 0 is forward Euler of the undelayed replicator field.
@@ -415,24 +436,25 @@ def solve_delayed(numer, n_users: int, mu: float, p0, delta: float, spec: Integr
     states = np.empty((n + 1, p.size))
     states[0] = p
     t_q = np.arange(n) * dt - delta  # the time each step reads
-    history = HistoryBuffer(dt, states)
     reach = math.floor(min(delta / dt, n)) + 3  # step i + reach reads past sample i + 1: a window ends before it
     i = 0
     while i < n:
-        newest = history._samples(t_q[i : i + reach])[1]  # the newest sample each step of the window reads
-        j = i + max(int(np.searchsorted(newest, i, "right")), 1)  # steps i..j-1 read states[:i + 1]
-        _advance(states[i : j + 1], _steps_reading(utilities, mu, HistoryBuffer(dt, states[: i + 1]), t_q[i:j]))
-        i = j
+        lo, hi, frac = _samples(t_q[i : i + reach], dt)
+        k = max(int(np.searchsorted(hi, i, "right")), 1)  # steps i..i+k-1 read states[:i + 1]
+        # only the rows written: a first time that rounds past i * dt is an error, not a read of np.empty
+        steps = _steps_reading(utilities, mu, dt, _read(states[: i + 1], t_q[i : i + k], lo[:k], hi[:k], frac[:k]))
+        del lo, hi, frac  # the window's samples and past states are not held while its steps are taken
+        _advance(states[i : i + k + 1], steps)
+        i += k
     return Trajectory(np.arange(n + 1) * dt, states, utilities)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails the drift check
-def _steps_reading(utilities: Callable, mu: float, history: HistoryBuffer, t: np.ndarray) -> np.ndarray:
-    """The steps (T, G) that read the times t, dt * mu * p_g * (u_g - u_bar) at the looked-up states
-    under make_utilities' map, empty groups exactly zero: the one step rule and replicator field."""
-    p_d = history.lookup(t)
+def _steps_reading(utilities: Callable, mu: float, dt: float, p_d: np.ndarray) -> np.ndarray:
+    """The steps (T, G) that read the past states p_d, dt * mu * p_g * (u_g - u_bar) under make_utilities'
+    map, empty groups exactly zero: the one step rule and replicator field."""
     uv = utilities(p_d)
-    return history.dt * (mu * np.where(p_d > 0.0, p_d * (uv.u - uv.u_bar[:, None]), 0.0))
+    return dt * (mu * np.where(p_d > 0.0, p_d * (uv.u - uv.u_bar[:, None]), 0.0))
 
 
 def delayed_steps(traj: Trajectory, numer, n_users: int, mu: float, delta: float) -> np.ndarray:
@@ -449,4 +471,5 @@ def delayed_steps(traj: Trajectory, numer, n_users: int, mu: float, delta: float
     grid = np.arange(len(traj)) * float(traj.times[1] - traj.times[0])
     if not np.array_equal(traj.times, grid):
         raise ConfigurationError("delayed_steps needs the times t_i = i * dt of a solve_delayed run")
-    return _steps_reading(make_utilities(numer, n_users), mu, HistoryBuffer(grid[1], traj.states), grid[:-1] - delta)
+    past = HistoryBuffer(grid[1], traj.states).lookup(grid[:-1] - delta)
+    return _steps_reading(make_utilities(numer, n_users), mu, grid[1], past)

@@ -227,22 +227,32 @@ def _run_convergence_speed(cfg: ScenarioConfig):
 def _run_delay_sweep(cfg: ScenarioConfig):
     numer = numerators(cfg)  # delta does not enter the links
     try:
-        bound = "%.17g" % stability_bound(numer, cfg.mu, cfg.n_users)
+        bound = stability_bound(numer, cfg.mu, cfg.n_users)
+        text = "%.17g" % bound
     except NumericError as exc:
-        bound = "not computable (%s)" % exc
+        bound, text = None, "not computable (%s)" % exc
     for delta in cfg.grids.delta:
         point = replace(cfg, delta=delta)
         # shortest round-trip form, so that distinct delays never share a file
         tag = repr(float(delta)).removesuffix(".0").replace(".", "p").replace("-", "m")
-        yield ("_delta" + tag, point, *_delay_point(point, numer, bound))
+        yield ("_delta" + tag, point, *_delay_point(point, numer, bound, text))
 
 
-def _delay_point(point: ScenarioConfig, numer: np.ndarray, bound: str) -> tuple[list, tuple]:
-    """A delay point's meta lines and table; its trajectory is freed on return, before the table is written."""
+def _delay_point(point: ScenarioConfig, numer: np.ndarray, bound: float | None, text: str) -> tuple[list, tuple]:
+    """A delay point's meta lines and table; its trajectory is freed on return, before the table is written.
+
+    bound is the stability bound, None when it is not computable, and text its meta value.  A point
+    below the bound is stable: when it has not rested by the horizon, that is what its meta line says.
+    """
     traj = _dynamics(point, numer)
     eq = detect_equilibrium(traj, min_quiet=point.delta)
-    t_eq = "%.17g" % eq.time if eq is not None else "none (tail never rests for a full delay window)"
-    return [("stability_bound", bound), ("t_equilibrium", t_eq)], _trajectory_table(traj)
+    if eq is not None:
+        t_eq = "%.17g" % eq.time
+    elif bound is not None and point.delta < bound:
+        t_eq = "none by the horizon (delta below the stability bound)"
+    else:
+        t_eq = "none (tail never rests for a full delay window)"
+    return [("stability_bound", text), ("t_equilibrium", t_eq)], _trajectory_table(traj)
 
 
 def _run_irs_size_sweep(cfg: ScenarioConfig):

@@ -66,11 +66,13 @@ class Beamformer:
 
 @dataclass
 class ServiceLink:
-    """An optimized link: beam, surface phases and the resulting SNR."""
+    """An optimized link: beam, surface phases, the resulting SNR and the full beam-and-phase rounds
+    made (MAX_ITERS when the climb ran to the cap)."""
 
     beam: Beamformer
     phases: PhaseShiftVector
     snr: float
+    rounds: int
 
 
 def compute_snr(
@@ -144,7 +146,8 @@ def optimize_link(
     every half step (beam update, then phase update) for monotonicity checks.
 
     Checks its scalars at entry.  Returns a checked ServiceLink whose cached
-    snr field equals compute_snr for the returned beam and phases.
+    snr field equals compute_snr for the returned beam and phases, and whose
+    rounds count the full rounds made (len(trace) // 2).
     """
     _require("transmit power", power_w, _POSITIVE)
     _require("bandwidth", bandwidth, _POSITIVE)
@@ -152,7 +155,7 @@ def optimize_link(
     alphas = np.zeros(ch.n_elements)
     eff = _effective_channel(ch, alphas)
     snr = -np.inf
-    for _ in range(MAX_ITERS):
+    for rounds in range(1, MAX_ITERS + 1):
         w = _mrt(eff, power_w)
         if trace is not None:
             trace.append(_snr(eff, w, bandwidth, noise_var))
@@ -173,7 +176,7 @@ def optimize_link(
         snr = new_snr
         if stop:
             break
-    return ServiceLink(beam=Beamformer(w, power_w), phases=PhaseShiftVector(alphas), snr=snr)
+    return ServiceLink(beam=Beamformer(w, power_w), phases=PhaseShiftVector(alphas), snr=snr, rounds=rounds)
 
 
 def build_all_links(cfg, channels: list[ChannelSet]) -> list[ServiceLink]:

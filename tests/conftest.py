@@ -86,8 +86,8 @@ def one_service_cfg(price_irs=0.1, mu=0.1, n_users=100):
 
 
 def one_service_links(snr=3.0):
-    """Links of one_service_cfg: 1 W beams, 8 zero-phase elements, the same snr in both groups."""
+    """Links of one_service_cfg: 1 W beams, 8 zero-phase elements, the same snr in both groups, no rounds climbed."""
     return [
-        ServiceLink(beam=Beamformer(np.array([1.0 + 0j]), 1.0), phases=PhaseShiftVector(np.zeros(8)), snr=snr)
+        ServiceLink(beam=Beamformer(np.array([1.0 + 0j]), 1.0), phases=PhaseShiftVector(np.zeros(8)), snr=snr, rounds=0)
         for _ in range(2)
     ]

@@ -225,7 +225,7 @@ def optimize_link(ch, power_w: float, bandwidth: float, noise_var: float, trace:
     alphas = np.zeros(ch.n_elements)
     snr = -np.inf
     beam = None
-    for _ in range(MAX_ITERS):
+    for rounds in range(1, MAX_ITERS + 1):
         phases = PhaseShiftVector(alphas)
         beam = Beamformer(_mrt(_effective_channel(ch, phases), power_w), power_w)
         if trace is not None:
@@ -248,7 +248,7 @@ def optimize_link(ch, power_w: float, bandwidth: float, noise_var: float, trace:
         snr = new_snr
         if stop:
             break
-    return ServiceLink(beam=beam, phases=PhaseShiftVector(alphas), snr=snr)
+    return ServiceLink(beam=beam, phases=PhaseShiftVector(alphas), snr=snr, rounds=rounds)
 
 
 def replicator_at(solution, times) -> np.ndarray:

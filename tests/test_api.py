@@ -133,6 +133,14 @@ REGRESSIONS = {
         lambda: HistoryBuffer(0.1, np.zeros((3, 0))).lookup([0.05]),
         r"history states need at least one group, got shape \(3, 0\)",
     ),
+    # a lookup returned the non-finite share, or interpolated it into the states read
+    **{
+        "%s share of a history" % name: (
+            lambda x=x: HistoryBuffer(0.1, [[x, 0.0], P0]).lookup([0.05]),
+            "history states must be finite",
+        )
+        for name, x in (("an infinite", INF), ("a negative infinite", -INF), ("a NaN", NAN))
+    },
     # elements beyond a short phase vector did not reflect; ChannelSet.subset says that
     "a phase vector shorter than the surface": (
         lambda: compute_snr(CHANNEL, BEAM, NO_PHASES, 1.0, 1e-3),

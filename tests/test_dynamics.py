@@ -780,25 +780,41 @@ def test_solve_delayed_rejects_a_non_finite_delay(reduced_cfg, delta):
 
 
 def test_delayed_simulate_calls_utilities_once_per_delay_window(reduced_cfg, monkeypatch):
-    calls, made = [], []
+    samples = dynamics._samples
 
-    def counted_make_utilities(*args):
-        utilities = make_utilities(*args)
+    def no_buffer(*args, **kwargs):
+        raise AssertionError("solve_delayed built a HistoryBuffer")
 
-        def counted(p):
-            calls.append(np.shape(p))
-            return utilities(p)
+    monkeypatch.setattr(dynamics, "HistoryBuffer", no_buffer)  # the windows are read by the rule itself
+    for delta in (30.0, 30.02):  # a delay on the grid of dt = 0.05, and one between two samples
+        calls, made, sampled = [], [], []
 
-        made.append(counted)
-        return counted
+        def counted_make_utilities(*args):
+            utilities = make_utilities(*args)
 
-    monkeypatch.setattr("irsgame.dynamics.make_utilities", counted_make_utilities)
-    cfg = with_scalar_overrides(reduced_cfg, delta=30.0, dt=0.05, horizon=250.0)
-    traj = simulate(cfg).trajectory
-    n = cfg.integrator.n_steps()
-    assert len(traj) == n + 1
-    assert made == [traj.utilities]  # the run makes the pair's map once and keeps it
-    assert len(calls) <= int(np.ceil(n / np.floor(cfg.delta / cfg.integrator.dt))) + 2
+            def counted(p):
+                calls.append(np.shape(p))
+                return utilities(p)
+
+            made.append(counted)
+            return counted
+
+        def counted_samples(t, dt):
+            sampled.append(np.shape(t))
+            return samples(t, dt)
+
+        monkeypatch.setattr("irsgame.dynamics.make_utilities", counted_make_utilities)
+        monkeypatch.setattr(dynamics, "_samples", counted_samples)
+        cfg = with_scalar_overrides(reduced_cfg, delta=delta, dt=0.05, horizon=250.0)
+        traj = simulate(cfg).trajectory
+        n = cfg.integrator.n_steps()
+        assert len(traj) == n + 1
+        assert made == [traj.utilities]  # the run makes the pair's map once and keeps it
+        assert len(calls) <= int(np.ceil(n / np.floor(cfg.delta / cfg.integrator.dt))) + 2
+        assert len(sampled) == len(calls)  # each window's times are sampled once
+        p0, spec = cfg.initial_population(), cfg.integrator
+        ref = oracle.delayed_euler(make_utilities(*payoff_pair(cfg)), cfg.mu, p0, delta, spec)[0]
+        assert traj.states.tobytes() == ref.states.tobytes(), delta
 
 
 def test_solve_delayed_guards_match_oracle():

@@ -16,6 +16,7 @@ from irsgame import (
     detect_equilibrium,
     run_experiment,
     simulate,
+    stability_bound,
     with_scalar_overrides,
 )
 from irsgame import experiments
@@ -106,12 +107,31 @@ def test_simulate_routes_by_delay(reduced_cfg):
     assert len(ode.trajectory) == len(dde.trajectory)
 
 
+NEVER_RESTS = "none (tail never rests for a full delay window)"
+
+
 def test_delay_sweep_names_nearby_delays_apart(tmp_path, reduced_cfg):
     cfg = with_scalar_overrides(reduced_cfg, dt=0.5, horizon=2.0)
     cfg = dataclasses.replace(cfg, grids=dataclasses.replace(cfg.grids, delta=[30.0, 30.000001]))
     paths = run_experiment("delay-sweep", cfg, tmp_path)
     assert [p.name for p in paths] == ["delay_sweep_delta30.csv", "delay_sweep_delta30p000001.csv"]
     assert all(p.is_file() for p in paths)
+
+
+@pytest.mark.parametrize("scenario", ["default_cfg", "reduced_cfg"])
+def test_a_delay_point_that_does_not_rest_says_whether_it_is_below_the_bound(tmp_path, request, scenario):
+    # bounds 46.84 (default.cfg) and 21.10 (reduced.cfg): delta = 15 rests on both, and neither rests
+    # by t = 600 at 0.9 of its bound or at 60, above both
+    cfg = request.getfixturevalue(scenario)
+    numer = experiments.numerators(cfg)
+    below = 0.9 * stability_bound(numer, cfg.mu, cfg.n_users)
+    cfg = dataclasses.replace(cfg, grids=dataclasses.replace(cfg.grids, delta=[15.0, below, 60.0]))
+    said = [read_csv(path)[0]["t_equilibrium"] for path in run_experiment("delay-sweep", cfg, tmp_path)]
+    assert float(said[0]) > 0.0
+    assert said[1:] == ["none by the horizon (delta below the stability bound)", NEVER_RESTS]
+    # without a computable bound, no point is known to be below it
+    meta = dict(experiments._delay_point(dataclasses.replace(cfg, delta=below), numer, None, "not computable")[0])
+    assert meta["t_equilibrium"] == NEVER_RESTS
 
 
 @pytest.mark.parametrize("json_flag", [False, True])

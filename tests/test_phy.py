@@ -19,7 +19,7 @@ from irsgame import (
     optimize_link,
 )
 from irsgame import phy
-from irsgame.phy import _effective_channel, _mrt
+from irsgame.phy import MAX_ITERS, _effective_channel, _mrt
 import oracle
 
 BW = 1.0
@@ -288,6 +288,7 @@ def _same_link(got, want, got_trace, want_trace):
         and np.array_equal(got.phases.alphas, want.phases.alphas)
         and (got.snr == want.snr or np.isnan(got.snr) and np.isnan(want.snr))
         and got_trace == want_trace
+        and got.rounds == want.rounds
     )
 
 
@@ -307,6 +308,7 @@ def test_optimize_link_is_the_checked_oracle_bit_for_bit_on_every_bundled_link(r
             want = oracle.optimize_link(*args, trace=want_trace)
             assert _same_link(got, want, got_trace, want_trace), "seed %d, %s" % (seed, svc)
             assert _same_link(built, want, [], []), "seed %d, %s" % (seed, svc)
+            assert got.rounds == len(got_trace) // 2, "seed %d, %s" % (seed, svc)
 
 
 def test_optimize_link_is_the_checked_oracle_bit_for_bit_on_random_channels():
@@ -322,6 +324,15 @@ def test_optimize_link_is_the_checked_oracle_bit_for_bit_on_random_channels():
         want = oracle.optimize_link(ch, power, BW, NOISE, trace=want_trace)
         assert _same_link(got, want, got_trace, want_trace), "seed %d" % seed
         assert _same_link(optimize_link(ch, power, BW, NOISE), want, [], []), "seed %d" % seed
+
+
+@pytest.mark.parametrize("scenario, capped", [("default_cfg", [3, 4]), ("reduced_cfg", [1])])
+def test_a_link_stopped_at_the_cap_says_so_in_its_rounds(request, scenario, capped):
+    # seed 168 holds three bundled links whose climb still rises at MAX_ITERS rounds; the others stop by TOL
+    cfg = replace(request.getfixturevalue(scenario), seed=168)
+    links = build_all_links(cfg, generate_channels(cfg))
+    assert [g for g, link in enumerate(links, 1) if link.rounds == MAX_ITERS] == capped
+    assert all(0 < link.rounds <= MAX_ITERS for link in links)
 
 
 @pytest.mark.parametrize("traced", [False, True])
