@@ -5,8 +5,8 @@ ReplicatorSolution is the exact undelayed replicator dynamics of the payoff pair
 the package's one forward-Euler stepper, steps the delayed replicator field, reading
 past states by one history rule (_samples, then _read: linear interpolation between
 samples, constant pre-history), once per delay window, and evaluating the field of a
-whole window at once (method of steps).  HistoryBuffer.lookup reads a stored history by
-the same rule.
+whole window at once (method of steps).  Both return a Trajectory: a HistoryBuffer, the
+states on the grid t_i = i * dt that lookup reads by the same rule, with the run's utility map.
 
 solve_delayed takes its steps through one loop (_advance), which adds each
 step to the state and projects the sum back onto the probability simplex,
@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -36,45 +36,67 @@ from .game import EPS_FIELD, _check_payoff, make_utilities, quiet_steps
 
 
 @dataclass
-class Trajectory:
-    """Sampled solution: increasing times, one finite state per time, and the run's utility map, applied to the rows read."""
+class HistoryBuffer:
+    """States sampled on the grid t_i = i * dt, times = np.arange(N) * dt: the one grid type of the sampled runs.
 
-    times: np.ndarray  # (T,)
-    states: np.ndarray  # (T, G)
-    utilities: Optional[Callable] = None
+    states are a float array (a float array is kept, not copied), 2-D, of at least one sample
+    and one group, and finite: a lookup would read one share of a 1-D history as a state, and
+    a non-finite state would make detect_equilibrium's differences NaN.  dt is positive and
+    (N - 1) * dt a float.  lookup reads the states by the history rule of _samples and _read.
+    """
+
+    dt: float
+    states: np.ndarray  # (N, G)
+
+    _owner = "history"
 
     def __post_init__(self):
-        t = self.times = np.asarray(self.times, dtype=float)  # a float array is kept, not copied
-        if t.ndim != 1:
-            raise ConfigurationError("trajectory times must be 1-D, got shape %s" % (t.shape,))
-        self.states = _checked_states(self.states, "trajectory")
-        if len(self.states) != len(self.times):
-            raise ConfigurationError("a trajectory of %d times has %d states" % (len(self.times), len(self.states)))
-        if not (self.utilities is None or callable(self.utilities)):
-            raise ConfigurationError("trajectory utilities must be a state -> UtilityVector map, got %r" % (self.utilities,))
-        # compared as views, with no array of differences; a NaN time fails
-        if not (len(t) and not np.isnan(t[0]) and np.all(t[1:] > t[:-1])):
-            raise ConfigurationError("trajectory times must be strictly increasing, with at least one")
+        dt = float(_require("dt", self.dt, _POSITIVE))  # a numpy dt would warn on the overflow below
+        states = self.states = np.asarray(self.states, dtype=float)
+        owner = self._owner
+        if states.ndim != 2:
+            raise ConfigurationError("%s states must be 2-D, got shape %s" % (owner, states.shape))
+        if not states.shape[0]:
+            raise ConfigurationError("%s states need at least one sample, got shape %s" % (owner, states.shape))
+        if not states.shape[1]:
+            raise ConfigurationError("%s states need at least one group, got shape %s" % (owner, states.shape))
+        if not np.all(np.isfinite(states)):
+            raise ConfigurationError("%s states must be finite" % owner)
+        if not (len(states) - 1) * dt < np.inf:
+            raise ConfigurationError("%s dt: the last sample time %d * %r is not a float" % (owner, len(states) - 1, dt))
+
+    @property
+    def times(self) -> np.ndarray:
+        return np.arange(len(self.states)) * self.dt
 
     def __len__(self) -> int:
-        return len(self.times)
+        return len(self.states)
+
+    def lookup(self, t) -> np.ndarray:
+        """States at the time t (G,) or at each of the times t (T, G).
+
+        Raises ConfigurationError when a time is past the newest sample, or NaN.
+        """
+        return _read(self.states, t, *_samples(np.asarray(t, dtype=float), self.dt))
 
 
-def _checked_states(states, owner: str) -> np.ndarray:
-    """states as a float array (a float array is kept, not copied), 2-D, of at least one group and finite.
+@dataclass
+class Trajectory(HistoryBuffer):
+    """A sampled run: its states on the grid t_i = i * dt and the run's utility map, applied to the rows read.
 
-    A lookup would read one share of a 1-D history as a state, and return empty states of zero
-    groups; quiet_steps takes its row max column by column; and a non-finite state would make
-    detect_equilibrium's differences NaN.  The messages name the owner, "trajectory" or "history".
+    Only states are stored; utilities come from the map of a stored or looked-up state, which
+    keeps its identities (such as the population average being the mass-weighted mean) exact
+    even between grid points.
     """
-    states = np.asarray(states, dtype=float)
-    if states.ndim != 2:
-        raise ConfigurationError("%s states must be 2-D, got shape %s" % (owner, states.shape))
-    if not states.shape[1]:
-        raise ConfigurationError("%s states need at least one group, got shape %s" % (owner, states.shape))
-    if not np.all(np.isfinite(states)):
-        raise ConfigurationError("%s states must be finite" % owner)
-    return states
+
+    utilities: Callable
+
+    _owner = "trajectory"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not callable(self.utilities):
+            raise ConfigurationError("trajectory utilities must be a state -> UtilityVector map, got %r" % (self.utilities,))
 
 
 def _check_p0(p0) -> np.ndarray:
@@ -349,7 +371,7 @@ def solve_replicator(numer, n_users: int, mu: float, p0, spec: IntegratorSpec) -
     The trajectory keeps make_utilities(numer, n_users) as its utility map.
     """
     times = np.arange(spec.n_steps() + 1) * spec.dt
-    return Trajectory(times, ReplicatorSolution(numer, n_users, mu, p0).at(times), make_utilities(numer, n_users))
+    return Trajectory(spec.dt, ReplicatorSolution(numer, n_users, mu, p0).at(times), make_utilities(numer, n_users))
 
 
 def _growth(s, mu: float, big_c: float):
@@ -366,13 +388,13 @@ def _growth(s, mu: float, big_c: float):
 def _samples(t: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The samples lo <= hi of the grid i * dt that each time t reads, and the weight frac of hi (0 when hi = lo).
 
-    The one history rule of the delayed dynamics: a time within 1e-9 steps of a sample is that
-    sample, a time between two samples is their linear interpolation, and a time t <= 0 is the
-    initial state (constant pre-history).
+    The one history rule of the delayed dynamics: a time within 1e-9 steps, or 4 ulps of t / dt
+    (wider past 2**21 steps, where (i * dt) / dt may be 1 ulp off i), of a sample is that sample,
+    a time between two samples is their linear interpolation, and t <= 0 the initial state.
     """
     x = t / dt
     near = np.round(x)
-    snap = np.abs(x - near) < 1e-9
+    snap = np.abs(x - near) < np.maximum(1e-9, 4.0 * np.spacing(np.abs(x)))
     pre = t <= 0.0
     lo = np.where(pre, 0.0, np.where(snap, near, np.floor(x)))
     frac = np.where(snap | pre, 0.0, x - lo)
@@ -391,30 +413,6 @@ def _read(states: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, fra
     f = frac[between][:, None]
     a[between] = (1.0 - f) * a[between] + f * states[hi[between].astype(np.intp)]
     return a
-
-
-@dataclass
-class HistoryBuffer:
-    """Grid-aligned state history of a delayed integration from t = 0: states[i] is the state at i * dt.
-
-    lookup reads it by the history rule of _samples and _read.  Only states are stored; callers derive
-    utilities from the looked-up state, which keeps identities of the utility map (such as the
-    population average being the mass-weighted mean) exact even between grid points.
-    """
-
-    dt: float
-    states: np.ndarray  # (N, G)
-
-    def __post_init__(self):
-        _require("dt", self.dt, _POSITIVE)
-        self.states = _checked_states(self.states, "history")
-
-    def lookup(self, t) -> np.ndarray:
-        """States at the time t (G,) or at each of the times t (T, G).
-
-        Raises ConfigurationError when a time is past the newest sample, or NaN.
-        """
-        return _read(self.states, t, *_samples(np.asarray(t, dtype=float), self.dt))
 
 
 def solve_delayed(numer, n_users: int, mu: float, p0, delta: float, spec: IntegratorSpec) -> Trajectory:
@@ -446,7 +444,7 @@ def solve_delayed(numer, n_users: int, mu: float, p0, delta: float, spec: Integr
         del lo, hi, frac  # the window's samples and past states are not held while its steps are taken
         _advance(states[i : i + k + 1], steps)
         i += k
-    return Trajectory(np.arange(n + 1) * dt, states, utilities)
+    return Trajectory(dt, states, utilities)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails the drift check
@@ -461,15 +459,10 @@ def delayed_steps(traj: Trajectory, numer, n_users: int, mu: float, delta: float
     """The steps (N - 1, G) of the solve_delayed run traj of the payoff pair, recomputed in one stacked call.
 
     traj.states[:-1] + steps are the sums that _advance projected.  Raises ConfigurationError
-    for what solve_delayed rejects, a trajectory of fewer than 2 samples, or times off the grid
-    t_i = i * dt that solve_delayed samples.
+    for what solve_delayed rejects, or a trajectory of fewer than 2 samples.
     """
     _require("delay", delta, _NON_NEGATIVE)
     _require("mu", mu, _POSITIVE)
     if len(traj) < 2:
         raise ConfigurationError("delayed_steps needs a trajectory of at least 2 samples")
-    grid = np.arange(len(traj)) * float(traj.times[1] - traj.times[0])
-    if not np.array_equal(traj.times, grid):
-        raise ConfigurationError("delayed_steps needs the times t_i = i * dt of a solve_delayed run")
-    past = HistoryBuffer(grid[1], traj.states).lookup(grid[:-1] - delta)
-    return _steps_reading(make_utilities(numer, n_users), mu, grid[1], past)
+    return _steps_reading(make_utilities(numer, n_users), mu, traj.dt, traj.lookup(traj.times[:-1] - delta))

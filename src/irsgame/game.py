@@ -167,38 +167,38 @@ class Equilibrium:
 
     time: float
     index: int
-    utility_spread: Optional[float]  # relative spread among surviving groups, None without a utility map
+    utility_spread: Optional[float]  # relative spread among the groups above EPS_MASS, None when there are none
 
 
 def detect_equilibrium(traj, min_quiet: float = 0.0) -> Optional[Equilibrium]:
-    """Earliest time after which the Trajectory traj (its shape checked on construction) stops moving.
+    """Earliest time after which the Trajectory traj (its grid checked on construction) stops moving.
 
     Uses finite differences of the stored states: the first sample index i from which
-    max_g |p_{i+1,g} - p_{i,g}| / dt < EPS_FIELD for every later step (quiet_steps), so a single
-    sample rests from its own time.  Returns None when the tail never settles, or when the
+    max_g |p_{i+1,g} - p_{i,g}| / (t_{i+1} - t_i) < EPS_FIELD for every later step (quiet_steps,
+    over the differences of traj.times, as equilibrium_index: (i + 1) * dt - i * dt is not dt),
+    so a single sample rests from its own time.  Returns None when the tail never settles, or when the
     quiet tail is shorter than min_quiet time units.  Delayed runs should pass min_quiet >=
     the delay: they can sit exactly still for shorter spells while their history replays an
     excursion, and only a stretch longer than the information delay proves a genuine rest
-    point.  When the trajectory keeps its utility map, reports the relative utility spread
-    over groups with share above EPS_MASS at the detected sample.  Raises ConfigurationError
-    for a negative min_quiet.
+    point.  Reports the relative spread of the trajectory's utilities over the groups with
+    share above EPS_MASS at the detected sample, None when no group is above it.  Raises
+    ConfigurationError for a negative min_quiet.
     """
     _require("min_quiet", min_quiet, _NON_NEGATIVE)
+    times = traj.times
     with np.errstate(over="ignore"):  # an infinite difference is a moving step
-        quiet = quiet_steps(np.diff(traj.states, axis=0), np.diff(traj.times))
+        quiet = quiet_steps(np.diff(traj.states, axis=0), np.diff(times))
     if not np.all(quiet[-1:]):  # a single sample is quiet
         return None
     # first index from which the tail stays quiet
     moving = np.nonzero(~quiet)[0]
     idx = 0 if moving.size == 0 else int(moving[-1]) + 1
-    if float(traj.times[-1] - traj.times[idx]) < min_quiet:
+    if float(times[-1] - times[idx]) < min_quiet:
         return None
-    return Equilibrium(time=float(traj.times[idx]), index=idx, utility_spread=_spread(traj, idx))
+    return Equilibrium(time=float(times[idx]), index=idx, utility_spread=_spread(traj, idx))
 
 
 def _spread(traj, idx: int) -> Optional[float]:
-    if traj.utilities is None:
-        return None
     p = traj.states[idx]
     u = traj.utilities(p).u[p > EPS_MASS]
     if u.size == 0:

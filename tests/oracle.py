@@ -15,6 +15,7 @@ the config writer that parse_config reads back."""
 
 import json
 import math
+from collections import namedtuple
 from fractions import Fraction
 from itertools import groupby
 from math import factorial
@@ -26,6 +27,7 @@ import numpy as np
 from irsgame import (
     Beamformer,
     ConfigurationError,
+    HistoryBuffer,
     IntegratorSpec,
     NumericalDriftError,
     PhaseShiftVector,
@@ -120,14 +122,15 @@ def quiet_steps(diffs, dt) -> np.ndarray:
 def history(states, dt: float, t: float) -> np.ndarray:
     """State at time t from the samples states[i] at i * dt, the rule of HistoryBuffer.lookup.
 
-    A time within 1e-9 steps of a sample is that sample, one between two samples their linear
-    interpolation, and t <= 0 the initial state; past the newest sample is a ConfigurationError.
+    A time within 1e-9 steps or 4 ulps of t / dt of a sample is that sample, one between two
+    samples their linear interpolation, and t <= 0 the initial state; past the newest sample is a
+    ConfigurationError.
     """
     if t <= 0.0:  # before t / dt can pass the largest float
         return states[0]
     x = t / dt
     i = int(round(x))
-    if abs(x - i) < 1e-9:
+    if abs(x - i) < max(1e-9, 4.0 * math.ulp(x)):
         frac = 0.0
     else:
         i = int(np.floor(x))
@@ -157,7 +160,7 @@ def delayed_euler(utilities, mu: float, p0, delta: float, spec) -> tuple[Traject
         step = dt * (mu * np.where(p_d > 0.0, p_d * (uv.u - uv.u_bar), 0.0))
         flat, *sums = advance(states[-1].tolist(), [step.tolist()], *sums)
         states.append(np.array(flat))
-    return Trajectory(np.arange(n + 1) * dt, np.array(states), utilities), *sums
+    return Trajectory(dt, np.array(states), utilities), *sums
 
 
 def delay_exact(c, mu: float, p0, delta: float, times) -> np.ndarray:
@@ -312,10 +315,11 @@ def _rate(field: Callable, t: float, p: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a step that overflows fails the drift check
-def integrate_ode(field: Callable, p0, spec: IntegratorSpec, utilities: Callable | None = None) -> Trajectory:
+def integrate_ode(field: Callable, p0, spec: IntegratorSpec, utilities: Callable | None = None) -> HistoryBuffer:
     """Integrate dp/dt = field(t, p) with one classic RK4 step per sample of the grid t_i = i * dt.
 
-    utilities, when given, is kept as the trajectory's utility map.
+    Returns the Trajectory that keeps utilities as its map when they are given, else the
+    HistoryBuffer of the samples.
     """
     p = _check_p0(p0)
     n = spec.n_steps()
@@ -330,18 +334,23 @@ def integrate_ode(field: Callable, p0, spec: IntegratorSpec, utilities: Callable
         k4 = _rate(field, t + dt, p + dt * k3)
         _advance(states[i : i + 2], (dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))[None])
         p = states[i + 1]
-    return Trajectory(np.arange(n + 1) * dt, states, utilities)
+    return HistoryBuffer(dt, states) if utilities is None else Trajectory(dt, states, utilities)
+
+
+# picard_solve's result: states (T, G) on its grid of times (T,), which need not be evenly spaced
+PicardSolution = namedtuple("PicardSolution", "times states")
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a round that overflows never reaches PICARD_TOL
-def picard_solve(field: Callable, p0, times: np.ndarray, diffs: list | None = None) -> Trajectory:
+def picard_solve(field: Callable, p0, times: np.ndarray, diffs: list | None = None) -> PicardSolution:
     """Solve p(t) = p0 + integral of field by fixed-point iteration.
 
     Starts from the constant initial state and applies trapezoidal
-    quadrature on the given grid until the sup-norm change between rounds
-    drops below PICARD_TOL.  Raises NonConvergenceError when PICARD_ROUNDS
-    pass without reaching it (horizon too long for a contraction).
-    An optional diffs list collects the per-round sup-norm changes.
+    quadrature on the given grid (any strictly increasing times) until the
+    sup-norm change between rounds drops below PICARD_TOL.  Raises
+    NonConvergenceError when PICARD_ROUNDS pass without reaching it (horizon
+    too long for a contraction).  An optional diffs list collects the
+    per-round sup-norm changes.
     """
     p_init = _check_p0(p0)
     times = np.asarray(times, dtype=float)
@@ -360,7 +369,7 @@ def picard_solve(field: Callable, p0, times: np.ndarray, diffs: list | None = No
             diffs.append(change)
         current = nxt
         if change < PICARD_TOL:
-            return Trajectory(times.copy(), current)
+            return PicardSolution(times.copy(), current)
     raise NonConvergenceError(
         "picard iteration did not reach tol=%.1e in %d rounds" % (PICARD_TOL, PICARD_ROUNDS)
     )

@@ -53,7 +53,7 @@ NO_PHASES = PhaseShiftVector(np.zeros(0))
 
 
 def _toy_trajectory():
-    return Trajectory(times=np.arange(3.0), states=np.tile(P0, (3, 1)))
+    return Trajectory(1.0, np.tile(P0, (3, 1)), UTILITIES)
 
 
 def _delayed_run():
@@ -126,7 +126,7 @@ REGRESSIONS = {
     # a state of no groups: detect_equilibrium ended in numpy's ValueError for a max over no
     # entries, and a lookup returned empty states
     "a trajectory of no groups": (
-        lambda: detect_equilibrium(Trajectory([0.0, 1.0], np.zeros((2, 0)))),
+        lambda: detect_equilibrium(Trajectory(1.0, np.zeros((2, 0)), UTILITIES)),
         r"trajectory states need at least one group, got shape \(2, 0\)",
     ),
     "a history of no groups": (
@@ -146,52 +146,48 @@ REGRESSIONS = {
         lambda: compute_snr(CHANNEL, BEAM, NO_PHASES, 1.0, 1e-3),
         "phase vector has 0 entries but the surface has %d elements" % CHANNEL.n_elements,
     ),
-    "repeated times of a trajectory": (
-        lambda: detect_equilibrium(Trajectory(times=np.array([0.0, 1.0, 1.0]), states=np.tile(P0, (3, 1)))),
-        "trajectory times must be strictly increasing",
-    ),
-    # a Trajectory checks its own shape: detect_equilibrium answered t = 0 for 3 times with 2 states,
-    # and t = nan for a single NaN time
+    # a Trajectory checks its own shape, so detect_equilibrium never reads a run of no samples
     "an empty trajectory": (
-        lambda: Trajectory(times=np.array([]), states=np.zeros((0, 2))),
-        "trajectory times must be strictly increasing, with at least one",
+        lambda: Trajectory(0.1, np.zeros((0, 2)), UTILITIES),
+        r"trajectory states need at least one sample, got shape \(0, 2\)",
     ),
-    "a single NaN time": (
-        lambda: detect_equilibrium(Trajectory(times=np.array([NAN]), states=np.array([P0]))),
-        "trajectory times must be strictly increasing, with at least one",
+    "a history of no samples": (
+        lambda: HistoryBuffer(0.1, np.zeros((0, 2))),
+        r"history states need at least one sample, got shape \(0, 2\)",
     ),
     # an infinite share ended detect_equilibrium in numpy's "invalid value encountered in
     # subtract", and a NaN share returned None
     **{
         "%s share of a trajectory" % name: (
-            lambda x=x: detect_equilibrium(Trajectory([0.0, 0.5], [[x, 0.0], [x, 0.0]])),
+            lambda x=x: detect_equilibrium(Trajectory(0.5, [[x, 0.0], [x, 0.0]], UTILITIES)),
             "trajectory states must be finite",
         )
         for name, x in (("an infinite", INF), ("a negative infinite", -INF), ("a NaN", NAN))
     },
-    "3 times with 2 states": (
-        lambda: detect_equilibrium(Trajectory(times=np.arange(3.0), states=np.tile(P0, (2, 1)))),
-        "a trajectory of 3 times has 2 states",
-    ),
-    # a trajectory keeps its utility map, not a utility row per sample
+    # a trajectory keeps its utility map, not a utility row per sample, and a run always has one
     "utilities that are not a map": (
-        lambda: Trajectory(times=np.arange(3.0), states=np.tile(P0, (3, 1)), utilities=np.zeros((3, 2))),
+        lambda: Trajectory(1.0, np.tile(P0, (3, 1)), np.zeros((3, 2))),
         "trajectory utilities must be a state -> UtilityVector map",
     ),
-    # these ended in numpy's TypeError or ValueError, or in an AxisError in detect_equilibrium
-    "a scalar time": (
-        lambda: Trajectory(times=np.float64(0.0), states=np.array([P0])),
-        r"trajectory times must be 1-D, got shape \(\)",
+    "a trajectory without a utility map": (
+        lambda: Trajectory(1.0, np.tile(P0, (3, 1)), None),
+        "trajectory utilities must be a state -> UtilityVector map, got None",
     ),
-    "2-D times": (
-        lambda: Trajectory(times=np.zeros((3, 1)), states=np.tile(P0, (3, 1))),
-        r"trajectory times must be 1-D, got shape \(3, 1\)",
-    ),
+    # this ended in an AxisError in detect_equilibrium
     "1-D states": (
-        lambda: detect_equilibrium(Trajectory(times=np.arange(2.0), states=np.array(P0))),
+        lambda: detect_equilibrium(Trajectory(1.0, np.array(P0), UTILITIES)),
         r"trajectory states must be 2-D, got shape \(2,\)",
     ),
-    # delayed_steps checks what solve_delayed checks, and needs the grid of a run
+    # the times i * dt of the grid type are floats up to the last sample, as the integrator's are
+    "a history whose last sample time is past the largest float": (
+        lambda: HistoryBuffer(1e308, np.ones((3, 1))),
+        r"history dt: the last sample time 2 \* 1e\+308 is not a float",
+    ),
+    "a trajectory whose last sample time is past the largest float": (  # a numpy dt, which warned on overflow
+        lambda: Trajectory(np.float64(1e308), np.tile(P0, (3, 1)), UTILITIES),
+        r"trajectory dt: the last sample time 2 \* 1e\+308 is not a float",
+    ),
+    # delayed_steps checks what solve_delayed checks
     "a negative delay of the recomputed steps": (
         lambda: delayed_steps(_delayed_run(), *PAIR, 0.1, -1.0),
         "delay must be non-negative and finite, got -1.0",
@@ -201,13 +197,8 @@ REGRESSIONS = {
         "mu must be positive and finite, got nan",
     ),
     "a one-sample trajectory of the recomputed steps": (
-        lambda: delayed_steps(Trajectory(times=np.zeros(1), states=np.array([P0])), *PAIR, 0.1, 0.3),
+        lambda: delayed_steps(Trajectory(0.1, np.array([P0]), UTILITIES), *PAIR, 0.1, 0.3),
         "delayed_steps needs a trajectory of at least 2 samples",
-    ),
-    # read as if dt were 0.1 throughout
-    "times off the grid of the recomputed steps": (
-        lambda: delayed_steps(Trajectory(np.array([0.0, 0.1, 0.3]), np.tile(P0, (3, 1))), *PAIR, 0.1, 0.3),
-        r"delayed_steps needs the times t_i = i \* dt of a solve_delayed run",
     ),
     # numpy broadcast a single share and ended in its ValueError on another length, now from any reader
     "a state of 3 shares for a 2-group utility map": (
@@ -240,13 +231,14 @@ REGRESSIONS = {
             ("a scalar payoff", 1.0),
         )
     },
-    # a zero dt divided by zero with a RuntimeWarning
+    # a zero dt divided by zero with a RuntimeWarning; the grid type checks dt for a trajectory too
     **{
-        "a %s dt of the history" % name: (
-            lambda dt=dt: HistoryBuffer(dt, np.array([P0])),
+        "a %s dt of the %s" % (name, owner): (
+            lambda dt=dt, build=build: build(dt, np.array([P0])),
             "dt must be positive and finite, got %r" % dt,
         )
-        for name, dt in (("zero", 0.0), ("negative", -0.1), ("NaN", NAN), ("string", "0.1"))
+        for owner, build in (("history", HistoryBuffer), ("trajectory", lambda dt, p: Trajectory(dt, p, UTILITIES)))
+        for name, dt in (("zero", 0.0), ("negative", -0.1), ("NaN", NAN), ("infinite", INF), ("string", "0.1"))
     },
     "a zero dt of the rest-point index": (
         lambda: ReplicatorSolution(NUMER, CFG.n_users, 0.1, P0).equilibrium_index(0.0),
@@ -369,17 +361,17 @@ def test_payoffs_given_as_a_list_act_as_their_array():
 def test_trajectories_and_histories_given_as_lists_act_as_their_arrays():
     # lists passed the shape checks and were kept: detect_equilibrium compared a list with a
     # float, and delayed_steps and HistoryBuffer.lookup indexed a list with an array
-    resting = detect_equilibrium(Trajectory([0.0, 1.0], [P0, P0], UTILITIES))
+    resting = detect_equilibrium(Trajectory(1.0, [P0, P0], UTILITIES))
     assert resting.utility_spread is not None
-    assert resting == detect_equilibrium(Trajectory(np.arange(2.0), np.array([P0, P0]), UTILITIES))
+    assert resting == detect_equilibrium(Trajectory(1.0, np.array([P0, P0]), UTILITIES))
     run = _delayed_run()
-    listed = Trajectory(run.times.tolist(), run.states.tolist(), UTILITIES)
+    listed = Trajectory(run.dt, run.states.tolist(), UTILITIES)
     assert delayed_steps(listed, *PAIR, 0.1, 0.3).tobytes() == delayed_steps(run, *PAIR, 0.1, 0.3).tobytes()
     times = np.array([0.05, 0.1, 0.75])
     history = HistoryBuffer(0.1, run.states.tolist())
     assert history.lookup(times).tobytes() == HistoryBuffer(0.1, run.states).lookup(times).tobytes()
     # a float array is kept as it is: solve_delayed's history reads rows written after it is built
-    assert Trajectory(run.times, run.states).states is run.states
+    assert Trajectory(run.dt, run.states, UTILITIES).states is run.states
     assert HistoryBuffer(0.1, run.states).states is run.states
 
 
@@ -397,10 +389,9 @@ def arg(default):
 def _check_trajectory(traj):
     assert np.isfinite(traj.times).all()
     _check_shares(traj.states)
-    if traj.utilities is not None:
-        uv = traj.utilities(traj.states)
-        alive = traj.states > 0.0  # an empty group has no utility: NaN by design
-        assert np.isfinite(uv.u[alive]).all() and np.isfinite(uv.u_bar).all()
+    uv = traj.utilities(traj.states)
+    alive = traj.states > 0.0  # an empty group has no utility: NaN by design
+    assert np.isfinite(uv.u[alive]).all() and np.isfinite(uv.u_bar).all()
 
 
 def _check_shares(p):

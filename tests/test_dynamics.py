@@ -214,6 +214,19 @@ def test_history_buffer_lookup(lookups):
         hist.lookup(np.array(times + [past]))
 
 
+def test_a_lookup_at_a_sample_time_reads_that_sample_up_to_the_step_cap():
+    # (i * dt) / dt can be 1 ulp off i, more than 1e-9 steps past 2**21 steps: this lookup read
+    # between samples 12582912 and 12582913, past the newest
+    ones = np.broadcast_to(np.ones(1), (12582913, 1))
+    assert HistoryBuffer(0.1, ones).lookup(12582912 * 0.1).tolist() == [1.0]
+    assert oracle.history(ones, 0.1, 12582912 * 0.1).tolist() == [1.0]
+    powers = 2.0 ** np.arange(27)  # MAX_STEPS = 10**8 is below 2**27
+    i = np.unique(np.concatenate([np.linspace(0, MAX_STEPS, 100001).round(), powers, powers - 1]))
+    for dt in (0.1, 0.01, 0.05, 1.0 / 3.0, 7e-5, 12.345):
+        lo, hi, frac = dynamics._samples(i * dt, dt)
+        assert np.array_equal(lo, i) and np.array_equal(hi, i) and not frac.any(), dt
+
+
 def test_dde_small_delay_reaches_known_equilibrium(reduced_cfg, reduced_links):
     numer = utility_numerators(reduced_links, reduced_cfg)
     gains = group_gains(reduced_cfg, reduced_links)

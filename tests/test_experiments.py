@@ -32,9 +32,8 @@ def toy_utilities(p):
 
 
 def toy_trajectory(n=5):
-    times = np.arange(n, dtype=float)
     states = np.column_stack([np.linspace(0.2, 0.4, n), np.linspace(0.8, 0.6, n)])
-    return Trajectory(times=times, states=states, utilities=toy_utilities)
+    return Trajectory(1.0, states, toy_utilities)
 
 
 def read_csv(path):

@@ -173,32 +173,34 @@ def test_stability_bound_matches_reduced_dynamics_rate(reduced_cfg, reduced_link
     assert bound == pytest.approx(np.pi / (2.0 * rate), rel=1e-12)
 
 
-def constant_trajectory(p, n=5, dt=0.1):
-    times = np.arange(n) * dt
-    return Trajectory(times=times, states=np.tile(p, (n, 1)))
+# a utility map of two groups, for trajectories whose spread a test does not read
+TWO_GROUPS = make_utilities(np.ones(2), 1)
+
+
+def constant_trajectory(p, utilities, n=5, dt=0.1):
+    return Trajectory(dt, np.tile(p, (n, 1)), utilities)
 
 
 def test_detect_equilibrium_constant_trajectory():
-    eq = detect_equilibrium(constant_trajectory(np.array([0.3, 0.7])))
+    eq = detect_equilibrium(constant_trajectory(np.array([0.3, 0.7]), TWO_GROUPS))
     assert eq is not None and eq.index == 0 and eq.time == 0.0
-    assert eq.utility_spread is None  # no utilities recorded
 
 
 def test_detect_equilibrium_moving_tail_returns_none():
     states = np.array([[0.5, 0.5], [0.5, 0.5], [0.4, 0.6]])
-    traj = Trajectory(times=np.arange(3) * 0.1, states=states)
+    traj = Trajectory(0.1, states, TWO_GROUPS)
     assert detect_equilibrium(traj) is None
 
 
 def test_detect_equilibrium_finds_earliest_quiet_index():
     states = np.array([[0.5, 0.5], [0.4, 0.6], [0.3, 0.7], [0.3, 0.7], [0.3, 0.7]])
-    traj = Trajectory(times=np.arange(5) * 1.0, states=states)
+    traj = Trajectory(1.0, states, TWO_GROUPS)
     eq = detect_equilibrium(traj)
     assert eq.index == 2 and eq.time == 2.0
 
 
 def test_detect_equilibrium_min_quiet():
-    traj = constant_trajectory(np.array([0.5, 0.5]), n=5, dt=0.1)  # 0.4 units long
+    traj = constant_trajectory(np.array([0.5, 0.5]), TWO_GROUPS, n=5, dt=0.1)  # 0.4 units long
     assert detect_equilibrium(traj, min_quiet=0.5) is None
     eq = detect_equilibrium(traj, min_quiet=0.4)
     assert eq is not None and eq.index == 0
@@ -206,8 +208,7 @@ def test_detect_equilibrium_min_quiet():
 
 def test_detect_equilibrium_reports_spread():
     p = np.array([0.6, 0.395, 0.005])
-    traj = constant_trajectory(p, n=4)
-    traj.utilities = make_utilities(np.array([2.0, 1.0, 50.0]) * p, 1)  # utilities 2, 1 and 50
+    traj = constant_trajectory(p, make_utilities(np.array([2.0, 1.0, 50.0]) * p, 1), n=4)  # utilities 2, 1 and 50
     eq = detect_equilibrium(traj)
     # the 0.5% group is below the mass cutoff; spread is (2-1)/2 of the rest
     assert eq.utility_spread == pytest.approx(0.5, rel=1e-12)
@@ -215,16 +216,14 @@ def test_detect_equilibrium_reports_spread():
 
 def test_detect_equilibrium_without_a_group_above_the_mass_cutoff_has_no_spread():
     # 100 groups of share 0.01 each: none is above EPS_MASS = 0.01
-    traj = constant_trajectory(np.full(100, 0.01))
-    traj.utilities = make_utilities(np.linspace(1.0, 2.0, 100), 1)
+    traj = constant_trajectory(np.full(100, 0.01), make_utilities(np.linspace(1.0, 2.0, 100), 1))
     eq = detect_equilibrium(traj)
     assert eq is not None and eq.utility_spread is None
 
 
 def test_detect_equilibrium_spread_of_zero_utilities_is_zero():
     # every surviving utility is 0: the spread is 0.0, not 0 / 0
-    traj = constant_trajectory(np.array([0.3, 0.7]))
-    traj.utilities = make_utilities(np.zeros(2), 1)
+    traj = constant_trajectory(np.array([0.3, 0.7]), make_utilities(np.zeros(2), 1))
     eq = detect_equilibrium(traj)
     assert eq is not None and eq.utility_spread == 0.0
 
@@ -233,7 +232,7 @@ def test_detect_equilibrium_spread_of_zero_utilities_is_zero():
 @pytest.mark.parametrize("states", [[[-1e308, 1e308], [1e308, -1e308]], [[0.0, 1e308], [1e308, 0.0]]])
 def test_detect_equilibrium_reads_a_difference_past_the_largest_float_as_moving(states):
     # the first difference overflows in the subtraction, the second in the division by dt = 0.5
-    assert detect_equilibrium(Trajectory([0.0, 0.5], states)) is None
+    assert detect_equilibrium(Trajectory(0.5, states, TWO_GROUPS)) is None
 
 
 # the diffs whose rows the column-wise max must read as np.max does: NaN, infinities, signed
@@ -269,8 +268,8 @@ def test_quiet_steps_reads_each_row_as_np_max_does(case):
 
 def test_detect_equilibrium_empty_and_single():
     with pytest.raises(ConfigurationError):
-        detect_equilibrium(Trajectory(times=np.array([]), states=np.zeros((0, 2))))
-    eq = detect_equilibrium(Trajectory(times=np.array([1.0]), states=np.array([[1.0, 0.0]])))
+        detect_equilibrium(Trajectory(0.1, np.zeros((0, 2)), TWO_GROUPS))
+    eq = detect_equilibrium(Trajectory(0.1, np.array([[1.0, 0.0]]), TWO_GROUPS))
     assert eq is not None and eq.index == 0
 
 
