@@ -45,7 +45,7 @@ from .game import (
     stability_bound,
     utility_numerators,
 )
-from .phy import Beamformer, PhaseShiftVector, ServiceLink, build_all_links, compute_snr, optimize_link
+from .phy import ServiceLink, build_all_links, optimize_link
 from .experiments import PRESETS, SimulationResult, run_experiment, simulate
 
 __version__ = "0.1.0"

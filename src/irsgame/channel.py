@@ -85,10 +85,6 @@ class ChannelSet:
                 raise NumericError("non-finite entries in %s" % name)
 
     @property
-    def n_antennas(self) -> int:
-        return self.h_direct.shape[0]
-
-    @property
     def n_elements(self) -> int:
         return self.h_irs_user.shape[0]
 

@@ -126,6 +126,7 @@ class IntegratorSpec:
 
     def __post_init__(self):
         _raise(_field_errors(self, "integrator"))
+        self.dt, self.horizon = float(self.dt), float(self.horizon)  # a numpy dt would warn on the overflows below
         if not self.horizon / self.dt <= MAX_STEPS:
             raise ConfigurationError(
                 "integrator.horizon / integrator.dt = %.3g steps exceeds the cap of %d"

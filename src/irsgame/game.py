@@ -84,7 +84,7 @@ def utility_numerators(links: list, cfg) -> np.ndarray:
             m = svc.sp - 1
             snr[g] = link.snr
             bw[g] = cfg.sps[m].bandwidth_mhz
-            cost[g] = params.price_irs[m] * len(link.phases.alphas) + params.price_power[m] * link.beam.power_w
+            cost[g] = params.price_irs[m] * len(link.alphas) + params.price_power[m] * link.power_w
         numer = params.valuation * bw * np.log2(1.0 + snr) - cost
         total = numer.sum()
     bad = np.flatnonzero(~np.isfinite(numer))

@@ -4,7 +4,8 @@ The received signal combines the direct path with the surface-reflected
 path, y = (h^H + h_iu^H Theta^H G) w.  optimize_link checks its scalars, then
 alternates, on plain arrays, maximum ratio transmission with per-element
 alignment of each reflected term to the direct term; neither lowers the SNR.
-compute_snr and the ServiceLink it returns are the checked boundary.
+The ServiceLink it returns holds plain values: the beam, the phases, the
+SNR and the rounds made.
 """
 
 from __future__ import annotations
@@ -25,79 +26,21 @@ MAX_ITERS = 100
 
 
 @dataclass
-class PhaseShiftVector:
-    """Per-element surface phases, radians in [0, 2*pi).
-
-    The reflection coefficients exp(1j * alpha) all have unit modulus; the
-    surface neither amplifies nor attenuates.
-    """
-
-    alphas: np.ndarray
-
-    def __post_init__(self):
-        self.alphas = np.asarray(self.alphas, dtype=float)
-        if self.alphas.ndim != 1:
-            raise ConfigurationError("phase vector must be one-dimensional")
-        if not np.all((self.alphas >= 0.0) & (self.alphas < TWO_PI)):  # a NaN phase fails too
-            raise ConfigurationError("phases must lie in [0, 2*pi)")
-
-    def __len__(self) -> int:
-        return len(self.alphas)
-
-
-@dataclass
-class Beamformer:
-    """Transmit beam w with ||w||^2 equal to the radiated power in watts."""
+class ServiceLink:
+    """An optimized link: the beam w (||w||^2 = power_w watts), one surface phase in [0, 2*pi) per
+    active element, the resulting SNR and the full beam-and-phase rounds made (MAX_ITERS when the
+    climb ran to the cap)."""
 
     w: np.ndarray
+    alphas: np.ndarray
     power_w: float
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=complex)
-        if self.w.ndim != 1:
-            raise ConfigurationError("beamforming vector must be one-dimensional")
-        _require("transmit power", self.power_w, _POSITIVE)
-        norm_sq = float(np.vdot(self.w, self.w).real)
-        if not abs(norm_sq - self.power_w) <= 1e-9 * self.power_w:  # a NaN entry fails too
-            raise ConfigurationError(
-                "||w||^2 = %r does not match the power budget %r" % (norm_sq, self.power_w)
-            )
-
-
-@dataclass
-class ServiceLink:
-    """An optimized link: beam, surface phases, the resulting SNR and the full beam-and-phase rounds
-    made (MAX_ITERS when the climb ran to the cap)."""
-
-    beam: Beamformer
-    phases: PhaseShiftVector
     snr: float
     rounds: int
 
-
-def compute_snr(
-    ch: ChannelSet,
-    beam: Beamformer,
-    phases: PhaseShiftVector,
-    bandwidth: float,
-    noise_var: float,
-) -> float:
-    """SNR of the combined direct plus reflected link.
-
-    snr = |(h^H + h_iu^H Theta^H G) w|^2 / (bandwidth * noise_var), with
-    one phase per surface element (ChannelSet.subset takes fewer elements).
-    """
-    _require("bandwidth", bandwidth, _POSITIVE)
-    _require("noise_var", noise_var, _POSITIVE)
-    if len(phases) != ch.n_elements:
-        raise ConfigurationError(
-            "phase vector has %d entries but the surface has %d elements" % (len(phases), ch.n_elements)
-        )
-    if len(beam.w) != ch.n_antennas:
-        raise ConfigurationError(
-            "beam has %d entries but the BS has %d antennas" % (len(beam.w), ch.n_antennas)
-        )
-    return _snr(_effective_channel(ch, phases.alphas), beam.w, bandwidth, noise_var)
+    # only for perfbench/run.py's Replicator, which reads each link's phases.alphas and beam.power_w,
+    # as experiments.SimulationResult is kept only for perfbench: the benchmark change of ROADMAP
+    # item 5 makes it read alphas and power_w, and deletes this line
+    beam = phases = property(lambda self: self)
 
 
 def _snr(eff: np.ndarray, w: np.ndarray, bandwidth: float, noise_var: float) -> float:
@@ -145,9 +88,10 @@ def optimize_link(
     or after MAX_ITERS rounds.  An optional trace list collects the SNR after
     every half step (beam update, then phase update) for monotonicity checks.
 
-    Checks its scalars at entry.  Returns a checked ServiceLink whose cached
-    snr field equals compute_snr for the returned beam and phases, and whose
-    rounds count the full rounds made (len(trace) // 2).
+    Checks its scalars at entry, and raises ConfigurationError when the beam
+    cannot hold power_w (a power near the least float).  Returns a ServiceLink
+    whose snr is the SNR of its beam and phases, and whose rounds count the
+    full rounds made (len(trace) // 2).
     """
     _require("transmit power", power_w, _POSITIVE)
     _require("bandwidth", bandwidth, _POSITIVE)
@@ -176,7 +120,10 @@ def optimize_link(
         snr = new_snr
         if stop:
             break
-    return ServiceLink(beam=Beamformer(w, power_w), phases=PhaseShiftVector(alphas), snr=snr, rounds=rounds)
+    norm_sq = float(np.vdot(w, w).real)
+    if not abs(norm_sq - power_w) <= 1e-9 * power_w:  # the squares of a beam near the least float lose bits
+        raise ConfigurationError("||w||^2 = %r does not match the power budget %r" % (norm_sq, power_w))
+    return ServiceLink(w, alphas, power_w, snr, rounds)
 
 
 def build_all_links(cfg, channels: list[ChannelSet]) -> list[ServiceLink]:

@@ -8,8 +8,6 @@ import pytest
 
 import irsgame
 from irsgame import (
-    Beamformer,
-    PhaseShiftVector,
     Position,
     ScenarioConfig,
     ServiceLink,
@@ -63,7 +61,7 @@ def group_gains(cfg, links):
         out.append(
             sp.bandwidth_mhz * np.log2(1.0 + links[g].snr)
             - sp.price_irs * svc.subset * sp.irs_elements_per_module
-            - sp.price_power * links[g].beam.power_w
+            - sp.price_power * links[g].power_w
         )
     return np.array(out)
 
@@ -87,7 +85,4 @@ def one_service_cfg(price_irs=0.1, mu=0.1, n_users=100):
 
 def one_service_links(snr=3.0):
     """Links of one_service_cfg: 1 W beams, 8 zero-phase elements, the same snr in both groups, no rounds climbed."""
-    return [
-        ServiceLink(beam=Beamformer(np.array([1.0 + 0j]), 1.0), phases=PhaseShiftVector(np.zeros(8)), snr=snr, rounds=0)
-        for _ in range(2)
-    ]
+    return [ServiceLink(w=np.array([1.0 + 0j]), alphas=np.zeros(8), power_w=1.0, snr=snr, rounds=0) for _ in range(2)]

@@ -3,8 +3,9 @@ row max of game.quiet_steps by np.max along each row; the step-by-step simplex p
 call per step, of dynamics._advance; the delayed replicator dynamics one step and one scalar
 history lookup at a time, of solve_delayed; the exact solution of the delay equation that
 solve_delayed approximates; the semidefinite relaxation bound that certifies phy.optimize_link;
-optimize_link with checked beam, phase and SNR objects every round; ReplicatorSolution.at with a
-new array per expression; and the CSV and JSON writers that build a whole file's text at once.
+optimize_link with its beam power and phase range asserted every round, every SNR by one formula
+(snr); ReplicatorSolution.at with a new array per expression; and the CSV and JSON writers that
+build a whole file's text at once.
 
 Also the reference solvers that no run executes: the replicator field of any utility map at
 one state (replicator_field; the package writes its field only in dynamics._steps_reading),
@@ -25,16 +26,13 @@ from typing import Callable
 import numpy as np
 
 from irsgame import (
-    Beamformer,
     ConfigurationError,
     HistoryBuffer,
     IntegratorSpec,
     NumericalDriftError,
-    PhaseShiftVector,
     ScenarioConfig,
     ServiceLink,
     Trajectory,
-    compute_snr,
 )
 from irsgame.config import _POSITIVE, _require
 from irsgame.dynamics import DRIFT_TOL, _advance, _check_p0, _growth
@@ -58,8 +56,7 @@ def utility(link, g: int, p_g: float, params, cfg) -> float:
     svc = cfg.service_indices()[g]
     sp = cfg.sps[svc.sp - 1]
     rate = expected_rate(link, p_g, sp.bandwidth_mhz, cfg.n_users)
-    n_active = len(link.phases.alphas)
-    cost = params.price_irs[svc.sp - 1] * n_active + params.price_power[svc.sp - 1] * link.beam.power_w
+    cost = params.price_irs[svc.sp - 1] * len(link.alphas) + params.price_power[svc.sp - 1] * link.power_w
     return float(params.valuation[g] * rate - cost / (p_g * cfg.n_users))
 
 
@@ -213,45 +210,51 @@ def sdr_bound(ch, rank: int = 4, iters: int = 200) -> float:
     return float(np.sum(y) + n * max(0.0, margin))
 
 
-def _effective_channel(ch, phases) -> np.ndarray:
-    """The row h^H + h_iu^H Theta^H G of a checked PhaseShiftVector."""
+def _effective_channel(ch, alphas) -> np.ndarray:
+    """The row h^H + h_iu^H Theta^H G, one phase per surface element."""
     eff = np.conj(ch.h_direct)
-    if len(phases):
-        eff = eff + (np.conj(ch.h_irs_user) * np.conj(np.exp(1j * phases.alphas))) @ ch.g_bs_irs
+    if len(alphas):
+        eff = eff + (np.conj(ch.h_irs_user) * np.conj(np.exp(1j * alphas))) @ ch.g_bs_irs
     return eff
 
 
+def snr(ch, w, alphas, bandwidth: float, noise_var: float) -> float:
+    """SNR |(h^H + h_iu^H Theta^H G) w|^2 / (bandwidth * noise_var) of a beam w and the surface phases alphas."""
+    with np.errstate(all="ignore"):  # a link's SNR may pass the largest float
+        return float(abs(_effective_channel(ch, alphas) @ w) ** 2 / (bandwidth * noise_var))
+
+
 def optimize_link(ch, power_w: float, bandwidth: float, noise_var: float, trace: list | None = None):
-    """phy.optimize_link as checked objects: a new PhaseShiftVector and Beamformer every round, every SNR
-    by compute_snr, and the effective channel built again for the next round's beam."""
+    """phy.optimize_link with its postconditions asserted every round: ||w||^2 is the power within 1e-9
+    and every phase lies in [0, 2*pi).  Every SNR comes from snr(), and the effective channel is built
+    again for the next round's beam."""
     _require("transmit power", power_w, _POSITIVE)
     alphas = np.zeros(ch.n_elements)
-    snr = -np.inf
-    beam = None
+    last = -np.inf
     for rounds in range(1, MAX_ITERS + 1):
-        phases = PhaseShiftVector(alphas)
-        beam = Beamformer(_mrt(_effective_channel(ch, phases), power_w), power_w)
+        w = _mrt(_effective_channel(ch, alphas), power_w)
+        assert abs(float(np.vdot(w, w).real) - power_w) <= 1e-9 * power_w, (w, power_w)
         if trace is not None:
-            trace.append(compute_snr(ch, beam, phases, bandwidth, noise_var))
+            trace.append(snr(ch, w, alphas, bandwidth, noise_var))
         # align every reflected term with the direct term's phase
         if len(alphas):
-            a0 = np.conj(ch.h_direct) @ beam.w
-            b = np.conj(ch.h_irs_user) * (ch.g_bs_irs @ beam.w)
+            a0 = np.conj(ch.h_direct) @ w
+            b = np.conj(ch.h_irs_user) * (ch.g_bs_irs @ w)
             ref = np.angle(a0) if abs(a0) > 0.0 else 0.0
             alphas = np.mod(np.angle(b) - ref, TWO_PI)
             # mod can return the period itself when the argument is a tiny negative
             alphas[alphas >= TWO_PI] = 0.0
-        phases = PhaseShiftVector(alphas)
-        new_snr = compute_snr(ch, beam, phases, bandwidth, noise_var)
+        assert np.all((alphas >= 0.0) & (alphas < TWO_PI)), alphas
+        new = snr(ch, w, alphas, bandwidth, noise_var)
         if trace is not None:
-            trace.append(new_snr)
+            trace.append(new)
         # a zero or non-finite SNR ends the climb before inf - inf gives nan
-        stop = (new_snr == 0.0 and snr <= 0.0) or not np.isfinite(new_snr)
-        stop = stop or (snr > -np.inf and new_snr - snr <= TOL * abs(snr))
-        snr = new_snr
+        stop = (new == 0.0 and last <= 0.0) or not np.isfinite(new)
+        stop = stop or (last > -np.inf and new - last <= TOL * abs(last))
+        last = new
         if stop:
             break
-    return ServiceLink(beam=beam, phases=PhaseShiftVector(alphas), snr=snr, rounds=rounds)
+    return ServiceLink(w, alphas, power_w, last, rounds)
 
 
 def replicator_at(solution, times) -> np.ndarray:

@@ -12,14 +12,11 @@ import numpy as np
 import pytest
 
 from irsgame import (
-    Beamformer,
     ChannelSet,
     IntegratorSpec,
-    PhaseShiftVector,
     SweepGrids,
     UtilityVector,
     complex_rayleigh,
-    compute_snr,
     default_config,
     detect_equilibrium,
     optimize_link,
@@ -28,7 +25,7 @@ from irsgame import (
     stability_bound,
 )
 from irsgame.experiments import numerators
-from oracle import integrate_ode, picard_solve, replicator_field
+from oracle import integrate_ode, picard_solve, replicator_field, snr
 
 
 def read_rows(path):
@@ -221,7 +218,7 @@ def test_criterion_08_link_optimizer_correctness():
     ch = ChannelSet(h_direct=h, g_bs_irs=np.zeros((0, 4)), h_irs_user=np.zeros(0))
     link = optimize_link(ch, 2.0, bandwidth, noise)
     w = np.sqrt(2.0) * h / np.linalg.norm(h)
-    manual = compute_snr(ch, Beamformer(w, 2.0), PhaseShiftVector(np.zeros(0)), bandwidth, noise)
+    manual = snr(ch, w, np.zeros(0), bandwidth, noise)
     assert link.snr == manual
 
 

@@ -2,9 +2,13 @@
 
 import ast
 import importlib
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,16 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irsgame import (
-    Beamformer,
     ConfigurationError,
     HistoryBuffer,
     IntegratorSpec,
-    PhaseShiftVector,
     ReplicatorSolution,
     SweepGrids,
     Trajectory,
     build_all_links,
-    compute_snr,
     dbm_to_watt,
     delayed_steps,
     detect_equilibrium,
@@ -48,8 +49,6 @@ UTILITIES = make_utilities(*PAIR)
 CHANNEL = generate_channels(CFG)[0]
 P0 = [0.5, 0.5]
 SPEC = IntegratorSpec(dt=0.1, horizon=1.0)
-BEAM = Beamformer(np.full(CHANNEL.n_antennas, 0.5 + 0.0j), 0.25 * CHANNEL.n_antennas)
-NO_PHASES = PhaseShiftVector(np.zeros(0))
 
 
 def _toy_trajectory():
@@ -69,10 +68,15 @@ REGRESSIONS = {
     "a NaN initial share": (lambda: solve_delayed(*PAIR, 0.1, [NAN, 0.5], 1.0, SPEC), "p0 must be"),
     "a NaN transmit power": (lambda: optimize_link(CHANNEL, NAN, 1.0, 1e-3), "transmit power must be positive"),
     "a NaN noise of the link": (lambda: optimize_link(CHANNEL, 1.0, 1.0, NAN), "noise_var must be positive"),
-    "a NaN beam power": (lambda: Beamformer(BEAM.w, NAN), "transmit power must be positive"),
-    "a NaN beam entry": (lambda: Beamformer([NAN, 1.0], 1.0), "does not match the power budget"),
-    "a NaN bandwidth": (lambda: compute_snr(CHANNEL, BEAM, NO_PHASES, NAN, 1e-3), "bandwidth must be positive"),
-    "a NaN phase": (lambda: PhaseShiftVector([NAN]), r"phases must lie in \[0, 2\*pi\)"),
+    "a NaN bandwidth": (lambda: optimize_link(CHANNEL, 1.0, NAN, 1e-3), "bandwidth must be positive"),
+    "a negative transmit power": (lambda: optimize_link(CHANNEL, -1.0, 1.0, 1e-3), "transmit power must be positive"),
+    "an infinite transmit power": (lambda: optimize_link(CHANNEL, INF, 1.0, 1e-3), "transmit power must be positive"),
+    "a zero bandwidth": (lambda: optimize_link(CHANNEL, 1.0, 0.0, 1e-3), "bandwidth must be positive"),
+    # the beam of a power near the least float squares to 0.0, and its SNR was 0 / 0 = nan
+    "a transmit power too small for a beam to hold": (
+        lambda: optimize_link(CHANNEL, 5e-324, 1.0, 1e-3),
+        r"\|\|w\|\|\^2 = 0.0 does not match the power budget 5e-324",
+    ),
     "a negative population": (lambda: make_utilities(NUMER, -5), "n_users must be at least 1"),
     "a zero population": (lambda: make_utilities(NUMER, 0), "n_users must be at least 1"),
     "half a user": (lambda: make_utilities(NUMER, 0.5), r"n_users must be at least 1 and at most 2\*\*53, got 0.5"),
@@ -90,6 +94,15 @@ REGRESSIONS = {
     "a bound with a string mu": (lambda: stability_bound(NUMER, "0.1", 100), "mu must be positive"),
     "a dB level past a float": (lambda: dbm_to_watt(1e6), "dBm level must be finite"),
     "a string integration step": (lambda: IntegratorSpec(dt="0.1"), r"integrator\.dt must be positive"),
+    # a numpy dt checked the grid in numpy arithmetic, which warned on these overflows
+    "a numpy dt whose last sample time is past the largest float": (
+        lambda: IntegratorSpec(dt=np.float64(1e308), horizon=1.5e308),
+        r"integrator: the last sample time 2 \* 1e\+308 is not a float",
+    ),
+    "a numpy dt whose step count is past the largest float": (
+        lambda: IntegratorSpec(dt=np.float64(1e-300), horizon=1e100),
+        r"integrator\.horizon / integrator\.dt = inf steps exceeds the cap",
+    ),
     "a NaN Picard grid": (lambda: picard_solve(lambda t, p: 0.0 * p, P0, [0.0, NAN]), "picard grid must be finite"),
     # numpy broadcast a field of one value, and rk4 ended in a numpy ValueError on a longer one
     **{
@@ -141,11 +154,6 @@ REGRESSIONS = {
         )
         for name, x in (("an infinite", INF), ("a negative infinite", -INF), ("a NaN", NAN))
     },
-    # elements beyond a short phase vector did not reflect; ChannelSet.subset says that
-    "a phase vector shorter than the surface": (
-        lambda: compute_snr(CHANNEL, BEAM, NO_PHASES, 1.0, 1e-3),
-        "phase vector has 0 entries but the surface has %d elements" % CHANNEL.n_elements,
-    ),
     # a Trajectory checks its own shape, so detect_equilibrium never reads a run of no samples
     "an empty trajectory": (
         lambda: Trajectory(0.1, np.zeros((0, 2)), UTILITIES),
@@ -326,6 +334,22 @@ def test_every_name_that_perfbench_imports_from_irsgame_exists():
     assert sorted((f, name) for f, name in read if not _resolves(name)) == []
 
 
+def test_perfbench_builds_the_oracle_of_each_workload_from_the_links(monkeypatch):
+    # Case builds its Replicator oracle from each link's attributes before any sample runs: a link
+    # attribute it reads and the package no longer has ends the benchmark without a result
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, run)  # its dataclasses look their module up there
+    with mock.patch.dict(os.environ):  # the import sets the thread variables
+        spec.loader.exec_module(run)
+    for name in ("reference", "delay"):
+        case = run.Case(name, 1)
+        cfg = with_scalar_overrides(load_config(case.config), seed=case.seed)
+        rest = ReplicatorSolution(numerators(cfg), cfg.n_users, cfg.mu, cfg.initial_population()).rest
+        assert np.abs(case.oracle.rest - rest).max() <= 1e-12, name
+
+
 def _dotted(node):
     """The dotted name of an attribute chain a.b.c rooted at a name, or None for any other node."""
     names = []
@@ -413,7 +437,7 @@ def _links(mu, n_users, power, bandwidth, noise, level):
     # an SNR past the largest float is a link's result; utility_numerators reports it (payoffs below)
     def link():
         out = optimize_link(CHANNEL, power, bandwidth, noise)
-        assert np.isfinite(out.beam.w).all() and np.isfinite(out.phases.alphas).all() and out.snr >= 0.0
+        assert np.isfinite(out.w).all() and np.isfinite(out.alphas).all() and out.snr >= 0.0
 
     def payoffs():
         numer = utility_numerators([optimize_link(CHANNEL, dbm_to_watt(level), bandwidth, noise)] * CFG.n_groups, CFG)
@@ -422,13 +446,8 @@ def _links(mu, n_users, power, bandwidth, noise, level):
         assert np.isfinite(uv.u).all() and math.isfinite(uv.u_bar)
         assert 0.0 < stability_bound(numer, mu, n_users) < INF
 
-    def snr():
-        assert compute_snr(CHANNEL.subset(0), BEAM, NO_PHASES, bandwidth, noise) >= 0.0
-
     yield link
     yield payoffs
-    yield snr
-    yield lambda: Beamformer(BEAM.w, power)
 
 
 # 200 examples take about 2 s on a 2-vCPU machine

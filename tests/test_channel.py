@@ -100,7 +100,7 @@ def test_channel_set_shape_validation():
         g_bs_irs=np.ones((8, 4), dtype=complex),
         h_irs_user=np.ones(8, dtype=complex),
     )
-    assert ok.n_antennas == 4 and ok.n_elements == 8
+    assert ok.h_direct.shape[0] == 4 and ok.n_elements == 8
     with pytest.raises(ConfigurationError):
         ChannelSet(np.ones(3, dtype=complex), np.ones((8, 4), dtype=complex), np.ones(8, dtype=complex))
     with pytest.raises(ConfigurationError):
@@ -156,7 +156,7 @@ def test_groups_of_one_provider_share_fading(default_cfg):
     chans = generate_channels(default_cfg)
     assert len(chans) == len(default_cfg.sps)
     for ch, sp in zip(chans, default_cfg.sps):
-        assert (ch.n_antennas, ch.n_elements) == (sp.antennas, sp.irs_elements)
+        assert (ch.h_direct.shape[0], ch.n_elements) == (sp.antennas, sp.irs_elements)
     # different providers draw independent fading
     assert not np.allclose(np.abs(chans[0].h_direct), np.abs(chans[1].h_direct))
 

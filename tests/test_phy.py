@@ -6,13 +6,10 @@ import numpy as np
 import pytest
 
 from irsgame import (
-    Beamformer,
     ChannelSet,
     ConfigurationError,
-    PhaseShiftVector,
     ServiceIndex,
     build_all_links,
-    compute_snr,
     complex_rayleigh,
     dbm_to_watt,
     generate_channels,
@@ -34,25 +31,6 @@ def random_channels(rng, n_antennas=2, n_elements=4):
     )
 
 
-def test_phase_vector_validation():
-    PhaseShiftVector(np.zeros(4))
-    PhaseShiftVector(np.array([]))
-    with pytest.raises(ConfigurationError):
-        PhaseShiftVector(np.array([-0.1]))
-    with pytest.raises(ConfigurationError):
-        PhaseShiftVector(np.array([2.0 * np.pi]))
-    with pytest.raises(ConfigurationError):
-        PhaseShiftVector(np.zeros((2, 2)))
-
-
-def test_beamformer_power_validation():
-    Beamformer(np.array([1.0 + 0j, 1.0j]), 2.0)
-    with pytest.raises(ConfigurationError):
-        Beamformer(np.array([1.0 + 0j]), 2.0)  # ||w||^2 = 1 != 2
-    with pytest.raises(ConfigurationError):
-        Beamformer(np.array([1.0 + 0j]), -1.0)
-
-
 def test_snr_single_element_hand_value():
     # h = 1, one reflecting element with h_iu = 1, G = 1, phase 0:
     # amplitude doubles, power quadruples
@@ -62,11 +40,9 @@ def test_snr_single_element_hand_value():
         h_irs_user=np.array([1.0 + 0j]),
     )
     power = 2.0
-    beam = Beamformer(np.array([np.sqrt(power) + 0j]), power)
-    snr = compute_snr(ch, beam, PhaseShiftVector(np.zeros(1)), BW, NOISE)
-    assert snr == pytest.approx(4.0 * power / (BW * NOISE), rel=1e-12)
+    assert optimize_link(ch, power, BW, NOISE).snr == pytest.approx(4.0 * power / (BW * NOISE), rel=1e-12)
     # without the reflection the direct path alone carries the power
-    snr0 = compute_snr(ch.subset(0), beam, PhaseShiftVector(np.zeros(0)), BW, NOISE)
+    snr0 = optimize_link(ch.subset(0), power, BW, NOISE).snr
     assert snr0 == pytest.approx(power / (BW * NOISE), rel=1e-12)
 
 
@@ -80,26 +56,13 @@ def test_snr_zero_channel_is_zero():
     assert link.snr == 0.0
 
 
-def test_snr_shape_validation():
-    rng = np.random.default_rng(1)
-    ch = random_channels(rng, n_antennas=2, n_elements=3)
-    beam = Beamformer(np.array([1.0 + 0j]), 1.0)  # wrong antenna count
-    with pytest.raises(ConfigurationError):
-        compute_snr(ch, beam, PhaseShiftVector(np.zeros(3)), BW, NOISE)
-    good = Beamformer(np.array([1.0 + 0j, 0.0j]), 1.0)
-    with pytest.raises(ConfigurationError):
-        compute_snr(ch, good, PhaseShiftVector(np.zeros(4)), BW, NOISE)  # too many phases
-    with pytest.raises(ConfigurationError):
-        compute_snr(ch, good, PhaseShiftVector(np.zeros(3)), 0.0, NOISE)
-
-
 def test_the_cached_snr_is_the_snr_of_the_returned_link():
     # a last round that gained less than TOL returned the previous round's SNR, up to 7.1e-16 off
     for seed in range(200):
         rng = np.random.default_rng(seed)
         ch = random_channels(rng, n_antennas=int(rng.integers(1, 6)), n_elements=int(rng.integers(0, 20)))
         link = optimize_link(ch, 2.0, BW, NOISE)
-        assert link.snr == compute_snr(ch, link.beam, link.phases, BW, NOISE)
+        assert link.snr == oracle.snr(ch, link.w, link.alphas, BW, NOISE)
 
 
 def test_single_antenna_closed_form():
@@ -128,7 +91,7 @@ def test_alternating_ascent_never_decreases():
         assert np.all(diffs >= -1e-12 * max(trace)), "seed %d: %r" % (seed, diffs)
         # the cached value is the trace maximum and matches a recomputation
         assert link.snr == pytest.approx(max(trace), rel=1e-12)
-        recomputed = compute_snr(ch, link.beam, link.phases, BW, NOISE)
+        recomputed = oracle.snr(ch, link.w, link.alphas, BW, NOISE)
         assert link.snr == pytest.approx(recomputed, rel=1e-12)
 
 
@@ -140,7 +103,7 @@ def test_mrt_beats_random_beams():
     for _ in range(100):
         w = complex_rayleigh((4,), rng)
         w = np.sqrt(power) * w / np.linalg.norm(w)
-        rival = compute_snr(ch, Beamformer(w, power), link.phases, BW, NOISE)
+        rival = oracle.snr(ch, w, link.alphas, BW, NOISE)
         assert rival <= link.snr * (1.0 + 1e-12)
 
 
@@ -154,9 +117,9 @@ def test_phase_perturbations_never_improve():
         link = optimize_link(ch, power_w=1.0, bandwidth=BW, noise_var=NOISE)
         for _ in range(20):
             bump = rng.choice([-0.1, 0.1], size=5)
-            alphas = np.mod(link.phases.alphas + bump, two_pi)
+            alphas = np.mod(link.alphas + bump, two_pi)
             alphas[alphas >= two_pi] = 0.0
-            rival = compute_snr(ch, link.beam, PhaseShiftVector(alphas), BW, NOISE)
+            rival = oracle.snr(ch, link.w, alphas, BW, NOISE)
             assert rival <= link.snr * (1.0 + 1e-12)
 
 
@@ -176,26 +139,44 @@ def test_zero_surface_equals_direct_mrt():
     power = 1.0
     link = optimize_link(ch, power_w=power, bandwidth=BW, noise_var=NOISE)
     w = np.sqrt(power) * ch.h_direct / np.linalg.norm(ch.h_direct)
-    manual = compute_snr(ch, Beamformer(w, power), PhaseShiftVector(np.zeros(0)), BW, NOISE)
-    assert link.snr == manual
-    assert len(link.phases) == 0
-
-
-def test_a_two_dimensional_beam_is_rejected():
-    # its four entries hold the power budget: only the rank check rejects it
-    with pytest.raises(ConfigurationError, match="beamforming vector must be one-dimensional"):
-        Beamformer(np.full((2, 2), 0.5 + 0j), 1.0)
+    assert link.snr == oracle.snr(ch, w, np.zeros(0), BW, NOISE)
+    assert len(link.alphas) == 0
 
 
 def test_a_channel_with_entries_near_1e_160_gives_a_beam_of_full_power():
     # the squares of such entries are subnormal and lose bits: the beam is normalized after a rescale
     ch = random_channels(np.random.default_rng(8))
     tiny = ChannelSet(1e-160 * ch.h_direct, 1e-160 * ch.g_bs_irs, 1e-160 * ch.h_irs_user)
-    w = optimize_link(tiny, 2.0, BW, NOISE).beam.w
+    w = optimize_link(tiny, 2.0, BW, NOISE).w
     assert abs(float(np.vdot(w, w).real) - 2.0) <= 1e-9 * 2.0
     # a row whose norm is not that small keeps the bits of the plain formula
     eff = _effective_channel(ch, np.zeros(ch.n_elements))
     assert np.array_equal(_mrt(eff, 2.0), np.sqrt(2.0) * np.conj(eff) / np.linalg.norm(eff))
+
+
+def test_every_link_holds_a_beam_of_its_power_and_one_phase_in_range_per_element():
+    # random channels of 1-5 antennas and 0-11 elements, a zero channel and one near 1e-160
+    rng = np.random.default_rng(9)
+    channels = [random_channels(rng, int(rng.integers(1, 6)), int(rng.integers(0, 12))) for _ in range(100)]
+    zero = random_channels(rng)
+    channels.append(ChannelSet(0.0 * zero.h_direct, 0.0 * zero.g_bs_irs, 0.0 * zero.h_irs_user))
+    channels.append(ChannelSet(1e-160 * zero.h_direct, 1e-160 * zero.g_bs_irs, 1e-160 * zero.h_irs_user))
+    for i, ch in enumerate(channels):
+        power = 10.0 ** rng.uniform(-3.0, 1.0)
+        link = optimize_link(ch, power, BW, NOISE)
+        assert link.power_w == power
+        assert link.w.shape == ch.h_direct.shape and link.alphas.shape == ch.h_irs_user.shape, i
+        assert abs(float(np.vdot(link.w, link.w).real) - power) <= 1e-9 * power, i
+        assert np.all((link.alphas >= 0.0) & (link.alphas < 2.0 * np.pi)), i
+
+
+def test_a_phase_a_hair_below_zero_is_stored_as_zero():
+    # the reflected term lags the direct one by 1e-20 rad: mod(-1e-20, 2*pi) rounds to 2*pi itself
+    ch = ChannelSet(np.array([1.0 + 0j]), np.array([[1.0 + 0j]]), np.array([np.exp(1e-20j)]))
+    link = optimize_link(ch, 1.0, BW, NOISE)
+    assert np.mod(-1e-20, 2.0 * np.pi) == 2.0 * np.pi
+    assert link.alphas.tolist() == [0.0]
+    assert link.snr == pytest.approx(4.0 / (BW * NOISE), rel=1e-12)
 
 
 def test_optimize_link_argument_validation():
@@ -219,7 +200,7 @@ def test_build_all_links_default_scenario(default_cfg, default_links):
     for g, svc in enumerate(svcs):
         sp = default_cfg.sps[svc.sp - 1]
         link = default_links[g]
-        assert len(link.phases) == svc.subset * sp.irs_elements_per_module
+        assert len(link.alphas) == svc.subset * sp.irs_elements_per_module
         assert link.snr > 0.0
     # larger surface subsets give a better optimized link at the same power
     for svc in svcs:
@@ -241,8 +222,8 @@ def test_build_all_links_deterministic(default_cfg, default_links):
     assert len(again) == len(default_links)
     for g in range(len(default_links)):
         assert again[g].snr == default_links[g].snr
-        assert np.array_equal(again[g].beam.w, default_links[g].beam.w)
-        assert np.array_equal(again[g].phases.alphas, default_links[g].phases.alphas)
+        assert np.array_equal(again[g].w, default_links[g].w)
+        assert np.array_equal(again[g].alphas, default_links[g].alphas)
 
 
 def test_sdr_bound_holds_for_random_phases_and_the_optimized_link():
@@ -252,9 +233,9 @@ def test_sdr_bound_holds_for_random_phases_and_the_optimized_link():
         ch = random_channels(rng, n_antennas=3, n_elements=6)
         bound = power * oracle.sdr_bound(ch) / (BW * NOISE)
         for _ in range(50):
-            phases = PhaseShiftVector(rng.uniform(0.0, 2.0 * np.pi, ch.n_elements))
-            beam = Beamformer(_mrt(_effective_channel(ch, phases.alphas), power), power)
-            assert compute_snr(ch, beam, phases, BW, NOISE) <= bound * (1.0 + 1e-12), "seed %d" % seed
+            alphas = rng.uniform(0.0, 2.0 * np.pi, ch.n_elements)
+            w = _mrt(_effective_channel(ch, alphas), power)
+            assert oracle.snr(ch, w, alphas, BW, NOISE) <= bound * (1.0 + 1e-12), "seed %d" % seed
         assert optimize_link(ch, power, BW, NOISE).snr <= bound * (1.0 + 1e-12), "seed %d" % seed
 
 
@@ -284,8 +265,8 @@ def test_optimize_link_reaches_097_of_the_sdr_bound_on_every_bundled_link(reques
 
 def _same_link(got, want, got_trace, want_trace):
     return (
-        np.array_equal(got.beam.w, want.beam.w)
-        and np.array_equal(got.phases.alphas, want.phases.alphas)
+        np.array_equal(got.w, want.w)
+        and np.array_equal(got.alphas, want.alphas)
         and (got.snr == want.snr or np.isnan(got.snr) and np.isnan(want.snr))
         and got_trace == want_trace
         and got.rounds == want.rounds
@@ -336,8 +317,8 @@ def test_a_link_stopped_at_the_cap_says_so_in_its_rounds(request, scenario, capp
 
 
 @pytest.mark.parametrize("traced", [False, True])
-def test_the_climb_builds_one_effective_channel_per_round_and_checks_each_link_once(default_cfg, monkeypatch, traced):
-    # default.cfg's 6 links take 58 rounds: 64 effective channels, one checked beam and phase vector each
+def test_the_climb_builds_one_effective_channel_per_round_and_one_to_start_each_link(default_cfg, monkeypatch, traced):
+    # default.cfg's 6 links take 58 rounds: 64 effective channels
     channels = generate_channels(default_cfg)
     traces = []
 
@@ -350,23 +331,14 @@ def test_the_climb_builds_one_effective_channel_per_round_and_checks_each_link_o
     rounds = sum(len(trace) // 2 for trace in traces)
     if not traced:
         monkeypatch.setattr(phy, "optimize_link", optimize_link)
-    calls = dict.fromkeys(["_effective_channel", "Beamformer", "PhaseShiftVector", "compute_snr"], 0)
+    calls = 0
+    effective_channel = phy._effective_channel
 
-    def counted(name):
-        fn = getattr(phy, name)
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return effective_channel(*args)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(phy, name, counted(name))
+    monkeypatch.setattr(phy, "_effective_channel", counted)
     links = build_all_links(default_cfg, channels)
-    assert calls == {
-        "_effective_channel": rounds + len(links),
-        "Beamformer": len(links),
-        "PhaseShiftVector": len(links),
-        "compute_snr": 0,
-    }
+    assert calls == rounds + len(links)
