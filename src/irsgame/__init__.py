@@ -37,13 +37,12 @@ from .errors import (
     NumericError,
 )
 from .game import (
-    Equilibrium,
     UtilityParams,
-    UtilityVector,
     detect_equilibrium,
     make_utilities,
     stability_bound,
     utility_numerators,
+    utility_spread,
 )
 from .phy import ServiceLink, build_all_links, optimize_link
 from .experiments import PRESETS, SimulationResult, run_experiment, simulate

@@ -82,11 +82,11 @@ class HistoryBuffer:
 
 @dataclass
 class Trajectory(HistoryBuffer):
-    """A sampled run: its states on the grid t_i = i * dt and the run's utility map, applied to the rows read.
+    """A sampled run: its states on the grid t_i = i * dt and the run's state -> (u, u_bar) map.
 
     Only states are stored; utilities come from the map of a stored or looked-up state, which
-    keeps its identities (such as the population average being the mass-weighted mean) exact
-    even between grid points.
+    keeps its identities (such as u_bar being the mass-weighted mean of u) exact even between
+    grid points.
     """
 
     utilities: Callable
@@ -96,7 +96,7 @@ class Trajectory(HistoryBuffer):
     def __post_init__(self):
         super().__post_init__()
         if not callable(self.utilities):
-            raise ConfigurationError("trajectory utilities must be a state -> UtilityVector map, got %r" % (self.utilities,))
+            raise ConfigurationError("trajectory utilities must be a state -> (u, u_bar) map, got %r" % (self.utilities,))
 
 
 def _check_p0(p0) -> np.ndarray:
@@ -451,8 +451,8 @@ def solve_delayed(numer, n_users: int, mu: float, p0, delta: float, spec: Integr
 def _steps_reading(utilities: Callable, mu: float, dt: float, p_d: np.ndarray) -> np.ndarray:
     """The steps (T, G) that read the past states p_d, dt * mu * p_g * (u_g - u_bar) under make_utilities'
     map, empty groups exactly zero: the one step rule and replicator field."""
-    uv = utilities(p_d)
-    return dt * (mu * np.where(p_d > 0.0, p_d * (uv.u - uv.u_bar[:, None]), 0.0))
+    u, u_bar = utilities(p_d)
+    return dt * (mu * np.where(p_d > 0.0, p_d * (u - u_bar[:, None]), 0.0))
 
 
 def delayed_steps(traj: Trajectory, numer, n_users: int, mu: float, delta: float) -> np.ndarray:

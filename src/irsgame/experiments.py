@@ -194,8 +194,8 @@ def _trajectory_table(traj: Trajectory) -> tuple[list, np.ndarray]:
     g = range(1, traj.states.shape[1] + 1)
     columns = ["t"] + ["p_%d" % k for k in g] + ["u_%d" % k for k in g] + ["u_bar"]
     idx = np.append(np.arange(0, len(traj) - 1, TRAJECTORY_STRIDE), len(traj) - 1)
-    uv = traj.utilities(traj.states[idx])  # the map of the written rows only
-    return columns, np.column_stack([traj.times[idx], traj.states[idx], uv.u, uv.u_bar])
+    u, u_bar = traj.utilities(traj.states[idx])  # the map of the written rows only
+    return columns, np.column_stack([traj.times[idx], traj.states[idx], u, u_bar])
 
 
 # --- presets -------------------------------------------------------------------
@@ -245,9 +245,9 @@ def _delay_point(point: ScenarioConfig, numer: np.ndarray, bound: float | None, 
     below the bound is stable: when it has not rested by the horizon, that is what its meta line says.
     """
     traj = _dynamics(point, numer)
-    eq = detect_equilibrium(traj, min_quiet=point.delta)
-    if eq is not None:
-        t_eq = "%.17g" % eq.time
+    index = detect_equilibrium(traj, min_quiet=point.delta)
+    if index is not None:
+        t_eq = "%.17g" % traj.times[index]
     elif bound is not None and point.delta < bound:
         t_eq = "none by the horizon (delta below the stability bound)"
     else:

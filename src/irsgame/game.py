@@ -19,7 +19,7 @@ import numpy as np
 from .config import _NON_NEGATIVE, _POSITIVE, _USERS, _require
 from .errors import ConfigurationError, NumericError
 
-# equilibrium detection: the rate below which a step rests, and the share above which a group counts in the spread
+# equilibrium detection: the rate below which a step rests, and the share above which a group counts in utility_spread
 EPS_FIELD = 1e-6
 EPS_MASS = 1e-2
 
@@ -30,19 +30,6 @@ def quiet_steps(diffs: np.ndarray, dt: np.ndarray) -> np.ndarray:
 
     The max goes column by column, exact and NaN-propagating: numpy's cost per row would dominate short rows."""
     return functools.reduce(np.maximum, np.abs(diffs, out=diffs).T) / dt < EPS_FIELD
-
-
-@dataclass
-class UtilityVector:
-    """Per-group utilities plus their population average.
-
-    Entries for empty groups (share exactly zero) are NaN: the utility of a
-    service nobody uses is not applicable.  u has the state's shape, and u_bar
-    one entry per state: a numpy float for one state.
-    """
-
-    u: np.ndarray
-    u_bar: np.floating | np.ndarray
 
 
 @dataclass
@@ -109,21 +96,22 @@ def _check_payoff(numer, n_users) -> tuple[np.ndarray, float]:
     return x.astype(float, copy=False), float(_require("n_users", n_users, _USERS, numbers.Integral))
 
 
-def make_utilities(numer: np.ndarray, n_users: int) -> Callable[[np.ndarray], UtilityVector]:
-    """Build the state -> UtilityVector map u_g = numer_g / (p_g * n_users).
+def make_utilities(numer: np.ndarray, n_users: int) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Build the state -> (u, u_bar) map u_g = numer_g / (p_g * n_users), u_bar = sum_g p_g * u_g.
 
     numer is utility_numerators of the scenario's optimized links; only the
-    division by the group share happens per call.  The map takes one state
-    (G,) or a stack of states (T, G) by one code path: u has the state's
-    shape and u_bar drops its last axis, each row of a stack equal to the
-    single-state result.  Raises NumericError when a utility overflows a
-    float, and ConfigurationError for a numer that is not a 1-D vector of
-    finite reals, an n_users that is not a whole number in range, or a state
-    whose length is not numer's.
+    division by the group share happens per call.  An empty group (share
+    exactly zero) has utility NaN and no part in u_bar.  The map takes one
+    state (G,) or a stack of states (T, G) by one code path: u has the
+    state's shape and u_bar drops its last axis, each row of a stack equal
+    to the single-state result.  Raises NumericError when a utility
+    overflows a float, and ConfigurationError for a numer that is not a 1-D
+    vector of finite reals, an n_users that is not a whole number in range,
+    or a state whose length is not numer's.
     """
     numer, n = _check_payoff(numer, n_users)
 
-    def utilities(p: np.ndarray) -> UtilityVector:
+    def utilities(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         p = np.asarray(p, dtype=float)
         if p.shape[-1:] != numer.shape:  # numpy would broadcast a single share, or fail on another length
             raise ConfigurationError("a utility map of %d groups got a state of shape %s" % (len(numer), p.shape))
@@ -133,7 +121,7 @@ def make_utilities(numer: np.ndarray, n_users: int) -> Callable[[np.ndarray], Ut
                 u = np.divide(numer, p * n, out=np.full(p.shape, np.nan), where=alive)
         except FloatingPointError:
             raise NumericError("a utility numer_g / (p_g * n_users) overflows a float") from None
-        return UtilityVector(u=u, u_bar=np.sum(np.where(alive, p * u, 0.0), axis=-1))
+        return u, np.sum(np.where(alive, p * u, 0.0), axis=-1)
 
     return utilities
 
@@ -161,28 +149,17 @@ def stability_bound(numer: np.ndarray, mu: float, n_users: int) -> float:
     return float(np.pi / rate)
 
 
-@dataclass
-class Equilibrium:
-    """Detected rest point of a trajectory."""
+def detect_equilibrium(traj, min_quiet: float = 0.0) -> Optional[int]:
+    """Index of the earliest sample from which the Trajectory traj stops moving, as equilibrium_index
+    gives it (its time is traj.times[index]), or None; index 0 is a rest at t = 0, so test "is None".
 
-    time: float
-    index: int
-    utility_spread: Optional[float]  # relative spread among the groups above EPS_MASS, None when there are none
-
-
-def detect_equilibrium(traj, min_quiet: float = 0.0) -> Optional[Equilibrium]:
-    """Earliest time after which the Trajectory traj (its grid checked on construction) stops moving.
-
-    Uses finite differences of the stored states: the first sample index i from which
-    max_g |p_{i+1,g} - p_{i,g}| / (t_{i+1} - t_i) < EPS_FIELD for every later step (quiet_steps,
-    over the differences of traj.times, as equilibrium_index: (i + 1) * dt - i * dt is not dt),
-    so a single sample rests from its own time.  Returns None when the tail never settles, or when the
-    quiet tail is shorter than min_quiet time units.  Delayed runs should pass min_quiet >=
+    The index is the first i from which max_g |p_{i+1,g} - p_{i,g}| / (t_{i+1} - t_i) < EPS_FIELD
+    for every later step (quiet_steps, over the differences of traj.times: (i + 1) * dt - i * dt
+    is not dt), so a single sample rests from index 0.  None when the tail never settles, or when
+    the quiet tail is shorter than min_quiet time units.  Delayed runs should pass min_quiet >=
     the delay: they can sit exactly still for shorter spells while their history replays an
     excursion, and only a stretch longer than the information delay proves a genuine rest
-    point.  Reports the relative spread of the trajectory's utilities over the groups with
-    share above EPS_MASS at the detected sample, None when no group is above it.  Raises
-    ConfigurationError for a negative min_quiet.
+    point.  Raises ConfigurationError for a negative min_quiet.
     """
     _require("min_quiet", min_quiet, _NON_NEGATIVE)
     times = traj.times
@@ -195,12 +172,17 @@ def detect_equilibrium(traj, min_quiet: float = 0.0) -> Optional[Equilibrium]:
     idx = 0 if moving.size == 0 else int(moving[-1]) + 1
     if float(times[-1] - times[idx]) < min_quiet:
         return None
-    return Equilibrium(time=float(times[idx]), index=idx, utility_spread=_spread(traj, idx))
+    return idx
 
 
-def _spread(traj, idx: int) -> Optional[float]:
-    p = traj.states[idx]
-    u = traj.utilities(p).u[p > EPS_MASS]
+def utility_spread(traj, index: int) -> Optional[float]:
+    """Relative spread (max - min) / max |u| of the utilities at sample index of traj, over the groups
+    with share above EPS_MASS: near zero at a rest point, where every surviving group earns u_bar.
+
+    0.0 when those utilities are all zero, None when no group is above EPS_MASS.
+    """
+    p = traj.states[index]
+    u = traj.utilities(p)[0][p > EPS_MASS]
     if u.size == 0:
         return None
     scale = float(np.max(np.abs(u)))

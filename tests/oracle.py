@@ -153,8 +153,8 @@ def delayed_euler(utilities, mu: float, p0, delta: float, spec) -> tuple[Traject
     sums = 0.0, 0.0, 0
     for i in range(n):
         p_d = history(states, dt, i * dt - delta)
-        uv = utilities(p_d)
-        step = dt * (mu * np.where(p_d > 0.0, p_d * (uv.u - uv.u_bar), 0.0))
+        u, u_bar = utilities(p_d)
+        step = dt * (mu * np.where(p_d > 0.0, p_d * (u - u_bar), 0.0))
         flat, *sums = advance(states[-1].tolist(), [step.tolist()], *sums)
         states.append(np.array(flat))
     return Trajectory(dt, np.array(states), utilities), *sums
@@ -305,8 +305,8 @@ def replicator_field(t: float, state: np.ndarray, utilities: Callable, mu: float
     evaluating the (undefined) utility.
     """
     p = np.asarray(state, dtype=float)
-    uv = utilities(p)
-    return mu * np.where(p > 0.0, p * (uv.u - uv.u_bar), 0.0)
+    u, u_bar = utilities(p)
+    return mu * np.where(p > 0.0, p * (u - u_bar), 0.0)
 
 
 def _rate(field: Callable, t: float, p: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ from irsgame import (
     ChannelSet,
     IntegratorSpec,
     SweepGrids,
-    UtilityVector,
     complex_rayleigh,
     default_config,
     detect_equilibrium,
@@ -23,6 +22,7 @@ from irsgame import (
     run_experiment,
     simulate,
     stability_bound,
+    utility_spread,
 )
 from irsgame.experiments import numerators
 from oracle import integrate_ode, picard_solve, replicator_field, snr
@@ -73,9 +73,9 @@ def divergent_run(reduced_setup):
 
 def test_criterion_01_equal_utility_equilibrium(default_run):
     res, elapsed = default_run
-    eq = detect_equilibrium(res.trajectory)
-    assert eq is not None, "reference scenario never settled"
-    assert eq.utility_spread < 1e-3, "surviving groups earn unequal utilities"
+    index = detect_equilibrium(res.trajectory)
+    assert index is not None, "reference scenario never settled"
+    assert utility_spread(res.trajectory, index) < 1e-3, "surviving groups earn unequal utilities"
     assert elapsed < 10.0, "reference run took %.2f s" % elapsed
 
 
@@ -178,7 +178,7 @@ def test_criterion_06_fixed_point_solver_matches_rk4(default_cfg, default_utilit
 
 
 def test_criterion_07_two_strategy_closed_form():
-    utilities = lambda p: UtilityVector(np.array([1.0, 0.0]), float(p[0]))
+    utilities = lambda p: (np.array([1.0, 0.0]), float(p[0]))
     field = lambda t, p: replicator_field(t, p, utilities, 1.0)
     spec = IntegratorSpec(dt=0.01, horizon=10.0)
     traj = integrate_ode(field, np.array([0.5, 0.5]), spec, utilities)

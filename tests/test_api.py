@@ -34,6 +34,7 @@ from irsgame import (
     solve_replicator,
     stability_bound,
     utility_numerators,
+    utility_spread,
     with_scalar_overrides,
 )
 from irsgame.errors import NumericError
@@ -175,11 +176,11 @@ REGRESSIONS = {
     # a trajectory keeps its utility map, not a utility row per sample, and a run always has one
     "utilities that are not a map": (
         lambda: Trajectory(1.0, np.tile(P0, (3, 1)), np.zeros((3, 2))),
-        "trajectory utilities must be a state -> UtilityVector map",
+        r"trajectory utilities must be a state -> \(u, u_bar\) map",
     ),
     "a trajectory without a utility map": (
         lambda: Trajectory(1.0, np.tile(P0, (3, 1)), None),
-        "trajectory utilities must be a state -> UtilityVector map, got None",
+        r"trajectory utilities must be a state -> \(u, u_bar\) map, got None",
     ),
     # this ended in an AxisError in detect_equilibrium
     "1-D states": (
@@ -376,18 +377,19 @@ def _resolves(dotted):
 
 def test_payoffs_given_as_a_list_act_as_their_array():
     assert stability_bound(NUMER.tolist(), 0.1, CFG.n_users) == stability_bound(NUMER, 0.1, CFG.n_users)
-    listed, array = make_utilities(NUMER.tolist(), CFG.n_users)(P0), UTILITIES(P0)
-    assert listed.u.tobytes() == array.u.tobytes() and listed.u_bar == array.u_bar
+    (listed, listed_bar), (array, array_bar) = make_utilities(NUMER.tolist(), CFG.n_users)(P0), UTILITIES(P0)
+    assert listed.tobytes() == array.tobytes() and listed_bar == array_bar
     # numpy's integers are whole numbers too
-    assert make_utilities(NUMER, np.int64(CFG.n_users))(P0).u.tobytes() == array.u.tobytes()
+    assert make_utilities(NUMER, np.int64(CFG.n_users))(P0)[0].tobytes() == array.tobytes()
 
 
 def test_trajectories_and_histories_given_as_lists_act_as_their_arrays():
     # lists passed the shape checks and were kept: detect_equilibrium compared a list with a
     # float, and delayed_steps and HistoryBuffer.lookup indexed a list with an array
-    resting = detect_equilibrium(Trajectory(1.0, [P0, P0], UTILITIES))
-    assert resting.utility_spread is not None
-    assert resting == detect_equilibrium(Trajectory(1.0, np.array([P0, P0]), UTILITIES))
+    listed, array = Trajectory(1.0, [P0, P0], UTILITIES), Trajectory(1.0, np.array([P0, P0]), UTILITIES)
+    resting = detect_equilibrium(listed)
+    assert resting is not None and utility_spread(listed, resting) is not None
+    assert resting == detect_equilibrium(array) and utility_spread(listed, resting) == utility_spread(array, resting)
     run = _delayed_run()
     listed = Trajectory(run.dt, run.states.tolist(), UTILITIES)
     assert delayed_steps(listed, *PAIR, 0.1, 0.3).tobytes() == delayed_steps(run, *PAIR, 0.1, 0.3).tobytes()
@@ -413,9 +415,9 @@ def arg(default):
 def _check_trajectory(traj):
     assert np.isfinite(traj.times).all()
     _check_shares(traj.states)
-    uv = traj.utilities(traj.states)
+    u, u_bar = traj.utilities(traj.states)
     alive = traj.states > 0.0  # an empty group has no utility: NaN by design
-    assert np.isfinite(uv.u[alive]).all() and np.isfinite(uv.u_bar).all()
+    assert np.isfinite(u[alive]).all() and np.isfinite(u_bar).all()
 
 
 def _check_shares(p):
@@ -442,8 +444,8 @@ def _links(mu, n_users, power, bandwidth, noise, level):
     def payoffs():
         numer = utility_numerators([optimize_link(CHANNEL, dbm_to_watt(level), bandwidth, noise)] * CFG.n_groups, CFG)
         assert np.isfinite(numer).all()
-        uv = make_utilities(numer, n_users)(np.array(P0))
-        assert np.isfinite(uv.u).all() and math.isfinite(uv.u_bar)
+        u, u_bar = make_utilities(numer, n_users)(np.array(P0))
+        assert np.isfinite(u).all() and math.isfinite(u_bar)
         assert 0.0 < stability_bound(numer, mu, n_users) < INF
 
     yield link

@@ -412,6 +412,17 @@ def test_a_run_that_fails_before_its_first_table_leaves_no_out_directory(tmp_pat
     assert sorted(f.name for f in out.iterdir()) == ["convergence_speed.csv"]
 
 
+def test_irs_size_sweep_of_one_provider_is_a_configuration_error(tmp_path, capsys):
+    # reduced.cfg without its second provider: the sweep has no sp.2 to resize
+    path = tmp_path / "one_sp.cfg"
+    path.write_text(REDUCED_CFG.read_text().split("[sp.2]")[0])
+    out = tmp_path / "data"
+    assert main(["run", "irs-size-sweep", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "irs-size-sweep needs a second provider to resize" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_validate_ok(tmp_path, capsys):
     path = tmp_path / "scenario.cfg"
     path.write_text(config_to_text(default_config()))

@@ -14,7 +14,6 @@ from irsgame import (
     NumericalDriftError,
     NumericError,
     ReplicatorSolution,
-    UtilityVector,
     detect_equilibrium,
     make_utilities,
     run_experiment,
@@ -34,7 +33,7 @@ from oracle import NonConvergenceError, _sum, integrate_ode, picard_solve, repli
 
 def logistic_utilities(p):
     # constant payoff gap of 1 between two strategies
-    return UtilityVector(np.array([1.0, 0.0]), float(p[0]))
+    return np.array([1.0, 0.0]), float(p[0])
 
 
 def logistic_field(t, p):
@@ -134,7 +133,7 @@ def test_drift_error_on_nan_step():
     def utilities(p):
         alive = p > 0.0
         u = np.divide(c, p, out=np.full(len(p), np.nan), where=alive)
-        return UtilityVector(u, float(np.sum(np.where(alive, p * u, 0.0))))
+        return u, float(np.sum(np.where(alive, p * u, 0.0)))
 
     spec = IntegratorSpec(dt=0.01, horizon=1.0)
     with np.errstate(all="ignore"), pytest.raises(NumericalDriftError):
@@ -292,7 +291,7 @@ def payoff_utilities(c):
     def utilities(p):
         alive = p > 0.0
         u = np.divide(c, p, out=np.full(len(p), np.nan), where=alive)
-        return UtilityVector(u, float(np.sum(c[alive])))
+        return u, float(np.sum(c[alive]))
 
     return utilities
 
@@ -429,7 +428,7 @@ def test_every_exact_sample_splits_each_payoff_over_its_users(weights, numer, n_
     numer = np.array(numer[: len(p0)])
     traj = solve_replicator(numer, n_users, mu, p0, IntegratorSpec(dt=0.1, horizon=20.0))
     alive = traj.states > 0.0
-    earned = traj.states * traj.utilities(traj.states).u * n_users
+    earned = traj.states * traj.utilities(traj.states)[0] * n_users
     assert np.allclose(earned[alive], np.broadcast_to(numer, alive.shape)[alive], rtol=1e-13, atol=0.0)
 
 
@@ -487,8 +486,7 @@ def test_equilibrium_index_matches_detect_equilibrium(weights, c, mu, dt, scale)
     # every rate past the last sample must be quiet for detect_equilibrium
     # to find the index, so the tail only needs a margin
     traj = solve_replicator(c, 1, mu, p0, IntegratorSpec(dt=dt, horizon=(index + 64) * dt))
-    eq = detect_equilibrium(traj)
-    assert eq is not None and eq.index == index
+    assert detect_equilibrium(traj) == index
 
 
 def test_equilibrium_index_is_capped():
@@ -653,9 +651,9 @@ def test_solve_delayed_matches_oracle_bit_for_bit(request, scenario, delta, dt, 
     assert np.array_equal(fast.states, ref.states)
     assert fast.states.tobytes() == ref.states.tobytes()
     # the run keeps the pair's map: on the stored states, stacked, it has the bits of one call per state
-    stacked, rows = fast.utilities(fast.states), [ref.utilities(s) for s in ref.states]
-    assert np.array_equal(stacked.u, np.array([r.u for r in rows]), equal_nan=True)
-    assert np.array_equal(stacked.u_bar, np.array([r.u_bar for r in rows]))
+    (u, u_bar), rows = fast.utilities(fast.states), [ref.utilities(s) for s in ref.states]
+    assert np.array_equal(u, np.array([r[0] for r in rows]), equal_nan=True)
+    assert np.array_equal(u_bar, np.array([r[1] for r in rows]))
     # the facts recomputed from the stored states are the ones the oracle counts step by step
     facts = clamp_facts(fast, delayed_steps(fast, *pair, cfg.mu, delta))
     assert facts[0] == clamped

@@ -12,7 +12,6 @@ from irsgame import (
     ConfigurationError,
     SweepGrids,
     Trajectory,
-    UtilityVector,
     detect_equilibrium,
     run_experiment,
     simulate,
@@ -28,7 +27,7 @@ def toy_utilities(p):
     """Utilities 2 and 1, NaN for an empty group, as make_utilities marks it."""
     alive = p > 0.0
     u = np.where(alive, np.array([2.0, 1.0]), np.nan)
-    return UtilityVector(u, np.sum(np.where(alive, p * u, 0.0), axis=-1))
+    return u, np.sum(np.where(alive, p * u, 0.0), axis=-1)
 
 
 def toy_trajectory(n=5):
@@ -127,6 +126,9 @@ def test_a_delay_point_that_does_not_rest_says_whether_it_is_below_the_bound(tmp
     cfg = dataclasses.replace(cfg, grids=dataclasses.replace(cfg.grids, delta=[15.0, below, 60.0]))
     said = [read_csv(path)[0]["t_equilibrium"] for path in run_experiment("delay-sweep", cfg, tmp_path)]
     assert float(said[0]) > 0.0
+    # the rest time is the time of the sample detect_equilibrium returns
+    rest = simulate(dataclasses.replace(cfg, delta=15.0)).trajectory
+    assert said[0] == "%.17g" % rest.times[detect_equilibrium(rest, min_quiet=15.0)]
     assert said[1:] == ["none by the horizon (delta below the stability bound)", NEVER_RESTS]
     # without a computable bound, no point is known to be below it
     meta = dict(experiments._delay_point(dataclasses.replace(cfg, delta=below), numer, None, "not computable")[0])
@@ -239,7 +241,8 @@ def test_undelayed_sweeps_match_long_sampled_runs(tmp_path, default_cfg):
     _, _, rows = read_csv(path)
     for mu, n, t_eq in rows:
         run = simulate(with_scalar_overrides(cfg, mu=float(mu), n_users=int(n), horizon=2400.0))
-        assert detect_equilibrium(run.trajectory).time == float(t_eq)
+        index = detect_equilibrium(run.trajectory)
+        assert index is not None and run.trajectory.times[index] == float(t_eq)
     (path,) = run_experiment("irs-size-sweep", cfg, tmp_path)
     _, _, rows = read_csv(path)
     # the sweep's own surface price cap

@@ -13,12 +13,12 @@ from irsgame import (
     NumericError,
     Trajectory,
     UtilityParams,
-    UtilityVector,
     detect_equilibrium,
     make_utilities,
     simulate,
     stability_bound,
     utility_numerators,
+    utility_spread,
 )
 from irsgame.experiments import numerators
 from irsgame.game import EPS_FIELD, quiet_steps
@@ -32,35 +32,35 @@ def test_make_utilities_matches_scalar_utility(default_cfg, default_links, defau
     rng = np.random.default_rng(17)
     for _ in range(50):
         p = rng.dirichlet(np.ones(default_cfg.n_groups))
-        uv = default_utilities(p)
+        u, u_bar = default_utilities(p)
         for g in range(default_cfg.n_groups):
             want = utility(default_links[g], g, p[g], params, default_cfg)
-            assert uv.u[g] == pytest.approx(want, rel=1e-12)
-        assert uv.u_bar == pytest.approx(average_utility(p, uv.u), rel=1e-12)
+            assert u[g] == pytest.approx(want, rel=1e-12)
+        assert u_bar == pytest.approx(average_utility(p, u), rel=1e-12)
 
 
 def test_make_utilities_marks_empty_groups(default_cfg, default_utilities):
     p = np.zeros(default_cfg.n_groups)
     p[0] = 0.25
     p[3] = 0.75
-    uv = default_utilities(p)
-    assert np.isnan(uv.u[1]) and np.isnan(uv.u[5])
-    assert np.isfinite(uv.u[0]) and np.isfinite(uv.u[3])
-    assert uv.u_bar == pytest.approx(0.25 * uv.u[0] + 0.75 * uv.u[3], rel=1e-12)
+    u, u_bar = default_utilities(p)
+    assert np.isnan(u[1]) and np.isnan(u[5])
+    assert np.isfinite(u[0]) and np.isfinite(u[3])
+    assert u_bar == pytest.approx(0.25 * u[0] + 0.75 * u[3], rel=1e-12)
 
 
 def test_make_utilities_stacked_states_match_single_calls(default_cfg, default_utilities):
     rng = np.random.default_rng(23)
     states = rng.dirichlet(np.ones(default_cfg.n_groups), size=200)
     states[::3, 2] = 0.0
-    stacked = default_utilities(states)
+    u, u_bar = default_utilities(states)
     rows = [default_utilities(p) for p in states]
-    assert np.array_equal(stacked.u, np.array([r.u for r in rows]), equal_nan=True)
-    assert np.array_equal(stacked.u_bar, np.array([r.u_bar for r in rows]))
+    assert np.array_equal(u, np.array([r[0] for r in rows]), equal_nan=True)
+    assert np.array_equal(u_bar, np.array([r[1] for r in rows]))
 
 
 def test_replicator_field_hand_example():
-    utilities = lambda p: UtilityVector(np.array([2.0, 1.0]), 1.5)
+    utilities = lambda p: (np.array([2.0, 1.0]), 1.5)
     f = replicator_field(0.0, np.array([0.5, 0.5]), utilities, mu=1.0)
     assert np.allclose(f, [0.25, -0.25], atol=1e-15)
     # doubling the adaptation rate doubles the field
@@ -182,8 +182,9 @@ def constant_trajectory(p, utilities, n=5, dt=0.1):
 
 
 def test_detect_equilibrium_constant_trajectory():
-    eq = detect_equilibrium(constant_trajectory(np.array([0.3, 0.7]), TWO_GROUPS))
-    assert eq is not None and eq.index == 0 and eq.time == 0.0
+    traj = constant_trajectory(np.array([0.3, 0.7]), TWO_GROUPS)
+    index = detect_equilibrium(traj)
+    assert index == 0 and traj.times[index] == 0.0
 
 
 def test_detect_equilibrium_moving_tail_returns_none():
@@ -195,37 +196,36 @@ def test_detect_equilibrium_moving_tail_returns_none():
 def test_detect_equilibrium_finds_earliest_quiet_index():
     states = np.array([[0.5, 0.5], [0.4, 0.6], [0.3, 0.7], [0.3, 0.7], [0.3, 0.7]])
     traj = Trajectory(1.0, states, TWO_GROUPS)
-    eq = detect_equilibrium(traj)
-    assert eq.index == 2 and eq.time == 2.0
+    index = detect_equilibrium(traj)
+    assert index == 2 and traj.times[index] == 2.0
 
 
 def test_detect_equilibrium_min_quiet():
     traj = constant_trajectory(np.array([0.5, 0.5]), TWO_GROUPS, n=5, dt=0.1)  # 0.4 units long
     assert detect_equilibrium(traj, min_quiet=0.5) is None
-    eq = detect_equilibrium(traj, min_quiet=0.4)
-    assert eq is not None and eq.index == 0
+    assert detect_equilibrium(traj, min_quiet=0.4) == 0
 
 
-def test_detect_equilibrium_reports_spread():
+def test_utility_spread_at_the_rest_point():
     p = np.array([0.6, 0.395, 0.005])
     traj = constant_trajectory(p, make_utilities(np.array([2.0, 1.0, 50.0]) * p, 1), n=4)  # utilities 2, 1 and 50
-    eq = detect_equilibrium(traj)
+    index = detect_equilibrium(traj)
     # the 0.5% group is below the mass cutoff; spread is (2-1)/2 of the rest
-    assert eq.utility_spread == pytest.approx(0.5, rel=1e-12)
+    assert utility_spread(traj, index) == pytest.approx(0.5, rel=1e-12)
 
 
-def test_detect_equilibrium_without_a_group_above_the_mass_cutoff_has_no_spread():
+def test_utility_spread_without_a_group_above_the_mass_cutoff_is_none():
     # 100 groups of share 0.01 each: none is above EPS_MASS = 0.01
     traj = constant_trajectory(np.full(100, 0.01), make_utilities(np.linspace(1.0, 2.0, 100), 1))
-    eq = detect_equilibrium(traj)
-    assert eq is not None and eq.utility_spread is None
+    index = detect_equilibrium(traj)
+    assert index is not None and utility_spread(traj, index) is None
 
 
-def test_detect_equilibrium_spread_of_zero_utilities_is_zero():
+def test_utility_spread_of_zero_utilities_is_zero():
     # every surviving utility is 0: the spread is 0.0, not 0 / 0
     traj = constant_trajectory(np.array([0.3, 0.7]), make_utilities(np.zeros(2), 1))
-    eq = detect_equilibrium(traj)
-    assert eq is not None and eq.utility_spread == 0.0
+    index = detect_equilibrium(traj)
+    assert index is not None and utility_spread(traj, index) == 0.0
 
 
 @pytest.mark.filterwarnings("error")
@@ -269,8 +269,7 @@ def test_quiet_steps_reads_each_row_as_np_max_does(case):
 def test_detect_equilibrium_empty_and_single():
     with pytest.raises(ConfigurationError):
         detect_equilibrium(Trajectory(0.1, np.zeros((0, 2)), TWO_GROUPS))
-    eq = detect_equilibrium(Trajectory(0.1, np.array([[1.0, 0.0]]), TWO_GROUPS))
-    assert eq is not None and eq.index == 0
+    assert detect_equilibrium(Trajectory(0.1, np.array([[1.0, 0.0]]), TWO_GROUPS)) == 0
 
 
 def test_utility_params_valuation_shapes(default_cfg):
