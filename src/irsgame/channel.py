@@ -10,17 +10,12 @@ provider's surface (ChannelSet.subset).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .config import PathLossModel
+from .config import PathLossModel, _array
 from .errors import ConfigurationError, NumericError
-
-# sub-seed discriminators for the three link types of one provider
-_LINK_DIRECT = 0
-_LINK_BS_IRS = 1
-_LINK_IRS_USER = 2
 
 
 def path_loss_linear(d: float, alpha: float, model: PathLossModel) -> float:
@@ -66,9 +61,8 @@ class ChannelSet:
     h_irs_user: np.ndarray
 
     def __post_init__(self):
-        self.h_direct = np.asarray(self.h_direct, dtype=complex)
-        self.g_bs_irs = np.asarray(self.g_bs_irs, dtype=complex)
-        self.h_irs_user = np.asarray(self.h_irs_user, dtype=complex)
+        for f in fields(self):
+            setattr(self, f.name, _array(f.name, getattr(self, f.name), complex))
         if self.h_direct.ndim != 1 or self.g_bs_irs.ndim != 2 or self.h_irs_user.ndim != 1:
             raise ConfigurationError("channel arrays have wrong rank")
         k, l = self.g_bs_irs.shape
@@ -80,9 +74,9 @@ class ChannelSet:
             raise ConfigurationError(
                 "h_irs_user has %d entries but g_bs_irs has %d rows" % (self.h_irs_user.shape[0], k)
             )
-        for name in ("h_direct", "g_bs_irs", "h_irs_user"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise NumericError("non-finite entries in %s" % name)
+        for f in fields(self):
+            if not np.all(np.isfinite(getattr(self, f.name))):
+                raise NumericError("non-finite entries in %s" % f.name)
 
     @property
     def n_elements(self) -> int:
@@ -109,9 +103,9 @@ def _link_rng(seed: int, sp_index: int, link_code: int) -> np.random.Generator:
 def generate_channels(cfg) -> list[ChannelSet]:
     """Draw the static channel realization of every provider of a scenario.
 
-    The small-scale fading of each provider is drawn once per link type from
-    its own sub-seeded generator and scaled by the path gain of the
-    provider's geometry.
+    A provider's links, in sub-seed order 0 direct (BS to user), 1 BS to surface and 2 surface to user,
+    are each drawn by one rule: sqrt(path_loss_linear(d, alpha, model)) * complex_rayleigh(shape,
+    _link_rng(seed, provider, code)), for the link's length d, exponent alpha and shape.
 
     Args:
         cfg: scenario configuration (providers, geometry, path loss model, seed).
@@ -119,22 +113,19 @@ def generate_channels(cfg) -> list[ChannelSet]:
     Returns:
         One ChannelSet per provider, in provider order.
     """
-    root = int(cfg.seed)
     model = cfg.pathloss
     out = []
     for m, sp in enumerate(cfg.sps, start=1):
-        l, k = sp.antennas, sp.irs_elements
-        d_direct = sp.bs_position.distance_to(sp.user_position)
-        d_bs_irs = sp.bs_position.distance_to(sp.irs_position)
-        d_irs_user = sp.irs_position.distance_to(sp.user_position)
-        out.append(
-            ChannelSet(
-                h_direct=np.sqrt(path_loss_linear(d_direct, model.alpha_direct, model))
-                * complex_rayleigh((l,), _link_rng(root, m, _LINK_DIRECT)),
-                g_bs_irs=np.sqrt(path_loss_linear(d_bs_irs, model.alpha_bs_irs, model))
-                * complex_rayleigh((k, l), _link_rng(root, m, _LINK_BS_IRS)),
-                h_irs_user=np.sqrt(path_loss_linear(d_irs_user, model.alpha_irs_user, model))
-                * complex_rayleigh((k,), _link_rng(root, m, _LINK_IRS_USER)),
-            )
-        )
+        bs, irs, user, l, k = sp.bs_position, sp.irs_position, sp.user_position, sp.antennas, sp.irs_elements
+        table = [
+            (bs, user, model.alpha_direct, (l,)),
+            (bs, irs, model.alpha_bs_irs, (k, l)),
+            (irs, user, model.alpha_irs_user, (k,)),
+        ]
+        links = [
+            np.sqrt(path_loss_linear(a.distance_to(b), alpha, model))
+            * complex_rayleigh(shape, _link_rng(int(cfg.seed), m, code))
+            for code, (a, b, alpha, shape) in enumerate(table)
+        ]
+        out.append(ChannelSet(*links))
     return out

@@ -20,6 +20,7 @@ from __future__ import annotations
 import configparser
 import math
 import numbers
+import sys
 from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 from itertools import combinations
@@ -31,7 +32,7 @@ from .errors import ConfigurationError
 
 
 def _finite(x) -> bool:
-    return -math.inf < x < math.inf  # NaN fails; exact for ints of any size
+    return abs(x) <= sys.float_info.max  # NaN fails, and so does an int that no float can hold
 
 
 def _in(x, rng: dict) -> bool:
@@ -46,14 +47,22 @@ def _require(name: str, x, rng: dict, kind=numbers.Real):
     return x
 
 
+def _array(what: str, x, dtype=float) -> np.ndarray:
+    """np.asarray(x, dtype), or a ConfigurationError naming what when x does not convert (an int past a float, say)."""
+    try:
+        return np.asarray(x, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError("%s must hold numbers that a float can hold: %s" % (what, exc)) from None
+
+
 def _on_simplex(p: np.ndarray) -> bool:
     """The shares rule: no share negative (or NaN), and their sum within 1e-9 of 1."""
     return bool(np.all(p >= 0) and abs(float(p.sum()) - 1.0) <= 1e-9)
 
 
 # field metadata: the range of a key (of each entry of a list key), as a test and its wording
-_POSITIVE = {"range": (lambda x: 0 < x < math.inf, "positive and finite")}
-_NON_NEGATIVE = {"range": (lambda x: 0 <= x < math.inf, "non-negative and finite")}
+_POSITIVE = {"range": (lambda x: 0 < x and _finite(x), "positive and finite")}
+_NON_NEGATIVE = {"range": (lambda x: 0 <= x and _finite(x), "non-negative and finite")}
 _COUNT = {"range": (lambda x: x >= 1, "at least 1")}
 # a population size: float(n_users) must be exact
 _USERS = {"range": (lambda x: 1 <= x <= 2**53, "at least 1 and at most 2**53")}
@@ -265,7 +274,7 @@ class ScenarioConfig:
                     "scenario.valuation must be a scalar or %d comma-separated values" % self.n_groups
                 )
             if self.p0 is not None:
-                p = np.asarray(self.p0, dtype=float)
+                p = _array("scenario.p0", self.p0)
                 if p.shape != (self.n_groups,):
                     errors.append("scenario.p0 must have one share per group (%d)" % self.n_groups)
                 elif not _on_simplex(p):
@@ -404,23 +413,18 @@ def _parse_section(cp, name: str, cls) -> dict:
 
 
 def parse_config(text: str) -> ScenarioConfig:
-    """Parse a config from its text form."""
+    """Parse a config from its text form: sections [scenario], [integrator], [pathloss], [grids] and,
+    for N providers, exactly [sp.1] ... [sp.N]; any other name is an unknown section."""
     cp = configparser.ConfigParser(interpolation=None)
     cp.optionxform = str
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigurationError("config syntax error: %s" % exc) from None
-    known = {"scenario", "integrator", "pathloss", "grids"}
-    sp_names = sorted((s for s in cp.sections() if s.startswith("sp.")), key=_sp_number)
+    sp_names = ["sp.%d" % m for m in range(1, sum(s.startswith("sp.") for s in cp.sections()) + 1)]
     for s in cp.sections():
-        if s not in known and s not in sp_names:
-            raise ConfigurationError("unknown section [%s]" % s)
-    expected = ["sp.%d" % i for i in range(1, len(sp_names) + 1)]
-    if sp_names != expected:
-        raise ConfigurationError(
-            "provider sections must be numbered consecutively from sp.1, got %s" % sp_names
-        )
+        if s not in {"scenario", "integrator", "pathloss", "grids", *sp_names}:
+            raise ConfigurationError("unknown section [%s]; provider sections are numbered consecutively from [sp.1]" % s)
     return ScenarioConfig(
         **_parse_section(cp, "scenario", ScenarioConfig),
         integrator=IntegratorSpec(**_parse_section(cp, "integrator", IntegratorSpec)),
@@ -438,13 +442,6 @@ def load_config(path) -> ScenarioConfig:
     except OSError as exc:
         raise ConfigurationError("cannot read config %s: %s" % (path, exc)) from None
     return parse_config(text)
-
-
-def _sp_number(name: str) -> int:
-    try:
-        return int(name.split(".", 1)[1])
-    except (IndexError, ValueError):
-        raise ConfigurationError("bad provider section name [%s], expected [sp.N]" % name) from None
 
 
 def default_config() -> ScenarioConfig:

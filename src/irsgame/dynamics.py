@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import _NON_NEGATIVE, _POSITIVE, MAX_STEPS, IntegratorSpec, _on_simplex, _require
+from .config import _NON_NEGATIVE, _POSITIVE, MAX_STEPS, IntegratorSpec, _array, _on_simplex, _require
 from .errors import ConfigurationError, NumericalDriftError, NumericError
 from .game import EPS_FIELD, _check_payoff, make_utilities, quiet_steps
 
@@ -52,8 +52,8 @@ class HistoryBuffer:
 
     def __post_init__(self):
         dt = float(_require("dt", self.dt, _POSITIVE))  # a numpy dt would warn on the overflow below
-        states = self.states = np.asarray(self.states, dtype=float)
         owner = self._owner
+        states = self.states = _array("%s states" % owner, self.states)
         if states.ndim != 2:
             raise ConfigurationError("%s states must be 2-D, got shape %s" % (owner, states.shape))
         if not states.shape[0]:
@@ -77,7 +77,7 @@ class HistoryBuffer:
 
         Raises ConfigurationError when a time is past the newest sample, or NaN.
         """
-        return _read(self.states, t, *_samples(np.asarray(t, dtype=float), self.dt))
+        return _read(self.states, t, *_samples(_array("lookup times", t), self.dt))
 
 
 @dataclass
@@ -100,7 +100,7 @@ class Trajectory(HistoryBuffer):
 
 
 def _check_p0(p0) -> np.ndarray:
-    p = np.array(p0, dtype=float)
+    p = _array("p0", p0).copy()
     if p.ndim != 1 or not _on_simplex(p):
         raise ConfigurationError("p0 must be a vector of non-negative shares that sum to 1 within 1e-9")
     return p
@@ -316,7 +316,7 @@ class ReplicatorSolution:
         The pieces cover [0, inf) and each writes the rows of the times it holds, so any other
         time would leave its row unwritten: such times are a ConfigurationError.
         """
-        times = np.asarray(times, dtype=float)
+        times = _array("sample times", times)
         with np.errstate(invalid="ignore"):  # 0 <= t_0 <= ... <= t_last < inf; a NaN time, or inf - inf, fails
             ordered = times.ndim == 1 and np.all(np.diff(times, prepend=0.0, append=np.inf) >= 0.0)
         if not ordered:

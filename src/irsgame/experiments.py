@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import generate_channels
-from .config import Position, ScenarioConfig, _finite, _raise
+from .config import OVERRIDES, Position, ScenarioConfig, _finite, _raise
 from .dynamics import ReplicatorSolution, Trajectory, solve_delayed, solve_replicator
 from .errors import ConfigurationError, NumericError
 from .game import detect_equilibrium, stability_bound, utility_numerators
@@ -279,7 +279,7 @@ def _run_distance_price_sweep(cfg: ScenarioConfig):
     # Python floats: a user placed past the largest float is at inf, without a warning
     axis = ((sp1.irs_position.x - sp1.bs_position.x) / norm, (sp1.irs_position.y - sp1.bs_position.y) / norm)
     sp1_groups = cfg.groups_of_sp(1)
-    sp2_groups = cfg.groups_of_sp(2) if len(cfg.sps) > 1 else []
+    sp2_groups = cfg.groups_of_sp(2)  # none without a second provider
     placed = []  # (distance, scenario, its links): the surface price does not enter the links
     for dist in cfg.grids.distance:
         user = Position(sp1.irs_position.x + axis[0] * dist, sp1.irs_position.y + axis[1] * dist)
@@ -297,7 +297,7 @@ def _run_distance_price_sweep(cfg: ScenarioConfig):
 
 # preset: (runner, the run flags it reads, the grids it sweeps in place of the others)
 PRESET_TABLE = {
-    "utilities-vs-time": (_run_utilities_vs_time, ("mu", "delta", "dt", "horizon", "n_users", "seed", "json"), ()),
+    "utilities-vs-time": (_run_utilities_vs_time, OVERRIDES + ("json",), ()),
     "convergence-speed": (_run_convergence_speed, ("dt", "seed"), ("mu", "n_users")),
     "delay-sweep": (_run_delay_sweep, ("mu", "dt", "horizon", "n_users", "seed", "json"), ("delta",)),
     "irs-size-sweep": (_run_irs_size_sweep, ("mu", "n_users", "seed"), ("irs_elements_sp2",)),

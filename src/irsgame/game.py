@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .config import _NON_NEGATIVE, _POSITIVE, _USERS, _require
+from .config import _NON_NEGATIVE, _POSITIVE, _USERS, _array, _require
 from .errors import ConfigurationError, NumericError
 
 # equilibrium detection: the rate below which a step rests, and the share above which a group counts in utility_spread
@@ -34,7 +34,8 @@ def quiet_steps(diffs: np.ndarray, dt: np.ndarray) -> np.ndarray:
 
 @dataclass
 class UtilityParams:
-    """Economic parameters: per-group valuation, per-provider unit prices."""
+    """Per-group valuation and per-provider unit prices, read only by perfbench/run.py's Replicator: utility_numerators
+    reads the scenario.  The benchmark change of ROADMAP item 5 deletes it, with experiments.SimulationResult."""
 
     valuation: np.ndarray  # value per rate unit, one entry per group
     price_irs: np.ndarray  # price per active surface element, one entry per provider
@@ -52,27 +53,23 @@ class UtilityParams:
 def utility_numerators(links: list, cfg) -> np.ndarray:
     """Valued rate minus prices of every group, before the division by its headcount.
 
-    links are the scenario's optimized links in group order.  The utility of
-    group g is numer_g / (p_g * n_users), so p_g * u_g = numer_g / n_users
-    does not depend on the shares.  Raises NumericError, naming the group,
-    when an entry or their sum is not finite, and ConfigurationError when
-    there is not one link per group.
+    links are the scenario's optimized links in group order.  numer_g is valuation * bandwidth_mhz * log2(1 + snr)
+    - price_irs * active elements - price_power * watts, read from cfg and the group's provider cfg.sps[sp - 1].
+    The utility of group g is numer_g / (p_g * n_users), so p_g * u_g = numer_g / n_users does not depend on the
+    shares.  Raises NumericError, naming the group, when an entry or their sum is not finite, and
+    ConfigurationError when there is not one link per group.
     """
-    params = UtilityParams.from_config(cfg)
     n_groups = cfg.n_groups
     if len(links) != n_groups:
         raise ConfigurationError("%d links for a scenario of %d groups" % (len(links), n_groups))
-    snr = np.empty(n_groups)
-    bw = np.empty(n_groups)
-    cost = np.empty(n_groups)
+    snr, bw, cost = np.empty((3, n_groups))
     services = cfg.service_indices()
     with np.errstate(all="ignore"):  # a non-finite payoff or sum is reported below
         for g, (svc, link) in enumerate(zip(services, links)):
-            m = svc.sp - 1
-            snr[g] = link.snr
-            bw[g] = cfg.sps[m].bandwidth_mhz
-            cost[g] = params.price_irs[m] * len(link.alphas) + params.price_power[m] * link.power_w
-        numer = params.valuation * bw * np.log2(1.0 + snr) - cost
+            sp = cfg.sps[svc.sp - 1]
+            snr[g], bw[g] = link.snr, sp.bandwidth_mhz
+            cost[g] = float(sp.price_irs) * len(link.alphas) + float(sp.price_power) * link.power_w
+        numer = np.asarray(cfg.valuation, dtype=float) * bw * np.log2(1.0 + snr) - cost
         total = numer.sum()
     bad = np.flatnonzero(~np.isfinite(numer))
     if bad.size:
@@ -112,7 +109,7 @@ def make_utilities(numer: np.ndarray, n_users: int) -> Callable[[np.ndarray], tu
     numer, n = _check_payoff(numer, n_users)
 
     def utilities(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        p = np.asarray(p, dtype=float)
+        p = _array("a utility map's state", p)
         if p.shape[-1:] != numer.shape:  # numpy would broadcast a single share, or fail on another length
             raise ConfigurationError("a utility map of %d groups got a state of shape %s" % (len(numer), p.shape))
         alive = p > 0.0

@@ -34,7 +34,7 @@ from irsgame import (
     ServiceLink,
     Trajectory,
 )
-from irsgame.config import _POSITIVE, _require
+from irsgame.config import _POSITIVE, _array, _require
 from irsgame.dynamics import DRIFT_TOL, _advance, _check_p0, _growth
 from irsgame.game import EPS_FIELD
 from irsgame.phy import MAX_ITERS, TOL, TWO_PI, _mrt
@@ -356,7 +356,7 @@ def picard_solve(field: Callable, p0, times: np.ndarray, diffs: list | None = No
     per-round sup-norm changes.
     """
     p_init = _check_p0(p0)
-    times = np.asarray(times, dtype=float)
+    times = _array("picard grid", times)  # an int past the float range is a ConfigurationError, as for p0
     if times.ndim != 1 or len(times) < 2 or not (np.isfinite(times).all() and np.all(np.diff(times) > 0)):
         raise ConfigurationError("picard grid must be finite, strictly increasing, with at least 2 points")
     t_count = len(times)

@@ -16,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irsgame import (
+    ChannelSet,
     ConfigurationError,
     HistoryBuffer,
     IntegratorSpec,
+    Position,
     ReplicatorSolution,
     SweepGrids,
     Trajectory,
@@ -43,6 +45,7 @@ from conftest import REDUCED_CFG
 from oracle import NonConvergenceError, integrate_ode, picard_solve, replicator_field
 
 NAN, INF = math.nan, math.inf
+HUGE = 10**400  # an int that no float can hold
 CFG = load_config(REDUCED_CFG)
 NUMER = numerators(CFG)  # the two groups' payoffs of the reduced scenario
 PAIR = NUMER, CFG.n_users  # the payoff pair of the dynamics
@@ -54,6 +57,11 @@ SPEC = IntegratorSpec(dt=0.1, horizon=1.0)
 
 def _toy_trajectory():
     return Trajectory(1.0, np.tile(P0, (3, 1)), UTILITIES)
+
+
+def _with_sp1(**changes):
+    """CFG with its first provider's keys changed."""
+    return replace(CFG, sps=[replace(CFG.sps[0], **changes)] + CFG.sps[1:])
 
 
 def _delayed_run():
@@ -300,6 +308,42 @@ REGRESSIONS = {
         lambda: replace(CFG, grids=SweepGrids(n_users=[50.5, 100.0])),
         r"grids\.n_users entries must be integers",
     ),
+    # an int that no float can hold passed the range rule as finite, and ended in an OverflowError
+    # (optimize_link's power in a TypeError from np.sqrt); a seed past the float range is rejected too
+    **{
+        "an int past the float range as %s" % name: (call, message)
+        for name, call, message in (
+            ("the integration step", lambda: IntegratorSpec(dt=HUGE), r"integrator\.dt must be positive and finite"),
+            ("mu of the exact solution", lambda: ReplicatorSolution(NUMER, 100, HUGE, P0),
+             "mu must be positive and finite"),
+            ("mu of the bound", lambda: stability_bound(NUMER, HUGE, 100), "mu must be positive and finite"),
+            ("the delay", lambda: solve_delayed(*PAIR, 0.1, P0, HUGE, SPEC), "delay must be non-negative and finite"),
+            ("the dt of a history", lambda: HistoryBuffer(HUGE, [P0]), "dt must be positive and finite"),
+            ("the dt of the rest-point index", lambda: ReplicatorSolution(NUMER, 100, 0.1, P0).equilibrium_index(HUGE),
+             "dt must be positive and finite"),
+            ("min_quiet", lambda: detect_equilibrium(_toy_trajectory(), min_quiet=HUGE),
+             "min_quiet must be non-negative and finite"),
+            ("a transmit power", lambda: optimize_link(CHANNEL, HUGE, 1.0, 1e-3), "transmit power must be positive"),
+            ("a bandwidth", lambda: optimize_link(CHANNEL, 1.0, HUGE, 1e-3), "bandwidth must be positive and finite"),
+            ("a surface price", lambda: _with_sp1(price_irs=HUGE), r"sp\.1\.price_irs must be non-negative and finite"),
+            ("a provider's bandwidth", lambda: _with_sp1(bandwidth_mhz=HUGE), r"sp\.1\.bandwidth_mhz must be positive"),
+            ("a valuation", lambda: replace(CFG, valuation=HUGE), r"scenario\.valuation entries must be positive"),
+            ("a noise variance", lambda: replace(CFG, noise_var=HUGE), r"scenario\.noise_var must be positive"),
+            ("a seed", lambda: replace(CFG, seed=HUGE), r"scenario\.seed must be non-negative and finite"),
+            ("a user position", lambda: _with_sp1(user_position=Position(HUGE, 0.0)), r"sp\.1\.user_position must be"),
+            ("a distance grid entry", lambda: replace(CFG, grids=SweepGrids(distance=[HUGE])), r"grids\.distance must be"),
+            # the float conversion of an array argument
+            ("a share of the exact solution", lambda: ReplicatorSolution(NUMER, 100, 0.1, [HUGE, 0]), "p0 must hold"),
+            ("a share of the delayed solver", lambda: solve_delayed(*PAIR, 0.1, [HUGE, 0], 1.0, SPEC), "p0 must hold"),
+            ("a share of a scenario", lambda: replace(CFG, p0=[HUGE, 0]), r"scenario\.p0 must hold numbers"),
+            ("a share of a history", lambda: HistoryBuffer(0.1, [[HUGE, 0], P0]), "history states must hold numbers"),
+            ("a share of a utility map's state", lambda: UTILITIES([-HUGE, 0]), "a utility map's state must hold"),
+            ("a sample time", lambda: ReplicatorSolution(NUMER, 100, 0.1, P0).at([HUGE]), "sample times must hold"),
+            ("a lookup time", lambda: HistoryBuffer(0.1, [P0]).lookup([HUGE]), "lookup times must hold numbers"),
+            ("a channel entry", lambda: ChannelSet([HUGE] * len(CHANNEL.h_direct), CHANNEL.g_bs_irs, CHANNEL.h_irs_user),
+             "h_direct must hold numbers that a float can hold"),
+        )
+    },
 }
 
 
@@ -402,7 +446,7 @@ def test_trajectories_and_histories_given_as_lists_act_as_their_arrays():
 
 
 # the CLI fuzz's extreme values, and values of the wrong type
-NUMBERS = [0.0, 1.0, -1.0, 5e-324, 1e300, 1e-300, NAN, INF, -INF]
+NUMBERS = [0.0, 1.0, -1.0, 5e-324, 1e300, 1e-300, NAN, INF, -INF, HUGE, -HUGE]
 extreme = st.sampled_from(NUMBERS + ["1", None])
 shares = st.one_of(st.just(P0), st.lists(st.sampled_from(NUMBERS), min_size=2, max_size=2))
 

@@ -163,14 +163,20 @@ def test_groups_of_one_provider_share_fading(default_cfg):
 
 def test_generate_channels_scales_with_geometry(default_cfg):
     chans = generate_channels(default_cfg)
-    sp1 = default_cfg.sps[0]
-    d = sp1.bs_position.distance_to(sp1.user_position)
-    gain = path_loss_linear(d, default_cfg.pathloss.alpha_direct, default_cfg.pathloss)
-    # h_direct is sqrt(gain) times a unit-variance draw; verify the scale by
-    # rebuilding the draw from the documented splitting rule
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([default_cfg.seed, 1, 0])))
-    z = complex_rayleigh((sp1.antennas,), rng)
-    assert np.allclose(chans[0].h_direct, np.sqrt(gain) * z)
+    model = default_cfg.pathloss
+    assert len(chans) == len(default_cfg.sps) == 2
+    # each link is sqrt(gain) times a unit-variance draw; rebuild every link of both providers, bit
+    # for bit, from the documented splitting rule: sub-seed 0 direct, 1 BS to surface, 2 surface to user
+    for m, (sp, ch) in enumerate(zip(default_cfg.sps, chans), start=1):
+        links = (
+            (ch.h_direct, 0, sp.bs_position, sp.user_position, model.alpha_direct, (sp.antennas,)),
+            (ch.g_bs_irs, 1, sp.bs_position, sp.irs_position, model.alpha_bs_irs, (sp.irs_elements, sp.antennas)),
+            (ch.h_irs_user, 2, sp.irs_position, sp.user_position, model.alpha_irs_user, (sp.irs_elements,)),
+        )
+        for drawn, code, a, b, alpha, shape in links:
+            gain = path_loss_linear(a.distance_to(b), alpha, model)
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([default_cfg.seed, m, code])))
+            assert np.array_equal(drawn, np.sqrt(gain) * complex_rayleigh(shape, rng)), (m, code)
 
 
 def test_generate_channels_missing_geometry(default_cfg):

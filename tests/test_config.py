@@ -276,8 +276,17 @@ def test_missing_required_key_names_the_path():
 
 
 def test_sp_sections_must_be_consecutive():
-    with pytest.raises(ConfigurationError, match="consecutively"):
-        parse_config(MINIMAL.replace("[sp.1]", "[sp.2]"))
+    # the N provider sections must be [sp.1] ... [sp.N]: any other is an unknown section, named
+    for sections, bad in (
+        (["sp.2"], "sp.2"),
+        (["sp.x"], "sp.x"),
+        (["sp.01"], "sp.01"),
+        (["sp.1", "sp.3"], "sp.3"),  # a gap
+    ):
+        text = "".join(MINIMAL.replace("[sp.1]", "[%s]" % name) for name in sections)
+        message = r"unknown section \[%s\]; provider sections are numbered consecutively" % bad.replace(".", r"\.")
+        with pytest.raises(ConfigurationError, match=message):
+            parse_config(text)
 
 
 def test_module_partition_invariant():
