@@ -319,7 +319,8 @@ def _field_errors(obj, section: str) -> list:
             elif not all(isinstance(x, kind) for x in value):
                 errors.append("%s entries must be integers" % key)
         elif f.type == "float | list[float]":  # a scalar or one entry per group
-            if not all(_in(x, rng) for x in np.ravel(value)):
+            # as objects, a ragged nest of lists holds lists as its entries, which are not numbers
+            if not all(_in(x, rng) for x in np.ravel(np.array(value, dtype=object))):
                 errors.append("%s entries must be %s" % (key, wording))
         elif not _in(value, rng):
             errors.append("%s must be %s" % (key, wording))

@@ -7,8 +7,11 @@ through its payoff vector, numerators(cfg), so links are built once per radio
 scenario: sweeps over mu, n_users, delta or a price reuse them.  The undelayed
 sweeps sample no trajectory: they read each point's rest, or the sample where
 it comes to rest, off its exact ReplicatorSolution, so integrator.horizon does
-not enter them.  A preset's runner writes nothing: it yields each file's table,
-and run_experiment, the package's one file writer, names and writes every file.
+not enter them.  Undelayed utilities-vs-time evaluates that solution only at the
+rows its file keeps, every TRAJECTORY_STRIDE-th sample and the last, each with
+the bits of the same row of the full grid.  A preset's runner writes nothing: it
+yields each file's table, and run_experiment, the package's one file writer,
+names and writes every file, CHUNK_CELLS cells at a time.
 """
 
 from __future__ import annotations
@@ -23,13 +26,15 @@ from .channel import generate_channels
 from .config import OVERRIDES, Position, ScenarioConfig, _finite, _raise
 from .dynamics import ReplicatorSolution, Trajectory, solve_delayed, solve_replicator
 from .errors import ConfigurationError, NumericError
-from .game import detect_equilibrium, stability_bound, utility_numerators
+from .game import detect_equilibrium, make_utilities, stability_bound, utility_numerators
 from .phy import build_all_links
 
 # trajectory CSVs keep every TRAJECTORY_STRIDE-th sample (plus the last)
 TRAJECTORY_STRIDE = 10
-# _write_csv formats a table CHUNK_ROWS rows at a time
-CHUNK_ROWS = 512
+# _write_csv formats max(1, CHUNK_CELLS // width) rows at a time: a chunk's largest temporaries, its
+# 41-byte slots, then take 3072 * 41 = 125 952 bytes, below glibc malloc's 128 KiB mmap threshold,
+# so each chunk reuses heap pages instead of mapping and faulting in fresh ones; 6 columns make 512 rows
+CHUNK_CELLS = 3072
 
 
 @dataclass
@@ -164,13 +169,14 @@ def _format_rows(chunk: np.ndarray) -> bytes:
 
 
 def _write_csv(path: Path, meta: list, columns: list, rows) -> Path:
-    """The meta block, the header, then the rows, read as one float array and formatted CHUNK_ROWS at a time."""
+    """The meta block, the header, then the rows, read as one float array and formatted CHUNK_CELLS cells a chunk."""
     rows = np.asarray(rows, dtype=float)
+    step = max(1, CHUNK_CELLS // len(columns))
     with path.open("wb") as f:
         f.write("".join("# %s = %s\n" % (k, v) for k, v in meta).encode("utf-8"))
         f.write((",".join(columns) + "\n").encode("utf-8"))
-        for i in range(0, len(rows), CHUNK_ROWS):
-            f.write(_format_rows(rows[i : i + CHUNK_ROWS]))
+        for i in range(0, len(rows), step):
+            f.write(_format_rows(rows[i : i + step]))
     return path
 
 
@@ -189,13 +195,23 @@ def _write_json(path: Path, meta: list, columns: list, rows) -> Path:
     return path
 
 
-def _trajectory_table(traj: Trajectory) -> tuple[list, np.ndarray]:
-    """A trajectory file's (columns, rows): t, shares, utilities and u_bar, thinned by TRAJECTORY_STRIDE."""
-    g = range(1, traj.states.shape[1] + 1)
+def _sampled_table(n: int, dt: float, states_at, utilities) -> tuple[list, np.ndarray]:
+    """A trajectory file's (columns, rows) for a run of n samples on the grid t_i = i * dt.
+
+    The rows are every TRAJECTORY_STRIDE-th sample and the last: t, shares, utilities and u_bar,
+    with states_at(idx) the states of the sample indices idx and utilities the run's map.
+    """
+    idx = np.append(np.arange(0, n - 1, TRAJECTORY_STRIDE), n - 1)
+    states = states_at(idx)
+    u, u_bar = utilities(states)  # the map of the written rows only
+    g = range(1, states.shape[1] + 1)
     columns = ["t"] + ["p_%d" % k for k in g] + ["u_%d" % k for k in g] + ["u_bar"]
-    idx = np.append(np.arange(0, len(traj) - 1, TRAJECTORY_STRIDE), len(traj) - 1)
-    u, u_bar = traj.utilities(traj.states[idx])  # the map of the written rows only
-    return columns, np.column_stack([traj.times[idx], traj.states[idx], u, u_bar])
+    return columns, np.column_stack([idx * dt, states, u, u_bar])
+
+
+def _trajectory_table(traj: Trajectory) -> tuple[list, np.ndarray]:
+    """A sampled run's file table (columns, rows), thinned by TRAJECTORY_STRIDE."""
+    return _sampled_table(len(traj), traj.dt, lambda idx: traj.states[idx], traj.utilities)
 
 
 # --- presets -------------------------------------------------------------------
@@ -205,7 +221,16 @@ def _trajectory_table(traj: Trajectory) -> tuple[list, np.ndarray]:
 
 
 def _run_utilities_vs_time(cfg: ScenarioConfig):
-    yield "", cfg, [], _trajectory_table(simulate(cfg).trajectory)
+    if cfg.delta > 0:
+        yield "", cfg, [], _trajectory_table(simulate(cfg).trajectory)
+        return
+    # the exact solution at the written rows only: each row comes from its own time, so it has the
+    # bits of solve_replicator's row, and no (n_steps + 1)-row array is built
+    numer = numerators(cfg)
+    solution = ReplicatorSolution(numer, cfg.n_users, cfg.mu, cfg.initial_population())
+    spec = cfg.integrator
+    at = lambda idx: solution.at(idx * spec.dt)
+    yield "", cfg, [], _sampled_table(spec.n_steps() + 1, spec.dt, at, make_utilities(numer, cfg.n_users))
 
 
 def _run_convergence_speed(cfg: ScenarioConfig):

@@ -57,7 +57,8 @@ def utility_numerators(links: list, cfg) -> np.ndarray:
     - price_irs * active elements - price_power * watts, read from cfg and the group's provider cfg.sps[sp - 1].
     The utility of group g is numer_g / (p_g * n_users), so p_g * u_g = numer_g / n_users does not depend on the
     shares.  Raises NumericError, naming the group, when an entry or their sum is not finite, and
-    ConfigurationError when there is not one link per group.
+    ConfigurationError when there is not one link per group or, naming the group, when a link's snr
+    or power_w is not a number that a float can hold.
     """
     n_groups = cfg.n_groups
     if len(links) != n_groups:
@@ -67,21 +68,26 @@ def utility_numerators(links: list, cfg) -> np.ndarray:
     with np.errstate(all="ignore"):  # a non-finite payoff or sum is reported below
         for g, (svc, link) in enumerate(zip(services, links)):
             sp = cfg.sps[svc.sp - 1]
-            snr[g], bw[g] = link.snr, sp.bandwidth_mhz
-            cost[g] = float(sp.price_irs) * len(link.alphas) + float(sp.price_power) * link.power_w
+            try:
+                snr[g], bw[g] = link.snr, sp.bandwidth_mhz
+                cost[g] = float(sp.price_irs) * len(link.alphas) + float(sp.price_power) * link.power_w
+            except (TypeError, ValueError, OverflowError) as exc:  # an int past a float, say
+                raise ConfigurationError(
+                    "the link of %s must hold numbers that a float can hold: %s" % (_group(g, svc), exc)
+                ) from None
         numer = np.asarray(cfg.valuation, dtype=float) * bw * np.log2(1.0 + snr) - cost
         total = numer.sum()
     bad = np.flatnonzero(~np.isfinite(numer))
     if bad.size:
         g = int(bad[0])
-        svc = services[g]
-        raise NumericError(
-            "payoff of group %d (sp %d, subset %d, power level %d) is %r"
-            % (g + 1, svc.sp, svc.subset, svc.power_level, float(numer[g]))
-        )
+        raise NumericError("payoff of %s is %r" % (_group(g, services[g]), float(numer[g])))
     if not np.isfinite(total):
         raise NumericError("the payoffs of the %d groups sum to %r" % (n_groups, float(total)))
     return numer
+
+
+def _group(g: int, svc) -> str:
+    return "group %d (sp %d, subset %d, power level %d)" % (g + 1, svc.sp, svc.subset, svc.power_level)
 
 
 def _check_payoff(numer, n_users) -> tuple[np.ndarray, float]:

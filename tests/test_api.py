@@ -51,6 +51,7 @@ NUMER = numerators(CFG)  # the two groups' payoffs of the reduced scenario
 PAIR = NUMER, CFG.n_users  # the payoff pair of the dynamics
 UTILITIES = make_utilities(*PAIR)
 CHANNEL = generate_channels(CFG)[0]
+LINKS = build_all_links(CFG, generate_channels(CFG))
 P0 = [0.5, 0.5]
 SPEC = IntegratorSpec(dt=0.1, horizon=1.0)
 
@@ -308,6 +309,11 @@ REGRESSIONS = {
         lambda: replace(CFG, grids=SweepGrids(n_users=[50.5, 100.0])),
         r"grids\.n_users entries must be integers",
     ),
+    # a ragged nest of lists ended in numpy's ValueError ("setting an array element with a sequence")
+    "a ragged valuation": (
+        lambda: replace(CFG, valuation=[[1.0], [1.0, 2.0]]),
+        r"scenario\.valuation entries must be positive and finite",
+    ),
     # an int that no float can hold passed the range rule as finite, and ended in an OverflowError
     # (optimize_link's power in a TypeError from np.sqrt); a seed past the float range is rejected too
     **{
@@ -342,6 +348,11 @@ REGRESSIONS = {
             ("a lookup time", lambda: HistoryBuffer(0.1, [P0]).lookup([HUGE]), "lookup times must hold numbers"),
             ("a channel entry", lambda: ChannelSet([HUGE] * len(CHANNEL.h_direct), CHANNEL.g_bs_irs, CHANNEL.h_irs_user),
              "h_direct must hold numbers that a float can hold"),
+            # a hand-built link's fields, which utility_numerators converts to floats
+            ("a link's SNR", lambda: utility_numerators([LINKS[0], replace(LINKS[1], snr=HUGE)], CFG),
+             r"the link of group 2 \(sp 2, subset 1, power level 1\) must hold numbers that a float can hold"),
+            ("a link's power", lambda: utility_numerators([replace(LINKS[0], power_w=HUGE), LINKS[1]], CFG),
+             r"the link of group 1 \(sp 1, subset 1, power level 1\) must hold numbers that a float can hold"),
         )
     },
 }

@@ -448,7 +448,9 @@ def test_exact_solution_keeps_its_map_and_a_file_calls_it_once(default_cfg, defa
     assert len(made) == 1 and made[0][0] is numer and made[0][1] == n  # the map of the pair it was given
     with pytest.raises(ConfigurationError):
         solve_replicator(numer[:-1], n, default_cfg.mu, default_cfg.initial_population(), spec)
-    # a trajectory file applies the map once, to the stack of its written rows: 31 samples keep 4
+    # a trajectory file applies the map once, to the stack of its written rows: 31 samples keep 4.
+    # An undelayed utilities-vs-time run makes the scenario's map itself, beside the exact solution
+    monkeypatch.setattr("irsgame.experiments.make_utilities", lambda *args: made.append(args) or counted)
     cfg = with_scalar_overrides(default_cfg, dt=0.1, horizon=3.0)
     (path,) = run_experiment("utilities-vs-time", cfg, tmp_path)
     assert calls == [(4, default_cfg.n_groups)]

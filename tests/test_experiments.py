@@ -19,7 +19,7 @@ from irsgame import (
     with_scalar_overrides,
 )
 from irsgame import experiments
-from irsgame.experiments import CHUNK_ROWS
+from irsgame.experiments import CHUNK_CELLS
 import oracle
 
 
@@ -49,8 +49,10 @@ def read_csv(path):
 
 
 def write_toy(traj, cfg, out, monkeypatch, flags=()):
-    """The files run_experiment writes for utilities-vs-time when simulate returns traj."""
-    monkeypatch.setattr(experiments, "simulate", lambda cfg: experiments.SimulationResult(traj))
+    """The files run_experiment writes for a utilities-vs-time run whose table is _trajectory_table(traj)."""
+    _, reads, sweeps = experiments.PRESET_TABLE["utilities-vs-time"]
+    run = lambda cfg: iter([("", cfg, [], experiments._trajectory_table(traj))])
+    monkeypatch.setitem(experiments.PRESET_TABLE, "utilities-vs-time", (run, reads, sweeps))
     return run_experiment("utilities-vs-time", cfg, out, flags)
 
 
@@ -87,6 +89,34 @@ def test_trajectory_json_masks_non_finite(tmp_path, reduced_cfg, monkeypatch):
     assert d["t"] == [0, 10, 20, 24]
     for j, name in enumerate(header):
         assert d[name] == [None if r[j] == "nan" else float(r[j]) for r in rows]
+
+
+def price_out_sp2(cfg):
+    """reduced.cfg with sp.2's surface price at 2: group 2's payoff is negative, and it empties at t = 11.05."""
+    return dataclasses.replace(cfg, sps=[cfg.sps[0], dataclasses.replace(cfg.sps[1], price_irs=2.0)])
+
+
+@pytest.mark.parametrize("grid", [{}, {"horizon": 37.3, "dt": 0.07}], ids=["default-grid", "horizon-off-the-stride"])
+@pytest.mark.parametrize("scenario", ["default_cfg", "reduced_cfg", "reduced_cfg-group-2-dies"])
+def test_undelayed_utilities_vs_time_writes_the_table_of_the_full_run(tmp_path, request, monkeypatch, scenario, grid):
+    # the exact solution at the written rows only has the bits of those rows of the full sampled run
+    cfg = request.getfixturevalue(scenario.removesuffix("-group-2-dies"))
+    cfg = with_scalar_overrides(price_out_sp2(cfg) if scenario.endswith("dies") else cfg, **grid)
+    traj = simulate(cfg).trajectory
+    if scenario.endswith("dies"):
+        assert traj.states[-1, 1] == 0.0
+    table = experiments._trajectory_table(traj)
+    meta = [("preset", "utilities-vs-time")] + cfg.flat_items()
+    want = [
+        experiments._write_csv(tmp_path / "want.csv", meta, *table).read_bytes(),
+        experiments._write_json(tmp_path / "want.json", meta, *table).read_bytes(),
+    ]
+    del traj, table
+    for name in ("simulate", "solve_replicator"):  # the run samples no full grid: these raise
+        monkeypatch.setattr(experiments, name, lambda *args: pytest.fail("sampled the full grid"))
+    assert [p.read_bytes() for p in run_experiment("utilities-vs-time", cfg, tmp_path / "got", ["json"])] == want
+    (csv,) = run_experiment("utilities-vs-time", cfg, tmp_path / "csv-only")
+    assert csv.read_bytes() == want[0]
 
 
 def test_run_experiment_rejects_unknown_preset(tmp_path, default_cfg):
@@ -289,9 +319,26 @@ def half_way_rows():
     return np.column_stack([odd / 4, -odd / 4]).tolist()
 
 
+def sweep_rows_of_width(n_rows, width):
+    """sweep_rows(n_rows) with each row's cells repeated out to width columns."""
+    return [(row * (width // len(row) + 1))[:width] for row in sweep_rows(n_rows)]
+
+
+def chunk_edges(width):
+    """Tables of width columns with one row fewer, as many and one more than a chunk holds."""
+    per = max(1, CHUNK_CELLS // width)
+    return [
+        pytest.param(sweep_rows_of_width(n, width), id="width%d-%d-rows" % (width, n))
+        for n in sorted({max(1, per - 1), per, per + 1})
+    ]
+
+
 @pytest.mark.parametrize(
     "rows",
-    [pytest.param(sweep_rows(n), id=str(n)) for n in (1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 6001)]
+    [pytest.param(sweep_rows(n), id=str(n)) for n in (1, 6001)]
+    + chunk_edges(6)
+    + chunk_edges(14)
+    + chunk_edges(CHUNK_CELLS + 5)
     + [
         pytest.param(random_bit_rows(), id="random-bits"),
         pytest.param(power_of_ten_rows(), id="powers-of-ten"),
@@ -300,13 +347,20 @@ def half_way_rows():
         pytest.param([sum(power_of_ten_rows(), [])], id="one-row"),
     ],
 )
-def test_chunked_writer_has_the_bytes_of_the_whole_file_writer(tmp_path, rows):
+def test_chunked_writer_has_the_bytes_of_the_whole_file_writer(tmp_path, monkeypatch, rows):
     meta = [("preset", "delay-sweep"), ("t_equilibrium", "none (tail never rests for a full delay window)")]
     columns = ["c%d" % j for j in range(len(rows[0]))]
     want = oracle.write_csv(tmp_path / "want.csv", meta, columns, rows).read_bytes()
     assert len(want.splitlines()) == len(meta) + 1 + len(rows)
     for table in (rows, np.array(rows, dtype=float)):
         assert experiments._write_csv(tmp_path / "got.csv", meta, columns, table).read_bytes() == want
+    # CHUNK_CELLS cells a chunk: max(1, CHUNK_CELLS // width) rows, the last chunk the rest
+    chunks = []
+    format_rows = experiments._format_rows
+    monkeypatch.setattr(experiments, "_format_rows", lambda chunk: chunks.append(len(chunk)) or format_rows(chunk))
+    experiments._write_csv(tmp_path / "chunked.csv", meta, columns, rows)
+    per = max(1, CHUNK_CELLS // len(columns))
+    assert chunks == [per] * (len(rows) // per) + ([len(rows) % per] if len(rows) % per else [])
     # a trajectory's JSON twin, from its array, is the twin of its Python rows
     floats = np.array(rows, dtype=float)
     want = oracle.write_json(tmp_path / "want.json", meta, columns, floats.tolist()).read_bytes()
