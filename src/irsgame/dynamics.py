@@ -5,8 +5,10 @@ ReplicatorSolution is the exact undelayed replicator dynamics of the payoff pair
 the package's one forward-Euler stepper, steps the delayed replicator field, reading
 past states by one history rule (_samples, then _read: linear interpolation between
 samples, constant pre-history), once per delay window, and evaluating the field of a
-whole window at once (method of steps).  Both return a Trajectory: a HistoryBuffer, the
-states on the grid t_i = i * dt that lookup reads by the same rule, with the run's utility map.
+whole window at once (method of steps).  Each window builds the read times of its own
+steps only, and _read gathers the rows they read with np.take.  Both return a Trajectory:
+a HistoryBuffer, the states on the grid t_i = i * dt that lookup reads by the same rule,
+with the run's utility map.
 
 solve_delayed takes its steps through one loop (_advance), which adds each
 step to the state and projects the sum back onto the probability simplex,
@@ -409,9 +411,9 @@ def _read(states: np.ndarray, t: np.ndarray, lo: np.ndarray, hi: np.ndarray, fra
     """
     if not np.all(hi < len(states)):
         raise ConfigurationError("history lookup at t=%r is beyond the newest sample" % (float(np.max(t)),))
-    a, between = states[lo.astype(np.intp)], frac > 0.0  # a is a copy, even for a 0-d time
+    a, between = np.take(states, lo.astype(np.intp), axis=0), frac > 0.0  # a copy, even for a 0-d time
     f = frac[between][:, None]
-    a[between] = (1.0 - f) * a[between] + f * states[hi[between].astype(np.intp)]
+    a[between] = (1.0 - f) * a[between] + f * np.take(states, hi[between].astype(np.intp), axis=0)
     return a
 
 
@@ -433,15 +435,15 @@ def solve_delayed(numer, n_users: int, mu: float, p0, delta: float, spec: Integr
     dt = spec.dt
     states = np.empty((n + 1, p.size))
     states[0] = p
-    t_q = np.arange(n) * dt - delta  # the time each step reads
     reach = math.floor(min(delta / dt, n)) + 3  # step i + reach reads past sample i + 1: a window ends before it
     i = 0
     while i < n:
-        lo, hi, frac = _samples(t_q[i : i + reach], dt)
+        t_q = np.arange(i, min(i + reach, n)) * dt - delta  # the time each step of the window reads
+        lo, hi, frac = _samples(t_q, dt)
         k = max(int(np.searchsorted(hi, i, "right")), 1)  # steps i..i+k-1 read states[:i + 1]
         # only the rows written: a first time that rounds past i * dt is an error, not a read of np.empty
-        steps = _steps_reading(utilities, mu, dt, _read(states[: i + 1], t_q[i : i + k], lo[:k], hi[:k], frac[:k]))
-        del lo, hi, frac  # the window's samples and past states are not held while its steps are taken
+        steps = _steps_reading(utilities, mu, dt, _read(states[: i + 1], t_q[:k], lo[:k], hi[:k], frac[:k]))
+        del t_q, lo, hi, frac  # the window's times, samples and past states are not held while it steps
         _advance(states[i : i + k + 1], steps)
         i += k
     return Trajectory(dt, states, utilities)

@@ -22,6 +22,8 @@ from .errors import ConfigurationError, NumericError
 # equilibrium detection: the rate below which a step rests, and the share above which a group counts in utility_spread
 EPS_FIELD = 1e-6
 EPS_MASS = 1e-2
+# the steps detect_equilibrium reads at a time, back from the last
+SCAN_STEPS = 4096
 
 
 @np.errstate(over="ignore")  # a rate past the largest float is infinite: a moving step
@@ -163,17 +165,27 @@ def detect_equilibrium(traj, min_quiet: float = 0.0) -> Optional[int]:
     the delay: they can sit exactly still for shorter spells while their history replays an
     excursion, and only a stretch longer than the information delay proves a genuine rest
     point.  Raises ConfigurationError for a negative min_quiet.
+
+    The steps are read back from the last one, SCAN_STEPS at a time, up to the block that holds
+    the last moving step: a run whose last step moves reads one block.  A block's times are
+    np.arange(a, b + 1) * dt, the bits of traj.times[a : b + 1].
     """
     _require("min_quiet", min_quiet, _NON_NEGATIVE)
-    times = traj.times
-    with np.errstate(over="ignore"):  # an infinite difference is a moving step
-        quiet = quiet_steps(np.diff(traj.states, axis=0), np.diff(times))
-    if not np.all(quiet[-1:]):  # a single sample is quiet
-        return None
-    # first index from which the tail stays quiet
-    moving = np.nonzero(~quiet)[0]
-    idx = 0 if moving.size == 0 else int(moving[-1]) + 1
-    if float(times[-1] - times[idx]) < min_quiet:
+    states, dt = traj.states, traj.dt
+    last = len(states) - 1
+    idx = 0  # a single sample, or no step moves
+    for b in range(last, 0, -SCAN_STEPS):  # a block: the steps a..b - 1, between states[a : b + 1]
+        a = max(b - SCAN_STEPS, 0)
+        with np.errstate(over="ignore"):  # an infinite difference is a moving step
+            quiet = quiet_steps(np.diff(states[a : b + 1], axis=0), np.diff(np.arange(a, b + 1) * dt))
+        if b == last and not quiet[-1]:
+            return None
+        moving = np.flatnonzero(~quiet)
+        if moving.size:  # the first index from which the tail stays quiet
+            idx = a + int(moving[-1]) + 1
+            break
+    ends = np.array([idx, last]) * dt  # traj.times[[idx, -1]]
+    if float(ends[1] - ends[0]) < min_quiet:
         return None
     return idx
 

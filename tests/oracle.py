@@ -1,5 +1,6 @@
 """Independent oracles: the scalar utility model, one group at a time, of make_utilities; the
-row max of game.quiet_steps by np.max along each row; the step-by-step simplex projection, one
+row max of game.quiet_steps by np.max along each row; game.detect_equilibrium over the whole
+grid at once, not back from the tail a block at a time; the step-by-step simplex projection, one
 call per step, of dynamics._advance; the delayed replicator dynamics one step and one scalar
 history lookup at a time, of solve_delayed; the exact solution of the delay equation that
 solve_delayed approximates; the semidefinite relaxation bound that certifies phy.optimize_link;
@@ -114,6 +115,21 @@ def advance(p: list, steps, drift_sum: float, absorbed_sum: float, clamped: int)
 def quiet_steps(diffs, dt) -> np.ndarray:
     """game.quiet_steps as the row form: np.max of |diffs| along each row, on a copy of diffs."""
     return np.max(np.abs(diffs), axis=1) / dt < EPS_FIELD
+
+
+@np.errstate(over="ignore")  # an infinite difference or rate is a moving step
+def detect_equilibrium(traj, min_quiet: float = 0.0):
+    """game.detect_equilibrium over the whole grid at once: every step's rate by quiet_steps, over
+    the differences of traj.times, and the index after the last moving step."""
+    times = traj.times
+    quiet = quiet_steps(np.diff(traj.states, axis=0), np.diff(times))
+    if not np.all(quiet[-1:]):  # a single sample is quiet
+        return None
+    moving = np.nonzero(~quiet)[0]
+    idx = 0 if moving.size == 0 else int(moving[-1]) + 1
+    if float(times[-1] - times[idx]) < min_quiet:
+        return None
+    return idx
 
 
 def history(states, dt: float, t: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Integrators: closed-form oracles, order, delay handling, Picard iteration."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -828,6 +829,35 @@ def test_delayed_simulate_calls_utilities_once_per_delay_window(reduced_cfg, mon
         p0, spec = cfg.initial_population(), cfg.integrator
         ref = oracle.delayed_euler(make_utilities(*payoff_pair(cfg)), cfg.mu, p0, delta, spec)[0]
         assert traj.states.tobytes() == ref.states.tobytes(), delta
+
+
+def traced_peak(fn):
+    """fn's result, and the most bytes that tracemalloc saw it hold above what was held before the call."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_a_delayed_run_and_its_rest_test_hold_little_beside_the_states(reduced_cfg):
+    # reduced.cfg's delta = 30 point: solve_delayed builds each delay window's read times, not the
+    # whole grid's, and detect_equilibrium reads one block of steps, since the run's last step
+    # moves; a first short run compiles _advance's kernel, which would count
+    cfg = dataclasses.replace(reduced_cfg, delta=30.0)
+    args = (*payoff_pair(cfg), cfg.mu, cfg.initial_population(), cfg.delta)
+    solve_delayed(*args, with_scalar_overrides(cfg, horizon=1.0).integrator)
+    traj, run_peak = traced_peak(lambda: solve_delayed(*args, cfg.integrator))
+    index, scan_peak = traced_peak(lambda: detect_equilibrium(traj, min_quiet=cfg.delta))
+    assert index is None
+    above = run_peak - traj.states.nbytes
+    assert above < 512 * 2**10, "%.0f KiB above the states" % (above / 2**10)
+    assert scan_peak < 512 * 2**10, "peak %.0f KiB" % (scan_peak / 2**10)
 
 
 def test_solve_delayed_guards_match_oracle():

@@ -20,8 +20,9 @@ from irsgame import (
     utility_numerators,
     utility_spread,
 )
+from irsgame import game, with_scalar_overrides
 from irsgame.experiments import numerators
-from irsgame.game import EPS_FIELD, quiet_steps
+from irsgame.game import EPS_FIELD, SCAN_STEPS, quiet_steps
 from conftest import group_gains, one_service_cfg, one_service_links
 import oracle
 from oracle import average_utility, replicator_field, utility
@@ -232,7 +233,9 @@ def test_utility_spread_of_zero_utilities_is_zero():
 @pytest.mark.parametrize("states", [[[-1e308, 1e308], [1e308, -1e308]], [[0.0, 1e308], [1e308, 0.0]]])
 def test_detect_equilibrium_reads_a_difference_past_the_largest_float_as_moving(states):
     # the first difference overflows in the subtraction, the second in the division by dt = 0.5
-    assert detect_equilibrium(Trajectory(0.5, states, TWO_GROUPS)) is None
+    traj = Trajectory(0.5, states, TWO_GROUPS)
+    assert detect_equilibrium(traj) is None
+    assert oracle.detect_equilibrium(traj) is None
 
 
 # the diffs whose rows the column-wise max must read as np.max does: NaN, infinities, signed
@@ -270,6 +273,96 @@ def test_detect_equilibrium_empty_and_single():
     with pytest.raises(ConfigurationError):
         detect_equilibrium(Trajectory(0.1, np.zeros((0, 2)), TWO_GROUPS))
     assert detect_equilibrium(Trajectory(0.1, np.array([[1.0, 0.0]]), TWO_GROUPS)) == 0
+
+
+@st.composite
+def resting_runs(draw):
+    """A run of 1 to 40 samples of 1 to 3 groups whose steps stand still, move at rates near EPS_FIELD
+    or jump, and quiet for a drawn tail; a min_quiet, often a whole number of steps; and the steps
+    that detect_equilibrium reads at a time, from 1 to past the run's length."""
+    g, n = draw(st.integers(1, 3)), draw(st.integers(1, 40))
+    dt = draw(st.sampled_from([0.01, 0.07, 0.1, 1.0, 3.0]))
+    rate = st.sampled_from([0.0, 0.0, 0.5, 0.999999, 1.0, 1.000001, 2.0, 1e6])  # in units of EPS_FIELD
+    rates = np.array(draw(st.lists(st.lists(rate, min_size=g, max_size=g), min_size=n - 1, max_size=n - 1)))
+    rates[n - 1 - draw(st.integers(0, n - 1)) :] = 0.0
+    states = np.cumsum(np.vstack((np.full(g, 0.5), rates.reshape(n - 1, g) * EPS_FIELD * dt)), axis=0)
+    min_quiet = draw(st.one_of(st.integers(0, n).map(lambda k: k * dt), st.floats(0.0, 1.2 * n * dt)))
+    scan = draw(st.integers(1, 6) | st.just(SCAN_STEPS))
+    return Trajectory(dt, states, make_utilities(np.ones(g), 1)), min_quiet, scan
+
+
+@settings(max_examples=300, deadline=None)
+@given(resting_runs())
+# the last step moves at EPS_FIELD over its time difference 0.4 - 0.30000000000000004, not over dt = 0.1
+@example((Trajectory(0.1, [[0.0]] * 4 + [[9.999999999999997e-08]], make_utilities(np.ones(1), 1)), 0.0, 2))
+def test_detect_equilibrium_is_the_full_grid_rule_at_any_block_size(case):
+    traj, min_quiet, scan = case
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(game, "SCAN_STEPS", scan)
+        assert detect_equilibrium(traj, min_quiet) == oracle.detect_equilibrium(traj, min_quiet)
+
+
+def counted_scans(monkeypatch) -> list:
+    """The quiet_steps calls of detect_equilibrium, one per block it reads, as a list that grows per call."""
+    calls = []
+    monkeypatch.setattr(game, "quiet_steps", lambda diffs, dt: calls.append(len(dt)) or quiet_steps(diffs, dt))
+    return calls
+
+
+@pytest.mark.parametrize("blocks", [1, 2])
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_detect_equilibrium_reads_back_to_the_block_of_the_last_moving_step(monkeypatch, blocks, offset):
+    # the last moving step j is the first step of the blocks-th block back from the tail, or one
+    # step either side of it: one step earlier lies in the next block
+    n = 3 * SCAN_STEPS + 5  # steps
+    j = n - blocks * SCAN_STEPS + offset
+    states = np.empty((n + 1, 2))
+    states[: j + 1] = np.linspace(0.0, 1.0, j + 1)[:, None] * [1.0, -1.0]
+    states[j + 1 :] = [2.0, 3.0]
+    traj = Trajectory(0.01, states, TWO_GROUPS)
+    calls = counted_scans(monkeypatch)
+    assert detect_equilibrium(traj) == oracle.detect_equilibrium(traj) == j + 1
+    assert calls == [SCAN_STEPS] * (blocks + (offset < 0))
+
+
+@pytest.mark.parametrize("states", [[[0.3, 0.7]], [[0.3, 0.7], [0.3, 0.7]], [[0.3, 0.7], [0.4, 0.6]]])
+@pytest.mark.parametrize("min_quiet", [0.0, 0.1, 0.2])
+def test_detect_equilibrium_of_one_and_two_samples(states, min_quiet):
+    traj = Trajectory(0.1, states, TWO_GROUPS)
+    assert detect_equilibrium(traj, min_quiet) == oracle.detect_equilibrium(traj, min_quiet)
+
+
+def test_detect_equilibrium_of_a_run_whose_last_step_moves_reads_one_block(monkeypatch, reduced_cfg):
+    # reduced.cfg at delta = 30 never rests: its last step moves
+    traj = simulate(dataclasses.replace(reduced_cfg, delta=30.0)).trajectory
+    calls = counted_scans(monkeypatch)
+    assert detect_equilibrium(traj, min_quiet=30.0) is None
+    assert calls == [SCAN_STEPS]
+    assert oracle.detect_equilibrium(traj, min_quiet=30.0) is None
+
+
+@pytest.mark.parametrize("longer", [False, True])
+def test_detect_equilibrium_with_a_min_quiet_longer_than_the_quiet_tail(longer):
+    # the quiet tail from sample 6 spans three blocks: a min_quiet past its length is no rest
+    n = 2 * SCAN_STEPS + 10
+    states = np.tile([0.5, 0.5], (n + 1, 1))
+    states[:6] = [[0.05 * k, 1.0 - 0.05 * k] for k in range(6)]
+    traj = Trajectory(0.07, states, TWO_GROUPS)
+    min_quiet = float(traj.times[-1] - traj.times[6])
+    if longer:
+        min_quiet = math.nextafter(min_quiet, math.inf)
+    assert detect_equilibrium(traj, min_quiet) == oracle.detect_equilibrium(traj, min_quiet) == (None if longer else 6)
+
+
+def test_the_bundled_delayed_rest_is_found_many_blocks_back(monkeypatch, default_cfg):
+    # default.cfg at delta = 30 rests at t = 799.4 on a horizon of 2400: its last moving step is 39 blocks back
+    cfg = with_scalar_overrides(default_cfg, delta=30.0, horizon=2400.0)
+    traj = simulate(cfg).trajectory
+    calls = counted_scans(monkeypatch)
+    index = detect_equilibrium(traj, min_quiet=cfg.delta)
+    assert index == oracle.detect_equilibrium(traj, min_quiet=cfg.delta) == 79_940
+    assert "%.17g" % traj.times[index] == "799.39999999999998"
+    assert len(calls) == (len(traj) - 1 - index) // SCAN_STEPS + 1 == 40
 
 
 def test_utility_params_valuation_shapes(default_cfg):

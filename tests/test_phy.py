@@ -308,12 +308,23 @@ def test_optimize_link_is_the_checked_oracle_bit_for_bit_on_random_channels():
 
 
 @pytest.mark.parametrize("scenario, capped", [("default_cfg", [3, 4]), ("reduced_cfg", [1])])
-def test_a_link_stopped_at_the_cap_says_so_in_its_rounds(request, scenario, capped):
-    # seed 168 holds three bundled links whose climb still rises at MAX_ITERS rounds; the others stop by TOL
+def test_a_link_stopped_at_the_cap_says_so_in_its_rounds(request, monkeypatch, scenario, capped):
+    # under a cap of 100 rounds, seed 168 holds three bundled links whose climb still rises at the
+    # cap; the others stop by TOL
+    monkeypatch.setattr(phy, "MAX_ITERS", 100)
     cfg = replace(request.getfixturevalue(scenario), seed=168)
     links = build_all_links(cfg, generate_channels(cfg))
-    assert [g for g, link in enumerate(links, 1) if link.rounds == MAX_ITERS] == capped
-    assert all(0 < link.rounds <= MAX_ITERS for link in links)
+    assert [g for g, link in enumerate(links, 1) if link.rounds == 100] == capped
+    assert all(0 < link.rounds <= 100 for link in links)
+
+
+@pytest.mark.parametrize("scenario, slow", [("default_cfg", [3, 4]), ("reduced_cfg", [1])])
+def test_the_bundled_links_of_seed_168_stop_by_tol_below_the_cap(request, scenario, slow):
+    # the links that a cap of 100 rounds stopped end after 131 rounds, below MAX_ITERS
+    cfg = replace(request.getfixturevalue(scenario), seed=168)
+    rounds = [link.rounds for link in build_all_links(cfg, generate_channels(cfg))]
+    assert [g for g, r in enumerate(rounds, 1) if r == 131] == slow
+    assert max(rounds) == 131 < MAX_ITERS
 
 
 @pytest.mark.parametrize("traced", [False, True])
