@@ -334,18 +334,19 @@ class ReplicatorSolution:
                 np.maximum(rows, 0.0, out=rows)
         return states
 
-    def equilibrium_index(self, dt: float) -> int:
-        """detect_equilibrium's index on the grid t_i = i * dt, however long the grid.
+    def equilibrium_index(self, dt: float, n: int | None = None) -> int | None:
+        """detect_equilibrium's index on the grid t_i = i * dt, i = 0..n, or on an unbounded grid (n None).
 
         Within a piece the rate max_g |p_{i+1,g} - p_{i,g}| / dt is k0 * exp(-a * (t - t_k)),
         a = mu * C, k0 = max|slope| * (1 - exp(-a * dt)) / (C * dt): with C > 0 it falls below
-        EPS_FIELD for good after t_k + ln(k0 / EPS_FIELD) / a, else it peaks at t_end.  Going
-        back from the last piece, only samples near those times and near t_k are checked, by
-        quiet_steps as detect_equilibrium checks them.  Raises ConfigurationError for a dt that
-        is not positive and finite, past MAX_STEPS samples, or when those samples' times pass
-        the largest float.
+        EPS_FIELD for good after t_k + ln(k0 / EPS_FIELD) / a, else it peaks at t_end.  Going back
+        from the last piece, only the steps i < n near those times and near t_k, each clipped to
+        n * dt, are checked, by quiet_steps as detect_equilibrium checks them: None when step n - 1
+        moves.  Raises ConfigurationError for a dt that is not positive and finite, past MAX_STEPS
+        samples, or when those samples' times pass the largest float.
         """
         _require("dt", dt, _POSITIVE)
+        end = np.inf if n is None else n  # the grid's last sample
         for t_k, t_end, _, big_c, slope in reversed(self.pieces):
             near = [t_k, t_end] if t_end < np.inf else [t_k]
             if slope.any() and big_c > 0.0:
@@ -353,17 +354,19 @@ class ReplicatorSolution:
                 k0 = top * -math.expm1(-self.mu * big_c * dt) / (big_c * dt) if big_c * dt > 0.0 else top * self.mu
                 if k0 > EPS_FIELD:
                     near.append(min(t_end, t_k + math.log(k0 / EPS_FIELD) / (self.mu * big_c)))
+            near = [min(t, end * dt) for t in near]
             last = max(near) / dt
             if not last <= MAX_STEPS:
                 raise ConfigurationError(
                     "the rest point comes after sample %.3g, beyond the cap of %d" % (last, MAX_STEPS)
                 )
-            if not (last + 4) * dt < np.inf:  # the samples checked below go up to ceil(last) + 3
+            if not min(last + 4, end) * dt < np.inf:  # the samples checked below go up to min(ceil(last) + 3, n)
                 raise ConfigurationError("the samples near the rest point are past the largest float for dt = %r" % dt)
-            i = np.unique(np.maximum(0, [math.ceil(t / dt) + k for t in near for k in range(-9, 3)]))
+            steps = {max(0, math.ceil(t / dt) + k) for t in near for k in range(-9, 3)}
+            i = np.array(sorted(j for j in steps if j < end))
             moving = i[~quiet_steps(self.at((i + 1) * dt) - self.at(i * dt), (i + 1) * dt - i * dt)]
-            if moving.size:
-                return int(moving[-1]) + 1
+            if moving.size:  # the sample after the last moving step, None when that is the grid's last
+                return int(moving[-1]) + 1 if moving[-1] < end - 1 else None
         return 0
 
 

@@ -1,17 +1,17 @@
 """Experiment presets: simulate scenarios and emit CSV data files.
 
-Every preset is a pure function of (config, seed): channels, links and
-trajectories are deterministic, so rerunning a preset with the same inputs
-reproduces its output files byte for byte.  A scenario enters the game only
-through its payoff vector, numerators(cfg), so links are built once per radio
-scenario: sweeps over mu, n_users, delta or a price reuse them.  The undelayed
-sweeps sample no trajectory: they read each point's rest, or the sample where
-it comes to rest, off its exact ReplicatorSolution, so integrator.horizon does
-not enter them.  Undelayed utilities-vs-time evaluates that solution only at the
-rows its file keeps, every TRAJECTORY_STRIDE-th sample and the last, each with
-the bits of the same row of the full grid.  A preset's runner writes nothing: it
-yields each file's table, and run_experiment, the package's one file writer,
-names and writes every file, CHUNK_CELLS cells at a time.
+Every preset is a pure function of (config, seed): channels, links and trajectories are
+deterministic, so rerunning a preset with the same inputs reproduces its output files byte for
+byte.  A scenario enters the game only through its payoff vector, numerators(cfg), so links are
+built once per radio scenario: sweeps over mu, n_users, delta or a price reuse them.  No preset
+samples an undelayed run's full grid.  The undelayed sweeps read each point's rest, or the sample
+where it comes to rest, off its exact ReplicatorSolution, so integrator.horizon does not enter
+them.  Every undelayed trajectory file, utilities-vs-time's and delay-sweep's delta = 0 point,
+evaluates that solution only at its written rows, every TRAJECTORY_STRIDE-th sample and the last,
+each with the bits of the full grid's row (_exact_run); the delta = 0 point's rest index is
+equilibrium_index on its own grid.  A preset's runner writes nothing: it yields each file's table,
+and run_experiment, the package's one file writer, names and writes every file, CHUNK_CELLS cells
+at a time.
 """
 
 from __future__ import annotations
@@ -50,22 +50,11 @@ def numerators(cfg: ScenarioConfig) -> np.ndarray:
 
 
 def simulate(cfg: ScenarioConfig) -> SimulationResult:
-    """Run the full pipeline: the payoff vector numerators(cfg), then the selection dynamics."""
-    return SimulationResult(_dynamics(cfg, numerators(cfg)))
-
-
-def _dynamics(cfg: ScenarioConfig, numer: np.ndarray) -> Trajectory:
-    """Selection dynamics of a scenario with payoff vector numer.
-
-    A zero decision delay evaluates the exact solution of the replicator
-    dynamics (solve_replicator) on the configured sample grid; a positive
-    delay steps the delayed field with forward Euler, one delay window at a
-    time (solve_delayed).
-    """
-    p0 = cfg.initial_population()
+    """Run the full pipeline: the payoff vector numerators(cfg), then the selection dynamics on the configured grid."""
+    numer, p0 = numerators(cfg), cfg.initial_population()
     if cfg.delta > 0:
-        return solve_delayed(numer, cfg.n_users, cfg.mu, p0, cfg.delta, cfg.integrator)
-    return solve_replicator(numer, cfg.n_users, cfg.mu, p0, cfg.integrator)
+        return SimulationResult(solve_delayed(numer, cfg.n_users, cfg.mu, p0, cfg.delta, cfg.integrator))
+    return SimulationResult(solve_replicator(numer, cfg.n_users, cfg.mu, p0, cfg.integrator))
 
 
 # --- CSV emission --------------------------------------------------------------
@@ -214,6 +203,14 @@ def _trajectory_table(traj: Trajectory) -> tuple[list, np.ndarray]:
     return _sampled_table(len(traj), traj.dt, lambda idx: traj.states[idx], traj.utilities)
 
 
+def _exact_run(cfg: ScenarioConfig, numer: np.ndarray) -> tuple[ReplicatorSolution, tuple[list, np.ndarray]]:
+    """An undelayed run's exact solution, and its file table: the solution at the written rows only."""
+    solution = ReplicatorSolution(numer, cfg.n_users, cfg.mu, cfg.initial_population())
+    spec = cfg.integrator
+    at = lambda idx: solution.at(idx * spec.dt)
+    return solution, _sampled_table(spec.n_steps() + 1, spec.dt, at, make_utilities(numer, cfg.n_users))
+
+
 # --- presets -------------------------------------------------------------------
 # A runner yields (file stem suffix, scenario, extra meta lines, (columns, rows))
 # per file, one at a time: run_experiment writes each table before the next is
@@ -221,16 +218,8 @@ def _trajectory_table(traj: Trajectory) -> tuple[list, np.ndarray]:
 
 
 def _run_utilities_vs_time(cfg: ScenarioConfig):
-    if cfg.delta > 0:
-        yield "", cfg, [], _trajectory_table(simulate(cfg).trajectory)
-        return
-    # the exact solution at the written rows only: each row comes from its own time, so it has the
-    # bits of solve_replicator's row, and no (n_steps + 1)-row array is built
-    numer = numerators(cfg)
-    solution = ReplicatorSolution(numer, cfg.n_users, cfg.mu, cfg.initial_population())
-    spec = cfg.integrator
-    at = lambda idx: solution.at(idx * spec.dt)
-    yield "", cfg, [], _sampled_table(spec.n_steps() + 1, spec.dt, at, make_utilities(numer, cfg.n_users))
+    table = _trajectory_table(simulate(cfg).trajectory) if cfg.delta > 0 else _exact_run(cfg, numerators(cfg))[1]
+    yield "", cfg, [], table
 
 
 def _run_convergence_speed(cfg: ScenarioConfig):
@@ -266,18 +255,25 @@ def _run_delay_sweep(cfg: ScenarioConfig):
 def _delay_point(point: ScenarioConfig, numer: np.ndarray, bound: float | None, text: str) -> tuple[list, tuple]:
     """A delay point's meta lines and table; its trajectory is freed on return, before the table is written.
 
-    bound is the stability bound, None when it is not computable, and text its meta value.  A point
-    below the bound is stable: when it has not rested by the horizon, that is what its meta line says.
+    The delta = 0 point samples no trajectory: _exact_run gives its table, and equilibrium_index
+    on the point's own grid gives detect_equilibrium's rest index of that grid.  bound is the
+    stability bound, None when it is not computable, and text its meta value.  A point below the
+    bound is stable: when it has not rested by the horizon, that is what its meta line says.
     """
-    traj = _dynamics(point, numer)
-    index = detect_equilibrium(traj, min_quiet=point.delta)
+    spec = point.integrator
+    if point.delta > 0:
+        traj = solve_delayed(numer, point.n_users, point.mu, point.initial_population(), point.delta, spec)
+        index, table = detect_equilibrium(traj, min_quiet=point.delta), _trajectory_table(traj)
+    else:
+        solution, table = _exact_run(point, numer)
+        index = solution.equilibrium_index(spec.dt, spec.n_steps())
     if index is not None:
-        t_eq = "%.17g" % traj.times[index]
+        t_eq = "%.17g" % (index * spec.dt)
     elif bound is not None and point.delta < bound:
         t_eq = "none by the horizon (delta below the stability bound)"
     else:
         t_eq = "none (tail never rests for a full delay window)"
-    return [("stability_bound", text), ("t_equilibrium", t_eq)], _trajectory_table(traj)
+    return [("stability_bound", text), ("t_equilibrium", t_eq)], table
 
 
 def _run_irs_size_sweep(cfg: ScenarioConfig):

@@ -3,8 +3,12 @@
 import contextlib
 import dataclasses
 import io
+import os
 import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import irsgame
 from irsgame import PRESETS, default_config, load_config, with_scalar_overrides
 from irsgame.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, main
 from irsgame.config import OVERRIDES
@@ -505,6 +510,29 @@ def test_undelayed_sweeps_reject_a_delay(tmp_path, capsys, preset):
     err = capsys.readouterr().err
     assert "scenario.delta" in err and "delay-sweep" in err
     assert not list(tmp_path.iterdir())
+
+
+def test_the_presets_that_find_a_rest_import_no_masked_arrays(tmp_path):
+    # np.unique imports numpy.ma on its first call, 8-11 ms: a fresh process shows whether a run
+    # pays for it
+    package = Path(irsgame.__file__).parent
+    script = textwrap.dedent(
+        """
+        import sys
+        from irsgame.cli import main
+        out, data = sys.argv[1:]
+        for cfg in ("default", "reduced"):
+            for preset in ("convergence-speed", "delay-sweep"):
+                argv = ["run", preset, "--config", "%s/%s.cfg" % (data, cfg), "--out", "%s/%s/%s" % (out, cfg, preset)]
+                assert main(argv) == 0
+        print("numpy.ma" in sys.modules)
+        """
+    )
+    path = os.pathsep.join(filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", script, str(tmp_path), str(package / "data")]
+    run = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_convergence_speed_caps_the_equilibrium_index(tmp_path, capsys):

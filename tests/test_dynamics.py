@@ -471,9 +471,10 @@ payoffs = st.one_of(st.just(0.0), st.floats(0.01, 1.0), st.floats(-1.0, -0.01))
     c=st.lists(payoffs, min_size=7, max_size=7),
     mu=st.floats(0.05, 1.0),
     dt=st.floats(0.003, 0.1),
+    horizon=st.floats(0.5, 600.0),
     scale=st.sampled_from([1.0, 1e-2]),
 )
-def test_equilibrium_index_matches_detect_equilibrium(weights, c, mu, dt, scale):
+def test_equilibrium_index_matches_detect_equilibrium(weights, c, mu, dt, horizon, scale):
     # extinctions, C <= 0 (all losing, or the sum of mixed signs), zero
     # payoffs and empty groups all occur among the draws.  The run of scale * c
     # sampled at step dt / scale is the run of c sampled at step dt, every rate
@@ -481,6 +482,11 @@ def test_equilibrium_index_matches_detect_equilibrium(weights, c, mu, dt, scale)
     p0 = np.array(weights) / sum(weights)
     c = scale * np.array(c[: len(p0)])
     dt = dt / scale
+    # on a grid of the drawn horizon, the index of its own samples, None when its last step moves
+    spec = IntegratorSpec(dt=dt, horizon=horizon / scale)
+    n = spec.n_steps()
+    want = oracle.detect_equilibrium(solve_replicator(c, 1, mu, p0, spec))
+    assert ReplicatorSolution(c, 1, mu, p0).equilibrium_index(dt, n) == want
     try:
         index = ReplicatorSolution(c, 1, mu, p0).equilibrium_index(dt)
     except ConfigurationError:  # beyond MAX_STEPS samples
@@ -490,6 +496,29 @@ def test_equilibrium_index_matches_detect_equilibrium(weights, c, mu, dt, scale)
     # to find the index, so the tail only needs a margin
     traj = solve_replicator(c, 1, mu, p0, IntegratorSpec(dt=dt, horizon=(index + 64) * dt))
     assert detect_equilibrium(traj) == index
+
+
+@pytest.mark.parametrize(
+    "c, w, mu, dt, n, want",
+    [
+        # from a fixed-seed search over random draws: a grid that stays quiet throughout while
+        # the run moves after its end, its rest at sample 33700; its first moving step is 12242,
+        # the step just past the end of a grid of 12242 steps
+        ([-0.00095, -0.00032], [0.7480414960629921, 0.2518745039370079], 0.56, 0.34, 233, 0),
+        ([-0.00095, -0.00032], [0.7480414960629921, 0.2518745039370079], 0.56, 0.34, 12242, 0),
+        # a rest at sample 140, after the grid's end; then last moving steps at n - 1 and n - 2
+        ([0.24, 0.06, -0.41], [0.24, 0.14, 0.6], 0.33, 0.68, 30, None),
+        ([0.24, 0.06, -0.41], [0.24, 0.14, 0.6], 0.33, 0.68, 140, None),
+        ([0.24, 0.06, -0.41], [0.24, 0.14, 0.6], 0.33, 0.68, 141, 140),
+    ],
+)
+def test_equilibrium_index_on_a_grid_of_n_steps(c, w, mu, dt, n, want):
+    p0 = np.array(w) / sum(w)
+    solution = ReplicatorSolution(np.array(c), 1, mu, p0)
+    traj = solve_replicator(np.array(c), 1, mu, p0, IntegratorSpec(dt=dt, horizon=n * dt))
+    assert len(traj) == n + 1
+    assert solution.equilibrium_index(dt, n) == oracle.detect_equilibrium(traj) == want
+    assert solution.equilibrium_index(dt) == (33700 if want == 0 else 140)
 
 
 def test_equilibrium_index_is_capped():

@@ -165,6 +165,46 @@ def test_a_delay_point_that_does_not_rest_says_whether_it_is_below_the_bound(tmp
     assert meta["t_equilibrium"] == NEVER_RESTS
 
 
+@pytest.mark.parametrize("horizon", [None, 60.0])
+@pytest.mark.parametrize("scenario", ["default_cfg", "reduced_cfg"])
+def test_the_undelayed_delay_point_rests_where_its_full_grid_does(tmp_path, request, scenario, horizon):
+    # the delta = 0 point samples no trajectory: its rest time is the oracle's on the full sampled
+    # grid, and by t = 60 neither bundled run has rested
+    cfg = request.getfixturevalue(scenario)
+    if horizon is not None:
+        cfg = with_scalar_overrides(cfg, horizon=horizon)
+    cfg = dataclasses.replace(cfg, grids=dataclasses.replace(cfg.grids, delta=[0.0]))
+    (path,) = run_experiment("delay-sweep", cfg, tmp_path)
+    said = read_csv(path)[0]["t_equilibrium"]
+    traj = simulate(cfg).trajectory
+    index = oracle.detect_equilibrium(traj)
+    if horizon is None:
+        assert said == "%.17g" % traj.times[index]
+    else:
+        assert index is None and said == "none by the horizon (delta below the stability bound)"
+
+
+@pytest.mark.parametrize("scenario, bound_mib", [("default_cfg", 2.0), ("reduced_cfg", 1.0)])
+def test_the_undelayed_delay_point_peaks_below_its_full_grid(request, scenario, bound_mib):
+    # the exact solution at the written rows only: the tables hold 656 KiB (default.cfg) and
+    # 281 KiB (reduced.cfg), and the full grid's 60 001 states alone 2.75 MiB and 0.92 MiB
+    cfg = request.getfixturevalue(scenario)
+    numer = experiments.numerators(cfg)
+    bound = stability_bound(numer, cfg.mu, cfg.n_users)
+    experiments._delay_point(with_scalar_overrides(cfg, horizon=1.0), numer, bound, "")  # imports go first
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        experiments._delay_point(cfg, numer, bound, "")
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < bound_mib * 2**20, "peak %.2f MiB" % (peak / 2**20)
+
+
 @pytest.mark.parametrize("json_flag", [False, True])
 def test_every_file_is_named_after_its_preset(tmp_path, reduced_cfg, json_flag):
     cfg = small_grids(with_scalar_overrides(reduced_cfg, dt=0.5, horizon=2.0))
