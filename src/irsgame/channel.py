@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ._draw import Stream
 from .config import PathLossModel, _array
 from .errors import ConfigurationError, NumericError
 
@@ -42,8 +43,12 @@ def path_loss_linear(d: float, alpha: float, model: PathLossModel) -> float:
         raise NumericError("path gain overflows at distance %r m with exponent %r" % (d, alpha)) from None
 
 
-def complex_rayleigh(shape, rng: np.random.Generator) -> np.ndarray:
-    """Unit-variance circularly symmetric complex Gaussian samples."""
+def complex_rayleigh(shape, rng) -> np.ndarray:
+    """Unit-variance circularly symmetric complex Gaussian samples.
+
+    rng is any object with a standard_normal(shape) method, such as _link_rng's stream or an
+    np.random.Generator; the real parts are drawn first, then the imaginary parts.
+    """
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
 
 
@@ -95,9 +100,10 @@ class ChannelSet:
         )
 
 
-def _link_rng(seed: int, sp_index: int, link_code: int) -> np.random.Generator:
-    # splitting rule: PCG64 seeded by SeedSequence(entropy=[seed, provider, link])
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, sp_index, link_code])))
+def _link_rng(seed: int, sp_index: int, link_code: int) -> Stream:
+    # splitting rule: PCG64 seeded by SeedSequence(entropy=[seed, provider, link]), drawn without
+    # numpy.random but bit for bit as np.random.Generator draws it
+    return Stream([seed, sp_index, link_code])
 
 
 def generate_channels(cfg) -> list[ChannelSet]:

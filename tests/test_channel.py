@@ -1,6 +1,7 @@
-"""Path loss, fading statistics and seeded reproducibility."""
+"""Path loss, fading statistics, seeded reproducibility and the channel draw's port of numpy's."""
 
 import dataclasses
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from irsgame import (
     generate_channels,
     path_loss_linear,
 )
+from irsgame._draw import Stream, tables
+import make_ziggurat_tables
 
 MODEL = PathLossModel()  # -30 dB at 1 m
 
@@ -185,3 +188,81 @@ def test_generate_channels_missing_geometry(default_cfg):
     sps[0] = dataclasses.replace(sps[0], user_position=None)
     with pytest.raises(ConfigurationError, match=r"sp\.1\.user_position"):
         dataclasses.replace(default_cfg, sps=sps)
+
+
+# the port's first two normals at a few sub-seeds, as float.hex: 42 is default.cfg's seed; 5978 and
+# 7007 take the tail past layer 0's edge on their first word (to a negative and a positive value),
+# 294 and 127 the wedge test (accepted, then rejected so that the word is drawn again); 2**200 + 3
+# is seven 32-bit words, past SeedSequence's pool of four. These pin the channel bits to this
+# repository even if a later numpy changes what Generator draws.
+GOLDEN = {
+    (42, 1, 0): ("-0x1.7e9636bf38b2cp-2", "0x1.0bd138140b9fdp+0"),
+    (5978, 1, 0): ("-0x1.d87e2929a90b8p+1", "-0x1.d0b560d94121cp-1"),
+    (7007, 1, 0): ("0x1.d4e8dcc00eefbp+1", "-0x1.15885f56b7c50p+0"),
+    (294, 1, 0): ("-0x1.03fdfda19ddacp+0", "0x1.10e48f84a94a5p-2"),
+    (127, 1, 0): ("-0x1.3b6716139c4bfp+0", "0x1.753558c7a1d9ap-1"),
+    (2**200 + 3, 2, 2): ("-0x1.e82140851037bp-2", "-0x1.170cc07149170p-3"),
+}
+
+
+def numpy_words(entropy, n):
+    return np.random.PCG64(np.random.SeedSequence(entropy)).random_raw(n).tolist()
+
+
+def assert_draws_as_numpy(entropy, shape):
+    want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy))).standard_normal(shape)
+    got = Stream(entropy).standard_normal(shape)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes(), "numpy %s draws otherwise at entropy %r" % (np.__version__, entropy)
+
+
+def test_ziggurat_table_file_is_the_installed_numpys():
+    # the committed tables are what the generating script reads from this numpy's _generator extension
+    committed = resources.files("irsgame").joinpath("data/ziggurat.txt").read_text()
+    numpy_tables = make_ziggurat_tables.numpy_tables()
+    assert make_ziggurat_tables.table_text(*numpy_tables) == committed, "numpy %s" % np.__version__
+    assert tables() == numpy_tables
+
+
+def test_port_draws_as_numpy_on_every_sub_seed_of_seeds_0_to_1999():
+    # raw PCG64 words and standard normals, per (seed, provider, link) as generate_channels seeds them
+    for seed in range(2000):
+        for entropy in ([seed, m, code] for m in (1, 2) for code in range(3)):
+            stream = Stream(entropy)
+            got = [stream.next64() for _ in range(3)]
+            assert got == numpy_words(entropy, 3), "numpy %s words at entropy %r" % (np.__version__, entropy)
+            assert_draws_as_numpy(entropy, (6,))
+
+
+@pytest.mark.parametrize("seed", [2**32 + 5, 2**62 + 7, 2**64 - 1, 2**64 + 1, 2**200 + 3])
+def test_port_draws_as_numpy_on_seeds_past_one_word(seed):
+    # a seed past 2**32 splits into 32-bit words, low word first; with more than four words in all
+    # (2**64 + 1 and 2**200 + 3) the words past the pool are mixed into every pool word afterwards
+    for entropy in ([seed, m, code] for m in (1, 2) for code in range(3)):
+        stream = Stream(entropy)
+        assert [stream.next64() for _ in range(64)] == numpy_words(entropy, 64), entropy
+        assert_draws_as_numpy(entropy, (8, 16))
+
+
+@pytest.mark.parametrize("seed, branch", [(5978, "tail"), (7007, "tail"), (294, "wedge"), (127, "wedge")])
+def test_port_draws_as_numpy_through_the_tail_and_the_wedge(seed, branch):
+    # the first word of each stream falls outside its layer's rectangle, numpy's words show: in
+    # layer 0 the draw goes to the tail (math.log1p), in any other layer to the wedge test (math.exp)
+    (word,) = numpy_words([seed, 1, 0], 1)
+    layer, rabs = word & 0xFF, word >> 9 & (2**52 - 1)
+    assert rabs >= tables()[0][layer]
+    assert (layer == 0) == (branch == "tail")
+    assert_draws_as_numpy([seed, 1, 0], (64,))
+
+
+def test_port_draws_the_committed_values():
+    for entropy, want in GOLDEN.items():
+        got = tuple(x.hex() for x in Stream(list(entropy)).standard_normal((2,)))
+        assert got == want, entropy
+
+
+def test_port_rejects_negative_entropy_as_numpy_does():
+    with pytest.raises(ValueError):
+        np.random.SeedSequence([-1, 1, 0])
+    with pytest.raises(ValueError, match="non-negative"):
+        Stream([-1, 1, 0])

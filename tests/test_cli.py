@@ -535,6 +535,30 @@ def test_the_presets_that_find_a_rest_import_no_masked_arrays(tmp_path):
     assert run.stdout.splitlines()[-1] == "False"
 
 
+def test_no_preset_imports_numpy_random(tmp_path):
+    # the channel draw is the package's own port of numpy's Generator: importing numpy.random
+    # would cost a fresh process 9-14 ms and about 6 MiB, so no run may do it
+    package = Path(irsgame.__file__).parent
+    script = textwrap.dedent(
+        """
+        import sys
+        from irsgame.cli import main
+        from irsgame.experiments import PRESETS
+        out, data = sys.argv[1:]
+        for cfg in ("default", "reduced"):
+            for preset in PRESETS:
+                argv = ["run", preset, "--config", "%s/%s.cfg" % (data, cfg), "--out", "%s/%s/%s" % (out, cfg, preset)]
+                assert main(argv) == 0
+        print(len(PRESETS), "numpy.random" in sys.modules)
+        """
+    )
+    path = os.pathsep.join(filter(None, [str(package.parent), os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-c", script, str(tmp_path), str(package / "data")]
+    run = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "5 False"
+
+
 def test_convergence_speed_caps_the_equilibrium_index(tmp_path, capsys):
     # horizon / dt is within the cap, but the equilibrium index is not
     path = tmp_path / "fine.cfg"

@@ -417,8 +417,8 @@ def test_chunked_writer_has_the_bytes_of_the_whole_file_writer(tmp_path, monkeyp
 )
 def test_run_peak_memory_is_bounded(tmp_path, default_cfg, preset, flags, bound_mib):
     # a run formats one chunk of a table at a time, writes a JSON twin one column at a time, and
-    # holds no full-length array it does not return; a first run imports numpy.random, which
-    # would count, so a short run goes first
+    # holds no full-length array it does not return; a first run reads the channel draw's ziggurat
+    # tables, which the process keeps and which would count, so a short run goes first
     run_experiment(preset, with_scalar_overrides(default_cfg, horizon=1.0), tmp_path, flags)
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
