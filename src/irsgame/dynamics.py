@@ -15,10 +15,10 @@ step to the state and projects the sum back onto the probability simplex,
 summing left to right.  It steps on Python floats in straight-line code that
 _kernel generates for the group count (one statement per share and operation,
 in the order of a loop over the shares), compiled on the first call for that
-count and cached; except along stretches where every step is added unchanged
-(its total is exactly 1) or leaves the state as it was (shares clamped at
-zero): there it proposes a block of rows with numpy and keeps only the rows
-that carry the step-by-step bits.  It keeps no tally: delayed_steps recomputes
+count and cached; except after a chunk of steps that were each added unchanged
+(a total of exactly 1) or that ends where it started (shares clamped at zero):
+there it proposes blocks of rows with numpy and keeps only the rows that carry
+the step-by-step bits.  It keeps no tally: delayed_steps recomputes
 a delayed run's steps from its stored states and payoff pair, and the run's
 clamps, absorbed mass and drift follow from states[:-1] + steps.
 """
@@ -110,12 +110,10 @@ def _check_p0(p0) -> np.ndarray:
 
 # Largest |sum(p) - 1| one step may leave before it is projected back
 DRIFT_TOL = 1e-6
-# _advance's block path: the steps in a row that each added the step unchanged, or each left
-# the state unchanged, before the next rows are proposed at once; the rows of a first block;
-# and the most rows that a block doubles to or that the loop holds as Python floats, so that
-# a long delay window does not grow the peak memory
+# _advance's block path: the steps of a chunk, after which the chunk's ends may start a block; and
+# the rows a block proposes at once, and the most that the loop holds as Python floats, so that a
+# long delay window does not grow the peak memory
 _STREAK = 32
-_FIRST = 64
 _CAP = 2048
 
 
@@ -124,7 +122,7 @@ _CAP = 2048
 _KERNEL = """
 def step(p, chunk, flat):
     {v} = p
-    slow = held = 0
+    slow = 0
     for {d} in chunk:
         {add}
         total = 0.0; {total}
@@ -139,16 +137,15 @@ def step(p, chunk, flat):
             if total != 1.0:
                 {divided}
             slow += 1
-            held += {same}
         {moved}
         flat += ({x})
-    return ({v}), slow, held
+    return ({v}), slow
 """
 
 
-@functools.lru_cache(maxsize=16)
+@functools.cache
 def _kernel(g: int) -> Callable:
-    """_advance's compiled step loop for g groups: step(p, chunk, flat) -> (p, slow, held), extending flat."""
+    """_advance's step loop for g groups: step(p, chunk, flat) -> (p, steps clamped or divided), extending flat."""
 
     def each(form: str, sep: str = "; ") -> str:  # form for the shares 0..g-1, # standing for the share
         return sep.join(form.replace("#", str(j)) for j in range(g))
@@ -156,7 +153,7 @@ def _kernel(g: int) -> Callable:
     source = _KERNEL.format(
         v=each("v#, ", ""), d=each("d#, ", ""), x=each("x#, ", ""), add=each("x# = v# + d#"),
         total=each("total += x#"), negative=each("x# < 0.0", " or "), clamped=each("x# = 0.0 if x# < 0.0 else x#"),
-        divided=each("x# = x# / total"), same=each("x# == v#", " and "), moved=each("v# = x#"),
+        divided=each("x# = x# / total"), moved=each("v# = x#"),
     )
     scope = {}  # the function reads DRIFT_TOL and NumericalDriftError from this module
     exec(compile(source, "<irsgame.dynamics._kernel(%d)>" % g, "exec"), globals(), scope)
@@ -172,9 +169,9 @@ def _advance(rows: np.ndarray, steps: np.ndarray) -> None:
     rows at a time, since numpy's fixed cost per call would dominate vectors a few groups long,
     through _kernel(G): the loop over the G shares unrolled, built on the first call for G.
     A total of exactly 1 is not divided: v / 1.0 == v.  A raw sum within DRIFT_TOL of 1 has a
-    positive entry, so the clamped sum is positive.  After _STREAK steps that each added the
-    step unchanged (a running sum) or each left the state unchanged (a share clamped at zero),
-    _block proposes the next rows at once and keeps only what it verifies bit for bit.
+    positive entry, so the clamped sum is positive.  A chunk of _STREAK steps with none clamped
+    or divided (a running sum), or that ends on its first state (as shares clamped at zero hold
+    it), starts _blocks, which proposes the next rows at once and keeps what it verifies.
     """
     n = len(steps)
     step = _kernel(rows.shape[1])
@@ -182,21 +179,16 @@ def _advance(rows: np.ndarray, steps: np.ndarray) -> None:
     i = done = 0  # steps taken, and rows written
     flat = []
     while i < n:
+        start = tuple(p)
         chunk = steps[i : i + _STREAK].tolist()
-        p, slow, held = step(p, chunk, flat)
+        p, slow = step(p, chunk, flat)
         i += len(chunk)
-        streak = len(chunk) == _STREAK and held == slow
-        if streak or i == n or i - done >= _CAP:  # the rows as one array, a few thousand at most
+        block = len(chunk) == _STREAK and (not slow or p == start)
+        if block or i == n or i - done >= _CAP:  # the rows as one array, a few thousand at most
             rows[done + 1 : i + 1] = np.array(flat).reshape(i - done, -1)
             flat, done = [], i
-        if streak:
-            size = _FIRST
-            while i < n:
-                kept, whole = _block(rows, steps, i, size, slow > 0)
-                i = done = i + kept
-                if not whole:
-                    break
-                size = min(2 * size, _CAP)
+        if block:
+            i = done = _blocks(rows, steps, i, slow > 0)
             p = rows[i].tolist()
 
 
@@ -209,39 +201,43 @@ def _column_sums(x: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(all="ignore")  # rows past the first that fails the drift check are never kept
-def _block(rows, steps, i: int, size: int, hold: bool) -> tuple[int, bool]:
-    """Up to size steps from step i at once, kept where they have the bits of _advance's loop.
+def _blocks(rows, steps, i: int, hold: bool) -> int:
+    """The steps from step i, _CAP at a time, kept where they have the bits of _advance's loop.
 
-    The proposal is the state rows[i] held (hold) or the running sum of the steps from it,
+    Each proposal is the state rows[i] held (hold) or the running sum of the steps from it,
     added in sequence by cumsum.  Every proposed row is stepped again from the proposed
     previous state with the loop's arithmetic; the rows up to the first whose result differs
     from its proposal in any bit (as integers, so -0.0 differs from 0.0) are verified, and so
     is that row's own result, since its previous state is.  Only rows that pass the drift check
-    are kept: the loop takes the first that fails and raises.  Returns the rows written, and
-    whether the whole proposal held.
+    are kept: the loop takes the first that fails and raises.  Proposes again from the last
+    kept row while a whole proposal holds; returns the first step not taken.
     """
-    dp = steps[i : i + size]
-    p = rows[i]
-    if hold:
-        prev = proposal = np.broadcast_to(p, dp.shape)
-    else:
-        run = np.cumsum(np.vstack((p, dp)), axis=0)  # p + dp[0] + ... + dp[r], added in sequence
-        prev, proposal = run[:-1], run[1:]
-    raw = prev + dp
-    total = _column_sums(raw)
-    clamped = np.where(raw < 0.0, 0.0, raw)
-    # unclamped rows sum to total again; v / 1.0 == v, so dividing where the loop does not changes
-    # no bit of a kept row, which holds no NaN
-    result = clamped / _column_sums(clamped)[:, None]
-    same = np.ones(len(dp), dtype=bool)
-    for r, q in zip(result.view(np.int64).T, proposal.view(np.int64).T):  # numpy's cost per row dominates short rows
-        same &= r == q
-    kept = len(dp) if same.all() else int(np.argmin(same)) + 1
-    failed = np.flatnonzero(~(np.abs(total[:kept] - 1.0) <= DRIFT_TOL))
-    if failed.size:
-        kept = int(failed[0])
-    rows[i + 1 : i + 1 + kept] = result[:kept]
-    return kept, kept == len(dp) and bool(same[-1])
+    while i < len(steps):
+        dp = steps[i : i + _CAP]
+        p = rows[i]
+        if hold:
+            prev = proposal = np.broadcast_to(p, dp.shape)
+        else:
+            run = np.cumsum(np.vstack((p, dp)), axis=0)  # p + dp[0] + ... + dp[r], added in sequence
+            prev, proposal = run[:-1], run[1:]
+        raw = prev + dp
+        total = _column_sums(raw)
+        clamped = np.where(raw < 0.0, 0.0, raw)
+        # unclamped rows sum to total again; v / 1.0 == v, so dividing where the loop does not changes
+        # no bit of a kept row, which holds no NaN
+        result = clamped / _column_sums(clamped)[:, None]
+        same = np.ones(len(dp), dtype=bool)
+        for r, q in zip(result.view(np.int64).T, proposal.view(np.int64).T):  # numpy's cost per row dominates
+            same &= r == q
+        kept = len(dp) if same.all() else int(np.argmin(same)) + 1
+        failed = np.flatnonzero(~(np.abs(total[:kept] - 1.0) <= DRIFT_TOL))
+        if failed.size:
+            kept = int(failed[0])
+        rows[i + 1 : i + 1 + kept] = result[:kept]
+        i += kept
+        if kept < len(dp) or not same[-1]:
+            break
+    return i
 
 
 class ReplicatorSolution:

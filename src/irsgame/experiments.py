@@ -342,18 +342,19 @@ def run_experiment(preset: str, cfg: ScenarioConfig, out_dir, flags=()) -> list:
     if cfg.delta > 0 and "delta" not in reads + sweeps:
         errors.append("scenario.delta = %g: needs delta = 0; use delay-sweep" % cfg.delta)
     _raise(errors)
-    path = out = Path(out_dir)
+    out = Path(out_dir)
     paths = []
-    try:
-        for suffix, scenario, extra, table in run(cfg):
+    for suffix, scenario, extra, table in run(cfg):  # an OSError of the runner's own is not a write error
+        meta = [("preset", preset)] + extra + scenario.flat_items()
+        path = out
+        try:
             out.mkdir(parents=True, exist_ok=True)  # once a table is ready: a run that fails first leaves no directory
             path = out / (preset.replace("-", "_") + suffix + ".csv")
-            meta = [("preset", preset)] + extra + scenario.flat_items()
             paths.append(_write_csv(path, meta, *table))
             if "json" in flags:  # only presets of trajectories read it
                 path = path.with_suffix(".json")
                 paths.append(_write_json(path, meta, *table))
-            del table  # a table is not kept while the runner computes the next one
-    except OSError as exc:  # path is the directory or the file being written
-        raise ConfigurationError("cannot write %s: %s" % (path, exc)) from None
+        except OSError as exc:  # path is the directory or the file being written
+            raise ConfigurationError("cannot write %s: %s" % (path, exc)) from None
+        del table  # a table is not kept while the runner computes the next one
     return paths

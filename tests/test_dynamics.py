@@ -1,6 +1,7 @@
 """Integrators: closed-form oracles, order, delay handling, Picard iteration."""
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -630,14 +631,14 @@ def three_group_cfg(reduced_cfg):
 @pytest.fixture
 def block_rows(monkeypatch):
     """The first step and the rows of each block that dynamics._advance takes, in order."""
-    taken, block = [], dynamics._block
+    taken, blocks = [], dynamics._blocks
 
     def spied(rows, steps, i, *args):
-        out = block(rows, steps, i, *args)
-        taken.append((i, out[0]))
-        return out
+        end = blocks(rows, steps, i, *args)
+        taken.append((i, end - i))
+        return end
 
-    monkeypatch.setattr(dynamics, "_block", spied)
+    monkeypatch.setattr(dynamics, "_blocks", spied)
     return taken
 
 
@@ -692,6 +693,34 @@ def test_solve_delayed_matches_oracle_bit_for_bit(request, scenario, delta, dt, 
     assert abs(facts[1] - absorbed) <= 1e-12
     if scenario == "reduced_cfg" and delta >= 30.0:
         assert clamped > 0  # the run clamps shares at zero
+
+
+def time_unit_runs(cfg, k: float, dt_ulps: int = 0):
+    """solve_delayed's states of cfg at each grid delay that it runs (delta > 0), in the time unit 1 / k:
+    mu / k, delta * k, dt * k (dt_ulps ulps up) and horizon * k."""
+    spec, dt = cfg.integrator, cfg.integrator.dt * k
+    for _ in range(dt_ulps):
+        dt = math.nextafter(dt, math.inf)
+    scaled = IntegratorSpec(dt=dt, horizon=spec.horizon * k)
+    pair, p0 = payoff_pair(cfg), cfg.initial_population()
+    return [solve_delayed(*pair, cfg.mu / k, p0, delta * k, scaled).states for delta in cfg.grids.delta if delta > 0]
+
+
+@pytest.mark.parametrize("scenario", ["default_cfg", "reduced_cfg"])
+def test_delayed_states_do_not_depend_on_the_time_unit(request, scenario):
+    # a power of two k scales every product and quotient of a step and of its history read exactly,
+    # so (mu / k, delta * k, dt * k, horizon * k) steps through the same bits (a metamorphic relation)
+    cfg = request.getfixturevalue(scenario)
+    runs = time_unit_runs(cfg, 1.0)
+    assert len(runs) == 3
+    for k in (2.0, 1024.0):
+        assert [states.tobytes() for states in time_unit_runs(cfg, k)] == [states.tobytes() for states in runs]
+
+
+def test_the_time_unit_relation_catches_one_ulp_of_dt(reduced_cfg):
+    runs, nudged = time_unit_runs(reduced_cfg, 1.0), time_unit_runs(reduced_cfg, 2.0, dt_ulps=1)
+    assert [states.shape for states in nudged] == [states.shape for states in runs]
+    assert all(a.tobytes() != b.tobytes() for a, b in zip(nudged, runs))
 
 
 @pytest.mark.parametrize("scenario", ["default_cfg", "reduced_cfg"])
@@ -1093,6 +1122,38 @@ def test_long_runs_have_the_bits_of_one_projection_per_step(name, block_rows):
         bad = len(run[1]) - 11
         assert "simplex drift" in fast and any(i < bad == i + k for i, k in block_rows)
     assert sum(k for _, k in block_rows) >= len(run[1]) // 4  # blocks took a share of the rows
+
+
+@pytest.fixture(scope="module")
+def three_group_run(three_group_cfg):
+    """The three-group case of test_solve_delayed_matches_oracle_bit_for_bit, with its oracle states."""
+    pair, mu, p0 = payoff_pair(three_group_cfg), three_group_cfg.mu, three_group_cfg.initial_population()
+    spec = IntegratorSpec(dt=0.05, horizon=600.0)
+    return (*pair, mu, p0, 130.0, spec), oracle.delayed_euler(make_utilities(*pair), mu, p0, 130.0, spec)[0].states
+
+
+@pytest.mark.parametrize("cap", [1, 3, 33])
+def test_blocks_of_any_size_have_the_bits_of_one_projection_per_step(monkeypatch, block_rows, three_group_run, cap):
+    # blocks of one row, a few rows and just past _STREAK, and the rows flushed after every chunk
+    monkeypatch.setattr(dynamics, "_CAP", cap)
+    for name, run in LONG_RUNS.items():
+        block_rows.clear()
+        assert _projected(*run) == _oracle_projected(*run), name
+        assert sum(k for _, k in block_rows) >= len(run[1]) // 4, name
+    block_rows.clear()
+    run, states = three_group_run
+    assert solve_delayed(*run).states.tobytes() == states.tobytes()
+    assert sum(k for _, k in block_rows) >= BLOCK_ROWS["three_group_cfg"]
+
+
+def test_a_chunk_back_at_its_start_proposes_a_held_block(block_rows):
+    # from (1, 0): a step that moves, one clamped and divided back to (1, 0), then zero steps: the
+    # first chunk ends on its first state, so a held block starts after it; its proposal stops at
+    # the first step that moves the state (step 72), which a running-sum proposal would have passed
+    steps = [[-0.25, 0.25], [0.5, -0.5]] + [[0.0, 0.0]] * 70 + [[-0.25, 0.25]] + [[0.0, 0.0]] * 40
+    assert oracle.advance([1.0, 0.0], steps[:2], 0.0, 0.0, 0)[0] == [0.75, 0.25, 1.0, 0.0]
+    assert _projected([1.0, 0.0], steps) == _oracle_projected([1.0, 0.0], steps)
+    assert block_rows[0] == (dynamics._STREAK, 72 + 1 - dynamics._STREAK)
 
 
 def _wide_run(g: int, seed: int, bad: str | None = None):

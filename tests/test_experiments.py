@@ -18,7 +18,7 @@ from irsgame import (
     stability_bound,
     with_scalar_overrides,
 )
-from irsgame import experiments
+from irsgame import _draw, experiments
 from irsgame.experiments import CHUNK_CELLS
 import oracle
 
@@ -122,6 +122,18 @@ def test_undelayed_utilities_vs_time_writes_the_table_of_the_full_run(tmp_path, 
 def test_run_experiment_rejects_unknown_preset(tmp_path, default_cfg):
     with pytest.raises(ConfigurationError, match="unknown preset"):
         run_experiment("warp-speed", default_cfg, tmp_path)
+
+
+def test_a_runner_error_is_not_a_write_error(tmp_path, default_cfg, monkeypatch):
+    # an install without its ziggurat tables fails in the channel draw, before any write to --out
+    def missing():
+        raise FileNotFoundError("[Errno 2] No such file or directory: 'irsgame/data/ziggurat.txt'")
+
+    monkeypatch.setattr(_draw, "tables", missing)
+    out = tmp_path / "out"
+    with pytest.raises(FileNotFoundError, match="ziggurat.txt"):
+        run_experiment("utilities-vs-time", default_cfg, out)
+    assert not out.exists()
 
 
 def test_simulate_routes_by_delay(reduced_cfg):
